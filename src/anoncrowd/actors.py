@@ -29,12 +29,13 @@ from dataclasses import dataclass, replace
 from .context import CryptoContext
 from .encoding import enc_u32, enc_u64, record
 from .errors import (
+    DomainError,
     DuplicateIdentifierError,
     EncodingError,
     ProtocolError,
     ThresholdError,
 )
-from .group import GroupElement, Scalar
+from .group import Group, GroupElement, Scalar
 from .merkle import DEFAULT_DEPTH, MerkleTree
 from .policy import (
     FinalAnswer,
@@ -55,16 +56,17 @@ from .primitives import (
     decode_ciphertext,
     decode_commitment_pair,
     decrypt_message,
+    encode_ciphertexts,
     encrypt_message,
     hash_bytes,
     hash_to_scalar,
     keygen,
     open_pair_check,
-    open_record,
     pair_add,
     pair_rerandomize,
     quality_tag,
     random_blinding_pair,
+    record_fields,
     sign,
 )
 from .relations import (
@@ -102,21 +104,23 @@ def claim_index(ref: int, claim_key: int) -> bytes:
     return hash_bytes(_DST_CLAIM_INDEX + enc_u32(ref) + enc_u64(claim_key))
 
 
-def claim_pads(ctx: CryptoContext, ref: int, claim_key: int) -> BlindingPair:
+def claim_pads(ctx: CryptoContext, ref: int, claim_key: int) -> tuple[BlindingPair, BlindingPair]:
+    """Pads for the update blinding and, independently, for the cover term."""
     base = _DST_CLAIM_PAD + enc_u32(ref) + enc_u64(claim_key)
-    return BlindingPair(
-        hash_to_scalar(ctx.group, base + b"\x00"),
-        hash_to_scalar(ctx.group, base + b"\x01"),
-    )
+    s = [hash_to_scalar(ctx.group, base + bytes([i])) for i in range(4)]
+    return BlindingPair(s[0], s[1]), BlindingPair(s[2], s[3])
 
 
-def dummy_pads(ctx: CryptoContext, ref: int, claim_key: int) -> BlindingPair:
-    """Pads for the cover-term channel, independent of the update pads."""
-    base = _DST_CLAIM_PAD + enc_u32(ref) + enc_u64(claim_key)
-    return BlindingPair(
-        hash_to_scalar(ctx.group, base + b"\x02"),
-        hash_to_scalar(ctx.group, base + b"\x03"),
-    )
+def admissible_increments(final_cts: tuple[Ciphertext, ...]) -> tuple[tuple[int, int], ...]:
+    """Quality increments a posted update may carry: (0, 0) on a voided
+    task (no final ciphertexts), else (1, 0) or (0, 1)."""
+    return ((0, 0),) if len(final_cts) == 0 else ((1, 0), (0, 1))
+
+
+def covered_leaf(g: Group, pair: CommitmentPair, dummy: BlindingPair) -> CommitmentPair:
+    """The registry leaf a posted pair is accumulated as: the pair with its
+    cover term folded in."""
+    return pair_add(g, pair, commit_pair(g, 0, 0, dummy))
 
 
 def payout_account(address: int) -> str:
@@ -163,43 +167,32 @@ def encode_response_bundle(
 
 def decode_response_bundle(ctx: CryptoContext, ref: int, data: bytes) -> ParsedResponse:
     g = ctx.group
-    r = open_record(data, "response")
-    parsed = ParsedResponse(
-        ref=ref,
-        fresh_pair=decode_commitment_pair(g, r.chunk()),
-        tag=r.chunk(),
-        answer_ct=decode_ciphertext(g, r.chunk()),
-        address_ct=decode_ciphertext(g, r.chunk()),
-        claim_ct=decode_ciphertext(g, r.chunk()),
-        proof=Proof.decode(r.chunk()),
-    )
-    if not r.done():
-        raise EncodingError("trailing bytes in response bundle")
-    if len(parsed.tag) != 32:
+    pair, tag, answer_ct, address_ct, claim_ct, proof = record_fields(data, "response", 6)
+    if len(tag) != 32:
         raise EncodingError("linkability tag must be 32 bytes")
-    return parsed
+    return ParsedResponse(
+        ref=ref,
+        fresh_pair=decode_commitment_pair(g, pair),
+        tag=tag,
+        answer_ct=decode_ciphertext(g, answer_ct),
+        address_ct=decode_ciphertext(g, address_ct),
+        claim_ct=decode_ciphertext(g, claim_ct),
+        proof=Proof.decode(proof),
+    )
 
 
 def encode_final_bundle(ctx: CryptoContext, final_cts: tuple[Ciphertext, ...], proof: Proof) -> bytes:
     g = ctx.group
-    return record(
-        "final-answer",
-        b"".join(ct.encode(g) for ct in final_cts),
-        proof.encode(),
-    )
+    return record("final-answer", encode_ciphertexts(g, final_cts), proof.encode())
 
 
 def decode_final_bundle(ctx: CryptoContext, data: bytes, count: int) -> tuple[tuple[Ciphertext, ...], Proof]:
-    r = open_record(data, "final-answer")
-    body = r.chunk()
-    proof = Proof.decode(r.chunk())
-    if not r.done():
-        raise EncodingError("trailing bytes in final-answer bundle")
+    body, proof = record_fields(data, "final-answer", 2)
     if count == 0 or len(body) % count:
         raise EncodingError("final ciphertext list length mismatch")
     step = len(body) // count
     cts = tuple(decode_ciphertext(ctx.group, body[i * step : (i + 1) * step]) for i in range(count))
-    return cts, proof
+    return cts, Proof.decode(proof)
 
 
 @dataclass(frozen=True)
@@ -236,30 +229,36 @@ class QualityPost:
     @classmethod
     def decode(cls, ctx: CryptoContext, data: bytes) -> "QualityPost":
         g = ctx.group
-        r = open_record(data, "quality-post")
-        ref_bytes = r.chunk()
-        if len(ref_bytes) != 4:
+        fields = record_fields(data, "quality-post", 9)
+        ref, idx, update_a, update_b, dummy_a, dummy_b, pair, qual, value = fields
+        if len(ref) != 4:
             raise EncodingError("bad response reference")
-        idx = r.chunk()
         if len(idx) != 32:
             raise EncodingError("claim index must be 32 bytes")
-        blinded = BlindingPair(g.decode_scalar(r.chunk()), g.decode_scalar(r.chunk()))
-        dummy = BlindingPair(g.decode_scalar(r.chunk()), g.decode_scalar(r.chunk()))
-        new_pair = decode_commitment_pair(g, r.chunk())
-        qual_proof = Proof.decode(r.chunk())
-        value_bytes = r.chunk()
-        value_proof = Proof.decode(value_bytes) if value_bytes else None
-        if not r.done():
-            raise EncodingError("trailing bytes in quality post")
         return cls(
-            int.from_bytes(ref_bytes, "little"),
+            int.from_bytes(ref, "little"),
             idx,
-            blinded,
-            dummy,
-            new_pair,
-            qual_proof,
-            value_proof,
+            BlindingPair(g.decode_scalar(update_a), g.decode_scalar(update_b)),
+            BlindingPair(g.decode_scalar(dummy_a), g.decode_scalar(dummy_b)),
+            decode_commitment_pair(g, pair),
+            Proof.decode(qual),
+            Proof.decode(value) if value else None,
         )
+
+
+def _addressed_posts(ctx: CryptoContext, posts: list[bytes], ref: int, claim_key: int):
+    """Decodable posts addressed to (ref, claim_key), in posting order, each
+    with its update and cover-term blindings unpadded. Lazy: a caller that
+    stops at the first match decodes no further post."""
+    expected_idx = claim_index(ref, claim_key)
+    update_pads, cover_pads = claim_pads(ctx, ref, claim_key)
+    for payload in posts:
+        try:
+            post = QualityPost.decode(ctx, payload)
+        except (EncodingError, ValueError):
+            continue
+        if post.response_ref == ref and post.claim_index == expected_idx:
+            yield post, post.blinded_update - update_pads, post.blinded_dummy - cover_pads
 
 
 @dataclass(frozen=True)
@@ -300,6 +299,51 @@ def response_statement(ctx: CryptoContext, task: TaskPublic, parsed: ParsedRespo
         quality_tag=parsed.tag,
         answer_ct=parsed.answer_ct,
         address_ct=parsed.address_ct,
+    )
+
+
+def calc_statement(
+    ctx: CryptoContext, task: TaskPublic, accepted: list[ParsedResponse], final_cts: tuple[Ciphertext, ...]
+) -> AuthCalcStatement:
+    """What the final answer over the accepted responses is proven against."""
+    return AuthCalcStatement(
+        params_digest=ctx.params_digest,
+        policy=task.policy,
+        requester_pk=task.requester_pk,
+        answer_cts=tuple(p.answer_ct for p in accepted),
+        final_cts=final_cts,
+    )
+
+
+def quality_statement(
+    ctx: CryptoContext,
+    task: TaskPublic,
+    target: ParsedResponse,
+    final_cts: tuple[Ciphertext, ...],
+    new_pair: CommitmentPair,
+) -> AuthQualStatement:
+    """What the quality post moving target's pair to new_pair is proven against."""
+    return AuthQualStatement(
+        params_digest=ctx.params_digest,
+        policy=task.policy,
+        requester_pk=task.requester_pk,
+        worker_ct=target.answer_ct,
+        final_cts=final_cts,
+        old_pair=target.fresh_pair,
+        new_pair=new_pair,
+    )
+
+
+def value_statement(
+    ctx: CryptoContext, task: TaskPublic, target: ParsedResponse, final_cts: tuple[Ciphertext, ...]
+) -> AuthValueStatement:
+    """What the claim that target's answer is correct is proven against."""
+    return AuthValueStatement(
+        params_digest=ctx.params_digest,
+        policy=task.policy,
+        requester_pk=task.requester_pk,
+        worker_ct=target.answer_ct,
+        final_cts=final_cts,
     )
 
 
@@ -454,46 +498,24 @@ class RegistrationAuthority:
             bound_ct = encrypt_message(
                 g, task.requester_pk, ctx.claim_codec, protest.claim_key, protest.claim_rand
             )
-        except Exception:
+        except DomainError:
             return False
         if bound_ct != target.claim_ct:
             return False  # claim key does not match the on-chain response
 
-        expected_idx = claim_index(target.ref, protest.claim_key)
-        pads = claim_pads(ctx, target.ref, protest.claim_key)
-        for payload in posts:
-            try:
-                post = QualityPost.decode(ctx, payload)
-            except (EncodingError, ValueError):
-                continue
-            if post.response_ref != target.ref or post.claim_index != expected_idx:
-                continue
-            stmt = AuthQualStatement(
-                params_digest=ctx.params_digest,
-                policy=task.policy,
-                requester_pk=task.requester_pk,
-                worker_ct=target.answer_ct,
-                final_cts=final_cts,
-                old_pair=target.fresh_pair,
-                new_pair=post.new_pair,
-            )
+        for post, update, dummy in _addressed_posts(ctx, posts, target.ref, protest.claim_key):
+            stmt = quality_statement(ctx, task, target, final_cts, post.new_pair)
             if not self.backend.verify(ctx, stmt, post.qual_proof):
                 continue
-            # the pads recover the update blinding; binding commitments mean
-            # exactly one admissible increment can close the equation
-            update = post.blinded_update - pads
-            increments = ((0, 0),) if len(final_cts) == 0 else ((1, 0), (0, 1))
+            # binding commitments mean exactly one admissible increment can
+            # close the equation under the unpadded update blinding
             closes = any(
                 post.new_pair == pair_add(g, target.fresh_pair, commit_pair(g, da, db, update))
-                for da, db in increments
+                for da, db in admissible_increments(final_cts)
             )
-            if not closes:
-                continue
             # served means the worker can also move on: the covered leaf
             # must have landed in the registry
-            dummy = post.blinded_dummy - dummy_pads(ctx, target.ref, protest.claim_key)
-            leaf = pair_add(g, post.new_pair, commit_pair(g, 0, 0, dummy))
-            if self.find_position(leaf.encode(g)) is not None:
+            if closes and self.find_position(covered_leaf(g, post.new_pair, dummy).encode(g)) is not None:
                 return False
         return True
 
@@ -641,27 +663,14 @@ class WorkerAgent:
             raise ProtocolError("no submitted response on record")
         grievance = Protest(p.ref, p.claim_key, p.claim_rand, payout_account(p.address))
 
-        expected_idx = claim_index(p.ref, p.claim_key)
-        post = None
-        for payload in posts:
-            try:
-                candidate = QualityPost.decode(ctx, payload)
-            except (EncodingError, ValueError):
-                continue
-            if candidate.response_ref == p.ref and candidate.claim_index == expected_idx:
-                post = candidate
-                break
-        if post is None:
+        found = next(_addressed_posts(ctx, posts, p.ref, p.claim_key), None)
+        if found is None:
             return grievance
-
-        update = post.blinded_update - claim_pads(ctx, p.ref, p.claim_key)
-        dummy = post.blinded_dummy - dummy_pads(ctx, p.ref, p.claim_key)
+        post, update, dummy = found
         new_blind = self.cred.blind + self.cred.dummy + p.rerand + update
-        voided = len(final_cts) == 0
-        candidates = ((0, 0),) if voided else ((1, 0), (0, 1))
-        for da, db in candidates:
+        for da, db in admissible_increments(final_cts):
             if open_pair_check(g, post.new_pair, self.cred.alpha + da, self.cred.beta + db, new_blind):
-                leaf = pair_add(g, post.new_pair, commit_pair(g, 0, 0, dummy))
+                leaf = covered_leaf(g, post.new_pair, dummy)
                 position = ra.find_position(leaf.encode(g))
                 if position is None:
                     return grievance  # posted but never accumulated
@@ -729,44 +738,29 @@ class RequesterAgent:
         accepted, rejections = screen_responses(ctx, self.backend, task, included, self.seen_tags)
         self.seen_tags.update(p.tag for p in accepted)
 
-        if len(accepted) < min_workers:
-            settled = [self._quality_post(task, p, final_cts=(), correct=None) for p in accepted]
-            return TaskOutcome(
-                accepted=accepted,
-                rejections=rejections,
-                void=True,
-                final=None,
-                final_cts=(),
-                final_bundle=None,
-                quality_posts=[post for post, _ in settled],
-                leaves=[leaf for _, leaf in settled],
-                payments=[],
-                correct_refs=[],
-            )
-
+        void = len(accepted) < min_workers
         sk = self.keypair.sk
-        answers = [decrypt_message(g, sk, ctx.answer_codec, p.answer_ct) for p in accepted]
-        final = ans_calc(answers, task.policy)
-        final_cts = tuple(
-            encrypt_message(g, self.keypair.pk, ctx.answer_codec, v, g.random_scalar(self.rng))
-            for v in final.values
-        )
-        calc_stmt = AuthCalcStatement(
-            params_digest=ctx.params_digest,
-            policy=task.policy,
-            requester_pk=self.keypair.pk,
-            answer_cts=tuple(p.answer_ct for p in accepted),
-            final_cts=final_cts,
-        )
-        calc_proof = self.backend.prove(ctx, calc_stmt, AuthCalcWitness(sk))
-        final_bundle = encode_final_bundle(ctx, final_cts, calc_proof)
+        answers: list[int | None] = [None] * len(accepted)
+        final, final_cts, final_bundle = None, (), None
+        if not void:
+            answers = [decrypt_message(g, sk, ctx.answer_codec, p.answer_ct) for p in accepted]
+            final = ans_calc(answers, task.policy)
+            final_cts = tuple(
+                encrypt_message(g, self.keypair.pk, ctx.answer_codec, v, g.random_scalar(self.rng))
+                for v in final.values
+            )
+            calc_stmt = calc_statement(ctx, task, accepted, final_cts)
+            calc_proof = self.backend.prove(ctx, calc_stmt, AuthCalcWitness(sk))
+            final_bundle = encode_final_bundle(ctx, final_cts, calc_proof)
 
         posts, leaves, payments, correct_refs = [], [], [], []
         for parsed, answer in zip(accepted, answers):
-            correct = is_correct(answer, final, task.policy)
+            correct = None if void else is_correct(answer, final, task.policy)
             post, leaf = self._quality_post(task, parsed, final_cts, correct)
             posts.append(post)
             leaves.append(leaf)
+            if void:
+                continue  # a void task settles zero increments and pays nobody
             address = decrypt_message(g, sk, ctx.address_codec, parsed.address_ct)
             payments.append((payout_account(address), paym_calc(correct, task.policy)))
             if correct:
@@ -774,7 +768,7 @@ class RequesterAgent:
         return TaskOutcome(
             accepted=accepted,
             rejections=rejections,
-            void=False,
+            void=void,
             final=final,
             final_cts=final_cts,
             final_bundle=final_bundle,
@@ -802,38 +796,24 @@ class RequesterAgent:
         else:
             increment = (1, 0) if correct else (0, 1)
         new_pair = pair_add(g, parsed.fresh_pair, commit_pair(g, *increment, update))
-        stmt = AuthQualStatement(
-            params_digest=ctx.params_digest,
-            policy=task.policy,
-            requester_pk=self.keypair.pk,
-            worker_ct=parsed.answer_ct,
-            final_cts=final_cts,
-            old_pair=parsed.fresh_pair,
-            new_pair=new_pair,
-        )
+        stmt = quality_statement(ctx, task, parsed, final_cts, new_pair)
         qual_proof = self.backend.prove(ctx, stmt, AuthQualWitness(sk, update))
         value_proof = None
         if correct:
-            value_stmt = AuthValueStatement(
-                params_digest=ctx.params_digest,
-                policy=task.policy,
-                requester_pk=self.keypair.pk,
-                worker_ct=parsed.answer_ct,
-                final_cts=final_cts,
-            )
+            value_stmt = value_statement(ctx, task, parsed, final_cts)
             value_proof = self.backend.prove(ctx, value_stmt, AuthValueWitness(sk))
 
         try:
             key = decrypt_message(g, sk, ctx.claim_codec, parsed.claim_ct)
+            update_pads, cover_pads = claim_pads(ctx, parsed.ref, key)
             idx = claim_index(parsed.ref, key)
-            blinded = update + claim_pads(ctx, parsed.ref, key)
-            covered = dummy + dummy_pads(ctx, parsed.ref, key)
-        except Exception:
+            blinded = update + update_pads
+            covered = dummy + cover_pads
+        except DomainError:
             # unproven claim field did not decrypt; the update is posted
             # unaddressed and the submitter has only themselves to blame
             idx = bytes(32)
             blinded = update
             covered = dummy
         post = QualityPost(parsed.ref, idx, blinded, covered, new_pair, qual_proof, value_proof)
-        leaf = pair_add(g, new_pair, commit_pair(g, 0, 0, dummy))
-        return post.encode(ctx), leaf.encode(g)
+        return post.encode(ctx), covered_leaf(g, new_pair, dummy).encode(g)

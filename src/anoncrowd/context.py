@@ -2,8 +2,8 @@
 
 Message domains are finite by design and pinned here:
 
-* answers: ids below 2^16 (also reused for encrypted aggregates, so
-  averaging tasks must keep domain_size * worker_count under 2^16);
+* answers: ids below 2^16 (also reused for encrypted aggregates, so the
+  answers of an averaging task must sum to less than 2^16);
 * payout addresses: indices into a 2^32-entry registry;
 * claim keys: per-task secrets below 2^16 that index and blind each
   worker's quality post. Desk-scale only; a deployment would widen this
@@ -17,8 +17,10 @@ across differently parameterized deployments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .encoding import enc_u64, record
+from .errors import ConfigError
 from .group import Group, production_group, tiny_group
 from .primitives import MessageCodec, hash_bytes
 
@@ -51,21 +53,24 @@ class CryptoContext:
         )
 
 
-_PROD_CTX: CryptoContext | None = None
-_TINY_CTX: CryptoContext | None = None
-
-
+@cache
 def production_context() -> CryptoContext:
     """Process-wide context over the production curve (codec table reuse)."""
-    global _PROD_CTX
-    if _PROD_CTX is None:
-        _PROD_CTX = CryptoContext(production_group())
-    return _PROD_CTX
+    return CryptoContext(production_group())
 
 
+@cache
 def tiny_context() -> CryptoContext:
     """Context over the brute-forceable group. Oracle tests only."""
-    global _TINY_CTX
-    if _TINY_CTX is None:
-        _TINY_CTX = CryptoContext(tiny_group())
-    return _TINY_CTX
+    return CryptoContext(tiny_group())
+
+
+# group backends by the name scenarios and log headers use
+BACKENDS = {"curve254": production_context, "tiny31": tiny_context}
+
+
+def context_for(backend: str) -> CryptoContext:
+    """The shared context of a backend named by a scenario or a log header."""
+    if backend not in BACKENDS:
+        raise ConfigError(f"unknown backend {backend!r}")
+    return BACKENDS[backend]()

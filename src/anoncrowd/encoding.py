@@ -5,7 +5,7 @@ implementations of the same value can never disagree on bytes. Rules:
 fixed-width integers are little-endian; variable-length fields are
 length-prefixed; composite records carry a short ASCII tag so encodings of
 different record types never collide. The wire format is versioned by
-WIRE_VERSION and documented in docs/wire-format.md.
+WIRE_VERSION.
 """
 
 from __future__ import annotations

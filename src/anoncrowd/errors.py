@@ -37,10 +37,6 @@ class MalformedStatementError(ProtocolError):
     unsatisfied, which is reported as a False check result)."""
 
 
-class MalformedEvidenceError(ProtocolError):
-    """An arbitration bundle is missing fields or fails to parse."""
-
-
 class PhaseError(ProtocolError):
     """A contract method was invoked in a phase that does not admit it."""
 
@@ -55,10 +51,6 @@ class FundsError(ProtocolError):
 
 class ConfigError(ProtocolError):
     """A scenario file or fixture violates its schema."""
-
-
-class AuditError(ProtocolError):
-    """A transaction log failed independent re-verification."""
 
 
 class RelationUnsatisfiedError(ProtocolError):

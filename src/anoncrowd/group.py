@@ -24,7 +24,7 @@ enough for the acceptance workloads.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
+from functools import cache
 
 from .errors import EncodingError
 
@@ -222,10 +222,6 @@ def _j_to_affine(p: tuple[int, int, int]) -> CurvePoint:
     return CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q)
 
 
-def _on_curve(x: int, y: int) -> bool:
-    return (y * y - (x * x * x + 3)) % _Q == 0
-
-
 class _FixedBaseTable:
     """Radix-16 decomposition table for one fixed base point.
 
@@ -301,17 +297,29 @@ class Group:
             raise EncodingError("scalar encoding exceeds group order")
         return Scalar(v, self.order)
 
-    # element operations, provided by the backends
+    def _as_int(self, k: "Scalar | int") -> int:
+        if isinstance(k, Scalar):
+            if k.order != self.order:
+                raise ValueError("scalar belongs to a different group")
+            return k.value
+        return k % self.order
 
-    def identity(self) -> GroupElement:
-        raise NotImplementedError
+    # fixed bases: each backend sets _gen and starts _blind at None
 
     @property
     def generator(self) -> GroupElement:
-        raise NotImplementedError
+        return self._gen
 
     @property
     def blind_generator(self) -> GroupElement:
+        """Hashed from the generator, so its discrete log is unknown."""
+        if self._blind is None:
+            self._blind = self.hash_to_element(_DST_BLIND + self.encode_element(self._gen))
+        return self._blind
+
+    # element operations, provided by the backends
+
+    def identity(self) -> GroupElement:
         raise NotImplementedError
 
     def is_identity(self, p: GroupElement) -> bool:
@@ -350,11 +358,6 @@ class Group:
     def hash_to_element(self, data: bytes) -> GroupElement:
         raise NotImplementedError
 
-    def elements_for_test(self, rng, n: int) -> Iterator[GroupElement]:
-        """n pseudo-random elements (known-dlog; for tests and tables only)."""
-        for _ in range(n):
-            yield self.mul_gen(self.random_scalar(rng))
-
 
 class CurveGroup(Group):
     """Production backend over the 254-bit curve. Prefer module-level
@@ -373,13 +376,6 @@ class CurveGroup(Group):
 
     # internal helpers
 
-    def _as_int(self, k: "Scalar | int") -> int:
-        if isinstance(k, Scalar):
-            if k.order != self.order:
-                raise ValueError("scalar belongs to a different group")
-            return k.value
-        return k % self.order
-
     def _table_gen(self) -> _FixedBaseTable:
         if self._gen_table is None:
             self._gen_table = _FixedBaseTable(self._gen, self.order.bit_length())
@@ -395,17 +391,6 @@ class CurveGroup(Group):
 
     def identity(self) -> CurvePoint:
         return CurvePoint(0, 0, inf=True)
-
-    @property
-    def generator(self) -> CurvePoint:
-        return self._gen
-
-    @property
-    def blind_generator(self) -> CurvePoint:
-        if self._blind is None:
-            seed = _DST_BLIND + self.encode_element(self._gen)
-            self._blind = self.hash_to_element(seed)
-        return self._blind
 
     def is_identity(self, p: GroupElement) -> bool:
         return isinstance(p, CurvePoint) and p.inf
@@ -540,26 +525,8 @@ class TinyGroup(Group):
         self._gen = FieldUnit(_T_GEN)
         self._blind: FieldUnit | None = None
 
-    def _as_int(self, k: "Scalar | int") -> int:
-        if isinstance(k, Scalar):
-            if k.order != self.order:
-                raise ValueError("scalar belongs to a different group")
-            return k.value
-        return k % self.order
-
     def identity(self) -> FieldUnit:
         return FieldUnit(1)
-
-    @property
-    def generator(self) -> FieldUnit:
-        return self._gen
-
-    @property
-    def blind_generator(self) -> FieldUnit:
-        if self._blind is None:
-            seed = _DST_BLIND + self.encode_element(self._gen)
-            self._blind = self.hash_to_element(seed)
-        return self._blind
 
     def is_identity(self, p: GroupElement) -> bool:
         return isinstance(p, FieldUnit) and p.v == 1
@@ -609,21 +576,13 @@ class TinyGroup(Group):
 
 # ── shared instances ─────────────────────────────────────────────────────────
 
-_PROD: CurveGroup | None = None
-_TINY: TinyGroup | None = None
-
-
+@cache
 def production_group() -> CurveGroup:
     """Process-wide curve backend (shares the fixed-base tables)."""
-    global _PROD
-    if _PROD is None:
-        _PROD = CurveGroup()
-    return _PROD
+    return CurveGroup()
 
 
+@cache
 def tiny_group() -> TinyGroup:
     """Process-wide oracle backend. Test use only."""
-    global _TINY
-    if _TINY is None:
-        _TINY = TinyGroup()
-    return _TINY
+    return TinyGroup()

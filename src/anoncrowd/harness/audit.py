@@ -21,9 +21,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from ..actors import QualityPost, TaskPublic, decode_final_bundle, screen_responses
-from ..context import CryptoContext, production_context, tiny_context
-from ..errors import EncodingError
+from ..actors import (
+    QualityPost,
+    TaskPublic,
+    calc_statement,
+    decode_final_bundle,
+    quality_statement,
+    screen_responses,
+    value_statement,
+)
+from ..context import context_for
+from ..errors import ConfigError, EncodingError
 from ..ledger import (
     CONFISCATE,
     CREATE_TASK,
@@ -38,16 +46,47 @@ from ..ledger import (
     GasSchedule,
     LedgerRecord,
 )
-from ..policy import MAJORITY, TaskPolicy
+from ..policy import TaskPolicy
 from ..primitives import decode_signature, hash_bytes, verify_sig
-from ..relations import (
-    AuthCalcStatement,
-    AuthQualStatement,
-    AuthValueStatement,
-    ProofBackend,
-)
+from ..relations import ProofBackend
 
+LOG_VERSION = 1
 CHAIN_SEED = hash_bytes(b"anoncrowd/v1/log-chain")
+
+# the task policy as a log header carries it: field -> JSON type, with the
+# rational threshold and tolerance written as "n/d" text
+_POLICY_FIELDS = {
+    "kind": str,
+    "domain_size": int,
+    "threshold": str,
+    "epsilon": str,
+    "winners": int,
+    "pay_correct": int,
+    "pay_incorrect": int,
+}
+
+# the fields the replay reads from each event type, with their JSON types;
+# transaction events are checked by LedgerRecord.from_json_dict
+_NUMBER = (int, float)
+_FIELDS = {
+    "header": {
+        "backend": str,
+        "params_digest": str,
+        "ra_pk": str,
+        "requester_pk": str,
+        "backend_seed": str,
+        "policy": dict,
+        "rounds": int,
+        "min_workers": int,
+        "base_fee_gwei": _NUMBER,
+        "tip_gwei": _NUMBER,
+        "eth_usd": _NUMBER,
+    },
+    "round": {"round": int, "task_seq": int, "tree_root": str, "response_deadline": int, "escrow_wei": int},
+    "screening": {"round": int, "accepted": list, "rejections": list, "void": bool},
+    "arbitration": {"round": int, "ref": int, "upheld": bool},
+    "signoff": {"chain": str, "sig": str},
+}
 
 
 def canonical_line(obj: dict) -> str:
@@ -79,24 +118,18 @@ def verify_log_text(text: str) -> AuditReport:
     return verify_log(text.splitlines())
 
 
-def _context_for(backend: str) -> CryptoContext:
-    if backend == "curve254":
-        return production_context()
-    if backend == "tiny31":
-        return tiny_context()
-    raise ValueError(f"unknown backend {backend!r}")
+def policy_header(policy: TaskPolicy) -> dict:
+    return {name: kind(getattr(policy, name)) for name, kind in _POLICY_FIELDS.items()}
 
 
 def _policy_from_header(d: dict) -> TaskPolicy:
-    return TaskPolicy(
-        kind=d["kind"],
-        domain_size=d["domain_size"],
-        threshold=Fraction(d["threshold"]),
-        pay_correct=d["pay_correct"],
-        pay_incorrect=d["pay_incorrect"],
-        winners=d["winners"],
-        epsilon=Fraction(d["epsilon"]),
-    )
+    rational = ("threshold", "epsilon")
+    return TaskPolicy(**{name: Fraction(d[name]) if name in rational else d[name] for name in _POLICY_FIELDS})
+
+
+def _mistyped(event: dict, fields: dict) -> str | None:
+    """The first field the replay reads that is missing or of the wrong type."""
+    return next((name for name, kind in fields.items() if not isinstance(event.get(name), kind)), None)
 
 
 def verify_log(lines: Iterable[str]) -> AuditReport:
@@ -116,7 +149,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             obj = json.loads(raw)
         except json.JSONDecodeError:
             return AuditReport(False, [f"line {lineno}: not valid json"], stats)
-        if not isinstance(obj, dict) or "type" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
             return AuditReport(False, [f"line {lineno}: not a log event"], stats)
         if obj["type"] == "signoff":
             signoff = obj
@@ -132,10 +165,13 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
     if not events or events[0]["type"] != "header":
         return AuditReport(False, ["log does not start with a header"], stats)
     header = events[0]
+    if header.get("version") != LOG_VERSION:
+        return AuditReport(False, [f"unsupported log version {header.get('version')}"], stats)
+    bad = _mistyped(header, _FIELDS["header"]) or _mistyped(header["policy"], _POLICY_FIELDS)
+    if bad:
+        return AuditReport(False, [f"header field {bad!r} is missing or mistyped"], stats)
     try:
-        if header["version"] != 1:
-            return AuditReport(False, [f"unsupported log version {header['version']}"], stats)
-        ctx = _context_for(header["backend"])
+        ctx = context_for(header["backend"])
         g = ctx.group
         if header["params_digest"] != ctx.params_digest.hex():
             problems.append("header parameter digest does not match this build")
@@ -145,19 +181,21 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         policy = _policy_from_header(header["policy"])
         min_workers = header["min_workers"]
         fee = FeeParams(header["base_fee_gwei"], header["tip_gwei"], header["eth_usd"])
-    except (KeyError, ValueError, EncodingError) as exc:
+    except (ConfigError, ValueError, ZeroDivisionError, EncodingError) as exc:
         return AuditReport(False, [f"header does not parse: {exc}"], stats)
 
     if signoff is None:
         problems.append("log carries no signoff")
+    elif _mistyped(signoff, _FIELDS["signoff"]):
+        problems.append("signoff signature is malformed")
     else:
-        if signoff.get("chain") != chain.hex():
+        if signoff["chain"] != chain.hex():
             problems.append("signoff does not cover the log contents")
         try:
             sig = decode_signature(g, bytes.fromhex(signoff["sig"]))
             if not verify_sig(g, ra_pk, bytes.fromhex(signoff["chain"]), sig):
                 problems.append("signoff signature does not verify")
-        except (KeyError, ValueError, EncodingError):
+        except (ValueError, EncodingError):
             problems.append("signoff signature is malformed")
 
     # pass 2: group events
@@ -168,7 +206,10 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
     summaries: list[dict] = []
     for event in events[1:]:
         kind = event["type"]
-        if kind == "round":
+        bad = _mistyped(event, _FIELDS.get(kind, {}))
+        if bad:
+            problems.append(f"{kind} event field {bad!r} is missing or mistyped")
+        elif kind == "round":
             metas[event["round"]] = event
         elif kind == "screening":
             screenings[event["round"]] = event
@@ -177,7 +218,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         elif kind == "tx":
             try:
                 txs.append(LedgerRecord.from_json_dict(event))
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 problems.append(f"transaction event does not parse: {exc}")
         elif kind == "summary":
             summaries.append(event)
@@ -185,7 +226,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             problems.append(f"unknown event type {kind!r}")
     stats["txs"] = len(txs)
 
-    if sorted(metas) != list(range(header["rounds"])):
+    if len(metas) != header["rounds"] or sorted(metas) != list(range(len(metas))):
         problems.append("round metadata does not cover rounds 0..n-1")
     known_seqs = {meta["task_seq"] for meta in metas.values()}
     for rec in txs:
@@ -205,7 +246,11 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             continue
         if rec.gas != gas:
             problems.append(f"tx {rec.index}: gas {rec.gas} != schedule {gas}")
-        if rec.fee_wei != fee.fee_wei(rec.gas):
+        try:
+            fee_ok = rec.fee_wei == fee.fee_wei(rec.gas)
+        except (OverflowError, ValueError):  # a non-finite or huge fee or gas figure
+            fee_ok = False
+        if not fee_ok:
             problems.append(f"tx {rec.index}: fee {rec.fee_wei} off the fee rule")
         if rec.inclusion_block <= rec.submitted_block:
             problems.append(f"tx {rec.index}: included before it was submitted")
@@ -231,21 +276,24 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             key=lambda t: (t.inclusion_block, t.index),
         )
         try:
-            task_pub = TaskPublic(policy, requester_pk, ra_pk, bytes.fromhex(meta["tree_root"]))
+            tree_root = bytes.fromhex(meta["tree_root"])
         except ValueError:
-            problems.append(prefix + "tree root does not parse")
+            tree_root = b""
+        if len(tree_root) != 32:
+            problems.append(prefix + "tree root is not a 32-byte hex digest")
             continue
+        task_pub = TaskPublic(policy, requester_pk, ra_pk, tree_root)
         accepted, rejections = screen_responses(
             ctx, backend, task_pub, [(t.index, t.payload) for t in included], tags_seen
         )
         stats["proofs_verified"] += len(included)
         tags_seen.update(p.tag for p in accepted)
-        if [p.ref for p in accepted] != list(screening["accepted"]):
+        if [p.ref for p in accepted] != screening["accepted"]:
             problems.append(prefix + "screening acceptances do not replay")
-        if [[ref, why] for ref, why in rejections] != [list(x) for x in screening["rejections"]]:
+        if [[ref, why] for ref, why in rejections] != screening["rejections"]:
             problems.append(prefix + "screening rejections do not replay")
         void = len(accepted) < min_workers
-        if bool(screening["void"]) != void:
+        if screening["void"] != void:
             problems.append(prefix + "void flag does not match the quorum rule")
 
         void_txs = [t for t in round_txs if t.method == VOID_TASK]
@@ -263,20 +311,12 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         elif len(calc_txs) != 1:
             problems.append(prefix + "expected exactly one final answer post")
         else:
-            count = policy.winners if policy.kind == MAJORITY else 2
             try:
-                final_cts, calc_proof = decode_final_bundle(ctx, calc_txs[0].payload, count)
+                final_cts, calc_proof = decode_final_bundle(ctx, calc_txs[0].payload, policy.final_ct_count)
             except (EncodingError, ValueError):
                 problems.append(prefix + "final answer bundle does not decode")
             else:
-                calc_stmt = AuthCalcStatement(
-                    params_digest=ctx.params_digest,
-                    policy=policy,
-                    requester_pk=requester_pk,
-                    answer_cts=tuple(p.answer_ct for p in accepted),
-                    final_cts=final_cts,
-                )
-                if backend.verify(ctx, calc_stmt, calc_proof):
+                if backend.verify(ctx, calc_statement(ctx, task_pub, accepted, final_cts), calc_proof):
                     stats["proofs_verified"] += 1
                 else:
                     problems.append(prefix + "final answer attestation fails")
@@ -296,15 +336,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             if post.response_ref in covered:
                 problems.append(prefix + f"response {post.response_ref} has two quality posts")
                 continue
-            qual_stmt = AuthQualStatement(
-                params_digest=ctx.params_digest,
-                policy=policy,
-                requester_pk=requester_pk,
-                worker_ct=target.answer_ct,
-                final_cts=final_cts,
-                old_pair=target.fresh_pair,
-                new_pair=post.new_pair,
-            )
+            qual_stmt = quality_statement(ctx, task_pub, target, final_cts, post.new_pair)
             if not backend.verify(ctx, qual_stmt, post.qual_proof):
                 problems.append(prefix + f"quality attestation fails for response {post.response_ref}")
                 continue
@@ -315,14 +347,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             if void:
                 problems.append(prefix + "voided round carries a correctness attestation")
                 continue
-            value_stmt = AuthValueStatement(
-                params_digest=ctx.params_digest,
-                policy=policy,
-                requester_pk=requester_pk,
-                worker_ct=target.answer_ct,
-                final_cts=final_cts,
-            )
-            if backend.verify(ctx, value_stmt, post.value_proof):
+            if backend.verify(ctx, value_statement(ctx, task_pub, target, final_cts), post.value_proof):
                 value_count += 1
                 stats["proofs_verified"] += 1
             else:

@@ -12,11 +12,13 @@ import argparse
 import sys
 from dataclasses import replace
 
+from ..context import BACKENDS
 from ..errors import ProtocolError
+from .attacks import ATTACKS
 from .audit import verify_log
 from .fixtures import KINDS, generate_answers, render_fixture
 from .runner import run
-from .scenario import ATTACKS, list_bundled, load_scenario
+from .scenario import list_bundled, load_scenario
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -38,7 +40,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_log(args: argparse.Namespace) -> int:
-    with open(args.log) as fh:
+    with open(args.log, encoding="utf-8") as fh:
         report = verify_log(fh)
     sys.stdout.write(report.render())
     return 0 if report.ok else 1
@@ -78,8 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="play one scenario and print its report")
     p_run.add_argument("scenario", help="bundled scenario name or path to an .ini")
     p_run.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    p_run.add_argument("--attack", choices=ATTACKS, help="enable one misbehaving party")
-    p_run.add_argument("--backend", choices=("curve254", "tiny31"), help="override the group backend")
+    p_run.add_argument("--attack", choices=list(ATTACKS), help="enable one misbehaving party")
+    p_run.add_argument("--backend", choices=list(BACKENDS), help="override the group backend")
     p_run.add_argument("--out", metavar="PATH", help="write the signed jsonl transaction log here")
     p_run.add_argument("--report", metavar="PATH", help="write the report here instead of stdout")
     p_run.set_defaults(func=_cmd_run)
@@ -107,10 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ProtocolError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

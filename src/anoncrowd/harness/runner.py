@@ -7,18 +7,16 @@ reports and identical log bytes. The log is a hash-chained JSONL stream
 signed off by the registration authority; audit.verify_log replays every
 screening verdict and proof in it without any of the agents' secrets.
 
+A run has three parts: set-up (cast, chain, fixture), one loop that plays
+each round through the same five phases (open, collect, screen and settle,
+adopt and arbitrate, close and self-check), and log writing. An attack
+toggle from attacks.ATTACKS wires one misbehaving party into the phases
+through its hooks.
+
 The runner also self-checks: escrow conservation, a plaintext recount of
-the final answer, payment amounts against the policy, and (per attack
-toggle) the one detection event the attack is supposed to trigger. Failed
-checks land in RunResult.failures and the report; the CLI exits 1 on any.
-
-Attack toggles wire one misbehaving party into an otherwise honest cast:
-
-* duplicate-response: an outsider resubmits a worker's response verbatim;
-* forged-proof: an outsider replays a response with a doctored proof;
-* stale-quality: a worker replays last round's quality state (two rounds);
-* deprivation: the requester withholds one worker's update and pay;
-* void-task: too few workers respond and the task voids.
+the final answer, payment amounts against the policy, and the attack's own
+detection check. Failed checks land in RunResult.failures and the report;
+the CLI exits 1 on any.
 """
 
 from __future__ import annotations
@@ -30,21 +28,20 @@ from ..actors import (
     QualityPost,
     RegistrationAuthority,
     RequesterAgent,
+    TaskOutcome,
+    TaskPublic,
     WorkerAgent,
     payout_account,
-    REJECT_DUP_TAG,
-    REJECT_PROOF,
-    REJECT_STALE,
 )
-from ..context import CryptoContext, production_context, tiny_context
+from ..context import ANSWER_DOMAIN, context_for
 from ..errors import ConfigError
 from ..ledger import (
     BLOCK_SECONDS,
     PROCESSING,
-    SUBMIT_RESPONSE,
     ChainTaskParams,
     FeeParams,
     Ledger,
+    TaskState,
 )
 from ..policy import AVERAGE, FinalAnswer, ans_calc, is_correct, paym_calc
 from ..primitives import sign
@@ -55,45 +52,38 @@ from ..relations import (
     PROVE_QUAL_ID,
     ProofBackend,
 )
-from .audit import CHAIN_SEED, canonical_line, chain_digest
+from .attacks import ADVERSARY, ATTACKS, Attack
+from .audit import CHAIN_SEED, LOG_VERSION, canonical_line, chain_digest, policy_header
 from .fixtures import load_fixture
-from .scenario import ATTACKS, ScenarioConfig
+from .scenario import ScenarioConfig
 
 REQUESTER = "requester"
-ADVERSARY = "adversary"
-LOG_VERSION = 1
 _ADDRESS_SPACE = 1 << 20  # payout addresses drawn small so decryption is quick
-
-
-def _context_for(name: str) -> CryptoContext:
-    if name == "curve254":
-        return production_context()
-    if name == "tiny31":
-        return tiny_context()
-    raise ConfigError(f"unknown backend {name!r}")
 
 
 @dataclass
 class RoundStats:
+    """One round's record; the phases fill it in as the round plays."""
+
     index: int
-    task_seq: int
-    opened_block: int
-    collect_blocks: int
-    process_blocks: int
-    submitted: int
-    included: int
-    accepted: int
-    rejections: list[tuple[int, str]]
-    void: bool
-    final_text: str
-    value_proofs: int
-    posts_onchain: int
-    payments_wei: int
-    refunded_wei: int
-    confiscated_wei: int
-    escrow_ok: bool
-    protests: int
-    upheld: int
+    task_seq: int = 0
+    opened_block: int = 0
+    collect_blocks: int = 0
+    process_blocks: int = 0
+    submitted: int = 0
+    included: int = 0
+    accepted: int = 0
+    rejections: list[tuple[int, str]] = field(default_factory=list)
+    void: bool = False
+    final_text: str = ""
+    value_proofs: int = 0
+    posts_onchain: int = 0
+    payments_wei: int = 0
+    refunded_wei: int = 0
+    confiscated_wei: int = 0
+    escrow_ok: bool = False
+    protests: int = 0
+    upheld: int = 0
     notes: list[str] = field(default_factory=list)
 
 
@@ -134,408 +124,339 @@ def _final_text(final: FinalAnswer | None) -> str:
     return "majority -> " + ",".join(str(v) for v in final.values)
 
 
-def _policy_header(policy) -> dict:
-    return {
-        "kind": policy.kind,
-        "domain_size": policy.domain_size,
-        "threshold": str(policy.threshold),
-        "epsilon": str(policy.epsilon),
-        "winners": policy.winners,
-        "pay_correct": policy.pay_correct,
-        "pay_incorrect": policy.pay_incorrect,
-    }
-
-
 def run(config: ScenarioConfig, seed: int, attack: str | None = None) -> RunResult:
-    if attack is not None and attack not in ATTACKS:
-        raise ConfigError(f"unknown attack {attack!r} (one of {', '.join(ATTACKS)})")
-    config.validate()
-    rounds = max(config.rounds, 2) if attack == "stale-quality" else config.rounds
-    policy = config.policy
+    return _Run(config, seed, attack).play()
 
-    ctx = _context_for(config.backend)
-    g = ctx.group
-    master = random.Random(seed)
-    backend_seed = master.getrandbits(256).to_bytes(32, "little")
-    backend = ProofBackend(backend_seed)
-    ledger_seed = master.getrandbits(64)
-    ra_rng = random.Random(master.getrandbits(64))
-    req_rng = random.Random(master.getrandbits(64))
-    worker_rngs = [random.Random(master.getrandbits(64)) for _ in range(config.worker_count)]
-    address_rng = random.Random(master.getrandbits(64))
 
-    fee = FeeParams(config.base_fee_gwei, config.tip_gwei, config.eth_usd)
-    ledger = Ledger(seed=ledger_seed, profile=config.profile, fee=fee)
-    ledger.fund(REQUESTER, config.requester_funding_wei)
-    ledger.fund(ADVERSARY, config.worker_funding_wei)
+@dataclass
+class _Round:
+    """One round: its record plus the working state the phases hand on."""
 
-    ra = RegistrationAuthority(ctx, backend, ra_rng, prior=config.prior)
-    requester = RequesterAgent(ctx, backend, REQUESTER, req_rng)
-    workers: list[WorkerAgent] = []
-    for i in range(config.worker_count):
-        name = f"worker-{i:03d}"
-        ledger.fund(name, config.worker_funding_wei)
-        w = WorkerAgent(ctx, backend, name, f"{config.name}/{seed}/{name}".encode(), worker_rngs[i])
-        w.enroll(ra)
-        workers.append(w)
+    stats: RoundStats
+    # open
+    task_pub: TaskPublic | None = None
+    task: TaskState | None = None
+    # collect
+    account_to_worker: dict[str, str] = field(default_factory=dict)
+    ref_to_worker: dict[int, WorkerAgent] = field(default_factory=dict)
+    ref_to_answer: dict[int, int] = field(default_factory=dict)
+    kept_bundles: dict[int, bytes] = field(default_factory=dict)  # by worker index
+    included: list[tuple[int, bytes]] = field(default_factory=list)
+    tags_before: set[bytes] = field(default_factory=set)
+    # screen and settle
+    outcome: TaskOutcome | None = None
+    chain_posts: list[bytes] = field(default_factory=list)
 
-    answers = load_fixture(config.fixture)
-    if len(answers) < config.worker_count:
-        raise ConfigError(
-            f"fixture holds {len(answers)} answers but the scenario has {config.worker_count} workers"
-        )
-    answers = answers[: config.worker_count]
-    for i, a in enumerate(answers):
-        if not 0 <= a < policy.domain_size:
-            raise ConfigError(f"fixture row {i}: answer {a} outside the policy domain")
 
-    contract = ledger.deploy(REQUESTER)
-    round_events: list[dict] = []
-    screening_events: list[dict] = []
-    arbitration_events: list[dict] = []
-    stats: list[RoundStats] = []
-    failures: list[str] = []
-    proof_counts = {PROVE_QUAL_ID: 0, AUTH_CALC_ID: 0, AUTH_QUAL_ID: 0, AUTH_VALUE_ID: 0}
-    paid_to_worker: dict[str, int] = {w.name: 0 for w in workers}
-    status: dict[str, str] = {w.name: "idle" for w in workers}
-    stale_snapshot = None
+class _Run:
+    """One run: set-up here, the round loop in play, the log in _result."""
 
-    for r in range(rounds):
-        task_pub = requester.announce(policy, ra)
+    def __init__(self, config: ScenarioConfig, seed: int, attack: str | None):
+        if attack is not None and attack not in ATTACKS:
+            raise ConfigError(f"unknown attack {attack!r} (one of {', '.join(ATTACKS)})")
+        config.validate()
+        answers = load_fixture(config.fixture)
+        if len(answers) < config.worker_count:
+            raise ConfigError(
+                f"fixture holds {len(answers)} answers but the scenario has {config.worker_count} workers"
+            )
+        answers = answers[: config.worker_count]
+        for i, a in enumerate(answers):
+            if not 0 <= a < config.policy.domain_size:
+                raise ConfigError(f"fixture row {i}: answer {a} outside the policy domain")
+        # an average's final ciphertexts encrypt the plain sum of the answers
+        if config.policy.kind == AVERAGE and sum(answers) >= ANSWER_DOMAIN:
+            raise ConfigError(
+                f"fixture answers sum to {sum(answers)}, outside the answer codec's domain of {ANSWER_DOMAIN}"
+            )
+        self.config = config
+        self.seed = seed
+        self.attack = attack
+        self.answers = answers
+        self.hook = ATTACKS[attack]() if attack is not None else Attack()
+
+        self.ctx = context_for(config.backend)
+        master = random.Random(seed)
+        self.backend_seed = master.getrandbits(256).to_bytes(32, "little")
+        backend = ProofBackend(self.backend_seed)
+        ledger_seed = master.getrandbits(64)
+        ra_rng = random.Random(master.getrandbits(64))
+        req_rng = random.Random(master.getrandbits(64))
+        worker_rngs = [random.Random(master.getrandbits(64)) for _ in range(config.worker_count)]
+        self.address_rng = random.Random(master.getrandbits(64))
+
+        self.fee = FeeParams(config.base_fee_gwei, config.tip_gwei, config.eth_usd)
+        self.ledger = Ledger(seed=ledger_seed, profile=config.profile, fee=self.fee)
+        self.ledger.fund(REQUESTER, config.requester_funding_wei)
+        self.ledger.fund(ADVERSARY, config.worker_funding_wei)
+
+        self.ra = RegistrationAuthority(self.ctx, backend, ra_rng, prior=config.prior)
+        self.requester = RequesterAgent(self.ctx, backend, REQUESTER, req_rng)
+        self.workers: list[WorkerAgent] = []
+        for i in range(config.worker_count):
+            name = f"worker-{i:03d}"
+            self.ledger.fund(name, config.worker_funding_wei)
+            w = WorkerAgent(self.ctx, backend, name, f"{config.name}/{seed}/{name}".encode(), worker_rngs[i])
+            w.enroll(self.ra)
+            self.workers.append(w)
+
+        self.contract = self.ledger.deploy(REQUESTER)
+        self.rounds = self.hook.rounds(config)
+        self.round_events: list[dict] = []
+        self.screening_events: list[dict] = []
+        self.arbitration_events: list[dict] = []
+        self.stats: list[RoundStats] = []
+        self.failures: list[str] = []
+        self.proof_counts = dict.fromkeys((PROVE_QUAL_ID, AUTH_CALC_ID, AUTH_QUAL_ID, AUTH_VALUE_ID), 0)
+        self.paid_to_worker = {w.name: 0 for w in self.workers}
+        self.status = {w.name: "idle" for w in self.workers}
+
+    def play(self) -> RunResult:
+        phases = (self._open, self._collect, self._screen_and_settle, self._adopt_and_arbitrate, self._close)
+        for r in range(self.rounds):
+            rnd = _Round(RoundStats(r))
+            for phase in phases:
+                phase(rnd)
+            self.stats.append(rnd.stats)
+            self.hook.after_round(self, rnd)
+        self.failures.extend(self.hook.check(self))
+        return self._result()
+
+    def _open(self, rnd: _Round) -> None:
+        config, ledger, st = self.config, self.ledger, rnd.stats
+        rnd.task_pub = self.requester.announce(config.policy, self.ra)
         params = ChainTaskParams(
             response_deadline=ledger.block + config.response_window,
             processing_deadline=ledger.block + config.response_window + config.processing_window,
             min_workers=config.min_workers,
             escrow_wei=config.escrow_wei,
         )
-        opened_block = ledger.block
-        task = ledger.create_task(contract, REQUESTER, params)
-        round_events.append(
+        st.opened_block = ledger.block
+        st.collect_blocks = config.response_window
+        rnd.task = ledger.create_task(self.contract, REQUESTER, params)
+        st.task_seq = rnd.task.seq
+        self.round_events.append(
             {
                 "type": "round",
-                "round": r,
-                "task_seq": task.seq,
-                "tree_root": task_pub.tree_root.hex(),
+                "round": st.index,
+                "task_seq": st.task_seq,
+                "tree_root": rnd.task_pub.tree_root.hex(),
                 "response_deadline": params.response_deadline,
                 "processing_deadline": params.processing_deadline,
                 "escrow_wei": params.escrow_wei,
-                "opened_block": opened_block,
+                "opened_block": st.opened_block,
             }
         )
-        notes: list[str] = []
 
-        if attack == "stale-quality" and r == 0:
-            stale_snapshot = workers[0].cred  # replayed next round
-        cheater_real_cred = None
-        if attack == "stale-quality" and r == 1:
-            cheater_real_cred = workers[0].cred
-            workers[0].cred = stale_snapshot
-            notes.append("worker-000 replays its previous quality state")
-
-        responders = list(range(config.worker_count))
-        if attack == "void-task":
-            responders = responders[: config.min_workers - 1]
-            notes.append(
-                f"only {len(responders)} workers respond, below the quorum of {config.min_workers}"
-            )
-
-        addresses = address_rng.sample(range(_ADDRESS_SPACE), config.worker_count)
-        account_to_worker = {payout_account(addresses[i]): workers[i].name for i in responders}
-        submitted = 0
-        ref_to_worker: dict[int, WorkerAgent] = {}
-        ref_to_answer: dict[int, int] = {}
-        kept_bundles: dict[int, bytes] = {}
+    def _collect(self, rnd: _Round) -> None:
+        config, ledger, workers = self.config, self.ledger, self.workers
+        responders = self.hook.responders(self, rnd, list(range(config.worker_count)))
+        addresses = self.address_rng.sample(range(_ADDRESS_SPACE), config.worker_count)
+        rnd.account_to_worker = {payout_account(addresses[i]): workers[i].name for i in responders}
         for pos, i in enumerate(responders):
             w = workers[i]
-            if not w.qualifies(policy):
-                status[w.name] = "sat out below threshold"
-                notes.append(f"{w.name} no longer clears the admission threshold and sits out")
+            if not w.qualifies(config.policy):
+                self.status[w.name] = "sat out below threshold"
+                rnd.stats.notes.append(f"{w.name} no longer clears the admission threshold and sits out")
                 continue
-            bundle = w.build_response(ra, task_pub, answers[i], address=addresses[i])
-            rec = ledger.submit_response(contract, w.name, bundle)
+            bundle = w.build_response(self.ra, rnd.task_pub, self.answers[i], address=addresses[i])
+            rec = ledger.submit_response(self.contract, w.name, bundle)
             w.mark_submitted(rec.index)
-            ref_to_worker[rec.index] = w
-            ref_to_answer[rec.index] = answers[i]
-            kept_bundles[i] = bundle
-            submitted += 1
+            rnd.ref_to_worker[rec.index] = w
+            rnd.ref_to_answer[rec.index] = self.answers[i]
+            rnd.kept_bundles[i] = bundle
+            rnd.stats.submitted += 1
             if pos % 7 == 6:
                 ledger.tick(1)
+        self.hook.after_collect(self, rnd)
 
-        if attack == "duplicate-response" and 0 in kept_bundles:
-            ledger.tick(2)
-            rec = ledger.submit_response(contract, ADVERSARY, kept_bundles[0])
-            ref_to_answer[rec.index] = answers[0]  # byte copy carries the same answer
-            submitted += 1
-            notes.append(f"an outsider resubmits worker-000's response verbatim (tx {rec.index})")
-        if attack == "forged-proof" and 1 in kept_bundles:
-            ledger.tick(2)
-            source = kept_bundles[1]
-            forged = source[:-1] + bytes([source[-1] ^ 0x01])
-            rec = ledger.submit_response(contract, ADVERSARY, forged)
-            submitted += 1
-            notes.append(f"an outsider replays a response with a doctored attestation (tx {rec.index})")
+        ledger.tick_to(rnd.task.params.response_deadline + 1)
+        rnd.included = [(rec.index, rec.payload) for rec in ledger.included_responses(rnd.task)]
+        rnd.stats.included = len(rnd.included)
+        self.proof_counts[PROVE_QUAL_ID] += rnd.stats.submitted  # late ones carry proofs too
+        rnd.tags_before = set(self.requester.seen_tags)
 
-        ledger.tick_to(params.response_deadline + 1)
-        included_records = ledger.included_responses(task)
-        included = [(rec.index, rec.payload) for rec in included_records]
-        proof_counts[PROVE_QUAL_ID] += len(
-            [t for t in ledger.records if t.method == SUBMIT_RESPONSE and t.task_seq == task.seq]
-        )
-        tags_before = set(requester.seen_tags)
-
-        outcome = requester.evaluate(task_pub, included, config.min_workers)
-        screening_events.append(
+    def _screen_and_settle(self, rnd: _Round) -> None:
+        ledger, contract, st = self.ledger, self.contract, rnd.stats
+        outcome = rnd.outcome = self.requester.evaluate(rnd.task_pub, rnd.included, self.config.min_workers)
+        st.accepted = len(outcome.accepted)
+        st.rejections = outcome.rejections
+        st.void = outcome.void
+        st.final_text = _final_text(outcome.final)
+        self.screening_events.append(
             {
                 "type": "screening",
-                "round": r,
+                "round": st.index,
                 "accepted": [p.ref for p in outcome.accepted],
                 "rejections": [[ref, reason] for ref, reason in outcome.rejections],
                 "void": outcome.void,
             }
         )
         for ref, reason in outcome.rejections:
-            w = ref_to_worker.get(ref)
+            w = rnd.ref_to_worker.get(ref)
             if w is not None:
-                status[w.name] = f"rejected: {reason}"
+                self.status[w.name] = f"rejected: {reason}"
 
-        victim_ref = None
-        if attack == "deprivation" and not outcome.void and outcome.accepted:
-            victim_ref = outcome.accepted[1 if len(outcome.accepted) > 1 else 0].ref
-            notes.append(f"the requester withholds the update and pay for response {victim_ref}")
-
-        payments_total = 0
-        landed_leaves: list[bytes] = []
+        victim_ref = self.hook.victim(self, rnd)
         if outcome.void:
             ledger.void_task(contract, REQUESTER)
-            for post, leaf in zip(outcome.quality_posts, outcome.leaves):
-                ledger.submit_quality(contract, REQUESTER, post)
-                landed_leaves.append(leaf)
         else:
             ledger.submit_auth_calc(contract, REQUESTER, outcome.final_bundle)
-            proof_counts[AUTH_CALC_ID] += 1
+            self.proof_counts[AUTH_CALC_ID] += 1
             ledger.tick(1)
-            for parsed, post, leaf in zip(outcome.accepted, outcome.quality_posts, outcome.leaves):
-                if parsed.ref == victim_ref:
-                    continue
+        for parsed, post, leaf in zip(outcome.accepted, outcome.quality_posts, outcome.leaves):
+            if parsed.ref != victim_ref:
                 ledger.submit_quality(contract, REQUESTER, post)
-                landed_leaves.append(leaf)
-            for parsed, (account, amount) in zip(outcome.accepted, outcome.payments):
-                if parsed.ref == victim_ref:
-                    continue
+                self.ra.accumulate(leaf)
+        for parsed, (account, amount) in zip(outcome.accepted, outcome.payments):  # none when void
+            if parsed.ref != victim_ref:
                 ledger.worker_payment(contract, REQUESTER, account, amount)
-                payments_total += amount
-                earner = account_to_worker.get(account)
+                st.payments_wei += amount
+                earner = rnd.account_to_worker.get(account)
                 if earner is not None:
-                    paid_to_worker[earner] += amount
+                    self.paid_to_worker[earner] += amount
         ledger.tick(1)
 
-        chain_posts = [rec.payload for rec in task.quality_posts]
-        for leaf in landed_leaves:
-            ra.accumulate(leaf)
-        proof_counts[AUTH_QUAL_ID] += len(chain_posts)
-        value_proofs = sum(
-            1 for p in chain_posts if QualityPost.decode(ctx, p).value_proof is not None
+        rnd.chain_posts = [rec.payload for rec in rnd.task.quality_posts]
+        st.posts_onchain = len(rnd.chain_posts)
+        self.proof_counts[AUTH_QUAL_ID] += st.posts_onchain
+        st.value_proofs = sum(
+            1 for p in rnd.chain_posts if QualityPost.decode(self.ctx, p).value_proof is not None
         )
-        proof_counts[AUTH_VALUE_ID] += value_proofs
+        self.proof_counts[AUTH_VALUE_ID] += st.value_proofs
 
+    def _adopt_and_arbitrate(self, rnd: _Round) -> None:
+        final_cts, status, st = rnd.outcome.final_cts, self.status, rnd.stats
         protests = []
-        for ref in sorted(ref_to_worker):
-            w = ref_to_worker[ref]
-            grievance = w.adopt_update(ra, task_pub, chain_posts, outcome.final_cts)
+        for ref in sorted(rnd.ref_to_worker):
+            w = rnd.ref_to_worker[ref]
+            grievance = w.adopt_update(self.ra, rnd.task_pub, rnd.chain_posts, final_cts)
             if grievance is None:
                 status[w.name] = "adopted"
             else:
                 protests.append((w, grievance))
-        upheld_count = 0
+        st.protests = len(protests)
         for w, grievance in protests:
-            upheld = ra.arbitrate(
-                grievance, task_pub, included, chain_posts, outcome.final_cts, tags_before
+            ref = grievance.response_ref
+            upheld = self.ra.arbitrate(
+                grievance, rnd.task_pub, rnd.included, rnd.chain_posts, final_cts, rnd.tags_before
             )
-            arbitration_events.append(
-                {"type": "arbitration", "round": r, "ref": grievance.response_ref, "upheld": upheld}
+            self.arbitration_events.append(
+                {"type": "arbitration", "round": st.index, "ref": ref, "upheld": upheld}
             )
             if upheld:
-                upheld_count += 1
+                st.upheld += 1
                 status[w.name] = "protest upheld, escrow confiscated"
-                notes.append(f"protest over response {grievance.response_ref} upheld, escrow confiscated")
-                if task.phase == PROCESSING:
-                    ledger.confiscate(contract, grievance.payout)
+                st.notes.append(f"protest over response {ref} upheld, escrow confiscated")
+                if rnd.task.phase == PROCESSING:
+                    self.ledger.confiscate(self.contract, grievance.payout)
             else:
                 base = status[w.name]
                 status[w.name] = (
                     f"{base}; protest rejected" if base.startswith("rejected") else "protest rejected"
                 )
-                notes.append(f"protest over response {grievance.response_ref} rejected")
+                st.notes.append(f"protest over response {ref} rejected")
 
-        if attack == "stale-quality" and r == 1 and cheater_real_cred is not None:
-            workers[0].cred = cheater_real_cred  # back on the honest track
-            workers[0]._pending = None
-
+    def _close(self, rnd: _Round) -> None:
+        """Closes the task and self-checks the round: conservation, recount,
+        policy payments."""
+        ledger, task, outcome, st = self.ledger, rnd.task, rnd.outcome, rnd.stats
+        policy = self.config.policy
         close_block = ledger.block
         if task.phase == PROCESSING:
-            close_block = ledger.finalize(contract, REQUESTER).inclusion_block
+            close_block = ledger.finalize(self.contract, REQUESTER).inclusion_block
+        st.process_blocks = max(close_block - task.params.response_deadline, 0)
+        st.refunded_wei = task.refunded_wei
+        st.confiscated_wei = task.confiscated_wei
+        st.escrow_ok = ledger.escrow_conserved(task)
 
-        stats.append(
-            RoundStats(
-                index=r,
-                task_seq=task.seq,
-                opened_block=opened_block,
-                collect_blocks=params.response_deadline - opened_block,
-                process_blocks=max(close_block - params.response_deadline, 0),
-                submitted=submitted,
-                included=len(included),
-                accepted=len(outcome.accepted),
-                rejections=outcome.rejections,
-                void=outcome.void,
-                final_text=_final_text(outcome.final),
-                value_proofs=value_proofs,
-                posts_onchain=len(chain_posts),
-                payments_wei=payments_total,
-                refunded_wei=task.refunded_wei,
-                confiscated_wei=task.confiscated_wei,
-                escrow_ok=ledger.escrow_conserved(task),
-                protests=len(protests),
-                upheld=upheld_count,
-                notes=notes,
-            )
-        )
-
-        # self checks: conservation, recount, policy payments
-        if not stats[-1].escrow_ok:
-            failures.append(f"round {r}: escrow not conserved")
+        prefix = f"round {st.index}: "
+        if not st.escrow_ok:
+            self.failures.append(prefix + "escrow not conserved")
         if not outcome.void:
-            recount = ans_calc([ref_to_answer[p.ref] for p in outcome.accepted], policy)
+            recount = ans_calc([rnd.ref_to_answer[p.ref] for p in outcome.accepted], policy)
             if recount != outcome.final:
-                failures.append(f"round {r}: final answer differs from the plaintext recount")
-            for parsed, (account, amount) in zip(outcome.accepted, outcome.payments):
-                expected = paym_calc(is_correct(ref_to_answer[parsed.ref], recount, policy), policy)
+                self.failures.append(prefix + "final answer differs from the plaintext recount")
+            for parsed, (_, amount) in zip(outcome.accepted, outcome.payments):
+                expected = paym_calc(is_correct(rnd.ref_to_answer[parsed.ref], recount, policy), policy)
                 if amount != expected:
-                    failures.append(f"round {r}: payment for response {parsed.ref} off the policy")
+                    self.failures.append(prefix + f"payment for response {parsed.ref} off the policy")
                     break
-        if attack is None and protests:
-            failures.append(f"round {r}: protest in an honest run")
+        if self.attack is None and st.protests:
+            self.failures.append(prefix + "protest in an honest run")
         ledger.tick(2)
 
-    failures.extend(_attack_checks(attack, config, ledger, stats))
+    def _result(self) -> RunResult:
+        """Writes the signed log and the report."""
+        config, ctx, ledger, stats = self.config, self.ctx, self.ledger, self.stats
+        g = ctx.group
+        header = {
+            "type": "header",
+            "version": LOG_VERSION,
+            "scenario": config.name,
+            "seed": self.seed,
+            "attack": self.attack,
+            "backend": g.name,
+            "profile": config.profile,
+            "base_fee_gwei": config.base_fee_gwei,
+            "tip_gwei": config.tip_gwei,
+            "eth_usd": config.eth_usd,
+            "policy": policy_header(config.policy),
+            "prior": list(config.prior),
+            "rounds": self.rounds,
+            "min_workers": config.min_workers,
+            "worker_count": config.worker_count,
+            "params_digest": ctx.params_digest.hex(),
+            "ra_pk": g.encode_element(self.ra.pk).hex(),
+            "requester_pk": g.encode_element(self.requester.pk).hex(),
+            "backend_seed": self.backend_seed.hex(),
+        }
+        summary = {
+            "type": "summary",
+            "gas_by_sender": dict(sorted(ledger.gas_by_sender().items())),
+            "payments_wei": sum(s.payments_wei for s in stats),
+            "confiscated_wei": sum(s.confiscated_wei for s in stats),
+            "escrow_ok": all(s.escrow_ok for s in stats),
+            "final_block": ledger.block,
+        }
+        events = [header, *self.round_events]
+        events.extend({"type": "tx", **rec.to_json_dict()} for rec in ledger.records)
+        events.extend(self.screening_events)
+        events.extend(self.arbitration_events)
+        events.append(summary)
 
-    header = {
-        "type": "header",
-        "version": LOG_VERSION,
-        "scenario": config.name,
-        "seed": seed,
-        "attack": attack,
-        "backend": g.name,
-        "profile": config.profile,
-        "base_fee_gwei": config.base_fee_gwei,
-        "tip_gwei": config.tip_gwei,
-        "eth_usd": config.eth_usd,
-        "policy": _policy_header(policy),
-        "prior": list(config.prior),
-        "rounds": rounds,
-        "min_workers": config.min_workers,
-        "worker_count": config.worker_count,
-        "params_digest": ctx.params_digest.hex(),
-        "ra_pk": g.encode_element(ra.pk).hex(),
-        "requester_pk": g.encode_element(requester.pk).hex(),
-        "backend_seed": backend_seed.hex(),
-    }
-    summary = {
-        "type": "summary",
-        "gas_by_sender": dict(sorted(ledger.gas_by_sender().items())),
-        "payments_wei": sum(s.payments_wei for s in stats),
-        "confiscated_wei": sum(s.confiscated_wei for s in stats),
-        "escrow_ok": all(s.escrow_ok for s in stats),
-        "final_block": ledger.block,
-    }
-    events = [header]
-    events.extend(round_events)
-    events.extend({"type": "tx", **rec.to_json_dict()} for rec in ledger.records)
-    events.extend(screening_events)
-    events.extend(arbitration_events)
-    events.append(summary)
+        log_lines: list[str] = []
+        chain = CHAIN_SEED
+        for event in events:
+            chain = chain_digest(chain, event)
+            log_lines.append(canonical_line({**event, "chain": chain.hex()}))
+        signoff_sig = sign(g, self.ra.keypair.sk, chain)
+        log_lines.append(
+            canonical_line({"type": "signoff", "chain": chain.hex(), "sig": signoff_sig.encode(g).hex()})
+        )
 
-    log_lines: list[str] = []
-    chain = CHAIN_SEED
-    for event in events:
-        chain = chain_digest(chain, event)
-        log_lines.append(canonical_line({**event, "chain": chain.hex()}))
-    signoff_sig = sign(g, ra.keypair.sk, chain)
-    log_lines.append(
-        canonical_line({"type": "signoff", "chain": chain.hex(), "sig": signoff_sig.encode(g).hex()})
-    )
-
-    worker_rows = [
-        WorkerRow(w.name, w.quality.alpha, w.quality.beta, paid_to_worker[w.name], status[w.name])
-        for w in workers
-    ]
-    simulated_blocks = max((rec.inclusion_block for rec in ledger.records), default=0)
-    report = _render_report(
-        config, seed, attack, stats, worker_rows, proof_counts, failures, simulated_blocks, ledger, fee
-    )
-    return RunResult(
-        config=config,
-        seed=seed,
-        attack=attack,
-        rounds=stats,
-        worker_rows=worker_rows,
-        proof_counts=proof_counts,
-        failures=failures,
-        simulated_blocks=simulated_blocks,
-        report=report,
-        log_lines=log_lines,
-    )
+        worker_rows = [
+            WorkerRow(w.name, w.quality.alpha, w.quality.beta, self.paid_to_worker[w.name], self.status[w.name])
+            for w in self.workers
+        ]
+        simulated_blocks = max((rec.inclusion_block for rec in ledger.records), default=0)
+        return RunResult(
+            config=config,
+            seed=self.seed,
+            attack=self.attack,
+            rounds=stats,
+            worker_rows=worker_rows,
+            proof_counts=self.proof_counts,
+            failures=self.failures,
+            simulated_blocks=simulated_blocks,
+            report=_render_report(self, worker_rows, simulated_blocks),
+            log_lines=log_lines,
+        )
 
 
-def _attack_checks(
-    attack: str | None, config: ScenarioConfig, ledger: Ledger, stats: list[RoundStats]
-) -> list[str]:
-    """One designated detection per toggle, plus attacker-got-nothing."""
-    if attack is None:
-        return []
-    failures = []
-    rejections = [reason for s in stats for _, reason in s.rejections]
-    adversary_spent = sum(r.fee_wei for r in ledger.records if r.sender == ADVERSARY)
-    adversary_flat = ledger.balance(ADVERSARY) == config.worker_funding_wei - adversary_spent
-    if attack == "duplicate-response":
-        if rejections.count(REJECT_DUP_TAG) != 1:
-            failures.append("expected exactly one duplicate-tag detection")
-        if not adversary_flat:
-            failures.append("the duplicating outsider was paid")
-    elif attack == "forged-proof":
-        if rejections.count(REJECT_PROOF) != 1:
-            failures.append("expected exactly one invalid-proof detection")
-        if not adversary_flat:
-            failures.append("the forging outsider was paid")
-    elif attack == "stale-quality":
-        if rejections.count(REJECT_STALE) != 1:
-            failures.append("expected exactly one stale-tag detection")
-        if any(s.upheld for s in stats):
-            failures.append("a stale replay won arbitration")
-    elif attack == "deprivation":
-        if not any(s.upheld for s in stats):
-            failures.append("deprivation protest was not upheld")
-        if not any(s.confiscated_wei > 0 for s in stats):
-            failures.append("no escrow was confiscated")
-    elif attack == "void-task":
-        if not any(s.void for s in stats):
-            failures.append("the task did not void")
-        if any(s.payments_wei for s in stats):
-            failures.append("a voided task paid workers")
-    return failures
-
-
-def _render_report(
-    config: ScenarioConfig,
-    seed: int,
-    attack: str | None,
-    stats: list[RoundStats],
-    worker_rows: list[WorkerRow],
-    proof_counts: dict[str, int],
-    failures: list[str],
-    simulated_blocks: int,
-    ledger: Ledger,
-    fee: FeeParams,
-) -> str:
+def _render_report(run: _Run, worker_rows: list[WorkerRow], simulated_blocks: int) -> str:
+    config, seed, attack, stats, ledger = run.config, run.seed, run.attack, run.stats, run.ledger
+    proof_counts, failures, fee = run.proof_counts, run.failures, run.fee
     eth = lambda wei: f"{wei / 10**18:.6f}"
     lines = []
     lines.append(f"== scenario {config.name} (seed {seed}) ==")

@@ -15,26 +15,18 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from ..context import BACKENDS
 from ..errors import ConfigError
 from ..policy import AVERAGE, MAJORITY, TaskPolicy
 
 WEI_PER_ETH = 10**18
-
-# attack toggles the runner understands
-ATTACKS = (
-    "duplicate-response",
-    "forged-proof",
-    "stale-quality",
-    "deprivation",
-    "void-task",
-)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
     description: str
-    backend: str  # group backend name: curve254 or tiny31
+    backend: str  # group backend name, a key of context.BACKENDS
     profile: str  # latency profile
     base_fee_gwei: float
     tip_gwei: float
@@ -52,7 +44,7 @@ class ScenarioConfig:
     requester_funding_wei: int
 
     def validate(self) -> None:
-        if self.backend not in ("curve254", "tiny31"):
+        if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.rounds < 1:
             raise ConfigError("a scenario needs at least one round")
@@ -133,8 +125,6 @@ def parse_scenario(text: str, fallback_name: str) -> ScenarioConfig:
             worker_funding_wei=_wei(workers.get("funding_eth", "0.05")),
             requester_funding_wei=_wei(task.get("requester_funding_eth", "10")),
         )
-    except ConfigError:
-        raise
     except (configparser.Error, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario file: {exc}") from exc
     config.validate()

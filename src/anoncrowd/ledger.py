@@ -40,7 +40,6 @@ REFUND = "Refund"  # contract-emitted transfer record, zero gas
 CONFISCATE = "Confiscate"  # arbitration-ordered transfer record, zero gas
 
 # Contract phases
-CREATED = "Created"
 COLLECTING = "Collecting"
 PROCESSING = "Processing"
 FINALIZED = "Finalized"
@@ -124,7 +123,6 @@ class LatencyModel:
     def __init__(self, profile: str, rng: random.Random):
         if profile not in _PROFILES:
             raise ValueError(f"unknown network profile {profile!r}")
-        self.profile = profile
         self._anchors = sorted(_PROFILES[profile].items())
         self._rng = rng
 
@@ -148,6 +146,23 @@ class LatencyModel:
         return max(1, math.ceil(draw))
 
 
+# a record as the log carries it: field -> JSON type, payload as hex text
+_JSON_FIELDS = {
+    "index": int,
+    "method": str,
+    "sender": str,
+    "gas": int,
+    "fee_wei": int,
+    "tip_gwei": (int, float),
+    "submitted_block": int,
+    "inclusion_block": int,
+    "task_seq": int,
+    "payload": str,
+    "value_wei": int,
+    "beneficiary": str,
+}
+
+
 @dataclass
 class LedgerRecord:
     index: int
@@ -164,37 +179,15 @@ class LedgerRecord:
     beneficiary: str = ""  # account credited on outgoing transfers
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "method": self.method,
-            "sender": self.sender,
-            "gas": self.gas,
-            "fee_wei": self.fee_wei,
-            "tip_gwei": self.tip_gwei,
-            "submitted_block": self.submitted_block,
-            "inclusion_block": self.inclusion_block,
-            "task_seq": self.task_seq,
-            "payload": self.payload.hex(),
-            "value_wei": self.value_wei,
-            "beneficiary": self.beneficiary,
-        }
+        return {**{name: getattr(self, name) for name in _JSON_FIELDS}, "payload": self.payload.hex()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LedgerRecord":
-        return cls(
-            index=d["index"],
-            method=d["method"],
-            sender=d["sender"],
-            gas=d["gas"],
-            fee_wei=d["fee_wei"],
-            tip_gwei=d["tip_gwei"],
-            submitted_block=d["submitted_block"],
-            inclusion_block=d["inclusion_block"],
-            task_seq=d["task_seq"],
-            payload=bytes.fromhex(d["payload"]),
-            value_wei=d["value_wei"],
-            beneficiary=d["beneficiary"],
-        )
+        """Inverse of to_json_dict; ValueError on a missing or mistyped field."""
+        bad = [name for name, kind in _JSON_FIELDS.items() if not isinstance(d.get(name), kind)]
+        if bad:
+            raise ValueError(f"field {bad[0]!r} is missing or mistyped")
+        return cls(**{**{name: d[name] for name in _JSON_FIELDS}, "payload": bytes.fromhex(d["payload"])})
 
 
 @dataclass(frozen=True)
@@ -263,7 +256,6 @@ class Ledger:
         self.fee = fee or FeeParams()
         self.gas = gas or GasSchedule()
         self.latency_model = LatencyModel(profile, random.Random(seed))
-        self.profile = profile
         self.block = 0
         self.records: list[LedgerRecord] = []
         self.balances: dict[str, int] = {}
@@ -492,36 +484,12 @@ class Ledger:
             charge_fee=False,
         )
 
-    # ── reads (zero-fee views) ──
-
-    def read(self, contract: TaskContract, selector: str):
-        task = contract.tasks[-1] if contract.tasks else None
-        if selector == "phase":
-            return task.phase if task else CREATED
-        if task is None:
-            raise PhaseError("no task created yet")
-        if selector == "responses":
-            return list(self.included_responses(task))
-        if selector == "quality_posts":
-            return list(task.quality_posts)
-        if selector == "auth_calc":
-            return task.auth_calc
-        if selector == "escrow":
-            return task.escrow_wei
-        if selector == "params":
-            return task.params
-        if selector == "payments":
-            return list(task.payments)
-        raise ValueError(f"unknown selector {selector!r}")
+    # ── views ──
 
     @staticmethod
     def included_responses(task: TaskState) -> list[LedgerRecord]:
         """Responses in inclusion order (block, then log position)."""
         return sorted(task.responses, key=lambda r: (r.inclusion_block, r.index))
-
-    def all_response_records(self) -> list[LedgerRecord]:
-        """Every response ever included on this chain, for tag history."""
-        return [r for r in self.records if r.method == SUBMIT_RESPONSE]
 
     # ── reporting helpers ──
 

@@ -14,10 +14,9 @@ the epoch it was issued in, which is exactly the protocol's requirement
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .errors import CapacityError, EncodingError
+from .errors import CapacityError
 from .primitives import hash_bytes
 
 DEFAULT_DEPTH = 20
@@ -45,26 +44,6 @@ class MerklePath:
 
     position: int
     siblings: tuple[bytes, ...]
-
-    def encode(self) -> bytes:
-        from .encoding import enc_u32
-
-        body = enc_u32(self.position) + enc_u32(len(self.siblings))
-        for s in self.siblings:
-            body += s
-        return body
-
-    @classmethod
-    def decode(cls, data: bytes) -> "MerklePath":
-        if len(data) < 8:
-            raise EncodingError("path record truncated")
-        position = int.from_bytes(data[:4], "little")
-        count = int.from_bytes(data[4:8], "little")
-        rest = data[8:]
-        if len(rest) != count * 32:
-            raise EncodingError("path sibling list length mismatch")
-        sibs = tuple(rest[i * 32 : (i + 1) * 32] for i in range(count))
-        return cls(position, sibs)
 
 
 def verify_path(root: bytes, leaf_payload: bytes, path: MerklePath) -> bool:
@@ -95,10 +74,6 @@ class MerkleTree:
         self._payloads: list[bytes] = []
         # _levels[0] holds leaf digests, _levels[depth] holds the root
         self._levels: list[list[bytes]] = [[] for _ in range(depth + 1)]
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self._payloads)
 
     @property
     def capacity(self) -> int:
@@ -148,24 +123,3 @@ class MerkleTree:
             sibs.append(nodes[sib_idx] if sib_idx < len(nodes) else self._empty[lvl])
             idx >>= 1
         return MerklePath(position, tuple(sibs))
-
-    # ── snapshots ──
-
-    def export_snapshot(self) -> str:
-        return json.dumps(
-            {"depth": self.depth, "leaves": [p.hex() for p in self._payloads]},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_snapshot(cls, text: str) -> "MerkleTree":
-        try:
-            doc = json.loads(text)
-            depth = doc["depth"]
-            leaves = [bytes.fromhex(h) for h in doc["leaves"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EncodingError(f"bad tree snapshot: {exc}") from exc
-        tree = cls(depth)
-        for payload in leaves:
-            tree.append(payload)
-        return tree

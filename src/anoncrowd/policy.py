@@ -62,6 +62,10 @@ class TaskPolicy:
             raise ConfigError("winner count must lie in [1, domain_size]")
         if self.epsilon < 0:
             raise ConfigError("tolerance cannot be negative")
+        try:
+            self.encode()
+        except OverflowError as exc:
+            raise ConfigError(f"a policy field does not fit its wire encoding: {exc}") from None
 
     def encode(self) -> bytes:
         return record(
@@ -78,6 +82,12 @@ class TaskPolicy:
     def digest(self) -> bytes:
         return hash_bytes(self.encode())
 
+    @property
+    def final_ct_count(self) -> int:
+        """Ciphertexts in a posted final answer: one per majority winner, or
+        the unreduced numerator and denominator of an average."""
+        return self.winners if self.kind == MAJORITY else 2
+
 
 @dataclass(frozen=True)
 class FinalAnswer:
@@ -86,11 +96,6 @@ class FinalAnswer:
 
     kind: str
     values: tuple[int, ...]
-
-    def as_fraction(self) -> Fraction:
-        if self.kind != AVERAGE:
-            raise ValueError("only averaging results have a numeric value")
-        return Fraction(self.values[0], self.values[1])
 
 
 def ans_calc(answers: list[int], policy: TaskPolicy) -> FinalAnswer:

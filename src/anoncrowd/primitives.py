@@ -22,11 +22,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .encoding import record
+from .encoding import WIRE_VERSION, record
 from .errors import DomainError, EncodingError
 from .group import Group, GroupElement, Scalar
-
-DIGEST_SIZE = 32
 
 _DST_HASH = b"anoncrowd/v1/hash"
 _DST_SCALAR = b"anoncrowd/v1/hash-to-scalar"
@@ -74,9 +72,6 @@ class BlindingPair:
 
     def __sub__(self, other: "BlindingPair") -> "BlindingPair":
         return BlindingPair(self.alpha - other.alpha, self.beta - other.beta)
-
-    def encode(self, group: Group) -> bytes:
-        return record("blindpair", group.encode_scalar(self.alpha), group.encode_scalar(self.beta))
 
 
 def random_blinding_pair(group: Group, rng) -> BlindingPair:
@@ -156,6 +151,11 @@ class Ciphertext:
 
     def encode(self, group: Group) -> bytes:
         return record("cipher", group.encode_element(self.c1), group.encode_element(self.c2))
+
+
+def encode_ciphertexts(group: Group, cts) -> bytes:
+    """A ciphertext list as the concatenation of its records."""
+    return b"".join(ct.encode(group) for ct in cts)
 
 
 class MessageCodec:
@@ -296,40 +296,32 @@ class _Reader:
         return self.pos == len(self.data)
 
 
-def open_record(data: bytes, tag: str) -> _Reader:
-    """Validates the tag and wire version, returns a cursor over the body."""
+def record_fields(data: bytes, tag: str, count: int) -> list[bytes]:
+    """The parts of a record built by encoding.record with exactly `count`
+    of them, after validating the tag and the wire version."""
     r = _Reader(data)
     got = r.chunk()
     if got != tag.encode("ascii"):
         raise EncodingError(f"expected record tag {tag!r}, got {got!r}")
     version = r.u16()
-    if version != 1:
+    if version != WIRE_VERSION:
         raise EncodingError(f"unsupported wire version {version}")
-    return r
+    fields = [r.chunk() for _ in range(count)]
+    if not r.done():
+        raise EncodingError(f"trailing bytes in {tag} record")
+    return fields
 
 
 def decode_ciphertext(group: Group, data: bytes) -> Ciphertext:
-    r = open_record(data, "cipher")
-    c1 = group.decode_element(r.chunk())
-    c2 = group.decode_element(r.chunk())
-    if not r.done():
-        raise EncodingError("trailing bytes in ciphertext record")
-    return Ciphertext(c1, c2)
+    c1, c2 = record_fields(data, "cipher", 2)
+    return Ciphertext(group.decode_element(c1), group.decode_element(c2))
 
 
 def decode_commitment_pair(group: Group, data: bytes) -> CommitmentPair:
-    r = open_record(data, "compair")
-    a = group.decode_element(r.chunk())
-    b = group.decode_element(r.chunk())
-    if not r.done():
-        raise EncodingError("trailing bytes in commitment-pair record")
-    return CommitmentPair(a, b)
+    a, b = record_fields(data, "compair", 2)
+    return CommitmentPair(group.decode_element(a), group.decode_element(b))
 
 
 def decode_signature(group: Group, data: bytes) -> Signature:
-    r = open_record(data, "sig")
-    R = group.decode_element(r.chunk())
-    s = group.decode_scalar(r.chunk())
-    if not r.done():
-        raise EncodingError("trailing bytes in signature record")
-    return Signature(R, s)
+    R, s = record_fields(data, "sig", 2)
+    return Signature(group.decode_element(R), group.decode_scalar(s))

@@ -1,8 +1,9 @@
 """Verification relations and the attestation proof backend.
 
 Four relations tie the protocol together. Each one is a plain predicate
-over (statement, witness), mirrored by a statement record format so logged
-proofs can be re-checked from a transaction log alone:
+over (statement, witness). A statement encodes to a canonical record, and
+that record is what an attestation digests; records are never decoded, since
+an auditor rebuilds each statement from the logged fields it covers:
 
 * check_prove_qual: a submitted response is well-formed. Its quality pair
   is a re-randomization of a credentialed pair accumulated in the registry
@@ -42,7 +43,7 @@ from .errors import (
     MalformedStatementError,
     RelationUnsatisfiedError,
 )
-from .group import GroupElement, Scalar
+from .group import Group, GroupElement, Scalar
 from .merkle import MerklePath, verify_path
 from .policy import (
     AVERAGE,
@@ -60,17 +61,15 @@ from .primitives import (
     CommitmentPair,
     Signature,
     commit_pair,
-    decode_ciphertext,
-    decode_commitment_pair,
-    decode_signature,
     decrypt_message,
+    encode_ciphertexts,
     encrypt,
     hash_bytes,
     open_pair_check,
-    open_record,
     pair_add,
     pair_rerandomize,
     quality_tag,
+    record_fields,
     verify_sig,
 )
 
@@ -95,10 +94,9 @@ def _need(cond: bool, what: str) -> None:
         raise MalformedStatementError(what)
 
 
-def _final_ct_count(policy: TaskPolicy) -> int:
-    # majority posts one ciphertext per winner; averaging posts the
-    # unreduced numerator and denominator
-    return policy.winners if policy.kind == MAJORITY else 2
+def _ct_list(g: Group, cts: tuple[Ciphertext, ...]) -> bytes:
+    """Counted ciphertext list, the form every statement record uses."""
+    return enc_u16(len(cts)) + encode_ciphertexts(g, cts)
 
 
 # ── statements ───────────────────────────────────────────────────────────────
@@ -143,28 +141,6 @@ class ProveQualStatement:
             self.address_ct.encode(g),
         )
 
-    @classmethod
-    def decode(cls, ctx: CryptoContext, data: bytes, policy: TaskPolicy) -> "ProveQualStatement":
-        g = ctx.group
-        r = open_record(data, "stmt/" + PROVE_QUAL_ID)
-        params = r.chunk()
-        pol_digest = r.chunk()
-        if pol_digest != policy.digest():
-            raise EncodingError("statement was formed under a different policy")
-        stmt = cls(
-            params_digest=params,
-            policy=policy,
-            ra_pk=g.decode_element(r.chunk()),
-            requester_pk=g.decode_element(r.chunk()),
-            tree_root=r.chunk(),
-            fresh_pair=decode_commitment_pair(g, r.chunk()),
-            quality_tag=r.chunk(),
-            answer_ct=decode_ciphertext(g, r.chunk()),
-            address_ct=decode_ciphertext(g, r.chunk()),
-        )
-        if not r.done():
-            raise EncodingError("trailing bytes in statement")
-        return stmt
 
 
 @dataclass(frozen=True)
@@ -181,7 +157,7 @@ class AuthCalcStatement:
         _need(isinstance(self.requester_pk, GroupElement), "public key missing")
         _need(len(self.answer_cts) >= 1, "no included answers")
         _need(
-            len(self.final_cts) == _final_ct_count(self.policy),
+            len(self.final_cts) == self.policy.final_ct_count,
             "final ciphertext list has the wrong length for the policy",
         )
 
@@ -193,23 +169,10 @@ class AuthCalcStatement:
             self.params_digest,
             self.policy.digest(),
             g.encode_element(self.requester_pk),
-            enc_u16(len(self.answer_cts)) + b"".join(ct.encode(g) for ct in self.answer_cts),
-            enc_u16(len(self.final_cts)) + b"".join(ct.encode(g) for ct in self.final_cts),
+            _ct_list(g, self.answer_cts),
+            _ct_list(g, self.final_cts),
         )
 
-    @classmethod
-    def decode(cls, ctx: CryptoContext, data: bytes, policy: TaskPolicy) -> "AuthCalcStatement":
-        g = ctx.group
-        r = open_record(data, "stmt/" + AUTH_CALC_ID)
-        params = r.chunk()
-        if r.chunk() != policy.digest():
-            raise EncodingError("statement was formed under a different policy")
-        pk = g.decode_element(r.chunk())
-        answer_cts = _split_ciphertexts(ctx, r.chunk())
-        final_cts = _split_ciphertexts(ctx, r.chunk())
-        if not r.done():
-            raise EncodingError("trailing bytes in statement")
-        return cls(params, policy, pk, answer_cts, final_cts)
 
 
 @dataclass(frozen=True)
@@ -226,7 +189,7 @@ class AuthValueStatement:
         _need(isinstance(self.requester_pk, GroupElement), "public key missing")
         _need(isinstance(self.worker_ct, Ciphertext), "worker ciphertext missing")
         _need(
-            len(self.final_cts) == _final_ct_count(self.policy),
+            len(self.final_cts) == self.policy.final_ct_count,
             "final ciphertext list has the wrong length for the policy",
         )
 
@@ -239,22 +202,9 @@ class AuthValueStatement:
             self.policy.digest(),
             g.encode_element(self.requester_pk),
             self.worker_ct.encode(g),
-            enc_u16(len(self.final_cts)) + b"".join(ct.encode(g) for ct in self.final_cts),
+            _ct_list(g, self.final_cts),
         )
 
-    @classmethod
-    def decode(cls, ctx: CryptoContext, data: bytes, policy: TaskPolicy) -> "AuthValueStatement":
-        g = ctx.group
-        r = open_record(data, "stmt/" + AUTH_VALUE_ID)
-        params = r.chunk()
-        if r.chunk() != policy.digest():
-            raise EncodingError("statement was formed under a different policy")
-        pk = g.decode_element(r.chunk())
-        worker_ct = decode_ciphertext(g, r.chunk())
-        final_cts = _split_ciphertexts(ctx, r.chunk())
-        if not r.done():
-            raise EncodingError("trailing bytes in statement")
-        return cls(params, policy, pk, worker_ct, final_cts)
 
 
 @dataclass(frozen=True)
@@ -280,7 +230,7 @@ class AuthQualStatement:
         _need(isinstance(self.requester_pk, GroupElement), "public key missing")
         _need(isinstance(self.worker_ct, Ciphertext), "worker ciphertext missing")
         _need(
-            len(self.final_cts) in (0, _final_ct_count(self.policy)),
+            len(self.final_cts) in (0, self.policy.final_ct_count),
             "final ciphertext list has the wrong length for the policy",
         )
         _need(isinstance(self.old_pair, CommitmentPair), "old pair missing")
@@ -295,43 +245,11 @@ class AuthQualStatement:
             self.policy.digest(),
             g.encode_element(self.requester_pk),
             self.worker_ct.encode(g),
-            enc_u16(len(self.final_cts)) + b"".join(ct.encode(g) for ct in self.final_cts),
+            _ct_list(g, self.final_cts),
             self.old_pair.encode(g),
             self.new_pair.encode(g),
         )
 
-    @classmethod
-    def decode(cls, ctx: CryptoContext, data: bytes, policy: TaskPolicy) -> "AuthQualStatement":
-        g = ctx.group
-        r = open_record(data, "stmt/" + AUTH_QUAL_ID)
-        params = r.chunk()
-        if r.chunk() != policy.digest():
-            raise EncodingError("statement was formed under a different policy")
-        pk = g.decode_element(r.chunk())
-        worker_ct = decode_ciphertext(g, r.chunk())
-        final_cts = _split_ciphertexts(ctx, r.chunk())
-        old_pair = decode_commitment_pair(g, r.chunk())
-        new_pair = decode_commitment_pair(g, r.chunk())
-        if not r.done():
-            raise EncodingError("trailing bytes in statement")
-        return cls(params, policy, pk, worker_ct, final_cts, old_pair, new_pair)
-
-
-def _split_ciphertexts(ctx: CryptoContext, data: bytes) -> tuple[Ciphertext, ...]:
-    if len(data) < 2:
-        raise EncodingError("ciphertext list truncated")
-    count = int.from_bytes(data[:2], "little")
-    body = data[2:]
-    if count == 0:
-        if body:
-            raise EncodingError("trailing bytes in ciphertext list")
-        return ()
-    if len(body) % count:
-        raise EncodingError("ciphertext list length mismatch")
-    step = len(body) // count
-    return tuple(
-        decode_ciphertext(ctx.group, body[i * step : (i + 1) * step]) for i in range(count)
-    )
 
 
 # ── witnesses ────────────────────────────────────────────────────────────────
@@ -503,27 +421,11 @@ _RELATIONS = {
     AuthQualStatement: (AUTH_QUAL_ID, check_auth_qual),
 }
 
-_DECODERS = {
-    PROVE_QUAL_ID: ProveQualStatement.decode,
-    AUTH_CALC_ID: AuthCalcStatement.decode,
-    AUTH_VALUE_ID: AuthValueStatement.decode,
-    AUTH_QUAL_ID: AuthQualStatement.decode,
-}
-
-
 def relation_id_for(stmt) -> str:
     try:
         return _RELATIONS[type(stmt)][0]
     except KeyError:
         raise MalformedStatementError(f"unknown statement type {type(stmt).__name__}")
-
-
-def decode_statement(ctx: CryptoContext, relation_id: str, data: bytes, policy: TaskPolicy):
-    try:
-        decoder = _DECODERS[relation_id]
-    except KeyError:
-        raise EncodingError(f"unknown relation id {relation_id!r}")
-    return decoder(ctx, data, policy)
 
 
 def statement_digest(ctx: CryptoContext, stmt) -> bytes:
@@ -546,15 +448,10 @@ class Proof:
 
     @classmethod
     def decode(cls, data: bytes) -> "Proof":
-        r = open_record(data, "proof")
-        rid = r.chunk().decode("ascii")
-        digest = r.chunk()
-        att = r.chunk()
-        if not r.done():
-            raise EncodingError("trailing bytes in proof")
+        rid, digest, att = record_fields(data, "proof", 3)
         if len(digest) != 32 or len(att) != 32:
             raise EncodingError("proof digests must be 32 bytes")
-        return cls(rid, digest, att)
+        return cls(rid.decode("ascii"), digest, att)
 
 
 class ProofBackend:
@@ -571,22 +468,13 @@ class ProofBackend:
             rid: hash_bytes(_DST_SETUP + setup_seed + rid.encode("ascii"))
             for rid, _ in _RELATIONS.values()
         }
-        self.setup_digest = hash_bytes(
-            b"backend-public" + b"".join(hash_bytes(s) for s in sorted(self._secrets.values()))
-        )
 
     def _attest(self, ctx: CryptoContext, rid: str, stmt) -> bytes:
         return hash_bytes(_DST_ATTEST + self._secrets[rid] + stmt.encode(ctx))
 
-    def check(self, ctx: CryptoContext, stmt, witness) -> bool:
-        """Runs the relation checker without producing a proof."""
-        _, checker = _RELATIONS[type(stmt)]
-        return checker(ctx, stmt, witness)
-
     def prove(self, ctx: CryptoContext, stmt, witness) -> Proof:
-        rid, checker = _RELATIONS.get(type(stmt), (None, None))
-        if rid is None:
-            raise MalformedStatementError(f"unknown statement type {type(stmt).__name__}")
+        rid = relation_id_for(stmt)
+        _, checker = _RELATIONS[type(stmt)]
         if not checker(ctx, stmt, witness):
             raise RelationUnsatisfiedError(f"witness does not satisfy {rid}")
         return Proof(rid, statement_digest(ctx, stmt), self._attest(ctx, rid, stmt))

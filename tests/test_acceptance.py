@@ -58,6 +58,23 @@ from anoncrowd.relations import (
 
 BUNDLED = ("image_annotation", "gallup", "avg_review")
 
+# SHA-256 of each seed-1 log (the ROADMAP behaviour anchors, taken over the
+# `run --out` bytes) and of its report
+PRODUCTION_PINS = {
+    "image_annotation": (
+        "d75e0f6948084720626b37e8a0b06ad8865d52ab82ac06b73454d40bf2c5df50",
+        "967680ed60777c951dcad987fe1d25b7f02491ba04c65a0dab4977ef6dbb5f95",
+    ),
+    "gallup": (
+        "1c5422f46a582a7c4f6d8b08017556e237fd35b2100e0addac402ae2c2d2cd33",
+        "d4537a6e8b94fb76e0ffac3ac14f19d75e96e1ca24eab6561820ee0ffd5e032f",
+    ),
+    "avg_review": (
+        "87a8a2a01a9ef7b97215a57e887bf0239befaed75fce5718cb09ae2f13680894",
+        "def7714371e15c63fd787127882642ac660eccc23a81fa83542908c3e3727a5f",
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def production_runs():
@@ -482,6 +499,14 @@ def test_deprivation_protest_upheld_and_confiscated():
 
 
 # ── determinism ──────────────────────────────────────────────────────────────
+
+
+def test_production_runs_match_the_anchors(production_runs):
+    """Seed-1 logs and reports hash to the pinned behaviour anchors."""
+    for name, (res, _) in production_runs.items():
+        log = "\n".join(res.log_lines) + "\n"
+        got = (hashlib.sha256(log.encode()).hexdigest(), hashlib.sha256(res.report.encode()).hexdigest())
+        assert got == PRODUCTION_PINS[name], name
 
 
 def test_same_seed_replays_byte_identical(production_runs):

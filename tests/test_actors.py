@@ -382,6 +382,16 @@ class TestProtests:
             lying, task, included, kept, outcome.final_cts, tags_before
         )
 
+    def test_claim_key_outside_the_codec_domain_loses(self):
+        world, task, included, outcome, kept, tags_before = self.deprived_round()
+        victim = world.workers[1]
+        protest = victim.adopt_update(world.ra, task, kept, outcome.final_cts)
+        # the key cannot even be encrypted, so nothing binds it to the response
+        out_of_domain = replace(protest, claim_key=1 << 16)
+        assert not world.ra.arbitrate(
+            out_of_domain, task, included, kept, outcome.final_cts, tags_before
+        )
+
     def test_rejected_response_earns_no_arbitration(self):
         world = World()
         task = world.announce()

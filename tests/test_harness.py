@@ -5,6 +5,7 @@ backend; the production curve gets its exercise in the acceptance suite.
 Every run here is seeded, so expectations are exact, not statistical.
 """
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -27,9 +28,78 @@ from anoncrowd.harness.fixtures import (
     parse_fixture,
     render_fixture,
 )
+from anoncrowd.harness.attacks import ATTACKS
 from anoncrowd.harness.runner import run
-from anoncrowd.harness.scenario import ATTACKS, list_bundled, load_scenario, parse_scenario
+from anoncrowd.harness.scenario import list_bundled, load_scenario, parse_scenario
 from anoncrowd.policy import ans_calc
+
+
+# SHA-256 of the log bytes ("\n".join(log_lines) + "\n") and of the report
+# for the tiny31 image_annotation runs at seed 11. A change that alters
+# either on purpose updates the pin together with its reason.
+PINS = {
+    None: (
+        "ed1eb80e9b9a3b07dc8cdfc9f19917f63188c3f73990963a379f1d867dd8ece0",
+        "9993de7d491f3c98df021842423b169fc5ffadf698e0a80bf078dcfbdb95cde9",
+    ),
+    "duplicate-response": (
+        "f8bac0e78836367f65a8eb3d9422edbd4276e93b223b405e76e023e45c204a24",
+        "0d9b3b17deea43f050a70ec8c714f95146797524c592e342e5c8110c50cc3b01",
+    ),
+    "forged-proof": (
+        "bb33b629a11a93df6f97373fe77d14beb49cb47f0611f2fa051d1686d54d5023",
+        "6a49bd6c8decbfad06eda1a8ea477c2e93834773f2b2f53cbc1c9dd707321c96",
+    ),
+    "stale-quality": (
+        "22ad2b94a61f0a59305fe533be45063e0c9a0dd62e3694d63c28d6be2609bd47",
+        "5b18553162a03f40a2056765b12dfc97d6b15b9c147bb012e026b8510696ee28",
+    ),
+    "deprivation": (
+        "a7071abc2c6946b19c506ee27ed6a712d2281e236a6725ee0fab256c199e3037",
+        "fb130e1d4daade4594389b956167f629b3041de50322bdc16b58e1db03ea1e7b",
+    ),
+    "void-task": (
+        "8da911d87667b82c4d957f21f6170e1c2d77bda26d661c46a57d34992062f3dc",
+        "fece0cb56716d6a3533db55ed0c37b3f4d18daba69d302ec3c5ddc8642edfdd7",
+    ),
+}
+
+
+def digests(result):
+    log = "\n".join(result.log_lines) + "\n"
+    return hashlib.sha256(log.encode()).hexdigest(), hashlib.sha256(result.report.encode()).hexdigest()
+
+
+def rechain(lines, kind, mutate):
+    """The log with its first `kind` event mutated and the hash chain redone
+    (the signoff signature then no longer verifies)."""
+    out, chain, mutated = [], CHAIN_SEED, False
+    for ln in lines:
+        obj = json.loads(ln)
+        if obj["type"] == "signoff":
+            out.append(canonical_line({**obj, "chain": chain.hex()}))
+            continue
+        body = {k: v for k, v in obj.items() if k != "chain"}
+        if body["type"] == kind and not mutated:
+            mutate(body)
+            mutated = True
+        chain = chain_digest(chain, body)
+        out.append(canonical_line({**body, "chain": chain.hex()}))
+    return out
+
+
+# re-chained logs the audit must fail rather than raise on
+REPLAY_BREAKERS = {
+    "header without rounds": ("header", lambda ev: ev.pop("rounds")),
+    "round without task_seq": ("round", lambda ev: ev.pop("task_seq")),
+    "null acceptances": ("screening", lambda ev: ev.update(accepted=None)),
+    "string domain size": ("header", lambda ev: ev["policy"].update(domain_size="2")),
+    "unknown backend": ("header", lambda ev: ev.update(backend="nope")),
+    "infinite tip": ("header", lambda ev: ev.update(tip_gwei=float("inf"))),
+    "NaN base fee": ("header", lambda ev: ev.update(base_fee_gwei=float("nan"))),
+    "oversized domain": ("header", lambda ev: ev["policy"].update(domain_size=2**70)),
+    "short tree root": ("round", lambda ev: ev.update(tree_root="00")),
+}
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +261,22 @@ class TestRunner:
         with pytest.raises(ConfigError, match="39 workers"):
             run(cfg, seed=1)
 
+    def test_averaging_overflow_rejected_before_any_crypto(self, tmp_path, monkeypatch):
+        from anoncrowd.harness import runner
+
+        review = load_scenario("avg_review")
+        path = tmp_path / "wide.csv"
+        path.write_text(render_fixture([999] * review.worker_count))  # sums past 2^16
+        cfg = replace(
+            review,
+            backend="tiny31",
+            policy=replace(review.policy, domain_size=1000),
+            fixture=str(path),
+        )
+        monkeypatch.setattr(runner, "context_for", lambda name: pytest.fail("crypto set-up ran"))
+        with pytest.raises(ConfigError, match="sum to 127872"):
+            run(cfg, seed=1)
+
     def test_out_of_domain_fixture_rejected(self, tiny_image, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text(render_fixture([1, 7] + [0] * 37))
@@ -206,6 +292,15 @@ class TestRunner:
         assert "all run invariants hold" in report
         assert "prove-qual/v1: 39" in report
         assert "auth-value/v1: 36" in report
+
+
+class TestPins:
+    def test_honest_run_bytes_pinned(self, honest_run):
+        assert digests(honest_run) == PINS[None]
+
+    @pytest.mark.parametrize("attack", [name for name in PINS if name is not None])
+    def test_attack_run_bytes_pinned(self, attack_runs, attack):
+        assert digests(attack_runs[attack]) == PINS[attack]
 
 
 class TestAttacks:
@@ -282,23 +377,29 @@ class TestAudit:
         assert not verify_log(lines).ok
 
     def test_rechained_tamper_fails_the_signoff(self, honest_run):
-        lines = []
-        chain = CHAIN_SEED
-        for ln in honest_run.log_lines:
-            obj = json.loads(ln)
-            if obj["type"] == "signoff":
-                obj["chain"] = chain.hex()
-                lines.append(canonical_line(obj))
-                continue
-            body = {k: v for k, v in obj.items() if k != "chain"}
-            if obj["type"] == "summary":
-                body["payments_wei"] += 1
-            chain = chain_digest(chain, body)
-            lines.append(canonical_line({**body, "chain": chain.hex()}))
+        lines = rechain(
+            honest_run.log_lines, "summary", lambda ev: ev.update(payments_wei=ev["payments_wei"] + 1)
+        )
         report = verify_log(lines)
         assert not report.ok
         assert "signoff signature does not verify" in report.problems
         assert any("summary payment total" in p for p in report.problems)
+
+    @pytest.mark.parametrize("case", [*REPLAY_BREAKERS, "non-utf-8 bytes"])
+    def test_malformed_log_fails_without_raising(self, honest_run, tmp_path, capsys, case):
+        path = tmp_path / "bad.jsonl"
+        if case in REPLAY_BREAKERS:
+            kind, mutate = REPLAY_BREAKERS[case]
+            lines = rechain(honest_run.log_lines, kind, mutate)
+            assert not verify_log(lines).ok
+            path.write_text("\n".join(lines) + "\n")
+            assert main(["verify-log", str(path)]) == 1
+            assert "log audit: FAIL" in capsys.readouterr().out
+        else:
+            path.write_bytes(b"\xff\xfe" + "\n".join(honest_run.log_lines).encode())
+            assert main(["verify-log", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_dropped_line_rejected(self, honest_run):
         lines = list(honest_run.log_lines)

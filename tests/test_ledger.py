@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from anoncrowd.errors import DeadlineError, FundsError, PhaseError
 from anoncrowd.ledger import (
-    COLLECTING,
     CONFISCATE,
     FINALIZED,
     PROCESSING,
@@ -420,21 +419,6 @@ class TestLogAndViews:
         assert keys == sorted(keys)
         assert {r.sender for r in included} == {"w1", "w2", "w3", "w4"}
 
-    def test_reads(self):
-        led = funded_ledger(("req", "w1"))
-        contract = led.deploy("req")
-        assert led.read(contract, "phase") == "Created"
-        params = task_params(led)
-        led.create_task(contract, "req", params)
-        assert led.read(contract, "phase") == COLLECTING
-        assert led.read(contract, "escrow") == ETH
-        assert led.read(contract, "params") == params
-        assert led.read(contract, "auth_calc") is None
-        led.submit_response(contract, "w1", payload=b"x")
-        assert len(led.read(contract, "responses")) == 1
-        with pytest.raises(ValueError):
-            led.read(contract, "nonsense")
-
     def test_gas_by_sender_totals(self):
         led = funded_ledger(("req", "w1"))
         contract = led.deploy("req")
@@ -443,21 +427,6 @@ class TestLogAndViews:
         totals = led.gas_by_sender()
         assert totals["req"] == GAS.deploy + GAS.create_task
         assert totals["w1"] == GAS.submit_response
-
-    def test_all_response_records_spans_tasks(self):
-        led = funded_ledger(("req", "w1"))
-        contract = led.deploy("req")
-        p1 = task_params(led)
-        led.create_task(contract, "req", p1)
-        led.submit_response(contract, "w1", payload=b"t0")
-        led.tick_to(p1.response_deadline + 1)
-        led.submit_auth_calc(contract, "req", payload=b"f")
-        led.finalize(contract, "req")
-        p2 = task_params(led)
-        led.create_task(contract, "req", p2)
-        led.submit_response(contract, "w1", payload=b"t1")
-        payloads = [r.payload for r in led.all_response_records()]
-        assert payloads == [b"t0", b"t1"]
 
     def test_identical_seeds_produce_identical_logs(self):
         def run(seed):

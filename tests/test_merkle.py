@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anoncrowd.errors import CapacityError, EncodingError
+from anoncrowd.errors import CapacityError
 from anoncrowd.merkle import MerklePath, MerkleTree, verify_path
 
 
@@ -106,16 +106,6 @@ class TestPaths:
         with pytest.raises(ValueError):
             tree.prove_membership(-1)
 
-    def test_path_record_round_trip(self):
-        tree = MerkleTree(depth=4)
-        for p in payloads_upto(3):
-            tree.append(p)
-        path = tree.prove_membership(2)
-        again = MerklePath.decode(path.encode())
-        assert again == path
-        with pytest.raises(EncodingError):
-            MerklePath.decode(path.encode()[:-5])
-
 
 class TestCapacityAndDuplicates:
     def test_capacity_boundary(self):
@@ -133,23 +123,6 @@ class TestCapacityAndDuplicates:
         root = tree.root()
         assert verify_path(root, b"same", tree.prove_membership(0))
         assert verify_path(root, b"same", tree.prove_membership(1))
-
-
-class TestSnapshots:
-    def test_export_import_round_trip(self):
-        tree = MerkleTree(depth=5)
-        for p in payloads_upto(9):
-            tree.append(p)
-        clone = MerkleTree.from_snapshot(tree.export_snapshot())
-        assert clone.root() == tree.root()
-        assert clone.leaf_count == tree.leaf_count
-        assert clone.prove_membership(4) == tree.prove_membership(4)
-
-    def test_bad_snapshot_rejected(self):
-        with pytest.raises(EncodingError):
-            MerkleTree.from_snapshot("{not json")
-        with pytest.raises(EncodingError):
-            MerkleTree.from_snapshot('{"depth": 4}')
 
 
 @given(
