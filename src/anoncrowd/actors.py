@@ -45,6 +45,7 @@ from .policy import (
     clears_threshold,
     is_correct,
     paym_calc,
+    quality_increment,
 )
 from .primitives import (
     BlindingPair,
@@ -112,9 +113,10 @@ def claim_pads(ctx: CryptoContext, ref: int, claim_key: int) -> tuple[BlindingPa
 
 
 def admissible_increments(final_cts: tuple[Ciphertext, ...]) -> tuple[tuple[int, int], ...]:
-    """Quality increments a posted update may carry: (0, 0) on a voided
-    task (no final ciphertexts), else (1, 0) or (0, 1)."""
-    return ((0, 0),) if len(final_cts) == 0 else ((1, 0), (0, 1))
+    """Quality increments a posted update may carry: the void one on a
+    voided task (no final ciphertexts), else the correct or incorrect one."""
+    verdicts = (None,) if len(final_cts) == 0 else (True, False)
+    return tuple(quality_increment(correct) for correct in verdicts)
 
 
 def covered_leaf(g: Group, pair: CommitmentPair, dummy: BlindingPair) -> CommitmentPair:
@@ -288,17 +290,26 @@ class TaskPublic:
     tree_root: bytes
 
 
-def response_statement(ctx: CryptoContext, task: TaskPublic, parsed: ParsedResponse) -> ProveQualStatement:
+def response_statement(
+    ctx: CryptoContext,
+    task: TaskPublic,
+    fresh_pair: CommitmentPair,
+    tag: bytes,
+    answer_ct: Ciphertext,
+    address_ct: Ciphertext,
+) -> ProveQualStatement:
+    """What a response is proven against: the worker proves it, and
+    screening verifies the proof, over this one statement."""
     return ProveQualStatement(
         params_digest=ctx.params_digest,
         policy=task.policy,
         ra_pk=task.ra_pk,
         requester_pk=task.requester_pk,
         tree_root=task.tree_root,
-        fresh_pair=parsed.fresh_pair,
-        quality_tag=parsed.tag,
-        answer_ct=parsed.answer_ct,
-        address_ct=parsed.address_ct,
+        fresh_pair=fresh_pair,
+        quality_tag=tag,
+        answer_ct=answer_ct,
+        address_ct=address_ct,
     )
 
 
@@ -369,7 +380,8 @@ def screen_responses(
         except (EncodingError, ValueError):
             rejections.append((ref, REJECT_MALFORMED))
             continue
-        if not backend.verify(ctx, response_statement(ctx, task, parsed), parsed.proof):
+        stmt = response_statement(ctx, task, parsed.fresh_pair, parsed.tag, parsed.answer_ct, parsed.address_ct)
+        if not backend.verify(ctx, stmt, parsed.proof):
             rejections.append((ref, REJECT_PROOF))
             continue
         survivors.append(parsed)
@@ -596,21 +608,13 @@ class WorkerAgent:
             claim_key=rng.randrange(ctx.claim_codec.domain_size),
             claim_rand=g.random_scalar(rng),
         )
-        fresh_pair = pair_rerandomize(g, self.cred.pair, pending.rerand)
-        stmt = ProveQualStatement(
-            params_digest=ctx.params_digest,
-            policy=task.policy,
-            ra_pk=task.ra_pk,
-            requester_pk=task.requester_pk,
-            tree_root=task.tree_root,
-            fresh_pair=fresh_pair,
-            quality_tag=self.current_tag(),
-            answer_ct=encrypt_message(
-                g, task.requester_pk, ctx.answer_codec, answer, pending.answer_rand
-            ),
-            address_ct=encrypt_message(
-                g, task.requester_pk, ctx.address_codec, address, pending.address_rand
-            ),
+        stmt = response_statement(
+            ctx,
+            task,
+            pair_rerandomize(g, self.cred.pair, pending.rerand),
+            self.current_tag(),
+            encrypt_message(g, task.requester_pk, ctx.answer_codec, answer, pending.answer_rand),
+            encrypt_message(g, task.requester_pk, ctx.address_codec, address, pending.address_rand),
         )
         witness = ProveQualWitness(
             ident=self.ident,
@@ -633,18 +637,13 @@ class WorkerAgent:
         )
         self._pending = pending
         return encode_response_bundle(
-            ctx, fresh_pair, stmt.quality_tag, stmt.answer_ct, stmt.address_ct, claim_ct, proof
+            ctx, stmt.fresh_pair, stmt.quality_tag, stmt.answer_ct, stmt.address_ct, claim_ct, proof
         )
 
     def mark_submitted(self, ref: int) -> None:
         if self._pending is None:
             raise ProtocolError("no response awaiting a reference")
         self._pending = replace(self._pending, ref=ref)
-
-    def payout(self) -> str:
-        if self._pending is None or self._pending.ref is None:
-            raise ProtocolError("no submitted response on record")
-        return payout_account(self._pending.address)
 
     def adopt_update(
         self,
@@ -791,11 +790,7 @@ class RequesterAgent:
         sk = self.keypair.sk
         update = random_blinding_pair(g, self.rng)
         dummy = random_blinding_pair(g, self.rng)
-        if correct is None:
-            increment = (0, 0)
-        else:
-            increment = (1, 0) if correct else (0, 1)
-        new_pair = pair_add(g, parsed.fresh_pair, commit_pair(g, *increment, update))
+        new_pair = pair_add(g, parsed.fresh_pair, commit_pair(g, *quality_increment(correct), update))
         stmt = quality_statement(ctx, task, parsed, final_cts, new_pair)
         qual_proof = self.backend.prove(ctx, stmt, AuthQualWitness(sk, update))
         value_proof = None

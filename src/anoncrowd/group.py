@@ -86,11 +86,6 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         return Scalar(-self.value, self.order)
 
-    def inverse(self) -> "Scalar":
-        if self.value == 0:
-            raise ZeroDivisionError("zero scalar has no inverse")
-        return Scalar(pow(self.value, -1, self.order), self.order)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Scalar)

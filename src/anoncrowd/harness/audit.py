@@ -39,12 +39,13 @@ from ..ledger import (
     REFUND,
     SUBMIT_AUTH_CALC,
     SUBMIT_QUALITY,
-    SUBMIT_RESPONSE,
     VOID_TASK,
     WORKER_PAYMENT,
     FeeParams,
     GasSchedule,
     LedgerRecord,
+    gas_by_sender,
+    included_responses,
 )
 from ..policy import TaskPolicy
 from ..primitives import decode_signature, hash_bytes, verify_sig
@@ -112,10 +113,6 @@ class AuditReport:
         for problem in self.problems:
             lines.append(f"  problem: {problem}")
         return "\n".join(lines) + "\n"
-
-
-def verify_log_text(text: str) -> AuditReport:
-    return verify_log(text.splitlines())
 
 
 def policy_header(policy: TaskPolicy) -> dict:
@@ -267,14 +264,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if screening is None:
             problems.append(prefix + "no screening event")
             continue
-        included = sorted(
-            (
-                t
-                for t in round_txs
-                if t.method == SUBMIT_RESPONSE and t.inclusion_block <= meta["response_deadline"]
-            ),
-            key=lambda t: (t.inclusion_block, t.index),
-        )
+        included = included_responses(round_txs, meta["response_deadline"])
         try:
             tree_root = bytes.fromhex(meta["tree_root"])
         except ValueError:
@@ -409,12 +399,9 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         problems.append("expected exactly one summary event")
     else:
         s = summaries[0]
-        gas: dict[str, int] = {}
-        for t in txs:
-            gas[t.sender] = gas.get(t.sender, 0) + t.gas
         paid = sum(-t.value_wei for t in txs if t.method == WORKER_PAYMENT)
         confiscated = sum(-t.value_wei for t in txs if t.method == CONFISCATE)
-        if s.get("gas_by_sender") != gas:
+        if s.get("gas_by_sender") != gas_by_sender(txs):
             problems.append("summary gas totals do not match the transactions")
         if s.get("payments_wei") != paid:
             problems.append("summary payment total does not match the transactions")

@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass, field
 
 from ..actors import (
-    QualityPost,
     RegistrationAuthority,
     RequesterAgent,
     TaskOutcome,
@@ -42,6 +41,8 @@ from ..ledger import (
     FeeParams,
     Ledger,
     TaskState,
+    gas_by_sender,
+    included_responses,
 )
 from ..policy import AVERAGE, FinalAnswer, ans_calc, is_correct, paym_calc
 from ..primitives import sign
@@ -271,7 +272,8 @@ class _Run:
         self.hook.after_collect(self, rnd)
 
         ledger.tick_to(rnd.task.params.response_deadline + 1)
-        rnd.included = [(rec.index, rec.payload) for rec in ledger.included_responses(rnd.task)]
+        counted = included_responses(rnd.task.responses, rnd.task.params.response_deadline)
+        rnd.included = [(rec.index, rec.payload) for rec in counted]
         rnd.stats.included = len(rnd.included)
         self.proof_counts[PROVE_QUAL_ID] += rnd.stats.submitted  # late ones carry proofs too
         rnd.tags_before = set(self.requester.seen_tags)
@@ -320,9 +322,8 @@ class _Run:
         rnd.chain_posts = [rec.payload for rec in rnd.task.quality_posts]
         st.posts_onchain = len(rnd.chain_posts)
         self.proof_counts[AUTH_QUAL_ID] += st.posts_onchain
-        st.value_proofs = sum(
-            1 for p in rnd.chain_posts if QualityPost.decode(self.ctx, p).value_proof is not None
-        )
+        # a correct answer's post carries a value proof, unless it was withheld
+        st.value_proofs = sum(1 for ref in outcome.correct_refs if ref != victim_ref)
         self.proof_counts[AUTH_VALUE_ID] += st.value_proofs
 
     def _adopt_and_arbitrate(self, rnd: _Round) -> None:
@@ -413,7 +414,7 @@ class _Run:
         }
         summary = {
             "type": "summary",
-            "gas_by_sender": dict(sorted(ledger.gas_by_sender().items())),
+            "gas_by_sender": dict(sorted(gas_by_sender(ledger.records).items())),
             "payments_wei": sum(s.payments_wei for s in stats),
             "confiscated_wei": sum(s.confiscated_wei for s in stats),
             "escrow_ok": all(s.escrow_ok for s in stats),
@@ -518,7 +519,7 @@ def _render_report(run: _Run, worker_rows: list[WorkerRow], simulated_blocks: in
 
     lines.append("")
     lines.append("-- chain totals --")
-    by_sender = ledger.gas_by_sender()
+    by_sender = gas_by_sender(ledger.records)
     worker_gas = sum(gas for who, gas in by_sender.items() if who.startswith("worker-"))
     req_gas = by_sender.get(REQUESTER, 0)
     adv_gas = by_sender.get(ADVERSARY, 0)

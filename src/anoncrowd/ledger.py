@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import DeadlineError, FundsError, PhaseError
 
@@ -214,7 +215,7 @@ class TaskState:
     params: ChainTaskParams
     phase: str = COLLECTING
     escrow_wei: int = 0
-    responses: list[LedgerRecord] = field(default_factory=list)
+    responses: list[LedgerRecord] = field(default_factory=list)  # all submitted, log order
     auth_calc: LedgerRecord | None = None
     quality_posts: list[LedgerRecord] = field(default_factory=list)
     payments: list[LedgerRecord] = field(default_factory=list)
@@ -246,15 +247,9 @@ class TaskContract:
 class Ledger:
     """The chain: accounts, transaction log, latency, contract enforcement."""
 
-    def __init__(
-        self,
-        seed: int,
-        profile: str = "rinkeby",
-        fee: FeeParams | None = None,
-        gas: GasSchedule | None = None,
-    ):
+    def __init__(self, seed: int, profile: str = "rinkeby", fee: FeeParams | None = None):
         self.fee = fee or FeeParams()
-        self.gas = gas or GasSchedule()
+        self.gas = GasSchedule()
         self.latency_model = LatencyModel(profile, random.Random(seed))
         self.block = 0
         self.records: list[LedgerRecord] = []
@@ -347,10 +342,7 @@ class Ledger:
         if self.block > task.params.response_deadline:
             raise DeadlineError("response window has closed")
         rec = self._append(SUBMIT_RESPONSE, sender, task_seq=task.seq, payload=payload)
-        if rec.inclusion_block > task.params.response_deadline:
-            # included too late; the contract ignores it (fee already spent)
-            return rec
-        task.responses.append(rec)
+        task.responses.append(rec)  # counted only if it lands in time, see included_responses
         return rec
 
     def submit_auth_calc(self, contract: TaskContract, sender: str, payload: bytes) -> LedgerRecord:
@@ -426,17 +418,21 @@ class Ledger:
         return rec
 
     def void_task(self, contract: TaskContract, sender: str) -> LedgerRecord:
-        """Void an under-subscribed task: reimburse every responder's
-        transaction fee from escrow, return the rest to the requester."""
+        """Void an under-subscribed task: reimburse every included
+        responder's transaction fee from escrow, return the rest to the
+        requester.
+
+        The contract holds payloads as opaque bytes, so it cannot tell an
+        accepted response from a rejected one and leaves the quorum to the
+        requester; the log audit replays screening and judges it."""
         task = contract._require_active()
         if sender != contract.requester:
             raise PermissionError("only the requester voids")
         if self.block <= task.params.response_deadline:
             raise DeadlineError("cannot void before the response window closes")
-        if len(task.responses) >= task.params.min_workers:
-            raise PhaseError("task met its minimum; it cannot be voided")
         rec = self._append(VOID_TASK, sender, task_seq=task.seq)
-        for response in task.responses:
+        included = included_responses(task.responses, task.params.response_deadline)
+        for response in sorted(included, key=lambda r: r.index):  # refunds go out in log order
             self._refund(contract, task, response.sender, response.fee_wei)
         if task.escrow_wei:
             self._refund(contract, task, contract.requester, task.escrow_wei)
@@ -484,21 +480,27 @@ class Ledger:
             charge_fee=False,
         )
 
-    # ── views ──
-
-    @staticmethod
-    def included_responses(task: TaskState) -> list[LedgerRecord]:
-        """Responses in inclusion order (block, then log position)."""
-        return sorted(task.responses, key=lambda r: (r.inclusion_block, r.index))
-
     # ── reporting helpers ──
-
-    def gas_by_sender(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.sender] = out.get(r.sender, 0) + r.gas
-        return out
 
     def escrow_conserved(self, task: TaskState) -> bool:
         spent = task.paid_out_wei + task.refunded_wei + task.confiscated_wei
         return task.params.escrow_wei == spent + task.escrow_wei
+
+
+# ── rules the contract and the log audit share ──
+
+
+def included_responses(records: Iterable[LedgerRecord], response_deadline: int) -> list[LedgerRecord]:
+    """The responses a task counts: those that landed by its response
+    deadline, in inclusion order (block, then log index). One that lands
+    later is ignored, its fee already spent."""
+    landed = (r for r in records if r.method == SUBMIT_RESPONSE and r.inclusion_block <= response_deadline)
+    return sorted(landed, key=lambda r: (r.inclusion_block, r.index))
+
+
+def gas_by_sender(records: Iterable[LedgerRecord]) -> dict[str, int]:
+    """Gas spent per sending account over a transaction log."""
+    out: dict[str, int] = {}
+    for r in records:
+        out[r.sender] = out.get(r.sender, 0) + r.gas
+    return out

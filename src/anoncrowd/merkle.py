@@ -71,7 +71,6 @@ class MerkleTree:
             raise ValueError("depth must be at least 1")
         self.depth = depth
         self._empty = empty_digests(depth)
-        self._payloads: list[bytes] = []
         # _levels[0] holds leaf digests, _levels[depth] holds the root
         self._levels: list[list[bytes]] = [[] for _ in range(depth + 1)]
 
@@ -79,19 +78,15 @@ class MerkleTree:
     def capacity(self) -> int:
         return 1 << self.depth
 
-    def payload(self, position: int) -> bytes:
-        return self._payloads[position]
-
     def root(self) -> bytes:
         if not self._levels[self.depth]:
             return self._empty[self.depth]
         return self._levels[self.depth][0]
 
     def append(self, payload: bytes) -> int:
-        if len(self._payloads) >= self.capacity:
+        position = len(self._levels[0])
+        if position >= self.capacity:
             raise CapacityError(f"tree is full ({self.capacity} leaves)")
-        position = len(self._payloads)
-        self._payloads.append(payload)
         self._set(0, position, _leaf_hash(payload))
         idx = position
         for lvl in range(self.depth):
@@ -113,7 +108,7 @@ class MerkleTree:
             nodes.append(digest)
 
     def prove_membership(self, position: int) -> MerklePath:
-        if not 0 <= position < len(self._payloads):
+        if not 0 <= position < len(self._levels[0]):
             raise ValueError(f"no leaf at position {position}")
         sibs = []
         idx = position

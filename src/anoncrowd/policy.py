@@ -123,10 +123,19 @@ def is_correct(answer: int, final: FinalAnswer, policy: TaskPolicy) -> bool:
     return abs(answer * den - num) * eps.denominator <= eps.numerator * den
 
 
-def qual_update(quality: QualityState, correct: bool) -> QualityState:
-    if correct:
-        return QualityState(quality.alpha + 1, quality.beta)
-    return QualityState(quality.alpha, quality.beta + 1)
+def quality_increment(correct: bool | None) -> tuple[int, int]:
+    """What one task adds to a worker's (alpha, beta): (1, 0) for a correct
+    answer, (0, 1) for an incorrect one, (0, 0) when the task was voided
+    (correct is None). Every party that posts, proves, checks or adopts a
+    quality update takes the increment from here."""
+    if correct is None:
+        return (0, 0)
+    return (1, 0) if correct else (0, 1)
+
+
+def qual_update(quality: QualityState, correct: bool | None) -> QualityState:
+    d_alpha, d_beta = quality_increment(correct)
+    return QualityState(quality.alpha + d_alpha, quality.beta + d_beta)
 
 
 def quality_mean(quality: QualityState) -> Fraction:

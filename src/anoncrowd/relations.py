@@ -14,9 +14,9 @@ an auditor rebuilds each statement from the logged fields it covers:
   final answer equals the policy aggregation of all included answers.
 * check_auth_value: one worker's encrypted answer is correct with respect
   to the encrypted final answer under the policy.
-* check_auth_qual: a posted quality-pair update adds exactly one correct
-  increment, (1,0) on a correct answer and (0,1) otherwise; voided tasks
-  (empty final ciphertext list, void flag) must add (0,0).
+* check_auth_qual: a posted quality-pair update adds exactly the increment
+  policy.quality_increment gives for the answer's correctness; a voided
+  task (empty final ciphertext list) adds the void increment.
 
 Statements are structurally validated before use; a malformed statement
 raises MalformedStatementError, which is deliberately distinct from a
@@ -33,7 +33,8 @@ simulated prover rather than re-implementing one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 
 from .context import CryptoContext
 from .encoding import enc_u16, record
@@ -43,7 +44,7 @@ from .errors import (
     MalformedStatementError,
     RelationUnsatisfiedError,
 )
-from .group import Group, GroupElement, Scalar
+from .group import GroupElement, Scalar
 from .merkle import MerklePath, verify_path
 from .policy import (
     AVERAGE,
@@ -54,6 +55,7 @@ from .policy import (
     ans_calc,
     clears_threshold,
     is_correct,
+    quality_increment,
 )
 from .primitives import (
     BlindingPair,
@@ -84,26 +86,78 @@ def ident_message(ctx: CryptoContext, ident: Scalar) -> bytes:
     return record("worker-ident", ctx.group.encode_scalar(ident))
 
 
-def _need_digest(value: bytes, what: str) -> None:
-    if not isinstance(value, bytes) or len(value) != 32:
-        raise MalformedStatementError(f"{what} must be a 32-byte digest")
-
-
-def _need(cond: bool, what: str) -> None:
-    if not cond:
-        raise MalformedStatementError(what)
-
-
-def _ct_list(g: Group, cts: tuple[Ciphertext, ...]) -> bytes:
-    """Counted ciphertext list, the form every statement record uses."""
-    return enc_u16(len(cts)) + encode_ciphertexts(g, cts)
-
-
 # ── statements ───────────────────────────────────────────────────────────────
+
+# field annotation -> the type its value must have, for the kinds that are
+# checked by type alone (annotations are strings under the future import)
+_TYPED_KINDS = {
+    "TaskPolicy": TaskPolicy,
+    "GroupElement": GroupElement,
+    "CommitmentPair": CommitmentPair,
+    "Ciphertext": Ciphertext,
+}
+_DIGEST = "bytes"
+_CT_LIST = "tuple[Ciphertext, ...]"
+
+
+class Statement:
+    """The record form the four statements share.
+
+    Each field is checked and written by its kind, which its annotation
+    names: a 32-byte digest goes in as is, the policy as its digest, a group
+    element as its encoding, a pair or a ciphertext as its own record, and a
+    ciphertext list counted. Record order is declaration order, so
+    reordering a class's fields changes its bytes and every attestation.
+
+    A list named final_cts holds the policy's final_ct_count entries, or
+    none on a class that admits a voided task; any other list is non-empty.
+    """
+
+    admits_void = False
+
+    def validate(self, ctx: CryptoContext) -> None:
+        for name, kind in _layout(type(self)):
+            value = getattr(self, name)
+            if kind == _DIGEST:
+                ok, problem = isinstance(value, bytes) and len(value) == 32, "is not a 32-byte digest"
+            elif kind in _TYPED_KINDS:
+                ok, problem = isinstance(value, _TYPED_KINDS[kind]), "is missing"
+            elif name == "final_cts":
+                count = self.policy.final_ct_count
+                ok = len(value) in ((0, count) if self.admits_void else (count,))
+                problem = "has the wrong length for the policy"
+            else:
+                ok, problem = len(value) >= 1, "is empty"
+            if not ok:
+                raise MalformedStatementError(f"{name.replace('_', ' ')} {problem}")
+
+    def encode(self, ctx: CryptoContext) -> bytes:
+        self.validate(ctx)
+        g = ctx.group
+        parts = []
+        for name, kind in _layout(type(self)):
+            value = getattr(self, name)
+            if kind == _DIGEST:
+                parts.append(value)
+            elif kind == "TaskPolicy":
+                parts.append(value.digest())
+            elif kind == "GroupElement":
+                parts.append(g.encode_element(value))
+            elif kind == _CT_LIST:
+                parts.append(enc_u16(len(value)) + encode_ciphertexts(g, value))
+            else:  # a commitment pair or a ciphertext
+                parts.append(value.encode(g))
+        return record("stmt/" + relation_id_for(self), *parts)
+
+
+@cache
+def _layout(cls: type) -> tuple[tuple[str, str], ...]:
+    """(name, kind) of each field of a statement class, in declaration order."""
+    return tuple((f.name, f.type) for f in fields(cls))
 
 
 @dataclass(frozen=True)
-class ProveQualStatement:
+class ProveQualStatement(Statement):
     params_digest: bytes
     policy: TaskPolicy
     ra_pk: GroupElement
@@ -114,103 +168,31 @@ class ProveQualStatement:
     answer_ct: Ciphertext
     address_ct: Ciphertext
 
-    def validate(self, ctx: CryptoContext) -> None:
-        _need_digest(self.params_digest, "params digest")
-        _need_digest(self.tree_root, "tree root")
-        _need_digest(self.quality_tag, "quality tag")
-        _need(isinstance(self.policy, TaskPolicy), "policy missing")
-        for el in (self.ra_pk, self.requester_pk):
-            _need(isinstance(el, GroupElement), "public key missing")
-        _need(isinstance(self.fresh_pair, CommitmentPair), "commitment pair missing")
-        for ct in (self.answer_ct, self.address_ct):
-            _need(isinstance(ct, Ciphertext), "ciphertext missing")
-
-    def encode(self, ctx: CryptoContext) -> bytes:
-        self.validate(ctx)
-        g = ctx.group
-        return record(
-            "stmt/" + PROVE_QUAL_ID,
-            self.params_digest,
-            self.policy.digest(),
-            g.encode_element(self.ra_pk),
-            g.encode_element(self.requester_pk),
-            self.tree_root,
-            self.fresh_pair.encode(g),
-            self.quality_tag,
-            self.answer_ct.encode(g),
-            self.address_ct.encode(g),
-        )
-
-
 
 @dataclass(frozen=True)
-class AuthCalcStatement:
+class AuthCalcStatement(Statement):
     params_digest: bytes
     policy: TaskPolicy
     requester_pk: GroupElement
     answer_cts: tuple[Ciphertext, ...]  # all included responses, log order
     final_cts: tuple[Ciphertext, ...]
 
-    def validate(self, ctx: CryptoContext) -> None:
-        _need_digest(self.params_digest, "params digest")
-        _need(isinstance(self.policy, TaskPolicy), "policy missing")
-        _need(isinstance(self.requester_pk, GroupElement), "public key missing")
-        _need(len(self.answer_cts) >= 1, "no included answers")
-        _need(
-            len(self.final_cts) == self.policy.final_ct_count,
-            "final ciphertext list has the wrong length for the policy",
-        )
-
-    def encode(self, ctx: CryptoContext) -> bytes:
-        self.validate(ctx)
-        g = ctx.group
-        return record(
-            "stmt/" + AUTH_CALC_ID,
-            self.params_digest,
-            self.policy.digest(),
-            g.encode_element(self.requester_pk),
-            _ct_list(g, self.answer_cts),
-            _ct_list(g, self.final_cts),
-        )
-
-
 
 @dataclass(frozen=True)
-class AuthValueStatement:
+class AuthValueStatement(Statement):
     params_digest: bytes
     policy: TaskPolicy
     requester_pk: GroupElement
     worker_ct: Ciphertext
     final_cts: tuple[Ciphertext, ...]
 
-    def validate(self, ctx: CryptoContext) -> None:
-        _need_digest(self.params_digest, "params digest")
-        _need(isinstance(self.policy, TaskPolicy), "policy missing")
-        _need(isinstance(self.requester_pk, GroupElement), "public key missing")
-        _need(isinstance(self.worker_ct, Ciphertext), "worker ciphertext missing")
-        _need(
-            len(self.final_cts) == self.policy.final_ct_count,
-            "final ciphertext list has the wrong length for the policy",
-        )
-
-    def encode(self, ctx: CryptoContext) -> bytes:
-        self.validate(ctx)
-        g = ctx.group
-        return record(
-            "stmt/" + AUTH_VALUE_ID,
-            self.params_digest,
-            self.policy.digest(),
-            g.encode_element(self.requester_pk),
-            self.worker_ct.encode(g),
-            _ct_list(g, self.final_cts),
-        )
-
-
 
 @dataclass(frozen=True)
-class AuthQualStatement:
+class AuthQualStatement(Statement):
     """Quality-step statement. An empty final ciphertext list marks a voided
-    task, whose only admissible increment is (0, 0)."""
+    task, whose only admissible increment is quality_increment(None)."""
+
+    admits_void = True
 
     params_digest: bytes
     policy: TaskPolicy
@@ -223,33 +205,6 @@ class AuthQualStatement:
     @property
     def void(self) -> bool:
         return len(self.final_cts) == 0
-
-    def validate(self, ctx: CryptoContext) -> None:
-        _need_digest(self.params_digest, "params digest")
-        _need(isinstance(self.policy, TaskPolicy), "policy missing")
-        _need(isinstance(self.requester_pk, GroupElement), "public key missing")
-        _need(isinstance(self.worker_ct, Ciphertext), "worker ciphertext missing")
-        _need(
-            len(self.final_cts) in (0, self.policy.final_ct_count),
-            "final ciphertext list has the wrong length for the policy",
-        )
-        _need(isinstance(self.old_pair, CommitmentPair), "old pair missing")
-        _need(isinstance(self.new_pair, CommitmentPair), "new pair missing")
-
-    def encode(self, ctx: CryptoContext) -> bytes:
-        self.validate(ctx)
-        g = ctx.group
-        return record(
-            "stmt/" + AUTH_QUAL_ID,
-            self.params_digest,
-            self.policy.digest(),
-            g.encode_element(self.requester_pk),
-            self.worker_ct.encode(g),
-            _ct_list(g, self.final_cts),
-            self.old_pair.encode(g),
-            self.new_pair.encode(g),
-        )
-
 
 
 # ── witnesses ────────────────────────────────────────────────────────────────
@@ -390,9 +345,8 @@ def check_auth_qual(ctx: CryptoContext, stmt: AuthQualStatement, wit: AuthQualWi
     g = ctx.group
     if g.mul_gen(wit.sk) != stmt.requester_pk:
         return False
-    if stmt.void:
-        increment = (0, 0)
-    else:
+    correct = None  # a voided task
+    if not stmt.void:
         final = _decrypt_final(ctx, wit.sk, stmt)
         if final is None:
             return False
@@ -402,11 +356,9 @@ def check_auth_qual(ctx: CryptoContext, stmt: AuthQualStatement, wit: AuthQualWi
             return False
         if answer >= stmt.policy.domain_size:
             return False
-        increment = (1, 0) if is_correct(answer, final, stmt.policy) else (0, 1)
-    expected = pair_add(
-        g, stmt.old_pair, commit_pair(g, increment[0], increment[1], wit.update_blind)
-    )
-    return expected == stmt.new_pair
+        correct = is_correct(answer, final, stmt.policy)
+    increment = commit_pair(g, *quality_increment(correct), wit.update_blind)
+    return pair_add(g, stmt.old_pair, increment) == stmt.new_pair
 
 
 # ── proof backend ────────────────────────────────────────────────────────────

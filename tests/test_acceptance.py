@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from anoncrowd.context import ANSWER_DOMAIN, production_context, tiny_context
-from anoncrowd.harness.audit import verify_log_text
+from anoncrowd.harness.audit import verify_log
 from anoncrowd.harness.fixtures import load_fixture
 from anoncrowd.harness.runner import _final_text, run
 from anoncrowd.harness.scenario import load_scenario
@@ -464,7 +464,7 @@ def test_free_riders_detected_and_unpaid():
 def test_log_audit_rejects_single_bit_tampering(production_runs):
     """One flipped payload bit in any posted artifact fails the audit."""
     res, _ = production_runs["image_annotation"]
-    assert verify_log_text("\n".join(res.log_lines) + "\n").ok
+    assert verify_log(("\n".join(res.log_lines) + "\n").splitlines()).ok
 
     lines = res.log_lines
     for method in ("SubmitAuthCalc", "SubmitQuality", "SubmitResponse"):
@@ -479,7 +479,7 @@ def test_log_audit_rejects_single_bit_tampering(production_runs):
         at = (span.start(1) + span.end(1)) // 2
         flipped = format(int(line[at], 16) ^ 1, "x")
         tampered = lines[:idx] + [line[:at] + flipped + line[at + 1 :]] + lines[idx + 1 :]
-        report = verify_log_text("\n".join(tampered) + "\n")
+        report = verify_log(("\n".join(tampered) + "\n").splitlines())
         assert not report.ok and report.problems, method
 
 

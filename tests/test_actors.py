@@ -95,7 +95,7 @@ class TestEnrollment:
             assert open_pair_check(
                 world.ctx.group, cred.pair, cred.alpha, cred.beta, cred.blind + cred.dummy
             )
-            assert world.ra.tree.payload(cred.position) == cred.pair.encode(world.ctx.group)
+            assert world.ra.find_position(cred.pair.encode(world.ctx.group)) == cred.position
 
     def test_double_enrollment_rejected(self):
         world = World(n_workers=1)
@@ -127,7 +127,9 @@ class TestResponses:
         parsed = decode_response_bundle(world.ctx, 42, bundle)
         assert parsed.ref == 42
         assert parsed.tag == world.workers[0].current_tag()
-        stmt = response_statement(world.ctx, task, parsed)
+        stmt = response_statement(
+            world.ctx, task, parsed.fresh_pair, parsed.tag, parsed.answer_ct, parsed.address_ct
+        )
         assert world.backend.verify(world.ctx, stmt, parsed.proof)
 
     def test_screen_accepts_honest_cast(self):
@@ -206,7 +208,9 @@ class TestResponses:
             address_rand=w1._pending.address_rand,
             path=world.ra.prove_membership(w1.cred.position),
         )
-        stmt = response_statement(world.ctx, task, shared)
+        stmt = response_statement(
+            world.ctx, task, shared.fresh_pair, shared.tag, shared.answer_ct, shared.address_ct
+        )
         proof = world.backend.prove(world.ctx, stmt, wit)
         spliced = encode_response_bundle(
             world.ctx,
@@ -281,7 +285,7 @@ class TestSettlement:
             assert open_pair_check(
                 world.ctx.group, w.cred.pair, w.cred.alpha, w.cred.beta, w.cred.blind + w.cred.dummy
             )
-            assert world.ra.tree.payload(w.cred.position) == w.cred.pair.encode(world.ctx.group)
+            assert world.ra.find_position(w.cred.pair.encode(world.ctx.group)) == w.cred.position
 
     def test_second_round_runs_on_updated_credentials(self):
         # everyone answers with the majority so all three still qualify
@@ -471,8 +475,8 @@ class TestWorkerBookkeeping:
         with pytest.raises(ProtocolError):
             world.workers[0].adopt_update(world.ra, task, [], ())
         world.workers[0].build_response(world.ra, task, 1)
-        with pytest.raises(ProtocolError):
-            world.workers[0].payout()
+        with pytest.raises(ProtocolError):  # built but never marked submitted
+            world.workers[0].adopt_update(world.ra, task, [], ())
 
     def test_claim_index_depends_on_ref_and_key(self):
         a = claim_index(1, 7)

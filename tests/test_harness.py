@@ -12,14 +12,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anoncrowd.errors import ConfigError
 from anoncrowd.harness.audit import (
     CHAIN_SEED,
+    AuditReport,
     canonical_line,
     chain_digest,
     verify_log,
-    verify_log_text,
 )
 from anoncrowd.harness.cli import main
 from anoncrowd.harness.fixtures import (
@@ -70,22 +72,31 @@ def digests(result):
     return hashlib.sha256(log.encode()).hexdigest(), hashlib.sha256(result.report.encode()).hexdigest()
 
 
+def chained(bodies, signoff=None):
+    """Log lines for event bodies with the hash chain redone; a signoff is
+    pointed at the new chain, so its signature no longer verifies."""
+    out, chain = [], CHAIN_SEED
+    for body in bodies:
+        chain = chain_digest(chain, body)
+        out.append(canonical_line({**body, "chain": chain.hex()}))
+    if signoff is not None:
+        out.append(canonical_line({**signoff, "chain": chain.hex()}))
+    return out
+
+
+def split_log(lines):
+    """The event bodies (chain fields dropped) and the signoff of a log."""
+    events = [json.loads(ln) for ln in lines]
+    bodies = [{k: v for k, v in ev.items() if k != "chain"} for ev in events if ev["type"] != "signoff"]
+    return bodies, next(ev for ev in events if ev["type"] == "signoff")
+
+
 def rechain(lines, kind, mutate):
     """The log with its first `kind` event mutated and the hash chain redone
     (the signoff signature then no longer verifies)."""
-    out, chain, mutated = [], CHAIN_SEED, False
-    for ln in lines:
-        obj = json.loads(ln)
-        if obj["type"] == "signoff":
-            out.append(canonical_line({**obj, "chain": chain.hex()}))
-            continue
-        body = {k: v for k, v in obj.items() if k != "chain"}
-        if body["type"] == kind and not mutated:
-            mutate(body)
-            mutated = True
-        chain = chain_digest(chain, body)
-        out.append(canonical_line({**body, "chain": chain.hex()}))
-    return out
+    bodies, signoff = split_log(lines)
+    mutate(next(body for body in bodies if body["type"] == kind))
+    return chained(bodies, signoff)
 
 
 # re-chained logs the audit must fail rather than raise on
@@ -100,6 +111,59 @@ REPLAY_BREAKERS = {
     "oversized domain": ("header", lambda ev: ev["policy"].update(domain_size=2**70)),
     "short tree root": ("round", lambda ev: ev.update(tree_root="00")),
 }
+
+
+# values of every JSON type, to swap in for a field of another type
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def value_slots(body):
+    """(container, key) of every value in an event the fuzzer may swap out,
+    nested ones (the header's policy, screening lists) included."""
+    slots = [(body, key) for key in sorted(body)]
+    for value in body.values():
+        if isinstance(value, dict):
+            slots += [(value, key) for key in sorted(value)]
+        elif isinstance(value, list):
+            slots += [(value, i) for i in range(len(value))]
+            slots += [(item, j) for item in value if isinstance(item, list) for j in range(len(item))]
+    return slots
+
+
+def mutate_events(data, bodies):
+    """One drawn mutation: drop a field, swap in a value of another type,
+    move or delete an event, or flip a bit of a transaction payload."""
+    if not bodies:
+        return
+    body = bodies[data.draw(st.integers(0, len(bodies) - 1))]
+    op = data.draw(st.sampled_from(["drop", "retype", "move", "delete", "flip"]))
+    if op == "drop" and body:
+        del body[data.draw(st.sampled_from(sorted(body)))]
+    elif op == "retype" and body:
+        container, key = data.draw(st.sampled_from(value_slots(body)))
+        container[key] = data.draw(JUNK)
+    elif op == "move":
+        bodies.remove(body)
+        bodies.insert(data.draw(st.integers(0, len(bodies))), body)
+    elif op == "delete":
+        bodies.remove(body)
+    elif op == "flip":
+        txs = [b for b in bodies if b.get("type") == "tx" and isinstance(b.get("payload"), str) and b["payload"]]
+        if txs:
+            tx = data.draw(st.sampled_from(txs))
+            at = data.draw(st.integers(0, len(tx["payload"]) - 1))
+            digit = tx["payload"][at]
+            if digit in "0123456789abcdef":
+                flipped = format(int(digit, 16) ^ (1 << data.draw(st.integers(0, 3))), "x")
+                tx["payload"] = tx["payload"][:at] + flipped + tx["payload"][at + 1 :]
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +407,18 @@ class TestAttacks:
         assert len(victims) == 1
         assert victims[0].paid_wei == 0
 
+    def test_void_on_accepted_count_below_an_included_quorum(self, tiny_image):
+        # round two includes 39 responses and accepts 38 (one stale tag): the
+        # requester voids a task whose included count meets the quorum
+        policy = replace(tiny_image.policy, threshold=Fraction(1, 2))
+        cfg = replace(tiny_image, min_workers=39, policy=policy)
+        res = run(cfg, seed=1, attack="stale-quality")
+        assert res.failures == []
+        s = res.rounds[1]
+        assert (s.included, s.accepted, s.void) == (39, 38, True)
+        assert s.refunded_wei == cfg.escrow_wei
+        assert verify_log(res.log_lines).ok
+
     def test_void_task_refunds_and_preserves_quality(self, attack_runs, tiny_image):
         res = attack_runs["void-task"]
         s = res.rounds[0]
@@ -365,7 +441,7 @@ class TestAudit:
         assert report.stats["proofs_verified"] == expected_proofs
 
     def test_text_entry_point(self, honest_run):
-        assert verify_log_text("\n".join(honest_run.log_lines)).ok
+        assert verify_log("\n".join(honest_run.log_lines).splitlines()).ok
 
     @pytest.mark.parametrize("which", ["header", "tx", "screening", "signoff"])
     def test_single_character_flip_rejected(self, honest_run, which):
@@ -400,6 +476,32 @@ class TestAudit:
             assert main(["verify-log", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_void_flag_off_the_quorum_rule_fails(self, honest_run):
+        # a quorum above the 39 accepted responses: the round should have voided
+        lines = rechain(honest_run.log_lines, "header", lambda ev: ev.update(min_workers=40))
+        problems = verify_log(lines).problems
+        assert "round 0: void flag does not match the quorum rule" in problems
+        assert "round 0: voided round must carry exactly one void transaction" in problems
+
+    def test_void_transaction_in_a_quorate_round_fails(self, attack_runs):
+        lines = rechain(attack_runs["void-task"].log_lines, "header", lambda ev: ev.update(min_workers=1))
+        problems = verify_log(lines).problems
+        assert "round 0: void flag does not match the quorum rule" in problems
+        assert "round 0: quorate round carries a void transaction" in problems
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_logs_give_a_report_not_an_exception(self, honest_run, attack_runs, data):
+        source = data.draw(st.sampled_from([None, "deprivation", "void-task"]))
+        res = honest_run if source is None else attack_runs[source]
+        bodies, signoff = split_log(res.log_lines)
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate_events(data, bodies)
+        lines = chained(bodies, signoff if data.draw(st.booleans()) else None)
+        report = verify_log(lines)
+        assert isinstance(report, AuditReport)
+        assert report.render().startswith("log audit: ")
 
     def test_dropped_line_rejected(self, honest_run):
         lines = list(honest_run.log_lines)

@@ -145,6 +145,7 @@ class TestQuality:
         q = QualityState(3, 2)
         assert qual_update(q, True) == QualityState(4, 2)
         assert qual_update(q, False) == QualityState(3, 3)
+        assert qual_update(q, None) == q  # a voided task
 
     def test_mean(self):
         assert quality_mean(QualityState(1, 1)) == Fraction(1, 2)

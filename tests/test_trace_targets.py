@@ -1,0 +1,37 @@
+"""The benchmark's traced mode wraps library functions by name.
+
+perfbench/layers.py names the methods and functions it traces; a rename or
+deletion in the library breaks `perfbench/run.py --trace 1`. This test
+installs the trace and takes it off again, so such a break shows up in the
+suite instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves_and_is_restored():
+    layers, tracer = load("layers"), load("tracer")
+    t = tracer.Tracer()
+    try:
+        layers.install(t)  # getattr on a missing target raises here
+        patched = list(t._undo)
+        assert patched
+        for owner, attr, _, _ in patched:
+            assert hasattr(getattr(owner, attr), "__wrapped__"), f"{owner}.{attr} was not wrapped"
+    finally:
+        t.uninstall()
+    for owner, attr, original, owned in patched:
+        if owned:
+            assert vars(owner)[attr] is original, f"{owner}.{attr} was not restored"
+        else:
+            assert attr not in vars(owner), f"{owner}.{attr} was not restored"
