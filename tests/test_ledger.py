@@ -340,7 +340,7 @@ class TestVoidAndArbitration:
         assert led.escrow_conserved(task)
         assert total_wei(led, 4 * 100 * ETH)
 
-    def test_void_needs_a_closed_window_not_a_shortfall(self):
+    def test_void_needs_closed_window_and_shortfall(self):
         led, contract, task, params = self.setup_short_task(min_workers=1)
         r1 = led.submit_response(contract, "w1", payload=b"a")
         with pytest.raises(DeadlineError):
