@@ -14,10 +14,10 @@ the pads. The claim ciphertext is the one response field outside the
 proven relation; a worker who garbles it forfeits the claim (the update is
 posted but unclaimable) and nothing else.
 
-Workers never learn their correctness verdict directly. They test the two
-candidate increments against the posted pair with their own opening, which
-doubles as a check that the requester blinded honestly. A worker whose
-post is missing, misaddressed or unopenable files a protest; the authority
+Workers never learn their correctness verdict directly. A worker and the
+authority judge a post by one serving check, RegistrationAuthority.serves,
+which doubles as a check that the requester blinded honestly. A worker whose
+post is missing, misaddressed or unserving files a protest; the authority
 re-derives the screening verdicts from the log and upholds or rejects it.
 """
 
@@ -62,9 +62,8 @@ from .primitives import (
     hash_bytes,
     hash_to_scalar,
     keygen,
-    open_pair_check,
-    pair_add,
     pair_rerandomize,
+    pair_step,
     quality_tag,
     random_blinding_pair,
     record_fields,
@@ -112,17 +111,15 @@ def claim_pads(ctx: CryptoContext, ref: int, claim_key: int) -> tuple[BlindingPa
     return BlindingPair(s[0], s[1]), BlindingPair(s[2], s[3])
 
 
-def admissible_increments(final_cts: tuple[Ciphertext, ...]) -> tuple[tuple[int, int], ...]:
-    """Quality increments a posted update may carry: the void one on a
-    voided task (no final ciphertexts), else the correct or incorrect one."""
-    verdicts = (None,) if len(final_cts) == 0 else (True, False)
-    return tuple(quality_increment(correct) for correct in verdicts)
-
-
 def covered_leaf(g: Group, pair: CommitmentPair, dummy: BlindingPair) -> CommitmentPair:
     """The registry leaf a posted pair is accumulated as: the pair with its
-    cover term folded in."""
-    return pair_add(g, pair, commit_pair(g, 0, 0, dummy))
+    cover term folded in, a step by the zero increment."""
+    return pair_step(g, pair, (0, 0), dummy)
+
+
+def quorate(accepted: list, min_workers: int) -> bool:
+    """The quorum rule of the requester and the log audit: fewer accepted than min_workers voids."""
+    return len(accepted) >= min_workers
 
 
 def payout_account(address: int) -> str:
@@ -413,17 +410,16 @@ def screen_responses(
 @dataclass(frozen=True)
 class Credential:
     """What a worker walks away from enrollment with: a certificate over
-    the identifier and the opening of the accumulated starting pair.
+    the identifier, the counts (alpha, beta) and the accumulated leaf pair.
 
-    The leaf opening is split: blind carries the randomness of the pair as
-    it last appeared on chain, dummy the cover term folded in on top when
-    the leaf was accumulated. Their sum opens pair."""
+    opening is the blinding under which pair commits to (alpha, beta).
+    Each adoption moves it by the response's re-randomization, the
+    unpadded update blinding and the new leaf's cover term."""
 
     cert: Signature
     alpha: int
     beta: int
-    blind: BlindingPair
-    dummy: BlindingPair
+    opening: BlindingPair
     pair: CommitmentPair
     position: int
 
@@ -470,12 +466,12 @@ class RegistrationAuthority:
             raise DuplicateIdentifierError("identifier is already enrolled")
         self._enrolled.add(key)
         alpha, beta = self.prior
-        blind = random_blinding_pair(g, self.rng)
-        dummy = random_blinding_pair(g, self.rng)
-        pair = commit_pair(g, alpha, beta, blind + dummy)
+        # a starting pair blinding plus a cover term, as an adopted leaf has
+        opening = random_blinding_pair(g, self.rng) + random_blinding_pair(g, self.rng)
+        pair = commit_pair(g, alpha, beta, opening)
         position = self.accumulate(pair.encode(g))
         cert = sign(g, self.keypair.sk, ident_message(self.ctx, ident))
-        return Credential(cert, alpha, beta, blind, dummy, pair, position)
+        return Credential(cert, alpha, beta, opening, pair, position)
 
     def accumulate(self, pair_payload: bytes) -> int:
         position = self.tree.append(pair_payload)
@@ -487,6 +483,28 @@ class RegistrationAuthority:
 
     def prove_membership(self, position: int):
         return self.tree.prove_membership(position)
+
+    def serves(
+        self,
+        fresh_pair: CommitmentPair,
+        new_pair: CommitmentPair,
+        update: BlindingPair,
+        dummy: BlindingPair,
+        final_cts: tuple[Ciphertext, ...],
+    ) -> tuple[tuple[int, int], CommitmentPair, int] | None:
+        """The serving check: an admissible increment steps fresh_pair to new_pair
+        under the unpadded update blinding, and the leaf covered by dummy is in
+        the registry. Returns (increment, covered leaf, position), or None."""
+        g = self.ctx.group
+        # a voided task (no final ciphertexts) admits only the void increment;
+        # binding commitments let at most one increment close the equation
+        verdicts = (None,) if len(final_cts) == 0 else (True, False)
+        for increment in map(quality_increment, verdicts):
+            if pair_step(g, fresh_pair, increment, update) == new_pair:
+                leaf = covered_leaf(g, new_pair, dummy)
+                position = self.find_position(leaf.encode(g))
+                return None if position is None else (increment, leaf, position)
+        return None
 
     def arbitrate(
         self,
@@ -519,15 +537,7 @@ class RegistrationAuthority:
             stmt = quality_statement(ctx, task, target, final_cts, post.new_pair)
             if not self.backend.verify(ctx, stmt, post.qual_proof):
                 continue
-            # binding commitments mean exactly one admissible increment can
-            # close the equation under the unpadded update blinding
-            closes = any(
-                post.new_pair == pair_add(g, target.fresh_pair, commit_pair(g, da, db, update))
-                for da, db in admissible_increments(final_cts)
-            )
-            # served means the worker can also move on: the covered leaf
-            # must have landed in the registry
-            if closes and self.find_position(covered_leaf(g, post.new_pair, dummy).encode(g)) is not None:
+            if self.serves(target.fresh_pair, post.new_pair, update, dummy, final_cts) is not None:
                 return False
         return True
 
@@ -539,6 +549,7 @@ class RegistrationAuthority:
 class _PendingResponse:
     ref: int | None
     rerand: BlindingPair
+    fresh_pair: CommitmentPair  # the re-randomized pair the response proves over
     answer: int
     answer_rand: Scalar
     address: int
@@ -598,9 +609,11 @@ class WorkerAgent:
         if address is None:
             address = rng.randrange(ctx.address_codec.domain_size)
 
+        rerand = random_blinding_pair(g, rng)
         pending = _PendingResponse(
             ref=None,
-            rerand=random_blinding_pair(g, rng),
+            rerand=rerand,
+            fresh_pair=pair_rerandomize(g, self.cred.pair, rerand),
             answer=answer,
             answer_rand=g.random_scalar(rng),
             address=address,
@@ -611,7 +624,7 @@ class WorkerAgent:
         stmt = response_statement(
             ctx,
             task,
-            pair_rerandomize(g, self.cred.pair, pending.rerand),
+            pending.fresh_pair,
             self.current_tag(),
             encrypt_message(g, task.requester_pk, ctx.answer_codec, answer, pending.answer_rand),
             encrypt_message(g, task.requester_pk, ctx.address_codec, address, pending.address_rand),
@@ -621,10 +634,9 @@ class WorkerAgent:
             cert=self.cred.cert,
             alpha=self.cred.alpha,
             beta=self.cred.beta,
-            base_blind=self.cred.blind,
+            leaf_blind=self.cred.opening,
             stored_pair=self.cred.pair,
             rerand=pending.rerand,
-            dummy_blind=self.cred.dummy,
             answer=answer,
             answer_rand=pending.answer_rand,
             address=address,
@@ -656,35 +668,29 @@ class WorkerAgent:
         local opening advances and None returns; otherwise the worker walks
         away with a ready-to-file protest."""
         self._require_enrolled()
-        ctx, g = self.ctx, self.ctx.group
         p = self._pending
         if p is None or p.ref is None:
             raise ProtocolError("no submitted response on record")
         grievance = Protest(p.ref, p.claim_key, p.claim_rand, payout_account(p.address))
 
-        found = next(_addressed_posts(ctx, posts, p.ref, p.claim_key), None)
+        found = next(_addressed_posts(self.ctx, posts, p.ref, p.claim_key), None)
         if found is None:
             return grievance
         post, update, dummy = found
-        new_blind = self.cred.blind + self.cred.dummy + p.rerand + update
-        for da, db in admissible_increments(final_cts):
-            if open_pair_check(g, post.new_pair, self.cred.alpha + da, self.cred.beta + db, new_blind):
-                leaf = covered_leaf(g, post.new_pair, dummy)
-                position = ra.find_position(leaf.encode(g))
-                if position is None:
-                    return grievance  # posted but never accumulated
-                self.cred = Credential(
-                    cert=self.cred.cert,
-                    alpha=self.cred.alpha + da,
-                    beta=self.cred.beta + db,
-                    blind=new_blind,
-                    dummy=dummy,
-                    pair=leaf,
-                    position=position,
-                )
-                self._pending = None
-                return None
-        return grievance  # addressed to us but the opening does not close
+        served = ra.serves(p.fresh_pair, post.new_pair, update, dummy, final_cts)
+        if served is None:
+            return grievance  # addressed to us but unserving or never accumulated
+        (da, db), leaf, position = served
+        self.cred = replace(
+            self.cred,
+            alpha=self.cred.alpha + da,
+            beta=self.cred.beta + db,
+            opening=self.cred.opening + p.rerand + update + dummy,
+            pair=leaf,
+            position=position,
+        )
+        self._pending = None
+        return None
 
 
 # ── requester ────────────────────────────────────────────────────────────────
@@ -737,7 +743,7 @@ class RequesterAgent:
         accepted, rejections = screen_responses(ctx, self.backend, task, included, self.seen_tags)
         self.seen_tags.update(p.tag for p in accepted)
 
-        void = len(accepted) < min_workers
+        void = not quorate(accepted, min_workers)
         sk = self.keypair.sk
         answers: list[int | None] = [None] * len(accepted)
         final, final_cts, final_bundle = None, (), None
@@ -790,7 +796,7 @@ class RequesterAgent:
         sk = self.keypair.sk
         update = random_blinding_pair(g, self.rng)
         dummy = random_blinding_pair(g, self.rng)
-        new_pair = pair_add(g, parsed.fresh_pair, commit_pair(g, *quality_increment(correct), update))
+        new_pair = pair_step(g, parsed.fresh_pair, quality_increment(correct), update)
         stmt = quality_statement(ctx, task, parsed, final_cts, new_pair)
         qual_proof = self.backend.prove(ctx, stmt, AuthQualWitness(sk, update))
         value_proof = None

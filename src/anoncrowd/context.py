@@ -8,6 +8,7 @@ Message domains are finite by design and pinned here:
 * claim keys: per-task secrets below 2^16 that index and blind each
   worker's quality post. Desk-scale only; a deployment would widen this
   domain and replace the additive blinds, see the README limitations.
+  The domain equals the answers', so the two share one codec.
 
 The params digest fingerprints the group, the generators and the codec
 layout; every relation statement embeds it, so proofs cannot be replayed
@@ -41,7 +42,7 @@ class CryptoContext:
         g = self.group
         self.answer_codec = MessageCodec(g, ANSWER_DOMAIN)
         self.address_codec = MessageCodec(g, ADDRESS_DOMAIN, baby_size=1 << 16)
-        self.claim_codec = MessageCodec(g, CLAIM_DOMAIN)
+        self.claim_codec = self.answer_codec  # CLAIM_DOMAIN == ANSWER_DOMAIN
         self.params_digest = hash_bytes(
             record(
                 "params",

@@ -317,9 +317,6 @@ class Group:
     def identity(self) -> GroupElement:
         raise NotImplementedError
 
-    def is_identity(self, p: GroupElement) -> bool:
-        raise NotImplementedError
-
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         raise NotImplementedError
 
@@ -386,9 +383,6 @@ class CurveGroup(Group):
 
     def identity(self) -> CurvePoint:
         return CurvePoint(0, 0, inf=True)
-
-    def is_identity(self, p: GroupElement) -> bool:
-        return isinstance(p, CurvePoint) and p.inf
 
     def add(self, a: GroupElement, b: GroupElement) -> CurvePoint:
         assert isinstance(a, CurvePoint) and isinstance(b, CurvePoint)
@@ -522,9 +516,6 @@ class TinyGroup(Group):
 
     def identity(self) -> FieldUnit:
         return FieldUnit(1)
-
-    def is_identity(self, p: GroupElement) -> bool:
-        return isinstance(p, FieldUnit) and p.v == 1
 
     def add(self, a: GroupElement, b: GroupElement) -> FieldUnit:
         assert isinstance(a, FieldUnit) and isinstance(b, FieldUnit)

@@ -27,6 +27,7 @@ from ..actors import (
     calc_statement,
     decode_final_bundle,
     quality_statement,
+    quorate,
     screen_responses,
     value_statement,
 )
@@ -46,6 +47,7 @@ from ..ledger import (
     LedgerRecord,
     gas_by_sender,
     included_responses,
+    void_refunds,
 )
 from ..policy import TaskPolicy
 from ..primitives import decode_signature, hash_bytes, verify_sig
@@ -282,7 +284,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             problems.append(prefix + "screening acceptances do not replay")
         if [[ref, why] for ref, why in rejections] != screening["rejections"]:
             problems.append(prefix + "screening rejections do not replay")
-        void = len(accepted) < min_workers
+        void = not quorate(accepted, min_workers)
         if screening["void"] != void:
             problems.append(prefix + "void flag does not match the quorum rule")
 
@@ -384,14 +386,8 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if not closed:
             problems.append(prefix + "task was never closed")
         if void and len(create_txs) == 1:
-            refunds = Counter(
-                (t.beneficiary, -t.value_wei) for t in round_txs if t.method == REFUND
-            )
-            expected = Counter((t.sender, t.fee_wei) for t in included)
-            remainder = escrow_in - sum(t.fee_wei for t in included)
-            if remainder > 0:
-                expected[(create_txs[0].sender, remainder)] += 1
-            if refunds != expected:
+            refunds = [(t.beneficiary, -t.value_wei) for t in round_txs if t.method == REFUND]
+            if refunds != void_refunds(included, escrow_in, create_txs[0].sender):
                 problems.append(prefix + "void refunds do not reimburse the responders")
 
     # pass 5: summary totals

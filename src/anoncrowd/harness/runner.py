@@ -208,7 +208,6 @@ class _Run:
         self.arbitration_events: list[dict] = []
         self.stats: list[RoundStats] = []
         self.failures: list[str] = []
-        self.proof_counts = dict.fromkeys((PROVE_QUAL_ID, AUTH_CALC_ID, AUTH_QUAL_ID, AUTH_VALUE_ID), 0)
         self.paid_to_worker = {w.name: 0 for w in self.workers}
         self.status = {w.name: "idle" for w in self.workers}
 
@@ -229,7 +228,6 @@ class _Run:
         params = ChainTaskParams(
             response_deadline=ledger.block + config.response_window,
             processing_deadline=ledger.block + config.response_window + config.processing_window,
-            min_workers=config.min_workers,
             escrow_wei=config.escrow_wei,
         )
         st.opened_block = ledger.block
@@ -275,7 +273,6 @@ class _Run:
         counted = included_responses(rnd.task.responses, rnd.task.params.response_deadline)
         rnd.included = [(rec.index, rec.payload) for rec in counted]
         rnd.stats.included = len(rnd.included)
-        self.proof_counts[PROVE_QUAL_ID] += rnd.stats.submitted  # late ones carry proofs too
         rnd.tags_before = set(self.requester.seen_tags)
 
     def _screen_and_settle(self, rnd: _Round) -> None:
@@ -304,7 +301,6 @@ class _Run:
             ledger.void_task(contract, REQUESTER)
         else:
             ledger.submit_auth_calc(contract, REQUESTER, outcome.final_bundle)
-            self.proof_counts[AUTH_CALC_ID] += 1
             ledger.tick(1)
         for parsed, post, leaf in zip(outcome.accepted, outcome.quality_posts, outcome.leaves):
             if parsed.ref != victim_ref:
@@ -321,10 +317,8 @@ class _Run:
 
         rnd.chain_posts = [rec.payload for rec in rnd.task.quality_posts]
         st.posts_onchain = len(rnd.chain_posts)
-        self.proof_counts[AUTH_QUAL_ID] += st.posts_onchain
         # a correct answer's post carries a value proof, unless it was withheld
         st.value_proofs = sum(1 for ref in outcome.correct_refs if ref != victim_ref)
-        self.proof_counts[AUTH_VALUE_ID] += st.value_proofs
 
     def _adopt_and_arbitrate(self, rnd: _Round) -> None:
         final_cts, status, st = rnd.outcome.final_cts, self.status, rnd.stats
@@ -391,6 +385,13 @@ class _Run:
         """Writes the signed log and the report."""
         config, ctx, ledger, stats = self.config, self.ctx, self.ledger, self.stats
         g = ctx.group
+        # every submitted response carries a proof, late ones too
+        proof_counts = {
+            PROVE_QUAL_ID: sum(s.submitted for s in stats),
+            AUTH_CALC_ID: sum(not s.void for s in stats),
+            AUTH_QUAL_ID: sum(s.posts_onchain for s in stats),
+            AUTH_VALUE_ID: sum(s.value_proofs for s in stats),
+        }
         header = {
             "type": "header",
             "version": LOG_VERSION,
@@ -447,17 +448,17 @@ class _Run:
             attack=self.attack,
             rounds=stats,
             worker_rows=worker_rows,
-            proof_counts=self.proof_counts,
+            proof_counts=proof_counts,
             failures=self.failures,
             simulated_blocks=simulated_blocks,
-            report=_render_report(self, worker_rows, simulated_blocks),
+            report=_render_report(self, worker_rows, proof_counts, simulated_blocks),
             log_lines=log_lines,
         )
 
 
-def _render_report(run: _Run, worker_rows: list[WorkerRow], simulated_blocks: int) -> str:
+def _render_report(run: _Run, worker_rows: list[WorkerRow], proof_counts: dict, simulated_blocks: int) -> str:
     config, seed, attack, stats, ledger = run.config, run.seed, run.attack, run.stats, run.ledger
-    proof_counts, failures, fee = run.proof_counts, run.failures, run.fee
+    failures, fee = run.failures, run.fee
     eth = lambda wei: f"{wei / 10**18:.6f}"
     lines = []
     lines.append(f"== scenario {config.name} (seed {seed}) ==")

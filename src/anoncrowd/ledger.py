@@ -197,12 +197,9 @@ class ChainTaskParams:
 
     response_deadline: int  # block height, inclusive
     processing_deadline: int  # block height, inclusive
-    min_workers: int
     escrow_wei: int
 
     def __post_init__(self):
-        if self.min_workers < 1:
-            raise ValueError("a task needs at least one worker")
         if self.escrow_wei < 0:
             raise ValueError("escrow cannot be negative")
         if self.processing_deadline <= self.response_deadline:
@@ -218,7 +215,6 @@ class TaskState:
     responses: list[LedgerRecord] = field(default_factory=list)  # all submitted, log order
     auth_calc: LedgerRecord | None = None
     quality_posts: list[LedgerRecord] = field(default_factory=list)
-    payments: list[LedgerRecord] = field(default_factory=list)
     paid_out_wei: int = 0
     refunded_wei: int = 0
     confiscated_wei: int = 0
@@ -292,10 +288,9 @@ class Ledger:
         payload: bytes = b"",
         value_wei: int = 0,
         beneficiary: str = "",
-        charge_fee: bool = True,
     ) -> LedgerRecord:
         gas = self.gas.for_method(method)
-        fee_wei = self.fee.fee_wei(gas) if charge_fee else 0
+        fee_wei = self.fee.fee_wei(gas)
         self._charge(sender, fee_wei + max(value_wei, 0))
         rec = LedgerRecord(
             index=len(self.records),
@@ -400,7 +395,6 @@ class Ledger:
         )
         task.escrow_wei -= amount_wei
         task.paid_out_wei += amount_wei
-        task.payments.append(rec)
         self.fund(payout_account, amount_wei)
         return rec
 
@@ -432,10 +426,8 @@ class Ledger:
             raise DeadlineError("cannot void before the response window closes")
         rec = self._append(VOID_TASK, sender, task_seq=task.seq)
         included = included_responses(task.responses, task.params.response_deadline)
-        for response in sorted(included, key=lambda r: r.index):  # refunds go out in log order
-            self._refund(contract, task, response.sender, response.fee_wei)
-        if task.escrow_wei:
-            self._refund(contract, task, contract.requester, task.escrow_wei)
+        for beneficiary, amount in void_refunds(included, task.escrow_wei, contract.requester):
+            self._refund(contract, task, beneficiary, amount)
         task.phase = VOID
         return rec
 
@@ -457,7 +449,6 @@ class Ledger:
             task_seq=task.seq,
             value_wei=-amount,
             beneficiary=arbiter_beneficiary,
-            charge_fee=False,
         )
         task.escrow_wei = 0
         task.confiscated_wei += amount
@@ -477,7 +468,6 @@ class Ledger:
             task_seq=task.seq,
             value_wei=-amount,
             beneficiary=beneficiary,
-            charge_fee=False,
         )
 
     # ── reporting helpers ──
@@ -496,6 +486,16 @@ def included_responses(records: Iterable[LedgerRecord], response_deadline: int) 
     later is ignored, its fee already spent."""
     landed = (r for r in records if r.method == SUBMIT_RESPONSE and r.inclusion_block <= response_deadline)
     return sorted(landed, key=lambda r: (r.inclusion_block, r.index))
+
+
+def void_refunds(included: Iterable[LedgerRecord], escrow_wei: int, requester: str) -> list[tuple[str, int]]:
+    """The (beneficiary, wei) refunds that void a task, in order: each included
+    responder's fee in log order, then any escrow left to the requester."""
+    refunds = [(r.sender, r.fee_wei) for r in sorted(included, key=lambda r: r.index)]
+    remainder = escrow_wei - sum(fee for _, fee in refunds)
+    if remainder > 0:
+        refunds.append((requester, remainder))
+    return refunds
 
 
 def gas_by_sender(records: Iterable[LedgerRecord]) -> dict[str, int]:

@@ -109,6 +109,11 @@ def pair_add(group: Group, a: CommitmentPair, b: CommitmentPair) -> CommitmentPa
     )
 
 
+def pair_step(group: Group, pair: CommitmentPair, increment: tuple, blind: BlindingPair) -> CommitmentPair:
+    """The one quality update step: pair plus a commitment to increment under blind."""
+    return pair_add(group, pair, commit_pair(group, *increment, blind))
+
+
 def pair_rerandomize(group: Group, pair: CommitmentPair, extra: BlindingPair) -> CommitmentPair:
     return CommitmentPair(
         rerandomize(group, pair.alpha_com, extra.alpha),

@@ -24,11 +24,12 @@ well-formed but unsatisfied relation (a False result).
 
 The proof backend is an attestation oracle standing in for a succinct
 proving system: prove() runs the relation checker and, only on success,
-emits a keyed digest of the statement. Attestations depend on the
-statement alone, never on the witness, which is the unlinkability property
-the protocol leans on. Soundness holds within one simulation run (the
-setup secret could mint attestations), matching the trust model of a
-simulated prover rather than re-implementing one.
+emits the proof: the digest and the keyed attestation of one statement
+record, encoded once; verify() rebuilds that proof and compares. Proofs
+depend on the statement alone, never on the witness, which is the
+unlinkability property the protocol leans on. Soundness holds within one
+simulation run (the setup secret could mint attestations), matching the
+trust model of a simulated prover rather than re-implementing one.
 """
 
 from __future__ import annotations
@@ -62,14 +63,13 @@ from .primitives import (
     Ciphertext,
     CommitmentPair,
     Signature,
-    commit_pair,
     decrypt_message,
     encode_ciphertexts,
     encrypt,
     hash_bytes,
     open_pair_check,
-    pair_add,
     pair_rerandomize,
+    pair_step,
     quality_tag,
     record_fields,
     verify_sig,
@@ -202,10 +202,6 @@ class AuthQualStatement(Statement):
     old_pair: CommitmentPair  # the pair the worker submitted (re-randomized)
     new_pair: CommitmentPair  # the posted updated pair, dummy term excluded
 
-    @property
-    def void(self) -> bool:
-        return len(self.final_cts) == 0
-
 
 # ── witnesses ────────────────────────────────────────────────────────────────
 
@@ -216,10 +212,9 @@ class ProveQualWitness:
     cert: Signature
     alpha: int
     beta: int
-    base_blind: BlindingPair  # opens the bare pair posted last epoch
+    leaf_blind: BlindingPair  # opens stored_pair to (alpha, beta), cover term included
     stored_pair: CommitmentPair  # the accumulated registry leaf
     rerand: BlindingPair  # freshly drawn re-randomization
-    dummy_blind: BlindingPair  # the accumulator's cover term; base + dummy opens the leaf
     answer: int
     answer_rand: Scalar
     address: int
@@ -254,13 +249,13 @@ def check_prove_qual(ctx: CryptoContext, stmt: ProveQualStatement, wit: ProveQua
     if not verify_sig(g, stmt.ra_pk, ident_message(ctx, wit.ident), wit.cert):
         return False
 
-    # hidden quality state is consistent and clears the admission threshold;
-    # the leaf opens under the posted-pair randomness plus the cover term
+    # hidden quality state is consistent, clears the admission threshold
+    # and is what the leaf opens to
     if wit.alpha < 1 or wit.beta < 1:
         return False
     if not clears_threshold(QualityState(wit.alpha, wit.beta), stmt.policy):
         return False
-    if not open_pair_check(g, wit.stored_pair, wit.alpha, wit.beta, wit.base_blind + wit.dummy_blind):
+    if not open_pair_check(g, wit.stored_pair, wit.alpha, wit.beta, wit.leaf_blind):
         return False
 
     # tag binds the stored pair to the identifier
@@ -324,41 +319,33 @@ def check_auth_calc(ctx: CryptoContext, stmt: AuthCalcStatement, wit: AuthCalcWi
     return posted is not None and posted == recounted
 
 
+def _verdict(ctx: CryptoContext, stmt, sk: Scalar) -> tuple[bool, bool | None]:
+    """The requester's (judged, correct) on stmt.worker_ct: not judged when
+    sk is not the requester key or a ciphertext does not decrypt to a domain
+    value; correct is None on a voided task (no final ciphertexts)."""
+    if ctx.group.mul_gen(sk) != stmt.requester_pk:
+        return False, None
+    if len(stmt.final_cts) == 0:
+        return True, None
+    final = _decrypt_final(ctx, sk, stmt)
+    answer = None if final is None else _decrypt_answers(ctx, sk, [stmt.worker_ct])
+    if answer is None or answer[0] >= stmt.policy.domain_size:
+        return False, None
+    return True, is_correct(answer[0], final, stmt.policy)
+
+
 def check_auth_value(ctx: CryptoContext, stmt: AuthValueStatement, wit: AuthValueWitness) -> bool:
     stmt.validate(ctx)
-    if ctx.group.mul_gen(wit.sk) != stmt.requester_pk:
-        return False
-    final = _decrypt_final(ctx, wit.sk, stmt)
-    if final is None:
-        return False
-    try:
-        answer = decrypt_message(ctx.group, wit.sk, ctx.answer_codec, stmt.worker_ct)
-    except DomainError:
-        return False
-    if answer >= stmt.policy.domain_size:
-        return False
-    return is_correct(answer, final, stmt.policy)
+    judged, correct = _verdict(ctx, stmt, wit.sk)
+    return judged and correct is True
 
 
 def check_auth_qual(ctx: CryptoContext, stmt: AuthQualStatement, wit: AuthQualWitness) -> bool:
     stmt.validate(ctx)
-    g = ctx.group
-    if g.mul_gen(wit.sk) != stmt.requester_pk:
-        return False
-    correct = None  # a voided task
-    if not stmt.void:
-        final = _decrypt_final(ctx, wit.sk, stmt)
-        if final is None:
-            return False
-        try:
-            answer = decrypt_message(g, wit.sk, ctx.answer_codec, stmt.worker_ct)
-        except DomainError:
-            return False
-        if answer >= stmt.policy.domain_size:
-            return False
-        correct = is_correct(answer, final, stmt.policy)
-    increment = commit_pair(g, *quality_increment(correct), wit.update_blind)
-    return pair_add(g, stmt.old_pair, increment) == stmt.new_pair
+    judged, correct = _verdict(ctx, stmt, wit.sk)
+    return judged and (
+        pair_step(ctx.group, stmt.old_pair, quality_increment(correct), wit.update_blind) == stmt.new_pair
+    )
 
 
 # ── proof backend ────────────────────────────────────────────────────────────
@@ -378,10 +365,6 @@ def relation_id_for(stmt) -> str:
         return _RELATIONS[type(stmt)][0]
     except KeyError:
         raise MalformedStatementError(f"unknown statement type {type(stmt).__name__}")
-
-
-def statement_digest(ctx: CryptoContext, stmt) -> bytes:
-    return hash_bytes(stmt.encode(ctx))
 
 
 @dataclass(frozen=True)
@@ -421,20 +404,18 @@ class ProofBackend:
             for rid, _ in _RELATIONS.values()
         }
 
-    def _attest(self, ctx: CryptoContext, rid: str, stmt) -> bytes:
-        return hash_bytes(_DST_ATTEST + self._secrets[rid] + stmt.encode(ctx))
+    def _proof(self, ctx: CryptoContext, stmt) -> Proof:
+        """The proof of stmt: its relation id, then the digest and the keyed attestation of its record."""
+        rid = relation_id_for(stmt)
+        encoded = stmt.encode(ctx)
+        return Proof(rid, hash_bytes(encoded), hash_bytes(_DST_ATTEST + self._secrets[rid] + encoded))
 
     def prove(self, ctx: CryptoContext, stmt, witness) -> Proof:
         rid = relation_id_for(stmt)
         _, checker = _RELATIONS[type(stmt)]
         if not checker(ctx, stmt, witness):
             raise RelationUnsatisfiedError(f"witness does not satisfy {rid}")
-        return Proof(rid, statement_digest(ctx, stmt), self._attest(ctx, rid, stmt))
+        return self._proof(ctx, stmt)
 
     def verify(self, ctx: CryptoContext, stmt, proof: Proof) -> bool:
-        rid = relation_id_for(stmt)
-        if proof.relation_id != rid:
-            return False
-        if proof.statement_digest != statement_digest(ctx, stmt):
-            return False
-        return proof.attestation == self._attest(ctx, rid, stmt)
+        return proof == self._proof(ctx, stmt)

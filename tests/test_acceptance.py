@@ -257,10 +257,9 @@ def _response(ctx, rng, policy, ra, req, tree, w, answer, address):
         cert=w.cert,
         alpha=w.alpha,
         beta=w.beta,
-        base_blind=w.base,
+        leaf_blind=w.base + w.dummy,
         stored_pair=w.pair,
         rerand=rerand,
-        dummy_blind=w.dummy,
         answer=answer,
         answer_rand=a_rand,
         address=address,

@@ -26,18 +26,21 @@ from anoncrowd.actors import (
     TaskPublic,
     WorkerAgent,
     claim_index,
+    claim_pads,
+    covered_leaf,
     decode_final_bundle,
     decode_response_bundle,
     derive_ident,
     encode_response_bundle,
     payout_account,
+    quality_statement,
     response_statement,
     screen_responses,
 )
 from anoncrowd.context import tiny_context
 from anoncrowd.errors import DuplicateIdentifierError, ProtocolError, ThresholdError
 from anoncrowd.policy import MAJORITY, TaskPolicy
-from anoncrowd.primitives import encrypt, open_pair_check
+from anoncrowd.primitives import encrypt, open_pair_check, pair_step
 from anoncrowd.relations import AuthCalcStatement, ProofBackend
 
 
@@ -92,9 +95,7 @@ class TestEnrollment:
         world = World(n_workers=2)
         for w in world.workers:
             cred = w.cred
-            assert open_pair_check(
-                world.ctx.group, cred.pair, cred.alpha, cred.beta, cred.blind + cred.dummy
-            )
+            assert open_pair_check(world.ctx.group, cred.pair, cred.alpha, cred.beta, cred.opening)
             assert world.ra.find_position(cred.pair.encode(world.ctx.group)) == cred.position
 
     def test_double_enrollment_rejected(self):
@@ -198,10 +199,9 @@ class TestResponses:
             cert=w1.cred.cert,
             alpha=w1.cred.alpha,
             beta=w1.cred.beta,
-            base_blind=w1.cred.blind,
+            leaf_blind=w1.cred.opening,
             stored_pair=w1.cred.pair,
             rerand=w1._pending.rerand,
-            dummy_blind=w1.cred.dummy,
             answer=w0._pending.answer,
             answer_rand=w0._pending.answer_rand,
             address=w1._pending.address,
@@ -282,9 +282,7 @@ class TestSettlement:
         assert (world.workers[1].cred.alpha, world.workers[1].cred.beta) == (5, 1)
         assert (world.workers[2].cred.alpha, world.workers[2].cred.beta) == (4, 2)
         for w in world.workers:
-            assert open_pair_check(
-                world.ctx.group, w.cred.pair, w.cred.alpha, w.cred.beta, w.cred.blind + w.cred.dummy
-            )
+            assert open_pair_check(world.ctx.group, w.cred.pair, w.cred.alpha, w.cred.beta, w.cred.opening)
             assert world.ra.find_position(w.cred.pair.encode(world.ctx.group)) == w.cred.position
 
     def test_second_round_runs_on_updated_credentials(self):
@@ -437,6 +435,53 @@ class TestProtests:
         assert world.ra.arbitrate(
             protest, task, included, doctored, outcome.final_cts, tags_before
         )
+
+    POST_CASES = (
+        "honest", "missing", "misaddressed", "garbled-blinding", "wrong-increment", "never-accumulated"
+    )
+
+    @pytest.mark.parametrize("victim", [1, 2])  # a correct answer, an incorrect one
+    @pytest.mark.parametrize("case", POST_CASES)
+    def test_worker_and_authority_agree_on_every_post(self, case, victim):
+        # whatever attested post the worker is shown, it walks away with a
+        # protest exactly when the authority upholds that protest
+        world = World()
+        ctx, g = world.ctx, world.ctx.group
+        task = world.announce()
+        included = world.respond(task, [1, 1, 0])
+        tags_before = set(world.requester.seen_tags)
+        outcome = world.requester.evaluate(task, included, 1)
+        worker, target = world.workers[victim], outcome.accepted[victim]
+        own = QualityPost.decode(ctx, outcome.quality_posts[victim])
+        posts = [p for i, p in enumerate(outcome.quality_posts) if i != victim]
+        leaves = [leaf for i, leaf in enumerate(outcome.leaves) if i != victim]
+        p = worker._pending
+        update_pads, cover_pads = claim_pads(ctx, p.ref, p.claim_key)
+        if case in ("honest", "never-accumulated"):
+            posts.append(outcome.quality_posts[victim])
+        elif case == "misaddressed":
+            posts.append(replace(own, claim_index=bytes(32)).encode(ctx))
+        elif case == "garbled-blinding":
+            garbled = replace(own.blinded_update, alpha=own.blinded_update.alpha + 1)
+            posts.append(replace(own, blinded_update=garbled).encode(ctx))
+        elif case == "wrong-increment":
+            # (1, 1) is no admissible increment; its attestation is minted
+            # outside prove(), as a cheating prover would have to
+            new_pair = pair_step(g, target.fresh_pair, (1, 1), own.blinded_update - update_pads)
+            stmt = quality_statement(ctx, task, target, outcome.final_cts, new_pair)
+            minted = replace(own, new_pair=new_pair, qual_proof=world.backend._proof(ctx, stmt))
+            posts.append(minted.encode(ctx))
+            leaves.append(covered_leaf(g, new_pair, own.blinded_dummy - cover_pads).encode(g))
+        if case == "honest":
+            leaves.append(outcome.leaves[victim])
+        for leaf in leaves:
+            world.ra.accumulate(leaf)
+
+        protest = Protest(p.ref, p.claim_key, p.claim_rand, payout_account(p.address))
+        adopted = worker.adopt_update(world.ra, task, posts, outcome.final_cts) is None
+        upheld = world.ra.arbitrate(protest, task, included, posts, outcome.final_cts, tags_before)
+        assert adopted != upheld
+        assert adopted == (case == "honest")
 
     def test_garbled_claim_ciphertext_is_workers_own_loss(self):
         world = World(n_workers=2)

@@ -490,6 +490,18 @@ class TestAudit:
         assert "round 0: void flag does not match the quorum rule" in problems
         assert "round 0: quorate round carries a void transaction" in problems
 
+    def test_void_refunds_out_of_order_fail(self, attack_runs):
+        # the same refunds, with the first responder's and the requester's
+        # remainder swapped: the amounts still add up, the order does not
+        bodies, signoff = split_log(attack_runs["void-task"].log_lines)
+        refunds = [b for b in bodies if b["type"] == "tx" and b["method"] == "Refund"]
+        first, last = refunds[0], refunds[-1]
+        assert first["beneficiary"].startswith("worker-") and last["beneficiary"] == "requester"
+        for key in ("beneficiary", "value_wei"):
+            first[key], last[key] = last[key], first[key]
+        problems = verify_log(chained(bodies, signoff)).problems
+        assert "round 0: void refunds do not reimburse the responders" in problems
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_mutated_logs_give_a_report_not_an_exception(self, honest_run, attack_runs, data):

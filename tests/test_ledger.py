@@ -43,11 +43,10 @@ def funded_ledger(accounts, wei=100 * ETH, **kw):
     return led
 
 
-def task_params(led, response_window=50, processing_window=200, min_workers=1, escrow=ETH):
+def task_params(led, response_window=50, processing_window=200, escrow=ETH):
     return ChainTaskParams(
         response_deadline=led.block + response_window,
         processing_deadline=led.block + response_window + processing_window,
-        min_workers=min_workers,
         escrow_wei=escrow,
     )
 
@@ -134,7 +133,7 @@ class TestTaskLifecycle:
         return led, contract, task, params
 
     def test_happy_path_conserves_escrow_and_wei(self):
-        led, contract, task, params = self.setup_task(min_workers=2)
+        led, contract, task, params = self.setup_task()
         for w in ("w1", "w2", "w3"):
             led.submit_response(contract, w, payload=b"resp-" + w.encode())
             led.tick(3)
@@ -217,7 +216,6 @@ class TestGating:
                 ChainTaskParams(
                     response_deadline=led.block,
                     processing_deadline=led.block + 10,
-                    min_workers=1,
                     escrow_wei=0,
                 ),
             )
@@ -317,15 +315,15 @@ class TestGating:
 
 
 class TestVoidAndArbitration:
-    def setup_short_task(self, min_workers=3):
+    def setup_short_task(self):
         led = funded_ledger(("req", "w1", "w2", "w3"))
         contract = led.deploy("req")
-        params = task_params(led, min_workers=min_workers)
+        params = task_params(led)
         task = led.create_task(contract, "req", params)
         return led, contract, task, params
 
     def test_void_reimburses_responder_fees(self):
-        led, contract, task, params = self.setup_short_task(min_workers=3)
+        led, contract, task, params = self.setup_short_task()
         r1 = led.submit_response(contract, "w1", payload=b"a")
         r2 = led.submit_response(contract, "w2", payload=b"b")
         led.tick_to(params.response_deadline + 1)
@@ -341,7 +339,7 @@ class TestVoidAndArbitration:
         assert total_wei(led, 4 * 100 * ETH)
 
     def test_void_needs_closed_window_and_shortfall(self):
-        led, contract, task, params = self.setup_short_task(min_workers=1)
+        led, contract, task, params = self.setup_short_task()
         r1 = led.submit_response(contract, "w1", payload=b"a")
         with pytest.raises(DeadlineError):
             led.void_task(contract, "req")
@@ -361,7 +359,7 @@ class TestVoidAndArbitration:
             led.void_task(contract, "w1")
 
     def test_confiscation_during_processing(self):
-        led, contract, task, params = self.setup_short_task(min_workers=1)
+        led, contract, task, params = self.setup_short_task()
         led.submit_response(contract, "w1", payload=b"a")
         led.tick_to(params.response_deadline + 1)
         led.submit_auth_calc(contract, "req", payload=b"f")
@@ -379,7 +377,7 @@ class TestVoidAndArbitration:
             led.finalize(contract, "req")
 
     def test_voided_task_still_accepts_quality_posts(self):
-        led, contract, task, params = self.setup_short_task(min_workers=3)
+        led, contract, task, params = self.setup_short_task()
         led.submit_response(contract, "w1", payload=b"a")
         led.tick_to(params.response_deadline + 1)
         led.void_task(contract, "req")
@@ -392,7 +390,7 @@ class TestVoidAndArbitration:
             led.submit_quality(contract, "req", payload=b"too-late")
 
     def test_confiscation_when_requester_ghosts(self):
-        led, contract, task, params = self.setup_short_task(min_workers=1)
+        led, contract, task, params = self.setup_short_task()
         led.submit_response(contract, "w1", payload=b"a")
         with pytest.raises(PhaseError):
             led.confiscate(contract, "w1")  # window still open
@@ -457,11 +455,9 @@ class TestLogAndViews:
 class TestParamsValidation:
     def test_chain_task_params(self):
         with pytest.raises(ValueError):
-            ChainTaskParams(10, 5, 1, 0)
+            ChainTaskParams(10, 5, 0)
         with pytest.raises(ValueError):
-            ChainTaskParams(10, 20, 0, 0)
-        with pytest.raises(ValueError):
-            ChainTaskParams(10, 20, 1, -1)
+            ChainTaskParams(10, 20, -1)
 
 
 # ── property sweeps ──────────────────────────────────────────────────────────

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anoncrowd.context import CLAIM_DOMAIN, production_context, tiny_context
 from anoncrowd.errors import DomainError, EncodingError
 from anoncrowd.group import production_group, tiny_group
 from anoncrowd.primitives import (
@@ -35,6 +36,7 @@ from anoncrowd.primitives import (
     open_pair_check,
     pair_add,
     pair_rerandomize,
+    pair_step,
     quality_tag,
     random_blinding_pair,
     rerandomize,
@@ -125,6 +127,12 @@ class TestCommitmentPairs:
         p2 = commit_pair(tiny, 1, 0, b2)
         assert pair_add(tiny, p1, p2) == commit_pair(tiny, 4, 1, b1 + b2)
 
+    def test_pair_step_adds_a_committed_increment(self, tiny, rng):
+        blind = random_blinding_pair(tiny, rng)
+        step = random_blinding_pair(tiny, rng)
+        pair = commit_pair(tiny, 3, 1, blind)
+        assert pair_step(tiny, pair, (0, 1), step) == commit_pair(tiny, 3, 2, blind + step)
+
     def test_pair_rerandomize_round_trip(self, tiny, rng):
         blind = random_blinding_pair(tiny, rng)
         extra = random_blinding_pair(tiny, rng)
@@ -187,6 +195,12 @@ class TestMessageCodec:
             codec.inverse(tiny.mul_gen(64))
         with pytest.raises(DomainError):
             codec.inverse(tiny.blind_generator)
+
+    def test_claim_codec_is_the_answer_codec(self):
+        # one 2^16 domain, so one baby table per context, not two
+        for ctx in (tiny_context(), production_context()):
+            assert ctx.claim_codec.domain_size == CLAIM_DOMAIN
+            assert ctx.claim_codec is ctx.answer_codec
 
     def test_table_bound_enforced(self, tiny):
         with pytest.raises(ValueError):

@@ -37,6 +37,7 @@ from anoncrowd.relations import (
     Proof,
     ProofBackend,
     ProveQualStatement,
+    Statement,
     ProveQualWitness,
     check_auth_calc,
     check_auth_qual,
@@ -121,10 +122,9 @@ def build_response(world, worker, answer, address):
         cert=worker.cert,
         alpha=worker.alpha,
         beta=worker.beta,
-        base_blind=worker.base_blind,
+        leaf_blind=worker.base_blind + worker.dummy_blind,
         stored_pair=worker.stored_pair,
         rerand=rerand,
-        dummy_blind=worker.dummy_blind,
         answer=answer,
         answer_rand=answer_rand,
         address=address,
@@ -156,8 +156,8 @@ class TestProveQual:
 
     def test_exhaustive_witness_field_swaps(self, tctx):
         # For every ordered pair of distinct enrolled workers, transplant
-        # each witness field in isolation. No field is slack: the split
-        # leaf opening pins even the cover term.
+        # each witness field in isolation. No field is slack: the leaf
+        # opening covers the cover term too, so another worker's fails.
         world = build_world(tctx)
         responses = [
             build_response(world, w, answer=i, address=100 * (i + 1))
@@ -448,6 +448,26 @@ class TestProofBackend:
             if forged.attestation == real.attestation:
                 continue
             assert not backend.verify(tctx, stmt, forged)
+
+    def test_prove_and_verify_encode_the_statement_once(self, tctx, monkeypatch):
+        # one record gives a proof its digest and its attestation; the
+        # checker validates but does not encode
+        world = build_world(tctx)
+        backend = ProofBackend(b"seed-A")
+        stmt, wit = build_response(world, world.workers[0], answer=1, address=10)
+        encodes = []
+        real_encode = Statement.encode
+
+        def counting_encode(self, ctx):
+            encodes.append(type(self).__name__)
+            return real_encode(self, ctx)
+
+        monkeypatch.setattr(Statement, "encode", counting_encode)
+        proof = backend.prove(tctx, stmt, wit)
+        assert encodes == ["ProveQualStatement"]
+        encodes.clear()
+        assert backend.verify(tctx, stmt, proof)
+        assert encodes == ["ProveQualStatement"]
 
     def test_distinct_setups_do_not_cross_verify(self, tctx):
         world = build_world(tctx)
