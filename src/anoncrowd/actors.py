@@ -14,11 +14,12 @@ the pads. The claim ciphertext is the one response field outside the
 proven relation; a worker who garbles it forfeits the claim (the update is
 posted but unclaimable) and nothing else.
 
-Workers never learn their correctness verdict directly. A worker and the
-authority judge a post by one serving check, RegistrationAuthority.serves,
-which doubles as a check that the requester blinded honestly. A worker whose
-post is missing, misaddressed or unserving files a protest; the authority
-re-derives the screening verdicts from the log and upholds or rejects it.
+Workers never learn their correctness verdict directly. The worker and the
+authority find a response's post by one search, serving_post: the first
+addressed post whose attestation verifies and which serves, which also checks
+that the requester blinded honestly. A worker adopts from that post or files a
+protest; the authority re-derives the screening verdicts and the claim binding
+and upholds the protest exactly when the same search finds nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     ProtocolError,
     ThresholdError,
 )
-from .group import Group, GroupElement, Scalar
+from .group import GroupElement, Scalar
 from .merkle import DEFAULT_DEPTH, MerkleTree
 from .policy import (
     FinalAnswer,
@@ -109,12 +110,6 @@ def claim_pads(ctx: CryptoContext, ref: int, claim_key: int) -> tuple[BlindingPa
     base = _DST_CLAIM_PAD + enc_u32(ref) + enc_u64(claim_key)
     s = [hash_to_scalar(ctx.group, base + bytes([i])) for i in range(4)]
     return BlindingPair(s[0], s[1]), BlindingPair(s[2], s[3])
-
-
-def covered_leaf(g: Group, pair: CommitmentPair, dummy: BlindingPair) -> CommitmentPair:
-    """The registry leaf a posted pair is accumulated as: the pair with its
-    cover term folded in, a step by the zero increment."""
-    return pair_step(g, pair, (0, 0), dummy)
 
 
 def quorate(accepted: list, min_workers: int) -> bool:
@@ -245,21 +240,6 @@ class QualityPost:
         )
 
 
-def _addressed_posts(ctx: CryptoContext, posts: list[bytes], ref: int, claim_key: int):
-    """Decodable posts addressed to (ref, claim_key), in posting order, each
-    with its update and cover-term blindings unpadded. Lazy: a caller that
-    stops at the first match decodes no further post."""
-    expected_idx = claim_index(ref, claim_key)
-    update_pads, cover_pads = claim_pads(ctx, ref, claim_key)
-    for payload in posts:
-        try:
-            post = QualityPost.decode(ctx, payload)
-        except (EncodingError, ValueError):
-            continue
-        if post.response_ref == ref and post.claim_index == expected_idx:
-            yield post, post.blinded_update - update_pads, post.blinded_dummy - cover_pads
-
-
 @dataclass(frozen=True)
 class Protest:
     """Evidence a worker hands the authority over an anonymous channel.
@@ -326,7 +306,7 @@ def calc_statement(
 def quality_statement(
     ctx: CryptoContext,
     task: TaskPublic,
-    target: ParsedResponse,
+    target: ParsedResponse | _PendingResponse,
     final_cts: tuple[Ciphertext, ...],
     new_pair: CommitmentPair,
 ) -> AuthQualStatement:
@@ -431,7 +411,9 @@ class RegistrationAuthority:
     lands in it as an opaque commitment-pair payload (the posted pair with
     a cover term folded in, so leaves never repeat on-chain bytes), and
     workers locate their own leaf by recomputing it. The authority cannot
-    tell whose any accumulated pair is after the enrollment handshake."""
+    tell whose any accumulated pair is after the enrollment handshake.
+    serving_post is the one search for a response's quality post: workers
+    adopt from it, and arbitrate upholds a bound protest when it finds none."""
 
     def __init__(
         self,
@@ -484,26 +466,42 @@ class RegistrationAuthority:
     def prove_membership(self, position: int):
         return self.tree.prove_membership(position)
 
-    def serves(
+    def serving_post(
         self,
-        fresh_pair: CommitmentPair,
-        new_pair: CommitmentPair,
-        update: BlindingPair,
-        dummy: BlindingPair,
+        task: TaskPublic,
+        target: ParsedResponse | _PendingResponse,
+        claim_key: int,
+        posts: list[bytes],
         final_cts: tuple[Ciphertext, ...],
-    ) -> tuple[tuple[int, int], CommitmentPair, int] | None:
-        """The serving check: an admissible increment steps fresh_pair to new_pair
-        under the unpadded update blinding, and the leaf covered by dummy is in
-        the registry. Returns (increment, covered leaf, position), or None."""
-        g = self.ctx.group
+    ) -> tuple[tuple[int, int], BlindingPair, CommitmentPair, int] | None:
+        """The first post addressed to (target.ref, claim_key), in posting order, whose
+        quality attestation verifies and which serves: an admissible increment steps
+        target.fresh_pair to the posted pair under the unpadded update blinding, and the
+        pair rerandomized by the unpadded cover term is a registry leaf. Returns
+        (increment, blinding the leaf adds to target.fresh_pair, leaf, position) or None."""
+        ctx, g = self.ctx, self.ctx.group
+        expected_idx = claim_index(target.ref, claim_key)
+        update_pads, cover_pads = claim_pads(ctx, target.ref, claim_key)
         # a voided task (no final ciphertexts) admits only the void increment;
         # binding commitments let at most one increment close the equation
-        verdicts = (None,) if len(final_cts) == 0 else (True, False)
-        for increment in map(quality_increment, verdicts):
-            if pair_step(g, fresh_pair, increment, update) == new_pair:
-                leaf = covered_leaf(g, new_pair, dummy)
-                position = self.find_position(leaf.encode(g))
-                return None if position is None else (increment, leaf, position)
+        increments = [quality_increment(v) for v in ((None,) if len(final_cts) == 0 else (True, False))]
+        for payload in posts:
+            try:
+                post = QualityPost.decode(ctx, payload)
+            except (EncodingError, ValueError):
+                continue
+            if post.response_ref != target.ref or post.claim_index != expected_idx:
+                continue
+            stmt = quality_statement(ctx, task, target, final_cts, post.new_pair)
+            if not self.backend.verify(ctx, stmt, post.qual_proof):
+                continue
+            update, dummy = post.blinded_update - update_pads, post.blinded_dummy - cover_pads
+            for increment in increments:
+                if pair_step(g, target.fresh_pair, increment, update) == post.new_pair:
+                    leaf = pair_rerandomize(g, post.new_pair, dummy)
+                    position = self.find_position(leaf.encode(g))
+                    if position is not None:
+                        return increment, update + dummy, leaf, position
         return None
 
     def arbitrate(
@@ -516,8 +514,8 @@ class RegistrationAuthority:
         known_tags: frozenset[bytes] | set[bytes],
     ) -> bool:
         """True when the protest is upheld: the response was accepted by
-        the screening rules, the claim key is bound to it, and no honest
-        quality post serves it."""
+        the screening rules, the claim key is bound to it, and serving_post
+        finds no post for it."""
         ctx, g = self.ctx, self.ctx.group
         accepted, _ = screen_responses(ctx, self.backend, task, included, known_tags)
         target = next((p for p in accepted if p.ref == protest.response_ref), None)
@@ -532,14 +530,7 @@ class RegistrationAuthority:
             return False
         if bound_ct != target.claim_ct:
             return False  # claim key does not match the on-chain response
-
-        for post, update, dummy in _addressed_posts(ctx, posts, target.ref, protest.claim_key):
-            stmt = quality_statement(ctx, task, target, final_cts, post.new_pair)
-            if not self.backend.verify(ctx, stmt, post.qual_proof):
-                continue
-            if self.serves(target.fresh_pair, post.new_pair, update, dummy, final_cts) is not None:
-                return False
-        return True
+        return self.serving_post(task, target, protest.claim_key, posts, final_cts) is None
 
 
 # ── worker ───────────────────────────────────────────────────────────────────
@@ -550,6 +541,7 @@ class _PendingResponse:
     ref: int | None
     rerand: BlindingPair
     fresh_pair: CommitmentPair  # the re-randomized pair the response proves over
+    answer_ct: Ciphertext  # with fresh_pair, what the quality statement covers
     answer: int
     answer_rand: Scalar
     address: int
@@ -610,12 +602,14 @@ class WorkerAgent:
             address = rng.randrange(ctx.address_codec.domain_size)
 
         rerand = random_blinding_pair(g, rng)
+        answer_rand = g.random_scalar(rng)
         pending = _PendingResponse(
             ref=None,
             rerand=rerand,
             fresh_pair=pair_rerandomize(g, self.cred.pair, rerand),
+            answer_ct=encrypt_message(g, task.requester_pk, ctx.answer_codec, answer, answer_rand),
             answer=answer,
-            answer_rand=g.random_scalar(rng),
+            answer_rand=answer_rand,
             address=address,
             address_rand=g.random_scalar(rng),
             claim_key=rng.randrange(ctx.claim_codec.domain_size),
@@ -626,7 +620,7 @@ class WorkerAgent:
             task,
             pending.fresh_pair,
             self.current_tag(),
-            encrypt_message(g, task.requester_pk, ctx.answer_codec, answer, pending.answer_rand),
+            pending.answer_ct,
             encrypt_message(g, task.requester_pk, ctx.address_codec, address, pending.address_rand),
         )
         witness = ProveQualWitness(
@@ -664,28 +658,22 @@ class WorkerAgent:
         posts: list[bytes],
         final_cts: tuple[Ciphertext, ...],
     ) -> Protest | None:
-        """Finds and verifies this worker's quality post. On success the
-        local opening advances and None returns; otherwise the worker walks
-        away with a ready-to-file protest."""
+        """Adopts the update from the post RegistrationAuthority.serving_post finds.
+        On success the local opening advances and None returns; otherwise the
+        worker walks away with a ready-to-file protest."""
         self._require_enrolled()
         p = self._pending
         if p is None or p.ref is None:
             raise ProtocolError("no submitted response on record")
-        grievance = Protest(p.ref, p.claim_key, p.claim_rand, payout_account(p.address))
-
-        found = next(_addressed_posts(self.ctx, posts, p.ref, p.claim_key), None)
-        if found is None:
-            return grievance
-        post, update, dummy = found
-        served = ra.serves(p.fresh_pair, post.new_pair, update, dummy, final_cts)
+        served = ra.serving_post(task, p, p.claim_key, posts, final_cts)
         if served is None:
-            return grievance  # addressed to us but unserving or never accumulated
-        (da, db), leaf, position = served
+            return Protest(p.ref, p.claim_key, p.claim_rand, payout_account(p.address))
+        (da, db), blinding, leaf, position = served
         self.cred = replace(
             self.cred,
             alpha=self.cred.alpha + da,
             beta=self.cred.beta + db,
-            opening=self.cred.opening + p.rerand + update + dummy,
+            opening=self.cred.opening + p.rerand + blinding,
             pair=leaf,
             position=position,
         )
@@ -817,4 +805,4 @@ class RequesterAgent:
             blinded = update
             covered = dummy
         post = QualityPost(parsed.ref, idx, blinded, covered, new_pair, qual_proof, value_proof)
-        return post.encode(ctx), covered_leaf(g, new_pair, dummy).encode(g)
+        return post.encode(ctx), pair_rerandomize(g, new_pair, dummy).encode(g)

@@ -32,7 +32,7 @@ from ..actors import (
     value_statement,
 )
 from ..context import context_for
-from ..errors import ConfigError, EncodingError
+from ..errors import ConfigError, EncodingError, MalformedStatementError
 from ..ledger import (
     CONFISCATE,
     CREATE_TASK,
@@ -129,6 +129,15 @@ def _policy_from_header(d: dict) -> TaskPolicy:
 def _mistyped(event: dict, fields: dict) -> str | None:
     """The first field the replay reads that is missing or of the wrong type."""
     return next((name for name, kind in fields.items() if not isinstance(event.get(name), kind)), None)
+
+
+def _attested(ctx, backend: ProofBackend, stmt, proof) -> bool:
+    """Whether proof attests stmt; a statement built from logged fields that
+    does not validate attests nothing."""
+    try:
+        return backend.verify(ctx, stmt, proof)
+    except MalformedStatementError:
+        return False
 
 
 def verify_log(lines: Iterable[str]) -> AuditReport:
@@ -308,7 +317,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             except (EncodingError, ValueError):
                 problems.append(prefix + "final answer bundle does not decode")
             else:
-                if backend.verify(ctx, calc_statement(ctx, task_pub, accepted, final_cts), calc_proof):
+                if _attested(ctx, backend, calc_statement(ctx, task_pub, accepted, final_cts), calc_proof):
                     stats["proofs_verified"] += 1
                 else:
                     problems.append(prefix + "final answer attestation fails")
@@ -329,7 +338,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
                 problems.append(prefix + f"response {post.response_ref} has two quality posts")
                 continue
             qual_stmt = quality_statement(ctx, task_pub, target, final_cts, post.new_pair)
-            if not backend.verify(ctx, qual_stmt, post.qual_proof):
+            if not _attested(ctx, backend, qual_stmt, post.qual_proof):
                 problems.append(prefix + f"quality attestation fails for response {post.response_ref}")
                 continue
             stats["proofs_verified"] += 1
@@ -339,7 +348,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             if void:
                 problems.append(prefix + "voided round carries a correctness attestation")
                 continue
-            if backend.verify(ctx, value_statement(ctx, task_pub, target, final_cts), post.value_proof):
+            if _attested(ctx, backend, value_statement(ctx, task_pub, target, final_cts), post.value_proof):
                 value_count += 1
                 stats["proofs_verified"] += 1
             else:

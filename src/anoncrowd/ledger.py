@@ -407,7 +407,7 @@ class Ledger:
             raise PhaseError("nothing to finalize")
         rec = self._append(FINALIZE, sender, task_seq=task.seq)
         if task.escrow_wei:
-            self._refund(contract, task, contract.requester, task.escrow_wei)
+            self._refund(task, contract.requester, task.escrow_wei)
         task.phase = FINALIZED
         return rec
 
@@ -427,7 +427,7 @@ class Ledger:
         rec = self._append(VOID_TASK, sender, task_seq=task.seq)
         included = included_responses(task.responses, task.params.response_deadline)
         for beneficiary, amount in void_refunds(included, task.escrow_wei, contract.requester):
-            self._refund(contract, task, beneficiary, amount)
+            self._refund(task, beneficiary, amount)
         task.phase = VOID
         return rec
 
@@ -456,7 +456,7 @@ class Ledger:
         self.fund(arbiter_beneficiary, amount)
         return rec
 
-    def _refund(self, contract: TaskContract, task: TaskState, beneficiary: str, amount: int) -> None:
+    def _refund(self, task: TaskState, beneficiary: str, amount: int) -> None:
         if amount > task.escrow_wei:
             raise FundsError("escrow cannot cover this refund")
         task.escrow_wei -= amount

@@ -27,7 +27,6 @@ from anoncrowd.actors import (
     WorkerAgent,
     claim_index,
     claim_pads,
-    covered_leaf,
     decode_final_bundle,
     decode_response_bundle,
     derive_ident,
@@ -40,7 +39,7 @@ from anoncrowd.actors import (
 from anoncrowd.context import tiny_context
 from anoncrowd.errors import DuplicateIdentifierError, ProtocolError, ThresholdError
 from anoncrowd.policy import MAJORITY, TaskPolicy
-from anoncrowd.primitives import encrypt, open_pair_check, pair_step
+from anoncrowd.primitives import encrypt, open_pair_check, pair_rerandomize, pair_step
 from anoncrowd.relations import AuthCalcStatement, ProofBackend
 
 
@@ -437,13 +436,14 @@ class TestProtests:
         )
 
     POST_CASES = (
-        "honest", "missing", "misaddressed", "garbled-blinding", "wrong-increment", "never-accumulated"
+        "honest", "missing", "misaddressed", "garbled-blinding", "wrong-increment", "never-accumulated",
+        "garbled-then-honest", "unattested",
     )
 
     @pytest.mark.parametrize("victim", [1, 2])  # a correct answer, an incorrect one
     @pytest.mark.parametrize("case", POST_CASES)
     def test_worker_and_authority_agree_on_every_post(self, case, victim):
-        # whatever attested post the worker is shown, it walks away with a
+        # whatever posts the worker is shown, it walks away with a
         # protest exactly when the authority upholds that protest
         world = World()
         ctx, g = world.ctx, world.ctx.group
@@ -461,9 +461,15 @@ class TestProtests:
             posts.append(outcome.quality_posts[victim])
         elif case == "misaddressed":
             posts.append(replace(own, claim_index=bytes(32)).encode(ctx))
-        elif case == "garbled-blinding":
+        elif case in ("garbled-blinding", "garbled-then-honest"):
             garbled = replace(own.blinded_update, alpha=own.blinded_update.alpha + 1)
             posts.append(replace(own, blinded_update=garbled).encode(ctx))
+            if case == "garbled-then-honest":
+                posts.append(outcome.quality_posts[victim])
+        elif case == "unattested":
+            # a serving post carrying the attestation of worker 0's post
+            other = QualityPost.decode(ctx, outcome.quality_posts[0])
+            posts.append(replace(own, qual_proof=other.qual_proof).encode(ctx))
         elif case == "wrong-increment":
             # (1, 1) is no admissible increment; its attestation is minted
             # outside prove(), as a cheating prover would have to
@@ -471,8 +477,8 @@ class TestProtests:
             stmt = quality_statement(ctx, task, target, outcome.final_cts, new_pair)
             minted = replace(own, new_pair=new_pair, qual_proof=world.backend._proof(ctx, stmt))
             posts.append(minted.encode(ctx))
-            leaves.append(covered_leaf(g, new_pair, own.blinded_dummy - cover_pads).encode(g))
-        if case == "honest":
+            leaves.append(pair_rerandomize(g, new_pair, own.blinded_dummy - cover_pads).encode(g))
+        if case in ("honest", "garbled-then-honest", "unattested"):
             leaves.append(outcome.leaves[victim])
         for leaf in leaves:
             world.ra.accumulate(leaf)
@@ -481,7 +487,7 @@ class TestProtests:
         adopted = worker.adopt_update(world.ra, task, posts, outcome.final_cts) is None
         upheld = world.ra.arbitrate(protest, task, included, posts, outcome.final_cts, tags_before)
         assert adopted != upheld
-        assert adopted == (case == "honest")
+        assert adopted == (case in ("honest", "garbled-then-honest"))
 
     def test_garbled_claim_ciphertext_is_workers_own_loss(self):
         world = World(n_workers=2)

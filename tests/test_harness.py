@@ -99,17 +99,24 @@ def rechain(lines, kind, mutate):
     return chained(bodies, signoff)
 
 
-# re-chained logs the audit must fail rather than raise on
+# re-chained logs the audit must fail rather than raise on, each made by a
+# list of (event type, mutation) edits
 REPLAY_BREAKERS = {
-    "header without rounds": ("header", lambda ev: ev.pop("rounds")),
-    "round without task_seq": ("round", lambda ev: ev.pop("task_seq")),
-    "null acceptances": ("screening", lambda ev: ev.update(accepted=None)),
-    "string domain size": ("header", lambda ev: ev["policy"].update(domain_size="2")),
-    "unknown backend": ("header", lambda ev: ev.update(backend="nope")),
-    "infinite tip": ("header", lambda ev: ev.update(tip_gwei=float("inf"))),
-    "NaN base fee": ("header", lambda ev: ev.update(base_fee_gwei=float("nan"))),
-    "oversized domain": ("header", lambda ev: ev["policy"].update(domain_size=2**70)),
-    "short tree root": ("round", lambda ev: ev.update(tree_root="00")),
+    "header without rounds": [("header", lambda ev: ev.pop("rounds"))],
+    "round without task_seq": [("round", lambda ev: ev.pop("task_seq"))],
+    "null acceptances": [("screening", lambda ev: ev.update(accepted=None))],
+    "string domain size": [("header", lambda ev: ev["policy"].update(domain_size="2"))],
+    "unknown backend": [("header", lambda ev: ev.update(backend="nope"))],
+    "infinite tip": [("header", lambda ev: ev.update(tip_gwei=float("inf")))],
+    "NaN base fee": [("header", lambda ev: ev.update(base_fee_gwei=float("nan")))],
+    "oversized domain": [("header", lambda ev: ev["policy"].update(domain_size=2**70))],
+    "short tree root": [("round", lambda ev: ev.update(tree_root="00"))],
+    # nothing is included, yet the round counts as quorate: the final-answer
+    # statement covers no answer ciphertext and does not validate
+    "quorate round with no answers": [
+        ("header", lambda ev: ev.update(min_workers=0)),
+        ("round", lambda ev: ev.update(response_deadline=-1)),
+    ],
 }
 
 
@@ -465,8 +472,9 @@ class TestAudit:
     def test_malformed_log_fails_without_raising(self, honest_run, tmp_path, capsys, case):
         path = tmp_path / "bad.jsonl"
         if case in REPLAY_BREAKERS:
-            kind, mutate = REPLAY_BREAKERS[case]
-            lines = rechain(honest_run.log_lines, kind, mutate)
+            lines = honest_run.log_lines
+            for kind, mutate in REPLAY_BREAKERS[case]:
+                lines = rechain(lines, kind, mutate)
             assert not verify_log(lines).ok
             path.write_text("\n".join(lines) + "\n")
             assert main(["verify-log", str(path)]) == 1
