@@ -14,12 +14,12 @@ the pads. The claim ciphertext is the one response field outside the
 proven relation; a worker who garbles it forfeits the claim (the update is
 posted but unclaimable) and nothing else.
 
-Workers never learn their correctness verdict directly. The worker and the
-authority find a response's post by one search, serving_post: the first
-addressed post whose attestation verifies and which serves, which also checks
-that the requester blinded honestly. A worker adopts from that post or files a
-protest; the authority re-derives the screening verdicts and the claim binding
-and upholds the protest exactly when the same search finds nothing.
+Workers never learn their correctness verdict directly. Worker and authority
+find a response's post by one search, serving_post, over the board post_board
+decodes once per round from the posts on chain: the first addressed post whose
+attestation verifies and which serves, which also checks that the requester
+blinded honestly. A worker adopts from it or protests; given its own screening,
+the authority upholds a bound protest exactly when the search finds nothing.
 """
 
 from __future__ import annotations
@@ -240,6 +240,19 @@ class QualityPost:
         )
 
 
+def post_board(ctx: CryptoContext, payloads: list[bytes]) -> dict[tuple[int, bytes], list[QualityPost]]:
+    """A round's quality posts decoded once, keyed by (response_ref, claim_index), each
+    list in posting order; a payload that does not decode addresses nobody and is dropped."""
+    board: dict[tuple[int, bytes], list[QualityPost]] = {}
+    for payload in payloads:
+        try:
+            post = QualityPost.decode(ctx, payload)
+        except (EncodingError, ValueError):
+            continue
+        board.setdefault((post.response_ref, post.claim_index), []).append(post)
+    return board
+
+
 @dataclass(frozen=True)
 class Protest:
     """Evidence a worker hands the authority over an anonymous channel.
@@ -407,13 +420,13 @@ class Credential:
 class RegistrationAuthority:
     """Enrolls workers, accumulates quality pairs, arbitrates protests.
 
-    The registry tree is public: every enrollment and every settled update
-    lands in it as an opaque commitment-pair payload (the posted pair with
-    a cover term folded in, so leaves never repeat on-chain bytes), and
-    workers locate their own leaf by recomputing it. The authority cannot
-    tell whose any accumulated pair is after the enrollment handshake.
-    serving_post is the one search for a response's quality post: workers
-    adopt from it, and arbitrate upholds a bound protest when it finds none."""
+    The registry tree is public: every enrollment and every settled update lands in
+    it as an opaque commitment-pair payload (the posted pair with a cover term
+    folded in, so leaves never repeat on-chain bytes), and workers locate their own
+    leaf by recomputing it. The authority cannot tell whose any accumulated pair is
+    after the enrollment handshake. serving_post searches a per-round board, built
+    once from the posts on chain, for a response's quality post: workers adopt from
+    it, and arbitrate upholds a bound protest when it finds none."""
 
     def __init__(
         self,
@@ -471,27 +484,20 @@ class RegistrationAuthority:
         task: TaskPublic,
         target: ParsedResponse | _PendingResponse,
         claim_key: int,
-        posts: list[bytes],
+        board: dict[tuple[int, bytes], list[QualityPost]],
         final_cts: tuple[Ciphertext, ...],
     ) -> tuple[tuple[int, int], BlindingPair, CommitmentPair, int] | None:
-        """The first post addressed to (target.ref, claim_key), in posting order, whose
+        """The first board post addressed to (target.ref, claim_key), in posting order, whose
         quality attestation verifies and which serves: an admissible increment steps
         target.fresh_pair to the posted pair under the unpadded update blinding, and the
         pair rerandomized by the unpadded cover term is a registry leaf. Returns
         (increment, blinding the leaf adds to target.fresh_pair, leaf, position) or None."""
         ctx, g = self.ctx, self.ctx.group
-        expected_idx = claim_index(target.ref, claim_key)
         update_pads, cover_pads = claim_pads(ctx, target.ref, claim_key)
         # a voided task (no final ciphertexts) admits only the void increment;
         # binding commitments let at most one increment close the equation
         increments = [quality_increment(v) for v in ((None,) if len(final_cts) == 0 else (True, False))]
-        for payload in posts:
-            try:
-                post = QualityPost.decode(ctx, payload)
-            except (EncodingError, ValueError):
-                continue
-            if post.response_ref != target.ref or post.claim_index != expected_idx:
-                continue
+        for post in board.get((target.ref, claim_index(target.ref, claim_key)), ()):
             stmt = quality_statement(ctx, task, target, final_cts, post.new_pair)
             if not self.backend.verify(ctx, stmt, post.qual_proof):
                 continue
@@ -508,16 +514,14 @@ class RegistrationAuthority:
         self,
         protest: Protest,
         task: TaskPublic,
-        included: list[tuple[int, bytes]],
-        posts: list[bytes],
+        accepted: list[ParsedResponse],
+        board: dict[tuple[int, bytes], list[QualityPost]],
         final_cts: tuple[Ciphertext, ...],
-        known_tags: frozenset[bytes] | set[bytes],
     ) -> bool:
-        """True when the protest is upheld: the response was accepted by
-        the screening rules, the claim key is bound to it, and serving_post
-        finds no post for it."""
+        """True when the protest is upheld: the response is among accepted,
+        the authority's own screening of the round, the claim key is bound to
+        it, and serving_post finds no post for it."""
         ctx, g = self.ctx, self.ctx.group
-        accepted, _ = screen_responses(ctx, self.backend, task, included, known_tags)
         target = next((p for p in accepted if p.ref == protest.response_ref), None)
         if target is None:
             return False  # never accepted, nothing was owed
@@ -530,7 +534,7 @@ class RegistrationAuthority:
             return False
         if bound_ct != target.claim_ct:
             return False  # claim key does not match the on-chain response
-        return self.serving_post(task, target, protest.claim_key, posts, final_cts) is None
+        return self.serving_post(task, target, protest.claim_key, board, final_cts) is None
 
 
 # ── worker ───────────────────────────────────────────────────────────────────
@@ -655,7 +659,7 @@ class WorkerAgent:
         self,
         ra: RegistrationAuthority,
         task: TaskPublic,
-        posts: list[bytes],
+        board: dict[tuple[int, bytes], list[QualityPost]],
         final_cts: tuple[Ciphertext, ...],
     ) -> Protest | None:
         """Adopts the update from the post RegistrationAuthority.serving_post finds.
@@ -665,7 +669,7 @@ class WorkerAgent:
         p = self._pending
         if p is None or p.ref is None:
             raise ProtocolError("no submitted response on record")
-        served = ra.serving_post(task, p, p.claim_key, posts, final_cts)
+        served = ra.serving_post(task, p, p.claim_key, board, final_cts)
         if served is None:
             return Protest(p.ref, p.claim_key, p.claim_rand, payout_account(p.address))
         (da, db), blinding, leaf, position = served

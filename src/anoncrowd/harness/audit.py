@@ -131,13 +131,13 @@ def _mistyped(event: dict, fields: dict) -> str | None:
     return next((name for name, kind in fields.items() if not isinstance(event.get(name), kind)), None)
 
 
-def _attested(ctx, backend: ProofBackend, stmt, proof) -> bool:
-    """Whether proof attests stmt; a statement built from logged fields that
-    does not validate attests nothing."""
+def _unattested(ctx, backend: ProofBackend, stmt, proof, what: str, where: str) -> str | None:
+    """None when proof attests stmt, else the problem; a statement built from logged
+    fields that does not validate attests nothing, and the problem names why."""
     try:
-        return backend.verify(ctx, stmt, proof)
-    except MalformedStatementError:
-        return False
+        return None if backend.verify(ctx, stmt, proof) else f"{what} attestation fails{where}"
+    except MalformedStatementError as exc:
+        return f"{what} statement{where} does not validate: {exc}"
 
 
 def verify_log(lines: Iterable[str]) -> AuditReport:
@@ -317,10 +317,11 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             except (EncodingError, ValueError):
                 problems.append(prefix + "final answer bundle does not decode")
             else:
-                if _attested(ctx, backend, calc_statement(ctx, task_pub, accepted, final_cts), calc_proof):
-                    stats["proofs_verified"] += 1
+                calc_stmt = calc_statement(ctx, task_pub, accepted, final_cts)
+                if problem := _unattested(ctx, backend, calc_stmt, calc_proof, "final answer", ""):
+                    problems.append(prefix + problem)
                 else:
-                    problems.append(prefix + "final answer attestation fails")
+                    stats["proofs_verified"] += 1
 
         covered: set[int] = set()
         value_count = 0
@@ -337,9 +338,10 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             if post.response_ref in covered:
                 problems.append(prefix + f"response {post.response_ref} has two quality posts")
                 continue
+            where = f" for response {post.response_ref}"
             qual_stmt = quality_statement(ctx, task_pub, target, final_cts, post.new_pair)
-            if not _attested(ctx, backend, qual_stmt, post.qual_proof):
-                problems.append(prefix + f"quality attestation fails for response {post.response_ref}")
+            if problem := _unattested(ctx, backend, qual_stmt, post.qual_proof, "quality", where):
+                problems.append(prefix + problem)
                 continue
             stats["proofs_verified"] += 1
             covered.add(post.response_ref)
@@ -348,11 +350,12 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             if void:
                 problems.append(prefix + "voided round carries a correctness attestation")
                 continue
-            if _attested(ctx, backend, value_statement(ctx, task_pub, target, final_cts), post.value_proof):
+            value_stmt = value_statement(ctx, task_pub, target, final_cts)
+            if problem := _unattested(ctx, backend, value_stmt, post.value_proof, "correctness", where):
+                problems.append(prefix + problem)
+            else:
                 value_count += 1
                 stats["proofs_verified"] += 1
-            else:
-                problems.append(prefix + f"correctness attestation fails for response {post.response_ref}")
 
         upheld_refs = {a["ref"] for a in arbitrations.get(r, []) if a["upheld"]}
         confiscations = [t for t in round_txs if t.method == CONFISCATE]

@@ -25,12 +25,15 @@ import random
 from dataclasses import dataclass, field
 
 from ..actors import (
+    QualityPost,
     RegistrationAuthority,
     RequesterAgent,
     TaskOutcome,
     TaskPublic,
     WorkerAgent,
     payout_account,
+    post_board,
+    screen_responses,
 )
 from ..context import ANSWER_DOMAIN, context_for
 from ..errors import ConfigError
@@ -146,7 +149,7 @@ class _Round:
     tags_before: set[bytes] = field(default_factory=set)
     # screen and settle
     outcome: TaskOutcome | None = None
-    chain_posts: list[bytes] = field(default_factory=list)
+    board: dict[tuple[int, bytes], list[QualityPost]] = field(default_factory=dict)  # decoded once per round
 
 
 class _Run:
@@ -315,8 +318,8 @@ class _Run:
                     self.paid_to_worker[earner] += amount
         ledger.tick(1)
 
-        rnd.chain_posts = [rec.payload for rec in rnd.task.quality_posts]
-        st.posts_onchain = len(rnd.chain_posts)
+        rnd.board = post_board(self.ctx, [rec.payload for rec in rnd.task.quality_posts])
+        st.posts_onchain = len(rnd.task.quality_posts)
         # a correct answer's post carries a value proof, unless it was withheld
         st.value_proofs = sum(1 for ref in outcome.correct_refs if ref != victim_ref)
 
@@ -325,17 +328,17 @@ class _Run:
         protests = []
         for ref in sorted(rnd.ref_to_worker):
             w = rnd.ref_to_worker[ref]
-            grievance = w.adopt_update(self.ra, rnd.task_pub, rnd.chain_posts, final_cts)
+            grievance = w.adopt_update(self.ra, rnd.task_pub, rnd.board, final_cts)
             if grievance is None:
                 status[w.name] = "adopted"
             else:
                 protests.append((w, grievance))
         st.protests = len(protests)
+        if protests:  # the authority screens the round once, for every protest
+            accepted, _ = screen_responses(self.ctx, self.ra.backend, rnd.task_pub, rnd.included, rnd.tags_before)
         for w, grievance in protests:
             ref = grievance.response_ref
-            upheld = self.ra.arbitrate(
-                grievance, rnd.task_pub, rnd.included, rnd.chain_posts, final_cts, rnd.tags_before
-            )
+            upheld = self.ra.arbitrate(grievance, rnd.task_pub, accepted, rnd.board, final_cts)
             self.arbitration_events.append(
                 {"type": "arbitration", "round": st.index, "ref": ref, "upheld": upheld}
             )

@@ -32,6 +32,7 @@ from anoncrowd.actors import (
     derive_ident,
     encode_response_bundle,
     payout_account,
+    post_board,
     quality_statement,
     response_statement,
     screen_responses,
@@ -82,6 +83,10 @@ class World:
             w.mark_submitted(ref)
             included.append((ref, bundle))
         return included
+
+    def accepted(self, task, included, known_tags):
+        """The authority's own screening of a round, which arbitration takes."""
+        return screen_responses(self.ctx, self.backend, task, included, known_tags)[0]
 
     def settle(self, task, outcome):
         """The bookkeeping the harness would do: accumulate covered leaves."""
@@ -275,8 +280,9 @@ class TestSettlement:
         world = World()
         task, included, outcome = self.run_round(world, [1, 1, 0])
         world.settle(task, outcome)
+        board = post_board(world.ctx, outcome.quality_posts)
         for w in world.workers:
-            assert w.adopt_update(world.ra, task, outcome.quality_posts, outcome.final_cts) is None
+            assert w.adopt_update(world.ra, task, board, outcome.final_cts) is None
         assert (world.workers[0].cred.alpha, world.workers[0].cred.beta) == (5, 1)
         assert (world.workers[1].cred.alpha, world.workers[1].cred.beta) == (5, 1)
         assert (world.workers[2].cred.alpha, world.workers[2].cred.beta) == (4, 2)
@@ -289,8 +295,9 @@ class TestSettlement:
         world = World()
         task1, _, outcome1 = self.run_round(world, [1, 1, 1])
         world.settle(task1, outcome1)
+        board = post_board(world.ctx, outcome1.quality_posts)
         for w in world.workers:
-            assert w.adopt_update(world.ra, task1, outcome1.quality_posts, outcome1.final_cts) is None
+            assert w.adopt_update(world.ra, task1, board, outcome1.final_cts) is None
         task2 = world.announce()
         included2 = world.respond(task2, [0, 0, 0], first_ref=50)
         outcome2 = world.requester.evaluate(task2, included2, 1)
@@ -305,8 +312,9 @@ class TestSettlement:
         old_cred = straggler.cred
         task1, _, outcome1 = self.run_round(world, [1, 1, 0])
         world.settle(task1, outcome1)
+        board = post_board(world.ctx, outcome1.quality_posts)
         for w in world.workers:
-            w.adopt_update(world.ra, task1, outcome1.quality_posts, outcome1.final_cts)
+            w.adopt_update(world.ra, task1, board, outcome1.final_cts)
         # replay the pre-update state: (4,2) would miss the threshold, so the
         # cheater prefers the stale (4,1); the old leaf is still in the tree
         straggler.cred = old_cred
@@ -328,8 +336,9 @@ class TestSettlement:
         world.settle(task, outcome)
         before = [(w.cred.alpha, w.cred.beta) for w in world.workers]
         pairs_before = [w.cred.pair for w in world.workers]
+        board = post_board(world.ctx, outcome.quality_posts)
         for w in world.workers:
-            assert w.adopt_update(world.ra, task, outcome.quality_posts, ()) is None
+            assert w.adopt_update(world.ra, task, board, ()) is None
         assert [(w.cred.alpha, w.cred.beta) for w in world.workers] == before
         assert all(w.cred.pair != p for w, p in zip(world.workers, pairs_before))
 
@@ -358,39 +367,43 @@ class TestProtests:
     def test_deprived_worker_protests_and_wins(self):
         world, task, included, outcome, kept, tags_before = self.deprived_round()
         victim = world.workers[1]
-        protest = victim.adopt_update(world.ra, task, kept, outcome.final_cts)
+        protest = victim.adopt_update(world.ra, task, post_board(world.ctx, kept), outcome.final_cts)
         assert isinstance(protest, Protest)
         assert protest.payout == payout_account(victim._pending.address)
         assert world.ra.arbitrate(
-            protest, task, included, kept, outcome.final_cts, tags_before
+            protest, task, world.accepted(task, included, tags_before),
+            post_board(world.ctx, kept), outcome.final_cts,
         )
 
     def test_served_worker_cannot_win_a_protest(self):
         world, task, included, outcome, kept, tags_before = self.deprived_round()
         served = world.workers[0]
-        fake = served.adopt_update(world.ra, task, [], outcome.final_cts)
+        fake = served.adopt_update(world.ra, task, post_board(world.ctx, []), outcome.final_cts)
         assert isinstance(fake, Protest)  # no posts shown to the worker
         assert not world.ra.arbitrate(
-            fake, task, included, outcome.quality_posts, outcome.final_cts, tags_before
+            fake, task, world.accepted(task, included, tags_before),
+            post_board(world.ctx, outcome.quality_posts), outcome.final_cts,
         )
 
     def test_wrong_claim_key_binding_fails(self):
         world, task, included, outcome, kept, tags_before = self.deprived_round()
         victim = world.workers[1]
-        protest = victim.adopt_update(world.ra, task, kept, outcome.final_cts)
+        protest = victim.adopt_update(world.ra, task, post_board(world.ctx, kept), outcome.final_cts)
         lying = replace(protest, claim_key=(protest.claim_key + 1) % 2**16)
         assert not world.ra.arbitrate(
-            lying, task, included, kept, outcome.final_cts, tags_before
+            lying, task, world.accepted(task, included, tags_before),
+            post_board(world.ctx, kept), outcome.final_cts,
         )
 
     def test_claim_key_outside_the_codec_domain_loses(self):
         world, task, included, outcome, kept, tags_before = self.deprived_round()
         victim = world.workers[1]
-        protest = victim.adopt_update(world.ra, task, kept, outcome.final_cts)
+        protest = victim.adopt_update(world.ra, task, post_board(world.ctx, kept), outcome.final_cts)
         # the key cannot even be encrypted, so nothing binds it to the response
         out_of_domain = replace(protest, claim_key=1 << 16)
         assert not world.ra.arbitrate(
-            out_of_domain, task, included, kept, outcome.final_cts, tags_before
+            out_of_domain, task, world.accepted(task, included, tags_before),
+            post_board(world.ctx, kept), outcome.final_cts,
         )
 
     def test_rejected_response_earns_no_arbitration(self):
@@ -406,7 +419,8 @@ class TestProtests:
         w0 = world.workers[0]
         protest = Protest(99, w0._pending.claim_key, w0._pending.claim_rand, "addr:0")
         assert not world.ra.arbitrate(
-            protest, task, included + [dup], outcome.quality_posts, outcome.final_cts, tags_before
+            protest, task, world.accepted(task, included + [dup], tags_before),
+            post_board(world.ctx, outcome.quality_posts), outcome.final_cts,
         )
 
     def test_misaddressed_post_is_deprivation(self):
@@ -415,10 +429,11 @@ class TestProtests:
         post = QualityPost.decode(world.ctx, outcome.quality_posts[1])
         wrong = replace(post, claim_index=bytes(32))
         doctored = kept + [wrong.encode(world.ctx)]
-        protest = victim.adopt_update(world.ra, task, doctored, outcome.final_cts)
+        protest = victim.adopt_update(world.ra, task, post_board(world.ctx, doctored), outcome.final_cts)
         assert isinstance(protest, Protest)
         assert world.ra.arbitrate(
-            protest, task, included, doctored, outcome.final_cts, tags_before
+            protest, task, world.accepted(task, included, tags_before),
+            post_board(world.ctx, doctored), outcome.final_cts,
         )
 
     def test_garbled_blinding_is_deprivation(self):
@@ -429,15 +444,16 @@ class TestProtests:
             post, blinded_update=replace(post.blinded_update, alpha=post.blinded_update.alpha + 1)
         )
         doctored = kept + [spoiled.encode(world.ctx)]
-        protest = victim.adopt_update(world.ra, task, doctored, outcome.final_cts)
+        protest = victim.adopt_update(world.ra, task, post_board(world.ctx, doctored), outcome.final_cts)
         assert isinstance(protest, Protest)
         assert world.ra.arbitrate(
-            protest, task, included, doctored, outcome.final_cts, tags_before
+            protest, task, world.accepted(task, included, tags_before),
+            post_board(world.ctx, doctored), outcome.final_cts,
         )
 
     POST_CASES = (
         "honest", "missing", "misaddressed", "garbled-blinding", "wrong-increment", "never-accumulated",
-        "garbled-then-honest", "unattested",
+        "garbled-then-honest", "unattested", "undecodable-then-honest",
     )
 
     @pytest.mark.parametrize("victim", [1, 2])  # a correct answer, an incorrect one
@@ -466,6 +482,9 @@ class TestProtests:
             posts.append(replace(own, blinded_update=garbled).encode(ctx))
             if case == "garbled-then-honest":
                 posts.append(outcome.quality_posts[victim])
+        elif case == "undecodable-then-honest":
+            # a truncated payload the board drops, ahead of the honest post
+            posts += [outcome.quality_posts[victim][:-3], outcome.quality_posts[victim]]
         elif case == "unattested":
             # a serving post carrying the attestation of worker 0's post
             other = QualityPost.decode(ctx, outcome.quality_posts[0])
@@ -478,16 +497,17 @@ class TestProtests:
             minted = replace(own, new_pair=new_pair, qual_proof=world.backend._proof(ctx, stmt))
             posts.append(minted.encode(ctx))
             leaves.append(pair_rerandomize(g, new_pair, own.blinded_dummy - cover_pads).encode(g))
-        if case in ("honest", "garbled-then-honest", "unattested"):
+        if case in ("honest", "garbled-then-honest", "unattested", "undecodable-then-honest"):
             leaves.append(outcome.leaves[victim])
         for leaf in leaves:
             world.ra.accumulate(leaf)
 
         protest = Protest(p.ref, p.claim_key, p.claim_rand, payout_account(p.address))
-        adopted = worker.adopt_update(world.ra, task, posts, outcome.final_cts) is None
-        upheld = world.ra.arbitrate(protest, task, included, posts, outcome.final_cts, tags_before)
+        accepted = world.accepted(task, included, tags_before)
+        adopted = worker.adopt_update(world.ra, task, post_board(ctx, posts), outcome.final_cts) is None
+        upheld = world.ra.arbitrate(protest, task, accepted, post_board(ctx, posts), outcome.final_cts)
         assert adopted != upheld
-        assert adopted == (case in ("honest", "garbled-then-honest"))
+        assert adopted == (case in ("honest", "garbled-then-honest", "undecodable-then-honest"))
 
     def test_garbled_claim_ciphertext_is_workers_own_loss(self):
         world = World(n_workers=2)
@@ -510,12 +530,13 @@ class TestProtests:
         assert len(outcome.quality_posts) == 2  # update still posted, unaddressed
         unaddressed = QualityPost.decode(world.ctx, outcome.quality_posts[1])
         assert unaddressed.claim_index == bytes(32)
-        protest = w1.adopt_update(world.ra, task, outcome.quality_posts, outcome.final_cts)
+        board = post_board(world.ctx, outcome.quality_posts)
+        protest = w1.adopt_update(world.ra, task, board, outcome.final_cts)
         assert isinstance(protest, Protest)
         # arbitration checks the claim key against the on-chain ciphertext,
         # which the worker themselves garbled
         assert not world.ra.arbitrate(
-            protest, task, included, outcome.quality_posts, outcome.final_cts, tags_before
+            protest, task, world.accepted(task, included, tags_before), board, outcome.final_cts
         )
 
 
@@ -524,10 +545,10 @@ class TestWorkerBookkeeping:
         world = World(n_workers=1)
         task = world.announce()
         with pytest.raises(ProtocolError):
-            world.workers[0].adopt_update(world.ra, task, [], ())
+            world.workers[0].adopt_update(world.ra, task, post_board(world.ctx, []), ())
         world.workers[0].build_response(world.ra, task, 1)
         with pytest.raises(ProtocolError):  # built but never marked submitted
-            world.workers[0].adopt_update(world.ra, task, [], ())
+            world.workers[0].adopt_update(world.ra, task, post_board(world.ctx, []), ())
 
     def test_claim_index_depends_on_ref_and_key(self):
         a = claim_index(1, 7)

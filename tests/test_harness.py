@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anoncrowd.actors import QualityPost
 from anoncrowd.errors import ConfigError
 from anoncrowd.harness.audit import (
     CHAIN_SEED,
@@ -355,6 +356,21 @@ class TestRunner:
         with pytest.raises(ConfigError, match="row 1"):
             run(cfg, seed=1)
 
+    @pytest.mark.parametrize("attack", [None, "deprivation"])
+    def test_settlement_decodes_each_quality_post_once(self, tiny_image, monkeypatch, attack):
+        # the round's posts are decoded once into a board, not once per
+        # adopting worker or per protest, so settlement stays linear
+        decode, calls = QualityPost.decode.__func__, []
+
+        def counting(cls, ctx, data):
+            calls.append(data)
+            return decode(cls, ctx, data)
+
+        monkeypatch.setattr(QualityPost, "decode", classmethod(counting))
+        result = run(tiny_image, seed=11, attack=attack)
+        assert result.failures == []
+        assert len(calls) == sum(r.posts_onchain for r in result.rounds) > 0
+
     def test_report_carries_the_metrics_sections(self, honest_run):
         report = honest_run.report
         assert "-- workers --" in report
@@ -484,6 +500,13 @@ class TestAudit:
             assert main(["verify-log", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_statement_that_does_not_validate_is_named(self, honest_run):
+        lines = honest_run.log_lines
+        for kind, mutate in REPLAY_BREAKERS["quorate round with no answers"]:
+            lines = rechain(lines, kind, mutate)
+        problems = verify_log(lines).problems
+        assert "round 0: final answer statement does not validate: answer cts is empty" in problems
 
     def test_void_flag_off_the_quorum_rule_fails(self, honest_run):
         # a quorum above the 39 accepted responses: the round should have voided
