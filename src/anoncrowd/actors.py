@@ -57,7 +57,6 @@ from .primitives import (
     commit_pair,
     decode_ciphertext,
     decode_commitment_pair,
-    decrypt_message,
     encode_ciphertexts,
     encrypt_message,
     hash_bytes,
@@ -546,10 +545,7 @@ class _PendingResponse:
     rerand: BlindingPair
     fresh_pair: CommitmentPair  # the re-randomized pair the response proves over
     answer_ct: Ciphertext  # with fresh_pair, what the quality statement covers
-    answer: int
-    answer_rand: Scalar
     address: int
-    address_rand: Scalar
     claim_key: int
     claim_rand: Scalar
 
@@ -607,15 +603,13 @@ class WorkerAgent:
 
         rerand = random_blinding_pair(g, rng)
         answer_rand = g.random_scalar(rng)
+        address_rand = g.random_scalar(rng)
         pending = _PendingResponse(
             ref=None,
             rerand=rerand,
             fresh_pair=pair_rerandomize(g, self.cred.pair, rerand),
             answer_ct=encrypt_message(g, task.requester_pk, ctx.answer_codec, answer, answer_rand),
-            answer=answer,
-            answer_rand=answer_rand,
             address=address,
-            address_rand=g.random_scalar(rng),
             claim_key=rng.randrange(ctx.claim_codec.domain_size),
             claim_rand=g.random_scalar(rng),
         )
@@ -625,7 +619,7 @@ class WorkerAgent:
             pending.fresh_pair,
             self.current_tag(),
             pending.answer_ct,
-            encrypt_message(g, task.requester_pk, ctx.address_codec, address, pending.address_rand),
+            encrypt_message(g, task.requester_pk, ctx.address_codec, address, address_rand),
         )
         witness = ProveQualWitness(
             ident=self.ident,
@@ -636,9 +630,9 @@ class WorkerAgent:
             stored_pair=self.cred.pair,
             rerand=pending.rerand,
             answer=answer,
-            answer_rand=pending.answer_rand,
+            answer_rand=answer_rand,
             address=address,
-            address_rand=pending.address_rand,
+            address_rand=address_rand,
             path=ra.prove_membership(self.cred.position),
         )
         proof = self.backend.prove(ctx, stmt, witness)
@@ -740,7 +734,7 @@ class RequesterAgent:
         answers: list[int | None] = [None] * len(accepted)
         final, final_cts, final_bundle = None, (), None
         if not void:
-            answers = [decrypt_message(g, sk, ctx.answer_codec, p.answer_ct) for p in accepted]
+            answers = [self.backend.decrypt(g, sk, ctx.answer_codec, p.answer_ct) for p in accepted]
             final = ans_calc(answers, task.policy)
             final_cts = tuple(
                 encrypt_message(g, self.keypair.pk, ctx.answer_codec, v, g.random_scalar(self.rng))
@@ -758,7 +752,7 @@ class RequesterAgent:
             leaves.append(leaf)
             if void:
                 continue  # a void task settles zero increments and pays nobody
-            address = decrypt_message(g, sk, ctx.address_codec, parsed.address_ct)
+            address = self.backend.decrypt(g, sk, ctx.address_codec, parsed.address_ct)
             payments.append((payout_account(address), paym_calc(correct, task.policy)))
             if correct:
                 correct_refs.append(parsed.ref)
@@ -797,7 +791,7 @@ class RequesterAgent:
             value_proof = self.backend.prove(ctx, value_stmt, AuthValueWitness(sk))
 
         try:
-            key = decrypt_message(g, sk, ctx.claim_codec, parsed.claim_ct)
+            key = self.backend.decrypt(g, sk, ctx.claim_codec, parsed.claim_ct)
             update_pads, cover_pads = claim_pads(ctx, parsed.ref, key)
             idx = claim_index(parsed.ref, key)
             blinded = update + update_pads

@@ -15,10 +15,15 @@ Two interchangeable instantiations of one interface:
 Scalars are immutable and carry their modulus, so values from the two
 backends cannot be mixed silently. Group elements are opaque value objects;
 all arithmetic goes through the owning group instance. Scalar
-multiplication runs in Jacobian coordinates internally, with lazily built
-radix-16 tables for the two fixed bases (the generator and the derived
-blinding generator), which is what makes pure-Python commitments fast
-enough for the acceptance workloads.
+multiplication runs in Jacobian coordinates internally. Radix-16 fixed-base
+tables serve the generator and the derived blinding generator, which is
+what makes pure-Python commitments fast enough for the acceptance
+workloads. A point that ``Group.fixed_base`` returns carries such a table
+too: keygen gives each long-lived public key one, so encryption under it
+and signature checks against it skip the doublings. That table lives on its
+point and is built on the point's first multiplication; decoded points
+carry none. Every other base gets a per-call table of its first 15
+multiples, normalized to affine with one batch inversion.
 """
 
 from __future__ import annotations
@@ -110,14 +115,18 @@ class GroupElement:
 
 
 class CurvePoint(GroupElement):
-    """Affine point, or the point at infinity when ``inf`` is set."""
+    """Affine point, or the point at infinity when ``inf`` is set.
 
-    __slots__ = ("x", "y", "inf")
+    ``table`` is the point's own fixed-base table when CurveGroup.fixed_base
+    made it, else None; equality and hashing ignore it."""
+
+    __slots__ = ("x", "y", "inf", "table")
 
     def __init__(self, x: int, y: int, inf: bool = False):
         self.x = x
         self.y = y
         self.inf = inf
+        self.table: _FixedBaseTable | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CurvePoint):
@@ -217,35 +226,60 @@ def _j_to_affine(p: tuple[int, int, int]) -> CurvePoint:
     return CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q)
 
 
+def _multiples_row(x: int, y: int) -> list[tuple[int, int]]:
+    """[(0, 0), 1P, ..., 15P] in affine (x, y) for P = (x, y).
+
+    The 15 Jacobian sums are normalized with one inversion (Montgomery's
+    trick): invert the product of their Z, then peel each Z^-1 off it. In a
+    group of prime order no multiple dP with 0 < d < 16 is the point at
+    infinity, so no Z is zero."""
+    points, prefix = [], []
+    acc, product = _J_INF, 1
+    for _ in range(15):
+        acc = _j_add_affine(acc, x, y)
+        points.append(acc)
+        prefix.append(product)
+        product = (product * acc[2]) % _Q
+    inv = pow(product, -1, _Q)
+    row = [(0, 0)] * 16
+    for d in range(15, 0, -1):
+        X, Y, Z = points[d - 1]
+        zi = (inv * prefix[d - 1]) % _Q
+        inv = (inv * Z) % _Q
+        zi2 = (zi * zi) % _Q
+        row[d] = ((X * zi2) % _Q, (Y * zi2 * zi) % _Q)
+    return row
+
+
 class _FixedBaseTable:
-    """Radix-16 decomposition table for one fixed base point.
+    """Radix-16 decomposition table for one fixed base point B.
 
     Row i holds d * 16^i * B for d in 1..15, stored affine so the main loop
     uses mixed additions only. A 254-bit scalar then costs at most 64
-    additions and no doublings.
+    additions and no doublings. The rows are built on the first accumulate,
+    so a base that is never multiplied costs nothing.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("base", "rows")
 
-    def __init__(self, base: CurvePoint, order_bits: int):
-        nibbles = (order_bits + 3) // 4
-        rows: list[list[tuple[int, int]]] = []
-        cur = (base.x, base.y, 1)
-        for _ in range(nibbles):
-            row = [(0, 0)]
-            acc = _J_INF
+    def __init__(self, base: CurvePoint):
+        self.base = (base.x, base.y)
+        self.rows: list[list[tuple[int, int]]] | None = None
+
+    def _build(self) -> list[list[tuple[int, int]]]:
+        rows = []
+        cur = (*self.base, 1)
+        for _ in range((_ORDER.bit_length() + 3) // 4):
             cur_aff = _j_to_affine(cur)
-            for _ in range(15):
-                acc = _j_add_affine(acc, cur_aff.x, cur_aff.y)
-                aff = _j_to_affine(acc)
-                row.append((aff.x, aff.y))
-            rows.append(row)
+            rows.append(_multiples_row(cur_aff.x, cur_aff.y))
             for _ in range(4):
                 cur = _j_double(cur)
-        self.rows = rows
+        return rows
 
     def accumulate(self, k: int, acc: tuple[int, int, int]) -> tuple[int, int, int]:
         rows = self.rows
+        if rows is None:
+            rows = self.rows = self._build()
         i = 0
         while k:
             d = k & 0xF
@@ -341,6 +375,11 @@ class Group:
         """k_gen * G + k_blind * H in one pass; the commitment hot path."""
         return self.add(self.mul_gen(k_gen), self.mul_blind(k_blind))
 
+    def fixed_base(self, p: GroupElement) -> GroupElement:
+        """p, equal to the argument, prepared to be the base of many mul
+        calls (a long-lived public key). The default returns p as it is."""
+        return p
+
     def encode_element(self, p: GroupElement) -> bytes:
         raise NotImplementedError
 
@@ -363,21 +402,8 @@ class CurveGroup(Group):
     def __init__(self):
         self._gen = CurvePoint(_GX, _GY)
         self._blind: CurvePoint | None = None
-        self._gen_table: _FixedBaseTable | None = None
-        self._blind_table: _FixedBaseTable | None = None
-
-    # internal helpers
-
-    def _table_gen(self) -> _FixedBaseTable:
-        if self._gen_table is None:
-            self._gen_table = _FixedBaseTable(self._gen, self.order.bit_length())
-        return self._gen_table
-
-    def _table_blind(self) -> _FixedBaseTable:
-        if self._blind_table is None:
-            blind = self.blind_generator
-            self._blind_table = _FixedBaseTable(blind, self.order.bit_length())
-        return self._blind_table
+        self._gen_table = _FixedBaseTable(self._gen)
+        self._blind_table = _FixedBaseTable(self.blind_generator)
 
     # interface
 
@@ -410,13 +436,10 @@ class CurveGroup(Group):
         kv = self._as_int(k)
         if kv == 0 or p.inf:
             return self.identity()
+        if p.table is not None:
+            return _j_to_affine(p.table.accumulate(kv, _J_INF))
         # 4-bit windowed double-and-add over a per-call table; variable base.
-        row = [(0, 0)] * 16
-        acc = _J_INF
-        for d in range(1, 16):
-            acc = _j_add_affine(acc, p.x, p.y)
-            aff = _j_to_affine(acc)
-            row[d] = (aff.x, aff.y)
+        row = _multiples_row(p.x, p.y)
         res = _J_INF
         for shift in range((kv.bit_length() + 3) // 4 * 4 - 4, -1, -4):
             if res is not _J_INF:
@@ -431,23 +454,33 @@ class CurveGroup(Group):
         kv = self._as_int(k)
         if kv == 0:
             return self.identity()
-        return _j_to_affine(self._table_gen().accumulate(kv, _J_INF))
+        return _j_to_affine(self._gen_table.accumulate(kv, _J_INF))
 
     def mul_blind(self, k: "Scalar | int") -> CurvePoint:
         kv = self._as_int(k)
         if kv == 0:
             return self.identity()
-        return _j_to_affine(self._table_blind().accumulate(kv, _J_INF))
+        return _j_to_affine(self._blind_table.accumulate(kv, _J_INF))
 
     def dual_mul(self, k_gen: "Scalar | int", k_blind: "Scalar | int") -> CurvePoint:
         kg = self._as_int(k_gen)
         kb = self._as_int(k_blind)
         acc = _J_INF
         if kg:
-            acc = self._table_gen().accumulate(kg, acc)
+            acc = self._gen_table.accumulate(kg, acc)
         if kb:
-            acc = self._table_blind().accumulate(kb, acc)
+            acc = self._blind_table.accumulate(kb, acc)
         return _j_to_affine(acc)
+
+    def fixed_base(self, p: GroupElement) -> CurvePoint:
+        """A copy of p that carries its own fixed-base table, so that mul
+        with it as the base takes the table path: at most 64 mixed additions
+        and no doublings, once the first mul has built the table."""
+        assert isinstance(p, CurvePoint)
+        out = CurvePoint(p.x, p.y, p.inf)
+        if not p.inf:
+            out.table = _FixedBaseTable(p)
+        return out
 
     def encode_element(self, p: GroupElement) -> bytes:
         assert isinstance(p, CurvePoint)

@@ -7,7 +7,9 @@ This is the cryptographic toolbox the protocol layers build on:
   relative to the main generator is unknown.
 * Lifted ElGamal encryption: messages from a declared finite domain are
   embedded as scalar multiples of the generator and recovered after
-  decryption with a bounded baby-step/giant-step search.
+  decryption with a bounded baby-step/giant-step search. keygen makes its
+  public key a fixed base of the group, so encryption under it and
+  signature checks against it take the fixed-base path.
 * Schnorr-style signatures with deterministic nonces: S = r + H(m) * sk,
   verified as S * G == R + H(m) * pk.
 * SHA-256 as the collision-resistant hash, with domain-separation tags on
@@ -146,7 +148,7 @@ class KeyPair:
 
 def keygen(group: Group, rng) -> KeyPair:
     sk = group.scalar(rng.randrange(1, group.order))
-    return KeyPair(sk, group.mul_gen(sk))
+    return KeyPair(sk, group.fixed_base(group.mul_gen(sk)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,10 @@ an auditor rebuilds each statement from the logged fields it covers:
 
 Statements are structurally validated before use; a malformed statement
 raises MalformedStatementError, which is deliberately distinct from a
-well-formed but unsatisfied relation (a False result).
+well-formed but unsatisfied relation (a False result). Each checker takes
+the run's ProofBackend too: the three requester checkers decrypt through
+its memo, which only a real decryption under the witness's key fills, so a
+witness never supplies a plaintext.
 
 The proof backend is an attestation oracle standing in for a succinct
 proving system: prove() runs the relation checker and, only on success,
@@ -29,7 +32,10 @@ record, encoded once; verify() rebuilds that proof and compares. Proofs
 depend on the statement alone, never on the witness, which is the
 unlinkability property the protocol leans on. Soundness holds within one
 simulation run (the setup secret could mint attestations), matching the
-trust model of a simulated prover rather than re-implementing one.
+trust model of a simulated prover rather than re-implementing one. The
+backend's decrypt() runs each (secret key, codec, ciphertext) decryption at
+most once per backend, and so per run: the requester's own evaluation and
+its checkers share it.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .errors import (
     MalformedStatementError,
     RelationUnsatisfiedError,
 )
-from .group import GroupElement, Scalar
+from .group import Group, GroupElement, Scalar
 from .merkle import MerklePath, verify_path
 from .policy import (
     AVERAGE,
@@ -62,6 +68,7 @@ from .primitives import (
     BlindingPair,
     Ciphertext,
     CommitmentPair,
+    MessageCodec,
     Signature,
     decrypt_message,
     encode_ciphertexts,
@@ -241,7 +248,10 @@ class AuthQualWitness:
 # ── checkers ─────────────────────────────────────────────────────────────────
 
 
-def check_prove_qual(ctx: CryptoContext, stmt: ProveQualStatement, wit: ProveQualWitness) -> bool:
+def check_prove_qual(
+    ctx: CryptoContext, stmt: ProveQualStatement, wit: ProveQualWitness, backend: ProofBackend
+) -> bool:
+    """backend goes unused: this relation decrypts nothing."""
     stmt.validate(ctx)
     g = ctx.group
 
@@ -283,18 +293,18 @@ def check_prove_qual(ctx: CryptoContext, stmt: ProveQualStatement, wit: ProveQua
     return stmt.fresh_pair == pair_rerandomize(g, wit.stored_pair, wit.rerand)
 
 
-def _decrypt_answers(ctx, sk: Scalar, cts) -> list[int] | None:
+def _decrypt_answers(ctx, backend: ProofBackend, sk: Scalar, cts) -> list[int] | None:
     out = []
     for ct in cts:
         try:
-            out.append(decrypt_message(ctx.group, sk, ctx.answer_codec, ct))
+            out.append(backend.decrypt(ctx.group, sk, ctx.answer_codec, ct))
         except DomainError:
             return None
     return out
 
 
-def _decrypt_final(ctx, sk: Scalar, stmt) -> FinalAnswer | None:
-    values = _decrypt_answers(ctx, sk, stmt.final_cts)
+def _decrypt_final(ctx, backend: ProofBackend, sk: Scalar, stmt) -> FinalAnswer | None:
+    values = _decrypt_answers(ctx, backend, sk, stmt.final_cts)
     if values is None:
         return None
     if stmt.policy.kind == AVERAGE:
@@ -304,22 +314,24 @@ def _decrypt_final(ctx, sk: Scalar, stmt) -> FinalAnswer | None:
     return FinalAnswer(MAJORITY, tuple(values))
 
 
-def check_auth_calc(ctx: CryptoContext, stmt: AuthCalcStatement, wit: AuthCalcWitness) -> bool:
+def check_auth_calc(
+    ctx: CryptoContext, stmt: AuthCalcStatement, wit: AuthCalcWitness, backend: ProofBackend
+) -> bool:
     stmt.validate(ctx)
     if ctx.group.mul_gen(wit.sk) != stmt.requester_pk:
         return False
-    answers = _decrypt_answers(ctx, wit.sk, stmt.answer_cts)
+    answers = _decrypt_answers(ctx, backend, wit.sk, stmt.answer_cts)
     if answers is None:
         return False
     try:
         recounted = ans_calc(answers, stmt.policy)
     except ValueError:
         return False
-    posted = _decrypt_final(ctx, wit.sk, stmt)
+    posted = _decrypt_final(ctx, backend, wit.sk, stmt)
     return posted is not None and posted == recounted
 
 
-def _verdict(ctx: CryptoContext, stmt, sk: Scalar) -> tuple[bool, bool | None]:
+def _verdict(ctx: CryptoContext, backend: ProofBackend, stmt, sk: Scalar) -> tuple[bool, bool | None]:
     """The requester's (judged, correct) on stmt.worker_ct: not judged when
     sk is not the requester key or a ciphertext does not decrypt to a domain
     value; correct is None on a voided task (no final ciphertexts)."""
@@ -327,22 +339,26 @@ def _verdict(ctx: CryptoContext, stmt, sk: Scalar) -> tuple[bool, bool | None]:
         return False, None
     if len(stmt.final_cts) == 0:
         return True, None
-    final = _decrypt_final(ctx, sk, stmt)
-    answer = None if final is None else _decrypt_answers(ctx, sk, [stmt.worker_ct])
+    final = _decrypt_final(ctx, backend, sk, stmt)
+    answer = None if final is None else _decrypt_answers(ctx, backend, sk, [stmt.worker_ct])
     if answer is None or answer[0] >= stmt.policy.domain_size:
         return False, None
     return True, is_correct(answer[0], final, stmt.policy)
 
 
-def check_auth_value(ctx: CryptoContext, stmt: AuthValueStatement, wit: AuthValueWitness) -> bool:
+def check_auth_value(
+    ctx: CryptoContext, stmt: AuthValueStatement, wit: AuthValueWitness, backend: ProofBackend
+) -> bool:
     stmt.validate(ctx)
-    judged, correct = _verdict(ctx, stmt, wit.sk)
+    judged, correct = _verdict(ctx, backend, stmt, wit.sk)
     return judged and correct is True
 
 
-def check_auth_qual(ctx: CryptoContext, stmt: AuthQualStatement, wit: AuthQualWitness) -> bool:
+def check_auth_qual(
+    ctx: CryptoContext, stmt: AuthQualStatement, wit: AuthQualWitness, backend: ProofBackend
+) -> bool:
     stmt.validate(ctx)
-    judged, correct = _verdict(ctx, stmt, wit.sk)
+    judged, correct = _verdict(ctx, backend, stmt, wit.sk)
     return judged and (
         pair_step(ctx.group, stmt.old_pair, quality_increment(correct), wit.update_blind) == stmt.new_pair
     )
@@ -395,7 +411,8 @@ class ProofBackend:
     One instance plays the role of the proving system for a whole
     simulation: all parties hold it, honest parties only obtain proofs via
     prove(), and an adversary without the instance cannot do better than
-    guessing a 256-bit attestation.
+    guessing a 256-bit attestation. It also holds the run's decryption
+    memo (see decrypt), so the memo lives and dies with one simulation.
     """
 
     def __init__(self, setup_seed: bytes):
@@ -403,6 +420,18 @@ class ProofBackend:
             rid: hash_bytes(_DST_SETUP + setup_seed + rid.encode("ascii"))
             for rid, _ in _RELATIONS.values()
         }
+        self._plaintexts: dict[tuple[Scalar, MessageCodec, Ciphertext], int] = {}
+
+    def decrypt(self, group: Group, sk: Scalar, codec: MessageCodec, ct: Ciphertext) -> int:
+        """decrypt_message(group, sk, codec, ct), run once per (sk, codec, ct)
+        that decrypts: later calls read the first plaintext. Entries are keyed
+        by the key's value, so only a real decryption under that very key
+        fills the entry it reads. A ciphertext outside the codec's domain
+        raises DomainError each time; the run never asks twice."""
+        key = (sk, codec, ct)
+        if key not in self._plaintexts:
+            self._plaintexts[key] = decrypt_message(group, sk, codec, ct)
+        return self._plaintexts[key]
 
     def _proof(self, ctx: CryptoContext, stmt) -> Proof:
         """The proof of stmt: its relation id, then the digest and the keyed attestation of its record."""
@@ -413,7 +442,7 @@ class ProofBackend:
     def prove(self, ctx: CryptoContext, stmt, witness) -> Proof:
         rid = relation_id_for(stmt)
         _, checker = _RELATIONS[type(stmt)]
-        if not checker(ctx, stmt, witness):
+        if not checker(ctx, stmt, witness, self):
             raise RelationUnsatisfiedError(f"witness does not satisfy {rid}")
         return self._proof(ctx, stmt)
 

@@ -274,6 +274,7 @@ def test_relation_checkers_vs_plaintext_oracles():
     ctx = tiny_context()
     g = ctx.group
     rng = random.Random(0x0A1C)
+    backend = ProofBackend(b"oracle-checks")
     disagreements = []
 
     # final-answer checker, exhaustive: every binary 5-vote pattern x claim
@@ -285,7 +286,7 @@ def test_relation_checkers_vs_plaintext_oracles():
         truth = 1 if sum(votes) > len(votes) - sum(votes) else 0
         for claimed in (0, 1):
             stmt = _calc_statement(ctx, rng, pol2, votes, keys, (claimed,))
-            if check_auth_calc(ctx, stmt, cwit) is not (claimed == truth):
+            if check_auth_calc(ctx, stmt, cwit, backend) is not (claimed == truth):
                 disagreements.append(("binary", votes, claimed))
 
     # final-answer checker, randomized: truth accepted, perturbed rejected
@@ -297,10 +298,10 @@ def test_relation_checkers_vs_plaintext_oracles():
         n = rng.randrange(1, 65)
         answers = [rng.randrange(domain) for _ in range(n)]
         truth = _recount_oracle(pol, answers)
-        if check_auth_calc(ctx, _calc_statement(ctx, rng, pol, answers, keys, truth), cwit) is not True:
+        if check_auth_calc(ctx, _calc_statement(ctx, rng, pol, answers, keys, truth), cwit, backend) is not True:
             disagreements.append(("accept", kind, winners, i))
         wrong = (truth[0] + 1,) + truth[1:]
-        if check_auth_calc(ctx, _calc_statement(ctx, rng, pol, answers, keys, wrong), cwit) is not False:
+        if check_auth_calc(ctx, _calc_statement(ctx, rng, pol, answers, keys, wrong), cwit, backend) is not False:
             disagreements.append(("reject", kind, winners, i))
 
     # quality-step checker: the full correctness x increment table
@@ -318,7 +319,7 @@ def test_relation_checkers_vs_plaintext_oracles():
                 ctx.params_digest, pol2, keys.pk, worker_ct, final_cts, old, new
             )
             expected = claimed == ((1, 0) if correct else (0, 1))
-            if check_auth_qual(ctx, stmt, qwit) is not expected:
+            if check_auth_qual(ctx, stmt, qwit, backend) is not expected:
                 disagreements.append(("qual-step", correct, claimed))
 
     # membership checker: transplant every witness field between workers
@@ -329,7 +330,7 @@ def test_relation_checkers_vs_plaintext_oracles():
         for i, w in enumerate(roster)
     ]
     for stmt, wit in built:
-        if check_prove_qual(ctx, stmt, wit) is not True:
+        if check_prove_qual(ctx, stmt, wit, backend) is not True:
             disagreements.append(("honest", stmt.quality_tag.hex()[:8]))
     for a in range(len(built)):
         for b in range(len(built)):
@@ -339,7 +340,7 @@ def test_relation_checkers_vs_plaintext_oracles():
             _, wit_b = built[b]
             for field in fields(ProveQualWitness):
                 hybrid = replace(wit_a, **{field.name: getattr(wit_b, field.name)})
-                if check_prove_qual(ctx, stmt, hybrid) is not False:
+                if check_prove_qual(ctx, stmt, hybrid, backend) is not False:
                     disagreements.append(("swap", field.name, a, b))
 
     assert disagreements == []

@@ -188,45 +188,42 @@ class TestResponses:
     def test_screen_rejects_shared_answer_ciphertext(self):
         world = World(n_workers=2)
         task = world.announce()
-        w0, w1 = world.workers
-        b0 = w0.build_response(world.ra, task, 1)
-        # w1 colludes: builds honestly, then splices in w0's answer box and
-        # re-proves with the shared randomness
-        b1 = w1.build_response(world.ra, task, 1)
-        p0 = decode_response_bundle(world.ctx, 10, b0)
-        p1 = decode_response_bundle(world.ctx, 11, b1)
-        shared = replace(p1, answer_ct=p0.answer_ct)
+        ctx, g = world.ctx, world.ctx.group
+        # w0 and w1 collude: each builds honestly, then splices in one
+        # shared answer box, encrypted here under randomness drawn here, and
+        # re-proves over it with its own pair and a fresh address box
+        rng = random.Random(5)
+        answer_rand = g.random_scalar(rng)
+        shared_ct = encrypt(g, task.requester_pk, ctx.answer_codec.forward(1), answer_rand)
         from anoncrowd.relations import ProveQualWitness
 
-        wit = ProveQualWitness(
-            ident=w1.ident,
-            cert=w1.cred.cert,
-            alpha=w1.cred.alpha,
-            beta=w1.cred.beta,
-            leaf_blind=w1.cred.opening,
-            stored_pair=w1.cred.pair,
-            rerand=w1._pending.rerand,
-            answer=w0._pending.answer,
-            answer_rand=w0._pending.answer_rand,
-            address=w1._pending.address,
-            address_rand=w1._pending.address_rand,
-            path=world.ra.prove_membership(w1.cred.position),
-        )
-        stmt = response_statement(
-            world.ctx, task, shared.fresh_pair, shared.tag, shared.answer_ct, shared.address_ct
-        )
-        proof = world.backend.prove(world.ctx, stmt, wit)
-        spliced = encode_response_bundle(
-            world.ctx,
-            shared.fresh_pair,
-            shared.tag,
-            shared.answer_ct,
-            shared.address_ct,
-            shared.claim_ct,
-            proof,
-        )
+        def spliced(w, ref):
+            honest = decode_response_bundle(ctx, ref, w.build_response(world.ra, task, 1))
+            address, address_rand = w._pending.address, g.random_scalar(rng)
+            address_ct = encrypt(g, task.requester_pk, ctx.address_codec.forward(address), address_rand)
+            wit = ProveQualWitness(
+                ident=w.ident,
+                cert=w.cred.cert,
+                alpha=w.cred.alpha,
+                beta=w.cred.beta,
+                leaf_blind=w.cred.opening,
+                stored_pair=w.cred.pair,
+                rerand=w._pending.rerand,
+                answer=1,
+                answer_rand=answer_rand,
+                address=address,
+                address_rand=address_rand,
+                path=world.ra.prove_membership(w.cred.position),
+            )
+            stmt = response_statement(ctx, task, honest.fresh_pair, honest.tag, shared_ct, address_ct)
+            proof = world.backend.prove(ctx, stmt, wit)
+            return encode_response_bundle(
+                ctx, honest.fresh_pair, honest.tag, shared_ct, address_ct, honest.claim_ct, proof
+            )
+
+        w0, w1 = world.workers
         accepted, rejections = screen_responses(
-            world.ctx, world.backend, task, [(10, b0), (11, spliced)], set()
+            ctx, world.backend, task, [(10, spliced(w0, 10)), (11, spliced(w1, 11))], set()
         )
         assert [p.ref for p in accepted] == [10]
         assert rejections == [(11, REJECT_DUP_CT)]

@@ -7,7 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anoncrowd.errors import EncodingError
-from anoncrowd.group import CurveGroup, Scalar, TinyGroup, production_group, tiny_group
+from anoncrowd.group import (
+    _J_INF,
+    CurveGroup,
+    CurvePoint,
+    Scalar,
+    TinyGroup,
+    _j_add_affine,
+    _j_double,
+    _j_to_affine,
+    production_group,
+    tiny_group,
+)
+from anoncrowd.primitives import encrypt, keygen, sign, verify_sig
 
 
 @pytest.fixture(params=["prod", "tiny"])
@@ -183,3 +195,69 @@ def test_shared_instances_are_cached():
     assert tiny_group() is tiny_group()
     assert isinstance(production_group(), CurveGroup)
     assert isinstance(tiny_group(), TinyGroup)
+
+
+# ── curve scalar multiplication against the double-and-add oracle ────────────
+
+
+def oracle_mul(k, p):
+    """CurveGroup.mul as it was before fixed-base key tables and batch
+    inversion: 4-bit windowed double-and-add over a per-call table whose 15
+    entries are each normalized with their own inversion."""
+    kv = k.value if isinstance(k, Scalar) else k % production_group().order
+    if kv == 0 or p.inf:
+        return CurvePoint(0, 0, inf=True)
+    row = [(0, 0)] * 16
+    acc = _J_INF
+    for d in range(1, 16):
+        acc = _j_add_affine(acc, p.x, p.y)
+        aff = _j_to_affine(acc)
+        row[d] = (aff.x, aff.y)
+    res = _J_INF
+    for shift in range((kv.bit_length() + 3) // 4 * 4 - 4, -1, -4):
+        if res is not _J_INF:
+            res = _j_double(_j_double(_j_double(_j_double(res))))
+        d = (kv >> shift) & 0xF
+        if d:
+            res = _j_add_affine(res, *row[d])
+    return _j_to_affine(res)
+
+
+def coordinates(p):
+    return (p.inf, p.x, p.y)
+
+
+class TestCurveMulPaths:
+    def test_tabled_batch_inverted_and_oracle_agree(self, prod):
+        rng = random.Random(2718)
+        n = prod.order
+        for _ in range(12):
+            base = prod.mul_gen(prod.random_scalar(rng))
+            tabled = prod.fixed_base(base)
+            assert tabled == base and hash(tabled) == hash(base)
+            assert base.table is None and tabled.table is not None
+            scalars = [0, 1, 2, 15, 16, n - 1, n, n + 1, 3 * n + 7, 1 << 300, prod.scalar(n - 2)]
+            scalars += [rng.randrange(n) for _ in range(4)] + [prod.random_scalar(rng)]
+            for k in scalars:
+                want = coordinates(oracle_mul(k, base))
+                assert coordinates(prod.mul(k, base)) == want, k
+                assert coordinates(prod.mul(k, tabled)) == want, k
+
+    def test_tiny_fixed_base_is_the_point_itself(self, tiny):
+        p = tiny.mul_gen(12345)
+        assert tiny.fixed_base(p) is p
+
+    def test_encrypt_and_verify_sig_ignore_the_table(self, prod):
+        rng = random.Random(31)
+        keys = keygen(prod, rng)
+        bare = prod.decode_element(prod.encode_element(keys.pk))
+        assert keys.pk.table is not None and bare.table is None
+        for i in range(8):
+            msg, r = prod.mul_gen(i), prod.random_scalar(rng)
+            tabled_ct, bare_ct = encrypt(prod, keys.pk, msg, r), encrypt(prod, bare, msg, r)
+            assert coordinates(tabled_ct.c2) == coordinates(bare_ct.c2) and tabled_ct == bare_ct
+            payload = f"message-{i}".encode()
+            sig = sign(prod, keys.sk, payload)
+            assert verify_sig(prod, keys.pk, payload, sig) is verify_sig(prod, bare, payload, sig) is True
+            forged = payload + b"!"
+            assert verify_sig(prod, keys.pk, forged, sig) is verify_sig(prod, bare, forged, sig) is False

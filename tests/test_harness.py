@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anoncrowd import primitives
 from anoncrowd.actors import QualityPost
 from anoncrowd.errors import ConfigError
 from anoncrowd.harness.audit import (
@@ -370,6 +371,28 @@ class TestRunner:
         result = run(tiny_image, seed=11, attack=attack)
         assert result.failures == []
         assert len(calls) == sum(r.posts_onchain for r in result.rounds) > 0
+
+    def test_requester_decrypts_each_ciphertext_once_per_run(self, tiny_image, monkeypatch):
+        # evaluate and the three requester checkers read one memo, so each
+        # accepted response costs three decryptions (answer, address, claim
+        # key) and each round its final ciphertexts once; the memo lives in
+        # the run, so a second run with the same seed decrypts as much again
+        decrypt, calls = primitives.decrypt_element, []
+
+        def counting(group, sk, ct):
+            calls.append(ct)
+            return decrypt(group, sk, ct)
+
+        monkeypatch.setattr(primitives, "decrypt_element", counting)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            result = run(tiny_image, seed=11)
+            assert result.failures == [] and not any(r.void for r in result.rounds)
+            final_cts = tiny_image.policy.final_ct_count
+            assert len(calls) == sum(3 * r.accepted + final_cts for r in result.rounds) > 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_report_carries_the_metrics_sections(self, honest_run):
         report = honest_run.report

@@ -13,12 +13,13 @@ from fractions import Fraction
 import pytest
 
 from anoncrowd.context import CryptoContext, tiny_context
-from anoncrowd.errors import MalformedStatementError, RelationUnsatisfiedError
+from anoncrowd.errors import DomainError, MalformedStatementError, RelationUnsatisfiedError
 from anoncrowd.merkle import MerkleTree
 from anoncrowd.policy import AVERAGE, MAJORITY, TaskPolicy, ans_calc
 from anoncrowd.primitives import (
     BlindingPair,
     commit_pair,
+    decrypt_message,
     encrypt_message,
     keygen,
     pair_add,
@@ -139,6 +140,12 @@ def tctx():
     return tiny_context()
 
 
+@pytest.fixture()
+def backend():
+    """A fresh proof backend, whose decryption memo lives for one test."""
+    return ProofBackend(b"relation-tests")
+
+
 # ── membership relation ──────────────────────────────────────────────────────
 
 
@@ -147,14 +154,14 @@ class TestProveQual:
         for ctx in (tctx, CryptoContext(prod)):
             world = build_world(ctx)
             stmt, wit = build_response(world, world.workers[0], answer=2, address=111)
-            assert check_prove_qual(ctx, stmt, wit)
+            assert check_prove_qual(ctx, stmt, wit, backend)
 
-    def test_below_threshold_quality_rejected(self, tctx):
+    def test_below_threshold_quality_rejected(self, tctx, backend):
         world = build_world(tctx, states=((4, 1), (1, 3)))  # 25% < 50%
         stmt, wit = build_response(world, world.workers[1], answer=1, address=50)
-        assert not check_prove_qual(tctx, stmt, wit)
+        assert not check_prove_qual(tctx, stmt, wit, backend)
 
-    def test_exhaustive_witness_field_swaps(self, tctx):
+    def test_exhaustive_witness_field_swaps(self, tctx, backend):
         # For every ordered pair of distinct enrolled workers, transplant
         # each witness field in isolation. No field is slack: the leaf
         # opening covers the cover term too, so another worker's fails.
@@ -171,31 +178,31 @@ class TestProveQual:
                 _, wit_b = responses[b]
                 for field in fields(ProveQualWitness):
                     hybrid = replace(wit_a, **{field.name: getattr(wit_b, field.name)})
-                    assert not check_prove_qual(tctx, stmt, hybrid), (
+                    assert not check_prove_qual(tctx, stmt, hybrid, backend), (
                         f"swap {field.name} from {b} into {a}"
                     )
 
-    def test_statement_perturbations_rejected(self, tctx):
+    def test_statement_perturbations_rejected(self, tctx, backend):
         world = build_world(tctx)
         stmt, wit = build_response(world, world.workers[0], answer=1, address=77)
         g = tctx.group
         bad_tag = replace(stmt, quality_tag=bytes(32))
-        assert not check_prove_qual(tctx, bad_tag, wit)
+        assert not check_prove_qual(tctx, bad_tag, wit, backend)
         other_root = replace(stmt, tree_root=bytes(32))
-        assert not check_prove_qual(tctx, other_root, wit)
+        assert not check_prove_qual(tctx, other_root, wit, backend)
         swapped_cts = replace(stmt, answer_ct=stmt.address_ct, address_ct=stmt.answer_ct)
-        assert not check_prove_qual(tctx, swapped_cts, wit)
+        assert not check_prove_qual(tctx, swapped_cts, wit, backend)
         rogue_pk = replace(stmt, requester_pk=g.mul_gen(9999))
-        assert not check_prove_qual(tctx, rogue_pk, wit)
+        assert not check_prove_qual(tctx, rogue_pk, wit, backend)
 
-    def test_malformed_statement_raises_not_false(self, tctx):
+    def test_malformed_statement_raises_not_false(self, tctx, backend):
         world = build_world(tctx)
         stmt, wit = build_response(world, world.workers[0], answer=1, address=77)
         broken = replace(stmt, tree_root=b"short")
         with pytest.raises(MalformedStatementError):
-            check_prove_qual(tctx, broken, wit)
+            check_prove_qual(tctx, broken, wit, backend)
 
-    def test_answer_outside_policy_domain_rejected(self, tctx):
+    def test_answer_outside_policy_domain_rejected(self, tctx, backend):
         # codec admits 2^16 values but the policy domain is smaller
         world = build_world(tctx)
         stmt, wit = build_response(world, world.workers[0], answer=2, address=44)
@@ -205,7 +212,7 @@ class TestProveQual:
                 tctx.group, world.req_keys.pk, tctx.answer_codec, 9, wit.answer_rand
             ),
         )
-        assert not check_prove_qual(tctx, wide, replace(wit, answer=9))
+        assert not check_prove_qual(tctx, wide, replace(wit, answer=9), backend)
 
 
 # ── final-answer relation vs recount oracles ─────────────────────────────────
@@ -235,7 +242,7 @@ def build_auth_calc(ctx, rng, policy, answers, keys, posted_values=None):
 
 
 class TestAuthCalc:
-    def test_exhaustive_binary_vectors(self, tctx):
+    def test_exhaustive_binary_vectors(self, tctx, backend):
         rng = random.Random(3)
         keys = keygen(tctx.group, rng)
         pol = mk_policy(domain=2)
@@ -245,14 +252,14 @@ class TestAuthCalc:
             truth = binary_majority_oracle(votes)
             for claimed in (0, 1):
                 stmt = build_auth_calc(tctx, rng, pol, votes, keys, posted_values=(claimed,))
-                assert check_auth_calc(tctx, stmt, wit) == (claimed == truth), (votes, claimed)
+                assert check_auth_calc(tctx, stmt, wit, backend) == (claimed == truth), (votes, claimed)
 
     @pytest.mark.parametrize(
         "kind,winners",
         [(MAJORITY, 1), (MAJORITY, 3), (AVERAGE, 1)],
         ids=["one-winner", "three-winner", "average"],
     )
-    def test_random_instances_accept_truth_reject_perturbed(self, tctx, kind, winners):
+    def test_random_instances_accept_truth_reject_perturbed(self, tctx, kind, winners, backend):
         rng = random.Random(hash((kind, winners)) & 0xFFFF)
         keys = keygen(tctx.group, rng)
         wit = AuthCalcWitness(keys.sk)
@@ -262,33 +269,33 @@ class TestAuthCalc:
             n = rng.randrange(1, 65)
             answers = [rng.randrange(domain) for _ in range(n)]
             stmt = build_auth_calc(tctx, rng, pol, answers, keys)
-            assert check_auth_calc(tctx, stmt, wit)
+            assert check_auth_calc(tctx, stmt, wit, backend)
             truth = ans_calc(answers, pol).values
             wrong = (truth[0] + 1,) + truth[1:]
             if wrong != truth:
                 bad = build_auth_calc(tctx, rng, pol, answers, keys, posted_values=wrong)
-                assert not check_auth_calc(tctx, bad, wit)
+                assert not check_auth_calc(tctx, bad, wit, backend)
 
-    def test_wrong_key_rejected(self, tctx, rng):
+    def test_wrong_key_rejected(self, tctx, rng, backend):
         keys = keygen(tctx.group, rng)
         outsider = keygen(tctx.group, rng)
         stmt = build_auth_calc(tctx, rng, mk_policy(domain=2), [1, 1, 0], keys)
-        assert not check_auth_calc(tctx, stmt, AuthCalcWitness(outsider.sk))
+        assert not check_auth_calc(tctx, stmt, AuthCalcWitness(outsider.sk), backend)
 
-    def test_malformed_final_list_raises(self, tctx, rng):
+    def test_malformed_final_list_raises(self, tctx, rng, backend):
         keys = keygen(tctx.group, rng)
         pol = mk_policy(kind=MAJORITY, domain=4, winners=3)
         stmt = build_auth_calc(tctx, rng, pol, [1, 2, 3], keys)
         chopped = replace(stmt, final_cts=stmt.final_cts[:1])
         with pytest.raises(MalformedStatementError):
-            check_auth_calc(tctx, chopped, AuthCalcWitness(keys.sk))
+            check_auth_calc(tctx, chopped, AuthCalcWitness(keys.sk), backend)
 
-    def test_empty_answer_list_raises(self, tctx, rng):
+    def test_empty_answer_list_raises(self, tctx, rng, backend):
         keys = keygen(tctx.group, rng)
         stmt = build_auth_calc(tctx, rng, mk_policy(domain=2), [0], keys)
         stripped = replace(stmt, answer_cts=())
         with pytest.raises(MalformedStatementError):
-            check_auth_calc(tctx, stripped, AuthCalcWitness(keys.sk))
+            check_auth_calc(tctx, stripped, AuthCalcWitness(keys.sk), backend)
 
 
 # ── single-answer correctness relation ───────────────────────────────────────
@@ -307,34 +314,35 @@ def build_auth_value(ctx, rng, policy, answers, worker_idx, keys):
 
 
 class TestAuthValue:
-    def test_correct_and_incorrect_answers(self, tctx, rng):
+    def test_correct_and_incorrect_answers(self, tctx, rng, backend):
         keys = keygen(tctx.group, rng)
         pol = mk_policy(domain=2)
         answers = [1, 1, 1, 0]  # final answer 1
         good = build_auth_value(tctx, rng, pol, answers, 0, keys)
-        assert check_auth_value(tctx, good, AuthValueWitness(keys.sk))
+        assert check_auth_value(tctx, good, AuthValueWitness(keys.sk), backend)
         bad = build_auth_value(tctx, rng, pol, answers, 3, keys)
-        assert not check_auth_value(tctx, bad, AuthValueWitness(keys.sk))
+        assert not check_auth_value(tctx, bad, AuthValueWitness(keys.sk), backend)
 
-    def test_average_band(self, tctx, rng):
+    def test_average_band(self, tctx, rng, backend):
         keys = keygen(tctx.group, rng)
         pol = mk_policy(kind=AVERAGE, domain=6, eps=Fraction(1, 2))
         answers = [1, 2, 1, 2]  # mean 3/2; band [1, 2]
         assert check_auth_value(
-            tctx, build_auth_value(tctx, rng, pol, answers, 0, keys), AuthValueWitness(keys.sk)
+            tctx, build_auth_value(tctx, rng, pol, answers, 0, keys), AuthValueWitness(keys.sk), backend
         )
         answers_far = [5, 1, 2, 1, 2]  # worker 0 answered 5, mean 11/5
         assert not check_auth_value(
             tctx,
             build_auth_value(tctx, rng, pol, answers_far, 0, keys),
             AuthValueWitness(keys.sk),
+            backend,
         )
 
-    def test_wrong_key_rejected(self, tctx, rng):
+    def test_wrong_key_rejected(self, tctx, rng, backend):
         keys = keygen(tctx.group, rng)
         outsider = keygen(tctx.group, rng)
         stmt = build_auth_value(tctx, rng, mk_policy(domain=2), [1, 1, 0], 0, keys)
-        assert not check_auth_value(tctx, stmt, AuthValueWitness(outsider.sk))
+        assert not check_auth_value(tctx, stmt, AuthValueWitness(outsider.sk), backend)
 
 
 # ── quality-step relation: the 2x2 truth table and the void extension ────────
@@ -352,7 +360,7 @@ class TestAuthQual:
         old = commit_pair(g, 4, 1, random_blinding_pair(g, rng))
         return keys, pol, worker_ct, final_cts, old
 
-    def test_truth_table(self, tctx, rng):
+    def test_truth_table(self, tctx, rng, backend):
         # worker correctness x claimed increment: only the diagonal verifies
         for correct in (True, False):
             keys, pol, worker_ct, final_cts, old = self._setup(tctx, rng, correct)
@@ -366,34 +374,34 @@ class TestAuthQual:
                     tctx.params_digest, pol, keys.pk, worker_ct, final_cts, old, new
                 )
                 expected = claimed == ((1, 0) if correct else (0, 1))
-                assert check_auth_qual(tctx, stmt, wit) == expected, (correct, claimed)
+                assert check_auth_qual(tctx, stmt, wit, backend) == expected, (correct, claimed)
 
-    def test_zero_increment_rejected_unless_void(self, tctx, rng):
+    def test_zero_increment_rejected_unless_void(self, tctx, rng, backend):
         keys, pol, worker_ct, final_cts, old = self._setup(tctx, rng, True)
         blind = random_blinding_pair(tctx.group, rng)
         wit = AuthQualWitness(keys.sk, blind)
         frozen = pair_add(tctx.group, old, commit_pair(tctx.group, 0, 0, blind))
         live = AuthQualStatement(tctx.params_digest, pol, keys.pk, worker_ct, final_cts, old, frozen)
-        assert not check_auth_qual(tctx, live, wit)
+        assert not check_auth_qual(tctx, live, wit, backend)
         void = AuthQualStatement(tctx.params_digest, pol, keys.pk, worker_ct, (), old, frozen)
-        assert check_auth_qual(tctx, void, wit)
+        assert check_auth_qual(tctx, void, wit, backend)
 
-    def test_void_rejects_real_increments(self, tctx, rng):
+    def test_void_rejects_real_increments(self, tctx, rng, backend):
         keys, pol, worker_ct, _, old = self._setup(tctx, rng, True)
         blind = random_blinding_pair(tctx.group, rng)
         wit = AuthQualWitness(keys.sk, blind)
         for claimed in ((1, 0), (0, 1)):
             new = pair_add(tctx.group, old, commit_pair(tctx.group, claimed[0], claimed[1], blind))
             stmt = AuthQualStatement(tctx.params_digest, pol, keys.pk, worker_ct, (), old, new)
-            assert not check_auth_qual(tctx, stmt, wit)
+            assert not check_auth_qual(tctx, stmt, wit, backend)
 
-    def test_wrong_update_blind_rejected(self, tctx, rng):
+    def test_wrong_update_blind_rejected(self, tctx, rng, backend):
         keys, pol, worker_ct, final_cts, old = self._setup(tctx, rng, True)
         blind = random_blinding_pair(tctx.group, rng)
         new = pair_add(tctx.group, old, commit_pair(tctx.group, 1, 0, blind))
         stmt = AuthQualStatement(tctx.params_digest, pol, keys.pk, worker_ct, final_cts, old, new)
         other = AuthQualWitness(keys.sk, random_blinding_pair(tctx.group, rng))
-        assert not check_auth_qual(tctx, stmt, other)
+        assert not check_auth_qual(tctx, stmt, other, backend)
 
 
 # ── proof backend ────────────────────────────────────────────────────────────
@@ -474,6 +482,44 @@ class TestProofBackend:
         stmt, wit = build_response(world, world.workers[0], answer=1, address=10)
         proof = ProofBackend(b"seed-A").prove(tctx, stmt, wit)
         assert not ProofBackend(b"seed-B").verify(tctx, stmt, proof)
+
+    def test_wrong_key_refused_after_the_right_key_is_memoized(self, tctx, rng):
+        # the decryption memo is keyed by the secret key's value: with the
+        # requester's decryptions in it, an outsider key still reads only
+        # what decrypting under that key gives, and prove still refuses it
+        keys = keygen(tctx.group, rng)
+        outsider = keygen(tctx.group, rng)
+        backend = ProofBackend(b"seed-A")
+        g, pol = tctx.group, mk_policy(domain=2)
+        value_stmt = build_auth_value(tctx, rng, pol, [1, 1, 0], 0, keys)
+        old = commit_pair(g, 4, 1, random_blinding_pair(g, rng))
+        blind = random_blinding_pair(g, rng)
+        qual_stmt = AuthQualStatement(
+            tctx.params_digest,
+            pol,
+            keys.pk,
+            value_stmt.worker_ct,
+            value_stmt.final_cts,
+            old,
+            pair_add(g, old, commit_pair(g, 1, 0, blind)),
+        )
+        backend.prove(tctx, value_stmt, AuthValueWitness(keys.sk))
+        backend.prove(tctx, qual_stmt, AuthQualWitness(keys.sk, blind))
+        for stmt, wit in (
+            (value_stmt, AuthValueWitness(outsider.sk)),
+            (qual_stmt, AuthQualWitness(outsider.sk, blind)),
+        ):
+            with pytest.raises(RelationUnsatisfiedError):
+                backend.prove(tctx, stmt, wit)
+
+        def plaintext(decrypt, sk):
+            try:
+                return decrypt(g, sk, tctx.answer_codec, value_stmt.worker_ct)
+            except DomainError:
+                return "outside the domain"
+
+        assert plaintext(backend.decrypt, keys.sk) == 1
+        assert plaintext(backend.decrypt, outsider.sk) == plaintext(decrypt_message, outsider.sk) != 1
 
     def test_relation_id_confusion_rejected(self, tctx, rng):
         keys = keygen(tctx.group, rng)
