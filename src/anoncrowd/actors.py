@@ -57,6 +57,7 @@ from .primitives import (
     commit_pair,
     decode_ciphertext,
     decode_commitment_pair,
+    decrypt_message,
     encode_ciphertexts,
     encrypt_message,
     hash_bytes,
@@ -608,7 +609,7 @@ class WorkerAgent:
             ref=None,
             rerand=rerand,
             fresh_pair=pair_rerandomize(g, self.cred.pair, rerand),
-            answer_ct=encrypt_message(g, task.requester_pk, ctx.answer_codec, answer, answer_rand),
+            answer_ct=self.backend.memo(encrypt_message, g, task.requester_pk, ctx.answer_codec, answer, answer_rand),
             address=address,
             claim_key=rng.randrange(ctx.claim_codec.domain_size),
             claim_rand=g.random_scalar(rng),
@@ -619,7 +620,7 @@ class WorkerAgent:
             pending.fresh_pair,
             self.current_tag(),
             pending.answer_ct,
-            encrypt_message(g, task.requester_pk, ctx.address_codec, address, address_rand),
+            self.backend.memo(encrypt_message, g, task.requester_pk, ctx.address_codec, address, address_rand),
         )
         witness = ProveQualWitness(
             ident=self.ident,
@@ -734,7 +735,7 @@ class RequesterAgent:
         answers: list[int | None] = [None] * len(accepted)
         final, final_cts, final_bundle = None, (), None
         if not void:
-            answers = [self.backend.decrypt(g, sk, ctx.answer_codec, p.answer_ct) for p in accepted]
+            answers = [self.backend.memo(decrypt_message, g, sk, ctx.answer_codec, p.answer_ct) for p in accepted]
             final = ans_calc(answers, task.policy)
             final_cts = tuple(
                 encrypt_message(g, self.keypair.pk, ctx.answer_codec, v, g.random_scalar(self.rng))
@@ -752,7 +753,7 @@ class RequesterAgent:
             leaves.append(leaf)
             if void:
                 continue  # a void task settles zero increments and pays nobody
-            address = self.backend.decrypt(g, sk, ctx.address_codec, parsed.address_ct)
+            address = self.backend.memo(decrypt_message, g, sk, ctx.address_codec, parsed.address_ct)
             payments.append((payout_account(address), paym_calc(correct, task.policy)))
             if correct:
                 correct_refs.append(parsed.ref)
@@ -791,7 +792,7 @@ class RequesterAgent:
             value_proof = self.backend.prove(ctx, value_stmt, AuthValueWitness(sk))
 
         try:
-            key = self.backend.decrypt(g, sk, ctx.claim_codec, parsed.claim_ct)
+            key = self.backend.memo(decrypt_message, g, sk, ctx.claim_codec, parsed.claim_ct)
             update_pads, cover_pads = claim_pads(ctx, parsed.ref, key)
             idx = claim_index(parsed.ref, key)
             blinded = update + update_pads

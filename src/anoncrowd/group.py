@@ -15,20 +15,21 @@ Two interchangeable instantiations of one interface:
 Scalars are immutable and carry their modulus, so values from the two
 backends cannot be mixed silently. Group elements are opaque value objects;
 all arithmetic goes through the owning group instance. Scalar
-multiplication runs in Jacobian coordinates internally. Radix-16 fixed-base
-tables serve the generator and the derived blinding generator, which is
-what makes pure-Python commitments fast enough for the acceptance
+multiplication runs in Jacobian coordinates internally. Signed radix-256
+fixed-base tables serve the generator and the derived blinding generator,
+which is what makes pure-Python commitments fast enough for the acceptance
 workloads. A point that ``Group.fixed_base`` returns carries such a table
-too: keygen gives each long-lived public key one, so encryption under it
-and signature checks against it skip the doublings. That table lives on its
-point and is built on the point's first multiplication; decoded points
-carry none. Every other base gets a per-call table of its first 15
-multiples, normalized to affine with one batch inversion.
+too: keygen gives each long-lived public key one. That table lives on its
+point and is built on its first multiplication; decoded points carry none.
+Every other base gets a per-call row of its first 15 multiples. Rows, tables
+and the codec's baby table come from ``Group.multiples``, which the curve
+normalizes to affine in chunks, with one batch inversion per chunk.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from functools import cache
 
 from .errors import EncodingError
@@ -226,68 +227,50 @@ def _j_to_affine(p: tuple[int, int, int]) -> CurvePoint:
     return CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q)
 
 
-def _multiples_row(x: int, y: int) -> list[tuple[int, int]]:
-    """[(0, 0), 1P, ..., 15P] in affine (x, y) for P = (x, y).
-
-    The 15 Jacobian sums are normalized with one inversion (Montgomery's
-    trick): invert the product of their Z, then peel each Z^-1 off it. In a
-    group of prime order no multiple dP with 0 < d < 16 is the point at
-    infinity, so no Z is zero."""
-    points, prefix = [], []
-    acc, product = _J_INF, 1
-    for _ in range(15):
-        acc = _j_add_affine(acc, x, y)
-        points.append(acc)
-        prefix.append(product)
-        product = (product * acc[2]) % _Q
-    inv = pow(product, -1, _Q)
-    row = [(0, 0)] * 16
-    for d in range(15, 0, -1):
-        X, Y, Z = points[d - 1]
-        zi = (inv * prefix[d - 1]) % _Q
-        inv = (inv * Z) % _Q
-        zi2 = (zi * zi) % _Q
-        row[d] = ((X * zi2) % _Q, (Y * zi2 * zi) % _Q)
-    return row
-
-
 class _FixedBaseTable:
-    """Radix-16 decomposition table for one fixed base point B.
+    """Signed radix-256 decomposition table for one fixed base point B.
 
-    Row i holds d * 16^i * B for d in 1..15, stored affine so the main loop
-    uses mixed additions only. A 254-bit scalar then costs at most 64
-    additions and no doublings. The rows are built on the first accumulate,
-    so a base that is never multiplied costs nothing.
+    A scalar is recoded into digits d in [-128, 128]: a byte b above 128
+    becomes the digit b - 256 and carries one into the next byte. Row i
+    holds d * 256^i * B for d in 0..128 (entry 0 unused), affine, as two
+    flat lists of x and y coordinates; a negative digit takes its entry with
+    y negated. Row i+1's base is twice row i's last entry. A scalar below
+    the order is under 2^254, so its top byte plus a carry stays at most
+    128 and 32 rows suffice: at most 32 mixed additions and no doublings.
+    The rows are built with CurveGroup.multiples on the first accumulate, so
+    a base that is never multiplied costs nothing.
     """
 
-    __slots__ = ("base", "rows")
+    __slots__ = ("group", "base", "rows")
 
-    def __init__(self, base: CurvePoint):
-        self.base = (base.x, base.y)
-        self.rows: list[list[tuple[int, int]]] | None = None
+    def __init__(self, group: CurveGroup, base: CurvePoint):
+        self.group = group
+        self.base = base
+        self.rows: list[tuple[list[int], list[int]]] | None = None
 
-    def _build(self) -> list[list[tuple[int, int]]]:
+    def _build(self) -> list[tuple[list[int], list[int]]]:
         rows = []
-        cur = (*self.base, 1)
-        for _ in range((_ORDER.bit_length() + 3) // 4):
-            cur_aff = _j_to_affine(cur)
-            rows.append(_multiples_row(cur_aff.x, cur_aff.y))
-            for _ in range(4):
-                cur = _j_double(cur)
+        base = self.base
+        for _ in range((_ORDER.bit_length() + 8) // 8):
+            row = list(self.group.multiples(base, 129))
+            rows.append(([q.x for q in row], [q.y for q in row]))
+            base = _j_to_affine(_j_double((row[128].x, row[128].y, 1)))
         return rows
 
     def accumulate(self, k: int, acc: tuple[int, int, int]) -> tuple[int, int, int]:
         rows = self.rows
         if rows is None:
             rows = self.rows = self._build()
-        i = 0
-        while k:
-            d = k & 0xF
-            if d:
-                ax, ay = rows[i][d]
-                acc = _j_add_affine(acc, ax, ay)
-            k >>= 4
-            i += 1
+        for xs, ys in rows:
+            if not k:
+                break
+            d = k & 0xFF
+            k >>= 8
+            if d > 128:
+                k += 1
+                acc = _j_add_affine(acc, xs[256 - d], _Q - ys[256 - d])
+            elif d:
+                acc = _j_add_affine(acc, xs[d], ys[d])
         return acc
 
 
@@ -375,6 +358,13 @@ class Group:
         """k_gen * G + k_blind * H in one pass; the commitment hot path."""
         return self.add(self.mul_gen(k_gen), self.mul_blind(k_blind))
 
+    def multiples(self, p: GroupElement, count: int) -> Iterator[GroupElement]:
+        """0p, 1p, ..., (count - 1)p in order. The default adds p each step."""
+        cur = self.identity()
+        for _ in range(count):
+            yield cur
+            cur = self.add(cur, p)
+
     def fixed_base(self, p: GroupElement) -> GroupElement:
         """p, equal to the argument, prepared to be the base of many mul
         calls (a long-lived public key). The default returns p as it is."""
@@ -391,8 +381,11 @@ class Group:
 
 
 class CurveGroup(Group):
-    """Production backend over the 254-bit curve. Prefer module-level
-    production_group() so the fixed-base tables are built once per process."""
+    """Production backend over the 254-bit curve. The generator, the blind
+    generator and every fixed_base point multiply through signed radix-256
+    tables (see _FixedBaseTable); other bases through a radix-16 window.
+    Prefer module-level production_group() so the generator tables are
+    built once per process."""
 
     name = "curve254"
     order = _ORDER
@@ -402,8 +395,8 @@ class CurveGroup(Group):
     def __init__(self):
         self._gen = CurvePoint(_GX, _GY)
         self._blind: CurvePoint | None = None
-        self._gen_table = _FixedBaseTable(self._gen)
-        self._blind_table = _FixedBaseTable(self.blind_generator)
+        self._gen_table = _FixedBaseTable(self, self._gen)
+        self._blind_table = _FixedBaseTable(self, self.blind_generator)
 
     # interface
 
@@ -439,15 +432,14 @@ class CurveGroup(Group):
         if p.table is not None:
             return _j_to_affine(p.table.accumulate(kv, _J_INF))
         # 4-bit windowed double-and-add over a per-call table; variable base.
-        row = _multiples_row(p.x, p.y)
+        row = list(self.multiples(p, 16))
         res = _J_INF
         for shift in range((kv.bit_length() + 3) // 4 * 4 - 4, -1, -4):
             if res is not _J_INF:
                 res = _j_double(_j_double(_j_double(_j_double(res))))
             d = (kv >> shift) & 0xF
             if d:
-                ax, ay = row[d]
-                res = _j_add_affine(res, ax, ay)
+                res = _j_add_affine(res, row[d].x, row[d].y)
         return _j_to_affine(res)
 
     def mul_gen(self, k: "Scalar | int") -> CurvePoint:
@@ -472,14 +464,41 @@ class CurveGroup(Group):
             acc = self._blind_table.accumulate(kb, acc)
         return _j_to_affine(acc)
 
+    def multiples(self, p: GroupElement, count: int) -> Iterator[CurvePoint]:
+        """0p, 1p, ..., (count - 1)p for p not infinity, as the default
+        gives them. The Jacobian sums are normalized in chunks of 256 with
+        one inversion each (Montgomery's trick: invert the product of their
+        Z, then peel each Z^-1 off it), so only one chunk is held at a time.
+        In a group of prime order no jp with 0 < j < order is infinity, so
+        no Z is zero."""
+        assert isinstance(p, CurvePoint) and not p.inf
+        if count:
+            yield self.identity()
+        acc = _J_INF
+        for start in range(1, count, 256):
+            sums, prefix, product = [], [], 1
+            for _ in range(min(256, count - start)):
+                acc = _j_add_affine(acc, p.x, p.y)
+                sums.append(acc)
+                prefix.append(product)
+                product = (product * acc[2]) % _Q
+            inv = pow(product, -1, _Q)
+            chunk = []
+            for (X, Y, Z), pre in zip(reversed(sums), reversed(prefix)):
+                zi = (inv * pre) % _Q
+                inv = (inv * Z) % _Q
+                zi2 = (zi * zi) % _Q
+                chunk.append(CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q))
+            yield from reversed(chunk)
+
     def fixed_base(self, p: GroupElement) -> CurvePoint:
         """A copy of p that carries its own fixed-base table, so that mul
-        with it as the base takes the table path: at most 64 mixed additions
+        with it as the base takes the table path: at most 32 mixed additions
         and no doublings, once the first mul has built the table."""
         assert isinstance(p, CurvePoint)
         out = CurvePoint(p.x, p.y, p.inf)
         if not p.inf:
-            out.table = _FixedBaseTable(p)
+            out.table = _FixedBaseTable(self, p)
         return out
 
     def encode_element(self, p: GroupElement) -> bytes:

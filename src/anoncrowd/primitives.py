@@ -169,9 +169,11 @@ class MessageCodec:
     """Scalar embedding of a finite message domain into the group.
 
     forward maps x to x * G; inverse recovers x from a decrypted element by
-    baby-step/giant-step over the declared domain. The baby table is built
-    lazily, keyed by element encoding, and is bounded (always well under
-    2^20 entries) so recovery cost is explicit and capped.
+    baby-step/giant-step over the declared domain. The baby table maps the
+    encoding of j * G to j for j below baby_size. It is built on the first
+    inverse, streamed from Group.multiples (batch-normalized on the curve),
+    and is bounded (at most 2^20 entries) so recovery cost is explicit and
+    capped.
     """
 
     MAX_TABLE = 1 << 20
@@ -201,13 +203,8 @@ class MessageCodec:
         if self._table is not None:
             return
         g = self.group
-        table: dict[bytes, int] = {}
-        cur = g.identity()
-        gen = g.generator
-        for j in range(self.baby_size):
-            table[g.encode_element(cur)] = j
-            cur = g.add(cur, gen)
-        self._table = table
+        babies = g.multiples(g.generator, self.baby_size)
+        self._table = {g.encode_element(p): j for j, p in enumerate(babies)}
         self._stride_neg = g.neg(g.mul_gen(self.baby_size))
 
     def inverse(self, element: GroupElement) -> int:

@@ -21,9 +21,11 @@ an auditor rebuilds each statement from the logged fields it covers:
 Statements are structurally validated before use; a malformed statement
 raises MalformedStatementError, which is deliberately distinct from a
 well-formed but unsatisfied relation (a False result). Each checker takes
-the run's ProofBackend too: the three requester checkers decrypt through
-its memo, which only a real decryption under the witness's key fills, so a
-witness never supplies a plaintext.
+the run's ProofBackend too, and reads its memo for the crypto calls the
+parties already made: check_prove_qual's encryptions, the requester
+checkers' decryptions and their key check. Only a real call under the
+witness's own values fills an entry, so a witness never supplies a
+plaintext or a ciphertext.
 
 The proof backend is an attestation oracle standing in for a succinct
 proving system: prove() runs the relation checker and, only on success,
@@ -33,13 +35,14 @@ depend on the statement alone, never on the witness, which is the
 unlinkability property the protocol leans on. Soundness holds within one
 simulation run (the setup secret could mint attestations), matching the
 trust model of a simulated prover rather than re-implementing one. The
-backend's decrypt() runs each (secret key, codec, ciphertext) decryption at
-most once per backend, and so per run: the requester's own evaluation and
-its checkers share it.
+backend's memo() runs each pure call at most once per backend, and so per
+run: a worker's encryptions and the requester's decryptions are shared with
+the checkers that repeat them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import cache
 
@@ -51,7 +54,7 @@ from .errors import (
     MalformedStatementError,
     RelationUnsatisfiedError,
 )
-from .group import Group, GroupElement, Scalar
+from .group import GroupElement, Scalar
 from .merkle import MerklePath, verify_path
 from .policy import (
     AVERAGE,
@@ -68,11 +71,10 @@ from .primitives import (
     BlindingPair,
     Ciphertext,
     CommitmentPair,
-    MessageCodec,
     Signature,
     decrypt_message,
     encode_ciphertexts,
-    encrypt,
+    encrypt_message,
     hash_bytes,
     open_pair_check,
     pair_rerandomize,
@@ -251,7 +253,6 @@ class AuthQualWitness:
 def check_prove_qual(
     ctx: CryptoContext, stmt: ProveQualStatement, wit: ProveQualWitness, backend: ProofBackend
 ) -> bool:
-    """backend goes unused: this relation decrypts nothing."""
     stmt.validate(ctx)
     g = ctx.group
 
@@ -273,16 +274,15 @@ def check_prove_qual(
         return False
 
     # ciphertexts encrypt the claimed plaintexts under the requester key
+    pk = stmt.requester_pk
     try:
-        answer_elem = ctx.answer_codec.forward(wit.answer)
-        address_elem = ctx.address_codec.forward(wit.address)
+        answer_ct = backend.memo(encrypt_message, g, pk, ctx.answer_codec, wit.answer, wit.answer_rand)
+        address_ct = backend.memo(encrypt_message, g, pk, ctx.address_codec, wit.address, wit.address_rand)
     except DomainError:
         return False
     if wit.answer >= stmt.policy.domain_size:
         return False
-    if stmt.answer_ct != encrypt(g, stmt.requester_pk, answer_elem, wit.answer_rand):
-        return False
-    if stmt.address_ct != encrypt(g, stmt.requester_pk, address_elem, wit.address_rand):
+    if (stmt.answer_ct, stmt.address_ct) != (answer_ct, address_ct):
         return False
 
     # the stored pair is accumulated under the pinned root
@@ -297,7 +297,7 @@ def _decrypt_answers(ctx, backend: ProofBackend, sk: Scalar, cts) -> list[int] |
     out = []
     for ct in cts:
         try:
-            out.append(backend.decrypt(ctx.group, sk, ctx.answer_codec, ct))
+            out.append(backend.memo(decrypt_message, ctx.group, sk, ctx.answer_codec, ct))
         except DomainError:
             return None
     return out
@@ -318,7 +318,7 @@ def check_auth_calc(
     ctx: CryptoContext, stmt: AuthCalcStatement, wit: AuthCalcWitness, backend: ProofBackend
 ) -> bool:
     stmt.validate(ctx)
-    if ctx.group.mul_gen(wit.sk) != stmt.requester_pk:
+    if backend.memo(ctx.group.mul_gen, wit.sk) != stmt.requester_pk:
         return False
     answers = _decrypt_answers(ctx, backend, wit.sk, stmt.answer_cts)
     if answers is None:
@@ -335,7 +335,7 @@ def _verdict(ctx: CryptoContext, backend: ProofBackend, stmt, sk: Scalar) -> tup
     """The requester's (judged, correct) on stmt.worker_ct: not judged when
     sk is not the requester key or a ciphertext does not decrypt to a domain
     value; correct is None on a voided task (no final ciphertexts)."""
-    if ctx.group.mul_gen(sk) != stmt.requester_pk:
+    if backend.memo(ctx.group.mul_gen, sk) != stmt.requester_pk:
         return False, None
     if len(stmt.final_cts) == 0:
         return True, None
@@ -411,8 +411,8 @@ class ProofBackend:
     One instance plays the role of the proving system for a whole
     simulation: all parties hold it, honest parties only obtain proofs via
     prove(), and an adversary without the instance cannot do better than
-    guessing a 256-bit attestation. It also holds the run's decryption
-    memo (see decrypt), so the memo lives and dies with one simulation.
+    guessing a 256-bit attestation. It also holds the run's memo of pure
+    crypto calls (see memo), so the memo lives and dies with one simulation.
     """
 
     def __init__(self, setup_seed: bytes):
@@ -420,18 +420,19 @@ class ProofBackend:
             rid: hash_bytes(_DST_SETUP + setup_seed + rid.encode("ascii"))
             for rid, _ in _RELATIONS.values()
         }
-        self._plaintexts: dict[tuple[Scalar, MessageCodec, Ciphertext], int] = {}
+        self._results: dict[tuple, object] = {}
 
-    def decrypt(self, group: Group, sk: Scalar, codec: MessageCodec, ct: Ciphertext) -> int:
-        """decrypt_message(group, sk, codec, ct), run once per (sk, codec, ct)
-        that decrypts: later calls read the first plaintext. Entries are keyed
-        by the key's value, so only a real decryption under that very key
-        fills the entry it reads. A ciphertext outside the codec's domain
-        raises DomainError each time; the run never asks twice."""
-        key = (sk, codec, ct)
-        if key not in self._plaintexts:
-            self._plaintexts[key] = decrypt_message(group, sk, codec, ct)
-        return self._plaintexts[key]
+    def memo(self, fn: Callable, *args):
+        """fn(*args) for a pure fn (decrypt_message, encrypt_message, a
+        group's mul_gen), run once per fn and args: later calls read the
+        first result. Entries are keyed by every argument's value and type,
+        so only a real call on those very inputs fills the entry it reads
+        (5.0 does not read what 5 stored). A call that raises, such as a
+        decryption outside the codec's domain, raises each time."""
+        key = (fn, args, tuple(map(type, args)))
+        if key not in self._results:
+            self._results[key] = fn(*args)
+        return self._results[key]
 
     def _proof(self, ctx: CryptoContext, stmt) -> Proof:
         """The proof of stmt: its relation id, then the digest and the keyed attestation of its record."""

@@ -11,6 +11,7 @@ from anoncrowd.group import (
     _J_INF,
     CurveGroup,
     CurvePoint,
+    Group,
     Scalar,
     TinyGroup,
     _j_add_affine,
@@ -242,6 +243,32 @@ class TestCurveMulPaths:
                 want = coordinates(oracle_mul(k, base))
                 assert coordinates(prod.mul(k, base)) == want, k
                 assert coordinates(prod.mul(k, tabled)) == want, k
+
+    def test_signed_digit_edges_agree_with_oracle(self, prod):
+        # digits of exactly 128 and -127, borrow chains of -1 digits, a
+        # carry that travels from the lowest byte into the top row, and
+        # scalars at or above the order that reduce first
+        n = prod.order
+        scalars = [int.from_bytes(bytes([b]) * 32, "little") for b in (0x80, 0x81, 0xFF)]
+        scalars += [int.from_bytes(bytes([b]) * 31, "little") for b in (0x80, 0x81, 0xFF)]
+        scalars += [2**256 - 1, n - 1, (0x2F << 248) | (2**248 - 1), 128, 129, 255, 256, 128 * 257]
+        keys = keygen(prod, random.Random(77))
+        bare = prod.decode_element(prod.encode_element(keys.pk))
+        G, H = prod.generator, prod.blind_generator
+        for k in scalars:
+            other = (k * 3 + 1) % n
+            assert coordinates(prod.mul_gen(k)) == coordinates(oracle_mul(k, G)), k
+            assert coordinates(prod.mul_blind(k)) == coordinates(oracle_mul(k, H)), k
+            want = prod.add(oracle_mul(k, G), oracle_mul(other, H))
+            assert coordinates(prod.dual_mul(k, other)) == coordinates(want), k
+            assert coordinates(prod.mul(k, keys.pk)) == coordinates(oracle_mul(k, bare)), k
+
+    def test_multiples_match_sequential_adds(self, any_group):
+        g = any_group
+        p = g.mul_gen(424242)
+        for count in (0, 1, 2, 256, 257, 600):
+            got = [g.encode_element(q) for q in g.multiples(p, count)]
+            assert got == [g.encode_element(q) for q in Group.multiples(g, p, count)]
 
     def test_tiny_fixed_base_is_the_point_itself(self, tiny):
         p = tiny.mul_gen(12345)

@@ -9,6 +9,7 @@ by hand, and compare every checker verdict against plaintext recomputation.
 import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -150,7 +151,7 @@ def backend():
 
 
 class TestProveQual:
-    def test_honest_response_checks_on_both_backends(self, tctx, prod):
+    def test_honest_response_checks_on_both_backends(self, tctx, prod, backend):
         for ctx in (tctx, CryptoContext(prod)):
             world = build_world(ctx)
             stmt, wit = build_response(world, world.workers[0], answer=2, address=111)
@@ -518,8 +519,31 @@ class TestProofBackend:
             except DomainError:
                 return "outside the domain"
 
-        assert plaintext(backend.decrypt, keys.sk) == 1
-        assert plaintext(backend.decrypt, outsider.sk) == plaintext(decrypt_message, outsider.sk) != 1
+        memoized = partial(backend.memo, decrypt_message)
+        assert plaintext(memoized, keys.sk) == 1
+        assert plaintext(memoized, outsider.sk) == plaintext(decrypt_message, outsider.sk) != 1
+
+    def test_mismatched_encryption_refused_after_the_honest_one_is_memoized(self, tctx):
+        # the encryption memo is keyed by every input's value and type: with
+        # the honest response's encryptions in it, a witness whose
+        # randomness or plaintext differs (or only its type does) is
+        # re-encrypted for real, does not match, and prove refuses it
+        world = build_world(tctx)
+        stmt, wit = build_response(world, world.workers[0], answer=1, address=77)
+        backend = ProofBackend(b"seed-A")
+        backend.prove(tctx, stmt, wit)
+        other = tctx.group.random_scalar(world.rng)
+        for bad in (
+            replace(wit, answer_rand=other),
+            replace(wit, address_rand=other),
+            replace(wit, address=78),
+            replace(wit, answer=2),
+            replace(wit, answer=1.0),
+            replace(wit, answer_rand=wit.address_rand, address_rand=wit.answer_rand),
+        ):
+            with pytest.raises(RelationUnsatisfiedError):
+                backend.prove(tctx, stmt, bad)
+        assert backend.prove(tctx, stmt, wit) == ProofBackend(b"seed-A").prove(tctx, stmt, wit)
 
     def test_relation_id_confusion_rejected(self, tctx, rng):
         keys = keygen(tctx.group, rng)
