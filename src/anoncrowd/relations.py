@@ -429,7 +429,7 @@ class ProofBackend:
         so only a real call on those very inputs fills the entry it reads
         (5.0 does not read what 5 stored). A call that raises, such as a
         decryption outside the codec's domain, raises each time."""
-        key = (fn, args, tuple(map(type, args)))
+        key = (fn, *args, *map(type, args))
         if key not in self._results:
             self._results[key] = fn(*args)
         return self._results[key]
