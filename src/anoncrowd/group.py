@@ -21,8 +21,11 @@ which is what makes pure-Python commitments fast enough for the acceptance
 workloads. A point that ``Group.fixed_base`` returns carries such a table
 too: keygen gives each long-lived public key one. That table lives on its
 point and is built on its first multiplication; decoded points carry none.
-Every other base gets a per-call row of its first 15 multiples. Rows, tables
-and the codec's baby table come from ``Group.multiples``, which the curve
+Every other base goes through the GLV endomorphism: the scalar splits into
+two halves of at most 127 bits that share one chain of doublings, each
+recoded in width-5 NAF over a per-call row of the base's first 15
+multiples and that row's image under the endomorphism. Those rows and the
+codec's baby table come from ``Group.multiples``, which the curve
 normalizes to affine in chunks, with one batch inversion per chunk.
 """
 
@@ -172,6 +175,16 @@ _Q = 218882428718392752222464057452572750886963111572978236626890378946452262085
 _ORDER = 21888242871839275222246405745257275088548364400416034343698204186575808495617
 _GX, _GY = 1, 2
 
+# The curve's endomorphism (x, y) -> (_BETA * x, y) is multiplication by
+# _LAMBDA; both are cube roots of unity, _BETA mod _Q and _LAMBDA mod _ORDER.
+# (a1, b1) and (a2, b2) are a short basis of the lattice of pairs with
+# a + b * _LAMBDA = 0 mod _ORDER, from a half extended Euclid on
+# (_ORDER, _LAMBDA). tests/test_group.py derives all three.
+_BETA = 2203960485148121921418603742825762020974279258880205651966
+_LAMBDA = 4407920970296243842393367215006156084916469457145843978461
+_A1, _B1 = 9931322734385697763, -147946756881789319000765030803803410728
+_A2, _B2 = 147946756881789319010696353538189108491, 9931322734385697763
+
 # Jacobian triples (X, Y, Z); Z = 0 encodes infinity.
 _J_INF = (0, 1, 0)
 
@@ -227,6 +240,57 @@ def _j_to_affine(p: tuple[int, int, int]) -> CurvePoint:
     return CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q)
 
 
+def _inverses(values: list[int]) -> list[int]:
+    """The inverses mod _Q of nonzero values, with one pow (Montgomery's
+    trick: invert the product of them all, then peel each inverse off it)."""
+    prefix, product = [], 1
+    for v in values:
+        prefix.append(product)
+        product = (product * v) % _Q
+    inv = pow(product, -1, _Q)
+    out = []
+    for v, pre in zip(reversed(values), reversed(prefix)):
+        out.append((inv * pre) % _Q)
+        inv = (inv * v) % _Q
+    out.reverse()
+    return out
+
+
+def _affine(points: list[tuple[int, int, int]]) -> list[CurvePoint]:
+    """Jacobian points, none of them infinity, normalized with one inversion."""
+    out = []
+    for (X, Y, _), zi in zip(points, _inverses([p[2] for p in points])):
+        zi2 = (zi * zi) % _Q
+        out.append(CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q))
+    return out
+
+
+def _glv_split(k: int) -> tuple[int, int]:
+    """Signed (k1, k2) with k1 + k2 * _LAMBDA = k mod _ORDER, each under
+    2^127 in magnitude: (k, 0) minus the lattice point that rounding
+    c1 = b2 * k / n and c2 = -b1 * k / n gives. n is odd, so neither
+    quotient is ever exactly half-way."""
+    c1 = (2 * _B2 * k + _ORDER) // (2 * _ORDER)
+    c2 = (-2 * _B1 * k + _ORDER) // (2 * _ORDER)
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _wnaf5(k: int) -> list[int]:
+    """Width-5 NAF of a signed k, least significant digit first: each
+    nonzero digit is odd, in [-15, 15], and followed by at least four
+    zeros, and the sum of d * 2^i is k."""
+    digits = []
+    while k:
+        if k & 1:
+            d = (k & 31) - 32 if k & 16 else k & 31
+            digits += (d, 0, 0, 0, 0)
+            k = (k - d) >> 5
+        else:
+            digits.append(0)
+            k >>= 1
+    return digits
+
+
 class _FixedBaseTable:
     """Signed radix-256 decomposition table for one fixed base point B.
 
@@ -237,24 +301,40 @@ class _FixedBaseTable:
     y negated. Row i+1's base is twice row i's last entry. A scalar below
     the order is under 2^254, so its top byte plus a carry stays at most
     128 and 32 rows suffice: at most 32 mixed additions and no doublings.
-    The rows are built with CurveGroup.multiples on the first accumulate, so
-    a base that is never multiplied costs nothing.
+    The rows are built on the first accumulate, so a base that is never
+    multiplied costs nothing.
     """
 
-    __slots__ = ("group", "base", "rows")
+    __slots__ = ("base", "rows")
 
-    def __init__(self, group: CurveGroup, base: CurvePoint):
-        self.group = group
+    def __init__(self, base: CurvePoint):
         self.base = base
         self.rows: list[tuple[list[int], list[int]]] | None = None
 
     def _build(self) -> list[tuple[list[int], list[int]]]:
-        rows = []
-        base = self.base
-        for _ in range((_ORDER.bit_length() + 8) // 8):
-            row = list(self.group.multiples(base, 129))
-            rows.append(([q.x for q in row], [q.y for q in row]))
-            base = _j_to_affine(_j_double((row[128].x, row[128].y, 1)))
+        """The row bases 256^i * B take 8 doublings each and one batch
+        normalization. Then all rows grow in lockstep, entry j as entry
+        j - 1 plus the row's base (a doubling for j = 2) in affine form,
+        and each step's slope denominators share one inversion. None is
+        zero: j * B is neither B nor -B for 1 < j < order - 1."""
+        acc = (self.base.x, self.base.y, 1)
+        jacobian = [acc]
+        for _ in range((_ORDER.bit_length() + 8) // 8 - 1):
+            for _ in range(8):
+                acc = _j_double(acc)
+            jacobian.append(acc)
+        bases = _affine(jacobian)
+        rows = [([0, b.x], [0, b.y]) for b in bases]
+        nums, dens = [3 * b.x * b.x for b in bases], [2 * b.y for b in bases]
+        for _ in range(127):
+            for (xs, ys), b, num, inv in zip(rows, bases, nums, _inverses(dens)):
+                lam = (num * inv) % _Q
+                x, y = xs[-1], ys[-1]
+                x3 = (lam * lam - x - b.x) % _Q
+                xs.append(x3)
+                ys.append((lam * (x - x3) - y) % _Q)
+            nums = [ys[-1] - b.y for (_, ys), b in zip(rows, bases)]
+            dens = [xs[-1] - b.x for (xs, _), b in zip(rows, bases)]
         return rows
 
     def accumulate(self, k: int, acc: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -383,7 +463,7 @@ class Group:
 class CurveGroup(Group):
     """Production backend over the 254-bit curve. The generator, the blind
     generator and every fixed_base point multiply through signed radix-256
-    tables (see _FixedBaseTable); other bases through a radix-16 window.
+    tables (see _FixedBaseTable); other bases through GLV with wNAF.
     Prefer module-level production_group() so the generator tables are
     built once per process."""
 
@@ -395,8 +475,8 @@ class CurveGroup(Group):
     def __init__(self):
         self._gen = CurvePoint(_GX, _GY)
         self._blind: CurvePoint | None = None
-        self._gen_table = _FixedBaseTable(self, self._gen)
-        self._blind_table = _FixedBaseTable(self, self.blind_generator)
+        self._gen_table = _FixedBaseTable(self._gen)
+        self._blind_table = _FixedBaseTable(self.blind_generator)
 
     # interface
 
@@ -431,16 +511,30 @@ class CurveGroup(Group):
             return self.identity()
         if p.table is not None:
             return _j_to_affine(p.table.accumulate(kv, _J_INF))
-        # 4-bit windowed double-and-add over a per-call table; variable base.
-        row = list(self.multiples(p, 16))
-        res = _J_INF
-        for shift in range((kv.bit_length() + 3) // 4 * 4 - 4, -1, -4):
-            if res is not _J_INF:
-                res = _j_double(_j_double(_j_double(_j_double(res))))
-            d = (kv >> shift) & 0xF
-            if d:
-                res = _j_add_affine(res, row[d].x, row[d].y)
-        return _j_to_affine(res)
+        # k * P = k1 * P + k2 * phi(P), both halves in width-5 NAF over one
+        # chain of doublings. Entry d of xs/ys (and of the endomorphism's
+        # bxs/ys) is d * P for odd d in 1..15; entry -d, counted from the
+        # end, is -d * P.
+        xs, ys = [0] * 32, [0] * 32
+        for d, pt in enumerate(self.multiples(p, 16)):
+            if d & 1:
+                xs[d] = xs[-d] = pt.x
+                ys[d], ys[-d] = pt.y, _Q - pt.y
+        bxs = [(_BETA * x) % _Q for x in xs]
+        k1, k2 = _glv_split(kv)
+        d1, d2 = _wnaf5(k1), _wnaf5(k2)
+        top = max(len(d1), len(d2))
+        d1 += [0] * (top - len(d1))
+        d2 += [0] * (top - len(d2))
+        acc = _J_INF
+        for a, b in zip(reversed(d1), reversed(d2)):
+            if acc is not _J_INF:
+                acc = _j_double(acc)
+            if a:
+                acc = _j_add_affine(acc, xs[a], ys[a])
+            if b:
+                acc = _j_add_affine(acc, bxs[b], ys[b])
+        return _j_to_affine(acc)
 
     def mul_gen(self, k: "Scalar | int") -> CurvePoint:
         kv = self._as_int(k)
@@ -467,8 +561,8 @@ class CurveGroup(Group):
     def multiples(self, p: GroupElement, count: int) -> Iterator[CurvePoint]:
         """0p, 1p, ..., (count - 1)p for p not infinity, as the default
         gives them. The Jacobian sums are normalized in chunks of 256 with
-        one inversion each (Montgomery's trick: invert the product of their
-        Z, then peel each Z^-1 off it), so only one chunk is held at a time.
+        one inversion each (see _inverses), so only one chunk is held at a
+        time.
         In a group of prime order no jp with 0 < j < order is infinity, so
         no Z is zero."""
         assert isinstance(p, CurvePoint) and not p.inf
@@ -476,20 +570,11 @@ class CurveGroup(Group):
             yield self.identity()
         acc = _J_INF
         for start in range(1, count, 256):
-            sums, prefix, product = [], [], 1
+            sums = []
             for _ in range(min(256, count - start)):
                 acc = _j_add_affine(acc, p.x, p.y)
                 sums.append(acc)
-                prefix.append(product)
-                product = (product * acc[2]) % _Q
-            inv = pow(product, -1, _Q)
-            chunk = []
-            for (X, Y, Z), pre in zip(reversed(sums), reversed(prefix)):
-                zi = (inv * pre) % _Q
-                inv = (inv * Z) % _Q
-                zi2 = (zi * zi) % _Q
-                chunk.append(CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q))
-            yield from reversed(chunk)
+            yield from _affine(sums)
 
     def fixed_base(self, p: GroupElement) -> CurvePoint:
         """A copy of p that carries its own fixed-base table, so that mul
@@ -498,7 +583,7 @@ class CurveGroup(Group):
         assert isinstance(p, CurvePoint)
         out = CurvePoint(p.x, p.y, p.inf)
         if not p.inf:
-            out.table = _FixedBaseTable(self, p)
+            out.table = _FixedBaseTable(p)
         return out
 
     def encode_element(self, p: GroupElement) -> bytes:

@@ -1,14 +1,24 @@
 """Group backend sanity: group laws, encodings, hash-to-element."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anoncrowd import group as group_module
 from anoncrowd.errors import EncodingError
 from anoncrowd.group import (
+    _A1,
+    _A2,
+    _B1,
+    _B2,
+    _BETA,
     _J_INF,
+    _LAMBDA,
+    _ORDER,
+    _Q,
     CurveGroup,
     CurvePoint,
     Group,
@@ -16,7 +26,9 @@ from anoncrowd.group import (
     TinyGroup,
     _j_add_affine,
     _j_double,
+    _glv_split,
     _j_to_affine,
+    _wnaf5,
     production_group,
     tiny_group,
 )
@@ -238,6 +250,7 @@ class TestCurveMulPaths:
             assert tabled == base and hash(tabled) == hash(base)
             assert base.table is None and tabled.table is not None
             scalars = [0, 1, 2, 15, 16, n - 1, n, n + 1, 3 * n + 7, 1 << 300, prod.scalar(n - 2)]
+            scalars += [_LAMBDA, n - _LAMBDA, n // 2, prod.scalar(_LAMBDA + 1)]
             scalars += [rng.randrange(n) for _ in range(4)] + [prod.random_scalar(rng)]
             for k in scalars:
                 want = coordinates(oracle_mul(k, base))
@@ -262,6 +275,15 @@ class TestCurveMulPaths:
             want = prod.add(oracle_mul(k, G), oracle_mul(other, H))
             assert coordinates(prod.dual_mul(k, other)) == coordinates(want), k
             assert coordinates(prod.mul(k, keys.pk)) == coordinates(oracle_mul(k, bare)), k
+
+    def test_lockstep_table_rows_are_the_multiples(self, prod):
+        # row i holds j * 256^i * B for j in 0..128, entry 0 included
+        base = prod.mul_gen(31337)
+        rows = prod.fixed_base(base).table._build()
+        assert len(rows) == 32
+        for i in (0, 1, 31):
+            want = list(Group.multiples(prod, prod.mul(256**i, base), 129))
+            assert rows[i] == ([q.x for q in want], [q.y for q in want]), i
 
     def test_batched_multiples_match_sequential_adds(self, prod):
         # counts on both sides of the 256-sum chunks that share an inversion
@@ -288,3 +310,102 @@ class TestCurveMulPaths:
             assert verify_sig(prod, keys.pk, payload, sig) is verify_sig(prod, bare, payload, sig) is True
             forged = payload + b"!"
             assert verify_sig(prod, keys.pk, forged, sig) is verify_sig(prod, bare, forged, sig) is False
+
+
+# ── the GLV endomorphism behind variable-base mul ────────────────────────────
+
+
+def cube_roots_of_unity(m):
+    """The two cube roots of unity other than 1 modulo a prime m = 1 mod 3."""
+    a = 2
+    while pow(a, (m - 1) // 3, m) == 1:
+        a += 1
+    r = pow(a, (m - 1) // 3, m)
+    return {r, r * r % m}
+
+
+def short_basis(n, lam):
+    """Half extended Euclid on (n, lam) (Gallant, Lambert and Vanstone):
+    each remainder r = s * n + t * lam gives the lattice vector (r, -t).
+    With r_m the last remainder at least sqrt(n), the basis is (r_m+1,
+    -t_m+1) and the shorter of (r_m, -t_m) and (r_m+2, -t_m+2)."""
+    seq = [(n, 0), (lam, 1)]
+    while seq[-1][0]:
+        (r0, t0), (r1, t1) = seq[-2:]
+        seq.append((r0 - r0 // r1 * r1, t0 - r0 // r1 * t1))
+    m = max(i for i, (r, _) in enumerate(seq) if r >= math.isqrt(n))
+    v1 = (seq[m + 1][0], -seq[m + 1][1])
+    v2 = min((seq[m][0], -seq[m][1]), (seq[m + 2][0], -seq[m + 2][1]), key=lambda v: v[0] ** 2 + v[1] ** 2)
+    return v1, v2
+
+
+def check_split(k):
+    k1, k2 = _glv_split(k % _ORDER)
+    assert (k1 + k2 * _LAMBDA - k) % _ORDER == 0, k
+    assert abs(k1) < 2**127 and abs(k2) < 2**127, k
+    for half in (k1, k2):
+        digits = _wnaf5(half)
+        assert sum(d << i for i, d in enumerate(digits)) == half
+        nonzero = [i for i, d in enumerate(digits) if d]
+        assert all(digits[i] % 2 and -15 <= digits[i] <= 15 for i in nonzero)
+        assert all(j - i >= 5 for i, j in zip(nonzero, nonzero[1:]))
+    return k1, k2
+
+
+class TestGlv:
+    def test_constants_are_derived(self, prod):
+        assert _BETA in cube_roots_of_unity(_Q)
+        assert _LAMBDA in cube_roots_of_unity(_ORDER)
+        rng = random.Random(1729)
+        for _ in range(6):
+            p = prod.mul_gen(prod.random_scalar(rng))
+            assert coordinates(oracle_mul(_LAMBDA, p)) == (False, _BETA * p.x % _Q, p.y)
+        assert short_basis(_ORDER, _LAMBDA) == ((_A1, _B1), (_A2, _B2))
+        for a, b in ((_A1, _B1), (_A2, _B2)):
+            assert (a + b * _LAMBDA) % _ORDER == 0
+        # determinant n: the two vectors generate the whole lattice
+        assert _A1 * _B2 - _A2 * _B1 == _ORDER
+
+    def test_split_edges_agree_with_oracle(self, prod):
+        n = _ORDER
+        rng = random.Random(4242)
+        scalars = [1, 2, 17, n - 1, n - 17, _LAMBDA, 5 * _LAMBDA % n, n - _LAMBDA, n // 2]
+        # b2 * k / n and -b1 * k / n as close to half-way as an integer k gets
+        for b in (_B2, -_B1):
+            inv = pow(b, -1, n)
+            scalars += [(n - 1) // 2 * inv % n, (n + 1) // 2 * inv % n]
+        scalars += [rng.randrange(n) for _ in range(16)]
+        splits = [check_split(k) for k in scalars]
+        assert any(k1 == 0 for k1, _ in splits) and any(k2 == 0 for _, k2 in splits)
+        assert any(k1 < 0 for k1, _ in splits) and any(k2 < 0 for _, k2 in splits)
+        for k in scalars:
+            base = prod.mul_gen(prod.random_scalar(rng))
+            assert coordinates(prod.mul(k, base)) == coordinates(oracle_mul(k, base)), k
+            assert coordinates(prod.mul(prod.scalar(k), base)) == coordinates(oracle_mul(k, base)), k
+
+    def test_variable_base_mul_takes_one_short_chain_of_doublings(self, prod, monkeypatch):
+        # a 254-bit scalar took 252 doublings through the radix-16 window
+        rng = random.Random(99)
+        cases = [(rng.randrange(2**253, _ORDER), prod.mul_gen(prod.random_scalar(rng))) for _ in range(8)]
+        calls = 0
+        real = group_module._j_double
+
+        def counted(p):
+            nonlocal calls
+            calls += 1
+            return real(p)
+
+        monkeypatch.setattr(group_module, "_j_double", counted)
+        for k, base in cases:
+            calls = 0
+            prod.mul(k, base)
+            assert 100 < calls <= 130, (k, calls)
+
+
+@given(k=st.integers(min_value=0, max_value=2**300), seed=st.integers(min_value=1, max_value=2**64))
+@settings(max_examples=40, deadline=None)
+def test_glv_mul_matches_oracle(k, seed):
+    g = production_group()
+    base = g.mul_gen(seed)
+    check_split(k)
+    assert coordinates(g.mul(k, base)) == coordinates(oracle_mul(k, base))
