@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .context import CryptoContext
-from .encoding import enc_u32, enc_u64, record
+from .encoding import enc_u32, enc_u64, record, record_fields
 from .errors import (
     DomainError,
     DuplicateIdentifierError,
@@ -56,6 +56,7 @@ from .primitives import (
     Signature,
     commit_pair,
     decode_ciphertext,
+    decode_ciphertexts,
     decode_commitment_pair,
     decrypt_message,
     encode_ciphertexts,
@@ -67,7 +68,6 @@ from .primitives import (
     pair_step,
     quality_tag,
     random_blinding_pair,
-    record_fields,
     sign,
 )
 from .relations import (
@@ -182,11 +182,7 @@ def encode_final_bundle(ctx: CryptoContext, final_cts: tuple[Ciphertext, ...], p
 
 def decode_final_bundle(ctx: CryptoContext, data: bytes, count: int) -> tuple[tuple[Ciphertext, ...], Proof]:
     body, proof = record_fields(data, "final-answer", 2)
-    if count == 0 or len(body) % count:
-        raise EncodingError("final ciphertext list length mismatch")
-    step = len(body) // count
-    cts = tuple(decode_ciphertext(ctx.group, body[i * step : (i + 1) * step]) for i in range(count))
-    return cts, Proof.decode(proof)
+    return decode_ciphertexts(ctx.group, body, count), Proof.decode(proof)
 
 
 @dataclass(frozen=True)

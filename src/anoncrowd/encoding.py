@@ -10,6 +10,8 @@ WIRE_VERSION.
 
 from __future__ import annotations
 
+from .errors import EncodingError
+
 WIRE_VERSION = 1
 
 
@@ -44,3 +46,30 @@ def record(tag: str, *parts: bytes) -> bytes:
     version so cross-type collisions are impossible."""
     t = tag.encode("ascii")
     return enc_bytes(t) + enc_u16(WIRE_VERSION) + canon(*parts)
+
+
+def record_fields(data: bytes, tag: str, count: int) -> list[bytes]:
+    """The parts of a record built by record with exactly `count` of them,
+    after validating the tag and the wire version."""
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise EncodingError("record truncated")
+        pos += n
+        return data[pos - n : pos]
+
+    def chunk() -> bytes:
+        return take(int.from_bytes(take(4), "little"))
+
+    got = chunk()
+    if got != tag.encode("ascii"):
+        raise EncodingError(f"expected record tag {tag!r}, got {got!r}")
+    version = int.from_bytes(take(2), "little")
+    if version != WIRE_VERSION:
+        raise EncodingError(f"unsupported wire version {version}")
+    fields = [chunk() for _ in range(count)]
+    if pos != len(data):
+        raise EncodingError(f"trailing bytes in {tag} record")
+    return fields

@@ -15,18 +15,18 @@ Two interchangeable instantiations of one interface:
 Scalars are immutable and carry their modulus, so values from the two
 backends cannot be mixed silently. Group elements are opaque value objects;
 all arithmetic goes through the owning group instance. Scalar
-multiplication runs in Jacobian coordinates internally. Signed radix-256
-fixed-base tables serve the generator and the derived blinding generator,
-which is what makes pure-Python commitments fast enough for the acceptance
-workloads. A point that ``Group.fixed_base`` returns carries such a table
-too: keygen gives each long-lived public key one. That table lives on its
-point and is built on its first multiplication; decoded points carry none.
-Every other base goes through the GLV endomorphism: the scalar splits into
-two halves of at most 127 bits that share one chain of doublings, each
-recoded in width-5 NAF over a per-call row of the base's first 15
-multiples and that row's image under the endomorphism. Those rows and the
-codec's baby table come from ``Group.multiples``, which the curve
-normalizes to affine in chunks, with one batch inversion per chunk.
+multiplication runs in Jacobian coordinates internally. A point that
+``Group.fixed_base`` returns carries its own signed radix-256 table, built
+on its first multiplication, and ``mul`` takes that table: the generator,
+the blinding generator and keygen's public keys are such points, which is
+what makes pure-Python commitments fast enough for the acceptance
+workloads. Decoded points carry none. Every other base goes through the
+GLV endomorphism: the scalar splits into two halves of at most 127 bits
+that share one chain of doublings, each recoded in width-5 NAF over a
+per-call row of the base's first 15 multiples and that row's image under
+the endomorphism. Those rows and the codec's baby table come from
+``Group.multiples``, which the curve normalizes to affine in chunks, with
+one batch inversion per chunk.
 """
 
 from __future__ import annotations
@@ -232,12 +232,9 @@ def _j_add_affine(p: tuple[int, int, int], ax: int, ay: int) -> tuple[int, int, 
 
 
 def _j_to_affine(p: tuple[int, int, int]) -> CurvePoint:
-    X, Y, Z = p
-    if Z == 0:
+    if p[2] == 0:
         return CurvePoint(0, 0, inf=True)
-    zi = pow(Z, -1, _Q)
-    zi2 = (zi * zi) % _Q
-    return CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q)
+    return _affine([p])[0]
 
 
 def _inverses(values: list[int]) -> list[int]:
@@ -263,6 +260,14 @@ def _affine(points: list[tuple[int, int, int]]) -> list[CurvePoint]:
         zi2 = (zi * zi) % _Q
         out.append(CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q))
     return out
+
+
+def _curve_y(x: int) -> int | None:
+    """A square root of x^3 + 3 mod _Q, or None when x is not the
+    x-coordinate of a curve point (_Q = 3 mod 4, so one pow finds it)."""
+    y2 = (x * x * x + 3) % _Q
+    y = pow(y2, (_Q + 1) // 4, _Q)
+    return y if (y * y) % _Q == y2 else None
 
 
 def _glv_split(k: int) -> tuple[int, int]:
@@ -390,13 +395,11 @@ class Group:
         return Scalar(v, self.order)
 
     def _as_int(self, k: "Scalar | int") -> int:
-        if isinstance(k, Scalar):
-            if k.order != self.order:
-                raise ValueError("scalar belongs to a different group")
-            return k.value
-        return k % self.order
+        return self.scalar(k).value
 
-    # fixed bases: each backend sets _gen and starts _blind at None
+    # fixed bases: each backend sets _gen, and _blind is hashed from it
+
+    _blind: GroupElement | None = None
 
     @property
     def generator(self) -> GroupElement:
@@ -406,7 +409,8 @@ class Group:
     def blind_generator(self) -> GroupElement:
         """Hashed from the generator, so its discrete log is unknown."""
         if self._blind is None:
-            self._blind = self.hash_to_element(_DST_BLIND + self.encode_element(self._gen))
+            h = self.hash_to_element(_DST_BLIND + self.encode_element(self._gen))
+            self._blind = self.fixed_base(h)
         return self._blind
 
     # element operations, provided by the backends
@@ -427,12 +431,10 @@ class Group:
         raise NotImplementedError
 
     def mul_gen(self, k: "Scalar | int") -> GroupElement:
-        """k * generator (fixed-base fast path)."""
-        raise NotImplementedError
+        return self.mul(k, self.generator)
 
     def mul_blind(self, k: "Scalar | int") -> GroupElement:
-        """k * blind_generator (fixed-base fast path)."""
-        raise NotImplementedError
+        return self.mul(k, self.blind_generator)
 
     def dual_mul(self, k_gen: "Scalar | int", k_blind: "Scalar | int") -> GroupElement:
         """k_gen * G + k_blind * H in one pass; the commitment hot path."""
@@ -461,11 +463,12 @@ class Group:
 
 
 class CurveGroup(Group):
-    """Production backend over the 254-bit curve. The generator, the blind
-    generator and every fixed_base point multiply through signed radix-256
-    tables (see _FixedBaseTable); other bases through GLV with wNAF.
-    Prefer module-level production_group() so the generator tables are
-    built once per process."""
+    """Production backend over the 254-bit curve. A point that fixed_base
+    made carries its own signed radix-256 table (see _FixedBaseTable), and
+    mul takes it; the generator and the blind generator are such points.
+    Other bases go through GLV with wNAF. Prefer module-level
+    production_group() so the generators' tables are built once per
+    process."""
 
     name = "curve254"
     order = _ORDER
@@ -473,10 +476,7 @@ class CurveGroup(Group):
     element_size = 33
 
     def __init__(self):
-        self._gen = CurvePoint(_GX, _GY)
-        self._blind: CurvePoint | None = None
-        self._gen_table = _FixedBaseTable(self._gen)
-        self._blind_table = _FixedBaseTable(self.blind_generator)
+        self._gen = self.fixed_base(CurvePoint(_GX, _GY))
 
     # interface
 
@@ -536,27 +536,9 @@ class CurveGroup(Group):
                 acc = _j_add_affine(acc, bxs[b], ys[b])
         return _j_to_affine(acc)
 
-    def mul_gen(self, k: "Scalar | int") -> CurvePoint:
-        kv = self._as_int(k)
-        if kv == 0:
-            return self.identity()
-        return _j_to_affine(self._gen_table.accumulate(kv, _J_INF))
-
-    def mul_blind(self, k: "Scalar | int") -> CurvePoint:
-        kv = self._as_int(k)
-        if kv == 0:
-            return self.identity()
-        return _j_to_affine(self._blind_table.accumulate(kv, _J_INF))
-
     def dual_mul(self, k_gen: "Scalar | int", k_blind: "Scalar | int") -> CurvePoint:
-        kg = self._as_int(k_gen)
-        kb = self._as_int(k_blind)
-        acc = _J_INF
-        if kg:
-            acc = self._gen_table.accumulate(kg, acc)
-        if kb:
-            acc = self._blind_table.accumulate(kb, acc)
-        return _j_to_affine(acc)
+        acc = self._gen.table.accumulate(self._as_int(k_gen), _J_INF)
+        return _j_to_affine(self.blind_generator.table.accumulate(self._as_int(k_blind), acc))
 
     def multiples(self, p: GroupElement, count: int) -> Iterator[CurvePoint]:
         """0p, 1p, ..., (count - 1)p for p not infinity, as the default
@@ -604,9 +586,8 @@ class CurveGroup(Group):
         x = int.from_bytes(data[1:], "big")
         if x >= _Q:
             raise EncodingError("curve x-coordinate out of field range")
-        y2 = (x * x * x + 3) % _Q
-        y = pow(y2, (_Q + 1) // 4, _Q)
-        if (y * y) % _Q != y2:
+        y = _curve_y(x)
+        if y is None:
             raise EncodingError("x-coordinate is not on the curve")
         if (y & 1) != (prefix == 0x03):
             y = _Q - y
@@ -619,12 +600,9 @@ class CurveGroup(Group):
         while True:
             digest = hashlib.sha256(_DST_H2G + data + ctr.to_bytes(4, "little")).digest()
             x = int.from_bytes(digest, "big") % _Q
-            y2 = (x * x * x + 3) % _Q
-            y = pow(y2, (_Q + 1) // 4, _Q)
-            if (y * y) % _Q == y2:
-                if digest[0] & 1:
-                    y = _Q - y
-                return CurvePoint(x, y)
+            y = _curve_y(x)
+            if y is not None:
+                return CurvePoint(x, _Q - y if digest[0] & 1 else y)
             ctr += 1
 
 
@@ -649,7 +627,6 @@ class TinyGroup(Group):
 
     def __init__(self):
         self._gen = FieldUnit(_T_GEN)
-        self._blind: FieldUnit | None = None
 
     def identity(self) -> FieldUnit:
         return FieldUnit(1)
@@ -665,12 +642,6 @@ class TinyGroup(Group):
     def mul(self, k: "Scalar | int", p: GroupElement) -> FieldUnit:
         assert isinstance(p, FieldUnit)
         return FieldUnit(pow(p.v, self._as_int(k), _T_P))
-
-    def mul_gen(self, k: "Scalar | int") -> FieldUnit:
-        return self.mul(k, self._gen)
-
-    def mul_blind(self, k: "Scalar | int") -> FieldUnit:
-        return self.mul(k, self.blind_generator)
 
     def encode_element(self, p: GroupElement) -> bytes:
         assert isinstance(p, FieldUnit)

@@ -244,7 +244,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if r not in metas:
             problems.append(f"screening event for unknown round {r}")
 
-    # pass 3: per-transaction fee and timing rules
+    # pass 3: per-transaction fee, value and timing rules
     sched = GasSchedule()
     for rec in txs:
         try:
@@ -254,6 +254,10 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             continue
         if rec.gas != gas:
             problems.append(f"tx {rec.index}: gas {rec.gas} != schedule {gas}")
+        if rec.value_wei > 0 and rec.method != CREATE_TASK:
+            problems.append(f"tx {rec.index}: {rec.method} moves {rec.value_wei} wei into escrow")
+        if rec.value_wei < 0 and rec.method not in (WORKER_PAYMENT, REFUND, CONFISCATE):
+            problems.append(f"tx {rec.index}: {rec.method} moves {-rec.value_wei} wei out of escrow")
         try:
             fee_ok = rec.fee_wei == fee.fee_wei(rec.gas)
         except (OverflowError, ValueError):  # a non-finite or huge fee or gas figure

@@ -10,13 +10,15 @@ float), so two loads of the same file can never disagree by a rounding.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from ..context import BACKENDS
 from ..errors import ConfigError
+from ..ledger import PROFILES, FeeParams, GasSchedule
 from ..policy import AVERAGE, MAJORITY, TaskPolicy
 
 WEI_PER_ETH = 10**18
@@ -46,6 +48,15 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
+        if self.profile not in PROFILES:
+            raise ConfigError(f"unknown network profile {self.profile!r}")
+        fees = (self.base_fee_gwei, self.tip_gwei, self.eth_usd)
+        if not all(math.isfinite(v) and v >= 0 for v in fees):
+            raise ConfigError("base_fee_gwei, tip_gwei and eth_usd must be finite and non-negative")
+        try:
+            FeeParams(*fees).fee_wei(max(astuple(GasSchedule())))
+        except OverflowError:
+            raise ConfigError("fees are too large: the largest transaction fee has no wei value") from None
         if self.rounds < 1:
             raise ConfigError("a scenario needs at least one round")
         if not (1 <= self.min_workers <= self.worker_count):
@@ -54,6 +65,8 @@ class ScenarioConfig:
             raise ConfigError("phase windows must span at least two blocks")
         if self.escrow_wei < self.worker_count * self.policy.pay_correct:
             raise ConfigError("escrow cannot cover a fully correct round")
+        if min(self.prior) < 1:
+            raise ConfigError("the prior needs at least one of each observation")
 
 
 def _wei(text: str) -> int:
@@ -125,7 +138,7 @@ def parse_scenario(text: str, fallback_name: str) -> ScenarioConfig:
             worker_funding_wei=_wei(workers.get("funding_eth", "0.05")),
             requester_funding_wei=_wei(task.get("requester_funding_eth", "10")),
         )
-    except (configparser.Error, KeyError, TypeError, ValueError) as exc:
+    except (configparser.Error, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad scenario file: {exc}") from exc
     config.validate()
     return config

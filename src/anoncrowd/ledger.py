@@ -91,7 +91,7 @@ class FeeParams:
 # and testnet-a's 0.5-tip row are the externally observed figures; the rest
 # interpolate monotonically (gains above tip 1.1 are minimal, under a block).
 # Means are post-rounding targets; see LatencyModel.latency.
-_PROFILES: dict[str, dict[float, tuple[float, float]]] = {
+PROFILES: dict[str, dict[float, tuple[float, float]]] = {
     "rinkeby": {
         0.5: (8.68, 2.0),
         1.0: (3.10, 0.9),
@@ -122,9 +122,9 @@ class LatencyModel:
     """
 
     def __init__(self, profile: str, rng: random.Random):
-        if profile not in _PROFILES:
+        if profile not in PROFILES:
             raise ValueError(f"unknown network profile {profile!r}")
-        self._anchors = sorted(_PROFILES[profile].items())
+        self._anchors = sorted(PROFILES[profile].items())
         self._rng = rng
 
     def parameters(self, tip_gwei: float) -> tuple[float, float]:

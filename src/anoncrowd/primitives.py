@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .encoding import WIRE_VERSION, record
+from .encoding import record, record_fields
 from .errors import DomainError, EncodingError
 from .group import Group, GroupElement, Scalar
 
@@ -165,6 +165,15 @@ def encode_ciphertexts(group: Group, cts) -> bytes:
     return b"".join(ct.encode(group) for ct in cts)
 
 
+def decode_ciphertexts(group: Group, data: bytes, count: int) -> tuple[Ciphertext, ...]:
+    """The `count` ciphertexts that encode_ciphertexts joined into data;
+    their records are all the same length."""
+    if count == 0 or len(data) % count:
+        raise EncodingError("final ciphertext list length mismatch")
+    step = len(data) // count
+    return tuple(decode_ciphertext(group, data[i * step : (i + 1) * step]) for i in range(count))
+
+
 class MessageCodec:
     """Scalar embedding of a finite message domain into the group.
 
@@ -271,49 +280,6 @@ def verify_sig(group: Group, pk: GroupElement, message: bytes, sig: Signature) -
 
 
 # ── decoding helpers for logged records ──────────────────────────────────────
-
-
-class _Reader:
-    """Cursor over the canonical encoding produced by encoding.record."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise EncodingError("record truncated")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "little")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "little")
-
-    def chunk(self) -> bytes:
-        return self.take(self.u32())
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
-
-def record_fields(data: bytes, tag: str, count: int) -> list[bytes]:
-    """The parts of a record built by encoding.record with exactly `count`
-    of them, after validating the tag and the wire version."""
-    r = _Reader(data)
-    got = r.chunk()
-    if got != tag.encode("ascii"):
-        raise EncodingError(f"expected record tag {tag!r}, got {got!r}")
-    version = r.u16()
-    if version != WIRE_VERSION:
-        raise EncodingError(f"unsupported wire version {version}")
-    fields = [r.chunk() for _ in range(count)]
-    if not r.done():
-        raise EncodingError(f"trailing bytes in {tag} record")
-    return fields
 
 
 def decode_ciphertext(group: Group, data: bytes) -> Ciphertext:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 
 from .context import CryptoContext
-from .encoding import enc_u16, record
+from .encoding import enc_u16, record, record_fields
 from .errors import (
     DomainError,
     EncodingError,
@@ -80,7 +80,6 @@ from .primitives import (
     pair_rerandomize,
     pair_step,
     quality_tag,
-    record_fields,
     verify_sig,
 )
 

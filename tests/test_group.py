@@ -21,6 +21,7 @@ from anoncrowd.group import (
     _Q,
     CurveGroup,
     CurvePoint,
+    FieldUnit,
     Group,
     Scalar,
     TinyGroup,
@@ -94,15 +95,21 @@ class TestGroupLaws:
         assert g.mul(g.order, g.generator) == g.identity()
         assert g.mul_gen(0) == g.identity()
 
-    def test_fixed_base_paths_agree_with_variable_base(self, any_group):
+    def test_fixed_base_paths_agree_with_variable_base(self, any_group, prod):
         g = any_group
+        if g is prod:
+            assert g.generator.table is not None and g.blind_generator.table is not None
+        else:
+            assert type(g.generator) is type(g.blind_generator) is FieldUnit
+        # decoded copies carry no table, so mul with them takes the variable-base path
+        G, H = (g.decode_element(g.encode_element(p)) for p in (g.generator, g.blind_generator))
         rng = random.Random(10)
         for _ in range(10):
             k = g.random_scalar(rng)
-            assert g.mul_gen(k) == g.mul(k, g.generator)
-            assert g.mul_blind(k) == g.mul(k, g.blind_generator)
+            assert g.mul_gen(k) == g.mul(k, G)
+            assert g.mul_blind(k) == g.mul(k, H)
             r = g.random_scalar(rng)
-            assert g.dual_mul(k, r) == g.add(g.mul(k, g.generator), g.mul(r, g.blind_generator))
+            assert g.dual_mul(k, r) == g.add(g.mul(k, G), g.mul(r, H))
 
     def test_blind_generator_differs_from_generator(self, any_group):
         g = any_group

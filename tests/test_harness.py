@@ -5,11 +5,13 @@ backend; the production curve gets its exercise in the acceptance suite.
 Every run here is seeded, so expectations are exact, not statistical.
 """
 
+import configparser
 import hashlib
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from anoncrowd.harness.fixtures import (
     render_fixture,
 )
 from anoncrowd.harness.attacks import ATTACKS
+from anoncrowd.harness import runner
 from anoncrowd.harness.runner import run
 from anoncrowd.harness.scenario import list_bundled, load_scenario, parse_scenario
 from anoncrowd.policy import ans_calc
@@ -91,6 +94,15 @@ def split_log(lines):
     events = [json.loads(ln) for ln in lines]
     bodies = [{k: v for k, v in ev.items() if k != "chain"} for ev in events if ev["type"] != "signoff"]
     return bodies, next(ev for ev in events if ev["type"] == "signoff")
+
+
+def resigned(bodies, group, sk):
+    """Log lines for event bodies with the hash chain redone and signed off
+    afresh with the authority's key sk, so the signoff verifies."""
+    lines = chained(bodies)
+    chain = json.loads(lines[-1])["chain"]
+    sig = primitives.sign(group, sk, bytes.fromhex(chain))
+    return lines + [canonical_line({"type": "signoff", "chain": chain, "sig": sig.encode(group).hex()})]
 
 
 def rechain(lines, kind, mutate):
@@ -186,6 +198,22 @@ def honest_run(tiny_image):
 
 
 @pytest.fixture(scope="module")
+def authority_run(tiny_image):
+    """An honest run at seed 1 and the authority that signed its log off."""
+    authorities = []
+
+    class Recorded(runner.RegistrationAuthority):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            authorities.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "RegistrationAuthority", Recorded)
+        result = run(tiny_image, seed=1)
+    return result, authorities[0]
+
+
+@pytest.fixture(scope="module")
 def attack_runs(tiny_image):
     return {attack: run(tiny_image, seed=11, attack=attack) for attack in ATTACKS}
 
@@ -248,6 +276,34 @@ class TestScenarios:
     def test_missing_section_is_a_config_error(self):
         with pytest.raises(ConfigError):
             parse_scenario("[task]\nmin_workers = 1\n", "bad")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("policy", "threshold", "3/0"),
+            ("policy", "epsilon", "1/0"),
+            ("task", "escrow_eth", "1/0"),
+            ("workers", "funding_eth", "5/0"),
+            ("network", "profile", "mainnet"),
+            ("workers", "prior_alpha", "0"),
+            ("network", "base_fee_gwei", "nan"),
+            ("network", "base_fee_gwei", "1e300"),
+            ("network", "tip_gwei", "nan"),
+            ("network", "tip_gwei", "1e300"),
+            ("network", "eth_usd", "inf"),
+        ],
+    )
+    def test_hostile_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        cp = configparser.ConfigParser()
+        cp.read_string(resources.files("anoncrowd").joinpath("data/scenarios/image_annotation.ini").read_text())
+        cp[section][key] = value
+        path = tmp_path / "hostile.ini"
+        with path.open("w") as fh:
+            cp.write(fh)
+        with pytest.raises(ConfigError):
+            load_scenario(str(path))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestFixtures:
@@ -555,6 +611,24 @@ class TestAudit:
             first[key], last[key] = last[key], first[key]
         problems = verify_log(chained(bodies, signoff)).problems
         assert "round 0: void refunds do not reimburse the responders" in problems
+
+    @pytest.mark.parametrize(
+        "method, value_wei",
+        [("SubmitResponse", 1), ("SubmitQuality", 10**15), ("Finalize", 1), ("SubmitAuthCalc", -1)],
+    )
+    def test_value_moved_by_the_wrong_method_fails(self, authority_run, method, value_wei):
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        assert verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk)).ok
+        tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == method)
+        assert tx["value_wei"] == 0
+        tx["value_wei"] = value_wei
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert not report.ok
+        direction = "into" if value_wei > 0 else "out of"
+        want = f"tx {tx['index']}: {method} moves {abs(value_wei)} wei {direction} escrow"
+        assert want in report.problems
+        assert not any("signoff" in p for p in report.problems)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
