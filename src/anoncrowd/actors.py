@@ -459,7 +459,7 @@ class RegistrationAuthority:
         alpha, beta = self.prior
         # a starting pair blinding plus a cover term, as an adopted leaf has
         opening = random_blinding_pair(g, self.rng) + random_blinding_pair(g, self.rng)
-        pair = commit_pair(g, alpha, beta, opening)
+        pair = self.backend.memo(commit_pair, g, alpha, beta, opening)
         position = self.accumulate(pair.encode(g))
         cert = sign(g, self.keypair.sk, ident_message(self.ctx, ident))
         return Credential(cert, alpha, beta, opening, pair, position)
@@ -485,7 +485,8 @@ class RegistrationAuthority:
     ) -> tuple[tuple[int, int], BlindingPair, CommitmentPair, int] | None:
         """The first board post addressed to (target.ref, claim_key), in posting order, whose
         quality attestation verifies and which serves: an admissible increment steps
-        target.fresh_pair to the posted pair under the unpadded update blinding, and the
+        target.fresh_pair to the posted pair under the unpadded update blinding (new_pair -
+        fresh_pair - update * H, computed once per post, is increment * G), and the
         pair rerandomized by the unpadded cover term is a registry leaf. Returns
         (increment, blinding the leaf adds to target.fresh_pair, leaf, position) or None."""
         ctx, g = self.ctx, self.ctx.group
@@ -498,8 +499,11 @@ class RegistrationAuthority:
             if not self.backend.verify(ctx, stmt, post.qual_proof):
                 continue
             update, dummy = post.blinded_update - update_pads, post.blinded_dummy - cover_pads
+            new, old, H = post.new_pair, target.fresh_pair, g.blind_generator
+            step_a = g.lincomb(((-update.alpha, H),), g.sub(new.alpha_com, old.alpha_com))
+            step_b = g.lincomb(((-update.beta, H),), g.sub(new.beta_com, old.beta_com))
             for increment in increments:
-                if pair_step(g, target.fresh_pair, increment, update) == post.new_pair:
+                if step_a == g.mul_gen(increment[0]) and step_b == g.mul_gen(increment[1]):
                     leaf = pair_rerandomize(g, post.new_pair, dummy)
                     position = self.find_position(leaf.encode(g))
                     if position is not None:
@@ -604,7 +608,7 @@ class WorkerAgent:
         pending = _PendingResponse(
             ref=None,
             rerand=rerand,
-            fresh_pair=pair_rerandomize(g, self.cred.pair, rerand),
+            fresh_pair=self.backend.memo(pair_rerandomize, g, self.cred.pair, rerand),
             answer_ct=self.backend.memo(encrypt_message, g, task.requester_pk, ctx.answer_codec, answer, answer_rand),
             address=address,
             claim_key=rng.randrange(ctx.claim_codec.domain_size),
@@ -779,7 +783,7 @@ class RequesterAgent:
         sk = self.keypair.sk
         update = random_blinding_pair(g, self.rng)
         dummy = random_blinding_pair(g, self.rng)
-        new_pair = pair_step(g, parsed.fresh_pair, quality_increment(correct), update)
+        new_pair = self.backend.memo(pair_step, g, parsed.fresh_pair, quality_increment(correct), update)
         stmt = quality_statement(ctx, task, parsed, final_cts, new_pair)
         qual_proof = self.backend.prove(ctx, stmt, AuthQualWitness(sk, update))
         value_proof = None

@@ -14,26 +14,27 @@ Two interchangeable instantiations of one interface:
 
 Scalars are immutable and carry their modulus, so values from the two
 backends cannot be mixed silently. Group elements are opaque value objects;
-all arithmetic goes through the owning group instance. Scalar
-multiplication runs in Jacobian coordinates internally. A point that
+all arithmetic goes through the owning group instance, and every scalar
+multiplication is one ``Group.lincomb(terms, start)``: start + sum of k * P,
+on the curve in Jacobian coordinates with one normalization. A point that
 ``Group.fixed_base`` returns carries its own signed radix-256 table, built
-on its first multiplication, and ``mul`` takes that table: the generator,
+on its first multiplication, and lincomb takes that table: the generator,
 the blinding generator and keygen's public keys are such points, which is
 what makes pure-Python commitments fast enough for the acceptance
 workloads. Decoded points carry none. Every other base goes through the
-GLV endomorphism: the scalar splits into two halves of at most 127 bits
-that share one chain of doublings, each recoded in width-5 NAF over a
-per-call row of the base's first 15 multiples and that row's image under
-the endomorphism. Those rows and the codec's baby table come from
-``Group.multiples``, which the curve normalizes to affine in chunks, with
-one batch inversion per chunk.
+GLV endomorphism: the scalar splits into two halves of at most 127 bits,
+each recoded in width-5 NAF over a per-call row of the base's first 15
+multiples and that row's image under the endomorphism, and the halves of
+all such bases share one chain of doublings. Those rows and the codec's
+baby table come from ``Group.multiples``, which the curve normalizes to
+affine in chunks, with one batch inversion per chunk.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterator
-from functools import cache
+from functools import cache, reduce
 
 from .errors import EncodingError
 
@@ -413,7 +414,8 @@ class Group:
             self._blind = self.fixed_base(h)
         return self._blind
 
-    # element operations, provided by the backends
+    # element operations, provided by the backends; a backend provides mul
+    # or lincomb, and each default is written with the other
 
     def identity(self) -> GroupElement:
         raise NotImplementedError
@@ -428,7 +430,7 @@ class Group:
         return self.add(a, self.neg(b))
 
     def mul(self, k: "Scalar | int", p: GroupElement) -> GroupElement:
-        raise NotImplementedError
+        return self.lincomb(((k, p),))
 
     def mul_gen(self, k: "Scalar | int") -> GroupElement:
         return self.mul(k, self.generator)
@@ -436,9 +438,13 @@ class Group:
     def mul_blind(self, k: "Scalar | int") -> GroupElement:
         return self.mul(k, self.blind_generator)
 
+    def lincomb(self, terms, start: GroupElement | None = None) -> GroupElement:
+        """start (default the identity) + sum of k * P over (k, P) in terms."""
+        return reduce(self.add, (self.mul(k, p) for k, p in terms), self.identity() if start is None else start)
+
     def dual_mul(self, k_gen: "Scalar | int", k_blind: "Scalar | int") -> GroupElement:
-        """k_gen * G + k_blind * H in one pass; the commitment hot path."""
-        return self.add(self.mul_gen(k_gen), self.mul_blind(k_blind))
+        """k_gen * G + k_blind * H; the commitment hot path."""
+        return self.lincomb(((k_gen, self.generator), (k_blind, self.blind_generator)))
 
     def multiples(self, p: GroupElement, count: int) -> Iterator[GroupElement]:
         """0p, 1p, ..., (count - 1)p in order. The default adds p each step."""
@@ -463,12 +469,12 @@ class Group:
 
 
 class CurveGroup(Group):
-    """Production backend over the 254-bit curve. A point that fixed_base
-    made carries its own signed radix-256 table (see _FixedBaseTable), and
-    mul takes it; the generator and the blind generator are such points.
-    Other bases go through GLV with wNAF. Prefer module-level
-    production_group() so the generators' tables are built once per
-    process."""
+    """Production backend over the 254-bit curve. lincomb is its one
+    multiplication entry point, and mul is Group's one-term call. Points that
+    fixed_base made, such as the generator and the blind generator, add
+    through their own signed radix-256 tables (see _FixedBaseTable), other
+    bases share one GLV chain with wNAF, and start is added last. Prefer
+    module-level production_group() so the generators' tables are built once."""
 
     name = "curve254"
     order = _ORDER
@@ -504,41 +510,39 @@ class CurveGroup(Group):
             return a
         return CurvePoint(a.x, (-a.y) % _Q)
 
-    def mul(self, k: "Scalar | int", p: GroupElement) -> CurvePoint:
-        assert isinstance(p, CurvePoint)
-        kv = self._as_int(k)
-        if kv == 0 or p.inf:
-            return self.identity()
-        if p.table is not None:
-            return _j_to_affine(p.table.accumulate(kv, _J_INF))
-        # k * P = k1 * P + k2 * phi(P), both halves in width-5 NAF over one
-        # chain of doublings. Entry d of xs/ys (and of the endomorphism's
-        # bxs/ys) is d * P for odd d in 1..15; entry -d, counted from the
-        # end, is -d * P.
-        xs, ys = [0] * 32, [0] * 32
-        for d, pt in enumerate(self.multiples(p, 16)):
-            if d & 1:
-                xs[d] = xs[-d] = pt.x
-                ys[d], ys[-d] = pt.y, _Q - pt.y
-        bxs = [(_BETA * x) % _Q for x in xs]
-        k1, k2 = _glv_split(kv)
-        d1, d2 = _wnaf5(k1), _wnaf5(k2)
-        top = max(len(d1), len(d2))
-        d1 += [0] * (top - len(d1))
-        d2 += [0] * (top - len(d2))
+    def lincomb(self, terms, start: GroupElement | None = None) -> CurvePoint:
+        """start + sum of k * P over (k, P) in terms, in one Jacobian
+        accumulator. Table-less bases share one chain of doublings (Straus's
+        interleaving), each k * P as k1 * P + k2 * phi(P) in width-5 NAF over
+        rows of d * P and phi(d * P) for odd d in -15..15. Tabled bases then
+        accumulate through their tables, and start goes in last."""
+        halves, tabled = [], []
+        for k, p in terms:
+            assert isinstance(p, CurvePoint)
+            kv = self._as_int(k)
+            if kv and p.table is not None:  # never infinity, see fixed_base
+                tabled.append((kv, p.table))
+            elif kv and not p.inf:
+                xs, ys = [0] * 32, [0] * 32
+                for d, pt in enumerate(self.multiples(p, 16)):
+                    if d & 1:
+                        xs[d] = xs[-d] = pt.x
+                        ys[d], ys[-d] = pt.y, _Q - pt.y
+                k1, k2 = _glv_split(kv)
+                halves += [(_wnaf5(k1), xs, ys), (_wnaf5(k2), [(_BETA * x) % _Q for x in xs], ys)]
+        top = max((len(digits) for digits, _, _ in halves), default=0)
         acc = _J_INF
-        for a, b in zip(reversed(d1), reversed(d2)):
+        for column in zip(*(reversed(digits + [0] * (top - len(digits))) for digits, _, _ in halves)):
             if acc is not _J_INF:
                 acc = _j_double(acc)
-            if a:
-                acc = _j_add_affine(acc, xs[a], ys[a])
-            if b:
-                acc = _j_add_affine(acc, bxs[b], ys[b])
+            for d, (_, xs, ys) in zip(column, halves):
+                if d:
+                    acc = _j_add_affine(acc, xs[d], ys[d])
+        for kv, table in tabled:
+            acc = table.accumulate(kv, acc)
+        if start is not None and not start.inf:
+            acc = _j_add_affine(acc, start.x, start.y)
         return _j_to_affine(acc)
-
-    def dual_mul(self, k_gen: "Scalar | int", k_blind: "Scalar | int") -> CurvePoint:
-        acc = self._gen.table.accumulate(self._as_int(k_gen), _J_INF)
-        return _j_to_affine(self.blind_generator.table.accumulate(self._as_int(k_blind), acc))
 
     def multiples(self, p: GroupElement, count: int) -> Iterator[CurvePoint]:
         """0p, 1p, ..., (count - 1)p for p not infinity, as the default

@@ -11,12 +11,13 @@ This is the cryptographic toolbox the protocol layers build on:
   public key a fixed base of the group, so encryption under it and
   signature checks against it take the fixed-base path.
 * Schnorr-style signatures with deterministic nonces: S = r + H(m) * sk,
-  verified as S * G == R + H(m) * pk.
+  verified as S * G - H(m) * pk == R.
 * SHA-256 as the collision-resistant hash, with domain-separation tags on
   every distinct use.
 
 Quality values travel as ordered pairs (one commitment per Beta-posterior
-parameter), so pair-level containers and arithmetic live here too.
+parameter), so pair-level containers and arithmetic live here too. Every
+sum of scalar multiples below is one Group.lincomb call.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def open_check(group: Group, com: GroupElement, value: "int | Scalar", blind: Sc
 def rerandomize(group: Group, com: GroupElement, extra: Scalar) -> GroupElement:
     """Homomorphic re-randomization: adds a commitment to zero, so the
     committed value is unchanged while the opening shifts by ``extra``."""
-    return group.add(com, group.mul_blind(extra))
+    return group.lincomb(((extra, group.blind_generator),), com)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,11 @@ def pair_add(group: Group, a: CommitmentPair, b: CommitmentPair) -> CommitmentPa
 
 def pair_step(group: Group, pair: CommitmentPair, increment: tuple, blind: BlindingPair) -> CommitmentPair:
     """The one quality update step: pair plus a commitment to increment under blind."""
-    return pair_add(group, pair, commit_pair(group, *increment, blind))
+    G, H = group.generator, group.blind_generator
+    return CommitmentPair(
+        group.lincomb(((increment[0], G), (blind.alpha, H)), pair.alpha_com),
+        group.lincomb(((increment[1], G), (blind.beta, H)), pair.beta_com),
+    )
 
 
 def pair_rerandomize(group: Group, pair: CommitmentPair, extra: BlindingPair) -> CommitmentPair:
@@ -123,12 +128,8 @@ def pair_rerandomize(group: Group, pair: CommitmentPair, extra: BlindingPair) ->
     )
 
 
-def open_pair_check(
-    group: Group, pair: CommitmentPair, alpha: int, beta: int, blind: BlindingPair
-) -> bool:
-    return open_check(group, pair.alpha_com, alpha, blind.alpha) and open_check(
-        group, pair.beta_com, beta, blind.beta
-    )
+def open_pair_check(group: Group, pair: CommitmentPair, alpha: int, beta: int, blind: BlindingPair) -> bool:
+    return commit_pair(group, alpha, beta, blind) == pair
 
 
 def quality_tag(group: Group, pair: CommitmentPair, ident: Scalar) -> bytes:
@@ -236,11 +237,11 @@ class MessageCodec:
 def encrypt(group: Group, pk: GroupElement, msg_element: GroupElement, r: Scalar) -> Ciphertext:
     """ElGamal over group elements with caller-supplied randomness, so the
     relation checkers can recompute ciphertexts from witnesses."""
-    return Ciphertext(group.mul_gen(r), group.add(msg_element, group.mul(r, pk)))
+    return Ciphertext(group.mul_gen(r), group.lincomb(((r, pk),), msg_element))
 
 
 def decrypt_element(group: Group, sk: Scalar, ct: Ciphertext) -> GroupElement:
-    return group.sub(ct.c2, group.mul(sk, ct.c1))
+    return group.lincomb(((-sk, ct.c1),), ct.c2)
 
 
 def encrypt_message(
@@ -276,7 +277,7 @@ def sign(group: Group, sk: Scalar, message: bytes) -> Signature:
 
 def verify_sig(group: Group, pk: GroupElement, message: bytes, sig: Signature) -> bool:
     e = hash_to_scalar(group, message)
-    return group.mul_gen(sig.s) == group.add(sig.R, group.mul(e, pk))
+    return group.lincomb(((sig.s, group.generator), (-e, pk))) == sig.R
 
 
 # ── decoding helpers for logged records ──────────────────────────────────────

@@ -22,10 +22,10 @@ Statements are structurally validated before use; a malformed statement
 raises MalformedStatementError, which is deliberately distinct from a
 well-formed but unsatisfied relation (a False result). Each checker takes
 the run's ProofBackend too, and reads its memo for the crypto calls the
-parties already made: check_prove_qual's encryptions, the requester
-checkers' decryptions and their key check. Only a real call under the
-witness's own values fills an entry, so a witness never supplies a
-plaintext or a ciphertext.
+parties already made: check_prove_qual's commit_pair, pair_rerandomize and
+encryptions, the requester checkers' decryptions, key check and pair_step.
+Only a real call under the witness's own values fills an entry, so a
+witness never supplies a plaintext, a ciphertext or a commitment.
 
 The proof backend is an attestation oracle standing in for a succinct
 proving system: prove() runs the relation checker and, only on success,
@@ -36,8 +36,8 @@ unlinkability property the protocol leans on. Soundness holds within one
 simulation run (the setup secret could mint attestations), matching the
 trust model of a simulated prover rather than re-implementing one. The
 backend's memo() runs each pure call at most once per backend, and so per
-run: a worker's encryptions and the requester's decryptions are shared with
-the checkers that repeat them.
+run: what the authority, a worker or the requester computed is shared
+with the checkers that repeat it.
 """
 
 from __future__ import annotations
@@ -72,11 +72,11 @@ from .primitives import (
     Ciphertext,
     CommitmentPair,
     Signature,
+    commit_pair,
     decrypt_message,
     encode_ciphertexts,
     encrypt_message,
     hash_bytes,
-    open_pair_check,
     pair_rerandomize,
     pair_step,
     quality_tag,
@@ -265,7 +265,7 @@ def check_prove_qual(
         return False
     if not clears_threshold(QualityState(wit.alpha, wit.beta), stmt.policy):
         return False
-    if not open_pair_check(g, wit.stored_pair, wit.alpha, wit.beta, wit.leaf_blind):
+    if backend.memo(commit_pair, g, wit.alpha, wit.beta, wit.leaf_blind) != wit.stored_pair:
         return False
 
     # tag binds the stored pair to the identifier
@@ -289,7 +289,7 @@ def check_prove_qual(
         return False
 
     # the submitted pair re-randomizes the stored one
-    return stmt.fresh_pair == pair_rerandomize(g, wit.stored_pair, wit.rerand)
+    return stmt.fresh_pair == backend.memo(pair_rerandomize, g, wit.stored_pair, wit.rerand)
 
 
 def _decrypt_answers(ctx, backend: ProofBackend, sk: Scalar, cts) -> list[int] | None:
@@ -359,7 +359,7 @@ def check_auth_qual(
     stmt.validate(ctx)
     judged, correct = _verdict(ctx, backend, stmt, wit.sk)
     return judged and (
-        pair_step(ctx.group, stmt.old_pair, quality_increment(correct), wit.update_blind) == stmt.new_pair
+        backend.memo(pair_step, ctx.group, stmt.old_pair, quality_increment(correct), wit.update_blind) == stmt.new_pair
     )
 
 
@@ -422,12 +422,13 @@ class ProofBackend:
         self._results: dict[tuple, object] = {}
 
     def memo(self, fn: Callable, *args):
-        """fn(*args) for a pure fn (decrypt_message, encrypt_message, a
-        group's mul_gen), run once per fn and args: later calls read the
-        first result. Entries are keyed by every argument's value and type,
-        so only a real call on those very inputs fills the entry it reads
-        (5.0 does not read what 5 stored). A call that raises, such as a
-        decryption outside the codec's domain, raises each time."""
+        """fn(*args) for a pure fn (decrypt_message, encrypt_message,
+        commit_pair, pair_rerandomize, pair_step, a group's mul_gen), run
+        once per fn and args: later calls read the first result. Entries
+        are keyed by every argument's value and type, so only a real call on
+        those very inputs fills the entry it reads (5.0 does not read what 5
+        stored). A call that raises, such as a decryption outside the
+        codec's domain, raises each time."""
         key = (fn, *args, *map(type, args))
         if key not in self._results:
             self._results[key] = fn(*args)

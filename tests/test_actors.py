@@ -7,6 +7,7 @@ through decryption; agreement between the two views is the point.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -37,11 +38,25 @@ from anoncrowd.actors import (
     response_statement,
     screen_responses,
 )
-from anoncrowd.context import tiny_context
-from anoncrowd.errors import DuplicateIdentifierError, ProtocolError, ThresholdError
-from anoncrowd.policy import MAJORITY, TaskPolicy
-from anoncrowd.primitives import encrypt, open_pair_check, pair_rerandomize, pair_step
-from anoncrowd.relations import AuthCalcStatement, ProofBackend
+from anoncrowd.context import production_context, tiny_context
+from anoncrowd.errors import DuplicateIdentifierError, ProtocolError, RelationUnsatisfiedError, ThresholdError
+from anoncrowd.group import _FixedBaseTable
+from anoncrowd.policy import MAJORITY, TaskPolicy, quality_increment
+from anoncrowd.primitives import (
+    BlindingPair,
+    encrypt,
+    open_pair_check,
+    pair_rerandomize,
+    pair_step,
+    random_blinding_pair,
+)
+from anoncrowd.relations import (
+    AuthCalcStatement,
+    AuthQualWitness,
+    ProofBackend,
+    ProveQualWitness,
+    check_auth_qual,
+)
 
 
 def mk_policy(domain=2, threshold=Fraction(3, 4), winners=1, pay=(100, 10)):
@@ -58,8 +73,8 @@ def mk_policy(domain=2, threshold=Fraction(3, 4), winners=1, pay=(100, 10)):
 class World:
     """A small cast sharing one backend and one registry."""
 
-    def __init__(self, n_workers=3, prior=(4, 1), seed=7):
-        self.ctx = tiny_context()
+    def __init__(self, n_workers=3, prior=(4, 1), seed=7, ctx=None):
+        self.ctx = ctx or tiny_context()
         self.backend = ProofBackend(b"actor-tests")
         rng = random.Random(seed)
         self.ra = RegistrationAuthority(self.ctx, self.backend, rng, depth=6, prior=prior)
@@ -535,6 +550,139 @@ class TestProtests:
         assert not world.ra.arbitrate(
             protest, task, world.accepted(task, included, tags_before), board, outcome.final_cts
         )
+
+
+def pair_step_search(ra, task, target, claim_key, board, final_cts):
+    """serving_post as it searched before it checked one difference per
+    post: a full pair_step for every admissible increment tried."""
+    ctx, g = ra.ctx, ra.ctx.group
+    update_pads, cover_pads = claim_pads(ctx, target.ref, claim_key)
+    increments = [quality_increment(v) for v in ((None,) if len(final_cts) == 0 else (True, False))]
+    for post in board.get((target.ref, claim_index(target.ref, claim_key)), ()):
+        stmt = quality_statement(ctx, task, target, final_cts, post.new_pair)
+        if not ra.backend.verify(ctx, stmt, post.qual_proof):
+            continue
+        update, dummy = post.blinded_update - update_pads, post.blinded_dummy - cover_pads
+        for increment in increments:
+            if pair_step(g, target.fresh_pair, increment, update) == post.new_pair:
+                leaf = pair_rerandomize(g, post.new_pair, dummy)
+                position = ra.find_position(leaf.encode(g))
+                if position is not None:
+                    return increment, update + dummy, leaf, position
+    return None
+
+
+CONTEXTS = {"tiny31": tiny_context, "curve254": production_context}
+
+
+class TestServingDifferenceCheck:
+    @pytest.mark.parametrize("backend", sorted(CONTEXTS))
+    def test_matches_the_pair_step_search(self, backend):
+        ctx = CONTEXTS[backend]()
+        g = ctx.group
+        # min_workers 1 settles a correct (worker 0) and an incorrect
+        # (worker 2) post; min_workers 4 voids the round
+        for min_workers, want in ((1, {0: (1, 0), 2: (0, 1)}), (4, {0: (0, 0), 2: (0, 0)})):
+            world = World(ctx=ctx)
+            task = world.announce()
+            included = world.respond(task, [1, 1, 0])
+            outcome = world.requester.evaluate(task, included, min_workers)
+            assert outcome.void == (min_workers == 4)
+            world.settle(task, outcome)
+            board = post_board(ctx, outcome.quality_posts)
+            for i, increment in want.items():
+                p = world.workers[i]._pending
+                args = (task, p, p.claim_key, board, outcome.final_cts)
+                served = world.ra.serving_post(*args)
+                assert served is not None and served[0] == increment
+                assert served == pair_step_search(world.ra, *args)
+
+                # the update pad off by one, and the inadmissible increment
+                # (1, 1) behind a minted attestation with its leaf accumulated
+                own = QualityPost.decode(ctx, outcome.quality_posts[i])
+                update_pads, cover_pads = claim_pads(ctx, p.ref, p.claim_key)
+                off = replace(own, blinded_update=replace(own.blinded_update, alpha=own.blinded_update.alpha + 1))
+                new_pair = pair_step(g, p.fresh_pair, (1, 1), own.blinded_update - update_pads)
+                stmt = quality_statement(ctx, task, p, outcome.final_cts, new_pair)
+                minted = replace(own, new_pair=new_pair, qual_proof=world.backend._proof(ctx, stmt))
+                world.ra.accumulate(pair_rerandomize(g, new_pair, own.blinded_dummy - cover_pads).encode(g))
+                for bad in (off, minted):
+                    args = (task, p, p.claim_key, post_board(ctx, [bad.encode(ctx)]), outcome.final_cts)
+                    assert world.ra.serving_post(*args) is None
+                    assert pair_step_search(world.ra, *args) is None
+
+    def test_settlement_repeats_no_fixed_base_work(self, monkeypatch):
+        # the checker reads the requester's pair_step from the memo, and
+        # serving_post multiplies the blind generator twice for the step
+        # check and twice for the leaf
+        ctx = production_context()
+        world = World(ctx=ctx)
+        task = world.announce()
+        included = world.respond(task, [1, 1, 0])
+        outcome = world.requester.evaluate(task, included, 1)
+        world.settle(task, outcome)
+        p, target = world.workers[0]._pending, outcome.accepted[0]
+        post = QualityPost.decode(ctx, outcome.quality_posts[0])
+        witness = AuthQualWitness(world.requester.keypair.sk, post.blinded_update - claim_pads(ctx, p.ref, p.claim_key)[0])
+        stmt = quality_statement(ctx, task, target, outcome.final_cts, post.new_pair)
+        board = post_board(ctx, outcome.quality_posts)
+
+        bases = Counter()
+        real = _FixedBaseTable.accumulate
+
+        def counted(table, k, acc):
+            bases[table.base] += 1
+            return real(table, k, acc)
+
+        monkeypatch.setattr(_FixedBaseTable, "accumulate", counted)
+        assert check_auth_qual(ctx, stmt, witness, world.backend)
+        assert sum(bases.values()) == 0
+        assert world.ra.serving_post(task, p, p.claim_key, board, outcome.final_cts) is not None
+        assert 0 < bases[ctx.group.blind_generator] <= 4, bases
+
+
+class TestMemoSoundness:
+    """The checkers read commit_pair, pair_rerandomize and pair_step from the
+    memo that enrollment, the response and the quality post filled. A
+    witness that differs from the honest one in any argument misses those
+    entries, is computed for real, and prove refuses it."""
+
+    def test_witnesses_off_the_honest_ones_are_refused(self, monkeypatch):
+        world = World()
+        g, backend = world.ctx.group, world.backend
+        proved = []
+        real_prove = backend.prove
+
+        def recording(ctx, stmt, wit):
+            proof = real_prove(ctx, stmt, wit)
+            proved.append((stmt, wit, proof))
+            return proof
+
+        monkeypatch.setattr(backend, "prove", recording)
+        task = world.announce()
+        world.requester.evaluate(task, world.respond(task, [1, 1, 0]), 1)
+        response = next(entry for entry in proved if isinstance(entry[1], ProveQualWitness))
+        post = next(entry for entry in proved if isinstance(entry[1], AuthQualWitness))
+        for stmt, wit, proof in (response, post):
+            assert real_prove(world.ctx, stmt, wit) == proof
+
+        def swapped(blind):
+            return BlindingPair(blind.beta, blind.alpha)
+
+        other = random_blinding_pair(g, random.Random(3))
+        stmt, wit, _ = response
+        bad = [(stmt, replace(wit, leaf_blind=b)) for b in (other, swapped(wit.leaf_blind))]
+        bad += [(stmt, replace(wit, rerand=b)) for b in (other, swapped(wit.rerand))]
+        stmt, wit, _ = post
+        bad += [(stmt, replace(wit, update_blind=b)) for b in (other, swapped(wit.update_blind))]
+        # worker 0 was correct: a pair stepped by (0, 1), even one the memo
+        # holds, is not the step the checker takes
+        assert quality_increment(True) == (1, 0)
+        wrong = backend.memo(pair_step, g, stmt.old_pair, (0, 1), wit.update_blind)
+        bad.append((replace(stmt, new_pair=wrong), wit))
+        for stmt, wit in bad:
+            with pytest.raises(RelationUnsatisfiedError):
+                real_prove(world.ctx, stmt, wit)
 
 
 class TestWorkerBookkeeping:

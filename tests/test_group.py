@@ -319,6 +319,63 @@ class TestCurveMulPaths:
             assert verify_sig(prod, keys.pk, forged, sig) is verify_sig(prod, bare, forged, sig) is False
 
 
+# ── lincomb: start + sum of k * P, the one multiplication entry point ────────
+
+
+def oracle_lincomb(g, terms, start=None):
+    """start + sum of k * P, one term at a time: the double-and-add oracle
+    on the curve, plain exponentiation in the tiny group."""
+    acc = g.identity() if start is None else start
+    for k, p in terms:
+        acc = g.add(acc, oracle_mul(k, p) if isinstance(g, CurveGroup) else g.mul(k, p))
+    return acc
+
+
+def lincomb_cases(g):
+    """(terms, start) pairs over the exceptional inputs of lincomb."""
+    rng = random.Random(61)
+    G, H = g.generator, g.blind_generator
+    bare_G = g.decode_element(g.encode_element(G))  # no table on the curve
+    P, Q = random_elements(g, rng, 2)
+    keyed = keygen(g, rng).pk  # tabled on the curve
+    k = [g.random_scalar(rng) for _ in range(4)]
+    mixed = ((k[0], P), (k[1], G), (k[2], Q), (k[3], keyed))
+    total = oracle_lincomb(g, mixed)
+    return [
+        (mixed, None),
+        (mixed, g.identity()),
+        (mixed, g.neg(total)),  # the sum cancels: infinity
+        (mixed, total),  # start meets an equal accumulator: a doubling
+        (((1, G),), G),  # start equal to the table entry the sum ends on
+        (((1, bare_G), (1, G)), None),  # the table entry meets an equal chain sum
+        (((k[0], bare_G), (-k[0], G)), H),  # the sum is infinity before start
+        (((0, P), (g.order, Q), (k[1], g.identity())), P),  # every term vanishes
+        (((0, P),), None),
+        (((k[2], P),), None),  # one term
+        (((k[2], keyed),), None),
+        (((k[0], P), (k[1], Q)), H),  # two table-less bases share one chain
+        ((), Q),
+    ]
+
+
+class TestLincomb:
+    def test_agrees_with_folding_mul_and_add_and_with_the_oracle(self, any_group):
+        g = any_group
+        for i, (terms, start) in enumerate(lincomb_cases(g)):
+            got = g.lincomb(terms, start)
+            assert got == Group.lincomb(g, terms, start) == oracle_lincomb(g, terms, start), i
+            if isinstance(got, CurvePoint):
+                assert coordinates(got) == coordinates(oracle_lincomb(g, terms, start)), i
+
+    def test_dual_mul_and_mul_are_lincomb(self, any_group):
+        g = any_group
+        rng = random.Random(62)
+        for _ in range(4):
+            a, b = g.random_scalar(rng), g.random_scalar(rng)
+            assert g.dual_mul(a, b) == g.lincomb(((a, g.generator), (b, g.blind_generator)))
+            assert g.mul(a, g.blind_generator) == g.lincomb(((a, g.blind_generator),)) == g.mul_blind(a)
+
+
 # ── the GLV endomorphism behind variable-base mul ────────────────────────────
 
 
@@ -407,6 +464,27 @@ class TestGlv:
             calls = 0
             prod.mul(k, base)
             assert 100 < calls <= 130, (k, calls)
+
+
+    def test_two_variable_bases_share_one_chain_of_doublings(self, prod, monkeypatch):
+        rng = random.Random(98)
+        calls = 0
+        real = group_module._j_double
+
+        def counted(p):
+            nonlocal calls
+            calls += 1
+            return real(p)
+
+        for _ in range(4):
+            terms = [(rng.randrange(2**253, _ORDER), prod.mul_gen(prod.random_scalar(rng))) for _ in range(2)]
+            want = oracle_lincomb(prod, terms)
+            monkeypatch.setattr(group_module, "_j_double", counted)
+            calls = 0
+            got = prod.lincomb(terms)
+            monkeypatch.setattr(group_module, "_j_double", real)
+            assert 100 < calls <= 130, calls
+            assert coordinates(got) == coordinates(want)
 
 
 @given(k=st.integers(min_value=0, max_value=2**300), seed=st.integers(min_value=1, max_value=2**64))
