@@ -623,7 +623,8 @@ class TestServingDifferenceCheck:
         world.settle(task, outcome)
         p, target = world.workers[0]._pending, outcome.accepted[0]
         post = QualityPost.decode(ctx, outcome.quality_posts[0])
-        witness = AuthQualWitness(world.requester.keypair.sk, post.blinded_update - claim_pads(ctx, p.ref, p.claim_key)[0])
+        update = post.blinded_update - claim_pads(ctx, p.ref, p.claim_key)[0]
+        witness = AuthQualWitness(world.requester.keypair.sk, update)
         stmt = quality_statement(ctx, task, target, outcome.final_cts, post.new_pair)
         board = post_board(ctx, outcome.quality_posts)
 
