@@ -15,11 +15,13 @@ proven relation; a worker who garbles it forfeits the claim (the update is
 posted but unclaimable) and nothing else.
 
 Workers never learn their correctness verdict directly. Worker and authority
-find a response's post by one search, serving_post, over the board post_board
-decodes once per round from the posts on chain: the first addressed post whose
-attestation verifies and which serves, which also checks that the requester
-blinded honestly. A worker adopts from it or protests; given its own screening,
-the authority upholds a bound protest exactly when the search finds nothing.
+find a response's post by one search, the module function serving_post, over
+public data alone: the board post_board decodes once per round from the posts
+on chain, and the registry tree, which indexes its own leaves. The search takes
+the first addressed post whose attestation verifies and which serves, which
+also checks that the requester blinded honestly. A worker adopts from it or
+protests; given its own screening, the authority upholds a bound protest
+exactly when the search finds nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     ThresholdError,
 )
 from .group import GroupElement, Scalar
-from .merkle import DEFAULT_DEPTH, MerkleTree
+from .merkle import MerkleTree
 from .policy import (
     FinalAnswer,
     QualityState,
@@ -393,6 +395,44 @@ def screen_responses(
     return accepted, rejections
 
 
+def serving_post(
+    ctx: CryptoContext,
+    backend: ProofBackend,
+    task: TaskPublic,
+    target: ParsedResponse | _PendingResponse,
+    claim_key: int,
+    board: dict[tuple[int, bytes], list[QualityPost]],
+    final_cts: tuple[Ciphertext, ...],
+    tree: MerkleTree,
+) -> tuple[tuple[int, int], BlindingPair, CommitmentPair, int] | None:
+    """The first board post addressed to (target.ref, claim_key), in posting order, whose
+    quality attestation verifies and which serves: an admissible increment steps
+    target.fresh_pair to the posted pair under the unpadded update blinding (new_pair -
+    fresh_pair - update * H, computed once per post, is increment * G), and the
+    pair rerandomized by the unpadded cover term is a leaf of tree. Returns
+    (increment, blinding the leaf adds to target.fresh_pair, leaf, position) or None."""
+    g = ctx.group
+    update_pads, cover_pads = claim_pads(ctx, target.ref, claim_key)
+    # a voided task (no final ciphertexts) admits only the void increment;
+    # binding commitments let at most one increment close the equation
+    increments = [quality_increment(v) for v in ((None,) if len(final_cts) == 0 else (True, False))]
+    for post in board.get((target.ref, claim_index(target.ref, claim_key)), ()):
+        stmt = quality_statement(ctx, task, target, final_cts, post.new_pair)
+        if not backend.verify(ctx, stmt, post.qual_proof):
+            continue
+        update, dummy = post.blinded_update - update_pads, post.blinded_dummy - cover_pads
+        new, old, H = post.new_pair, target.fresh_pair, g.blind_generator
+        step_a = g.lincomb(((-update.alpha, H),), g.sub(new.alpha_com, old.alpha_com))
+        step_b = g.lincomb(((-update.beta, H),), g.sub(new.beta_com, old.beta_com))
+        for increment in increments:
+            if step_a == g.mul_gen(increment[0]) and step_b == g.mul_gen(increment[1]):
+                leaf = pair_rerandomize(g, post.new_pair, dummy)
+                position = tree.position_of(leaf.encode(g))
+                if position is not None:
+                    return increment, update + dummy, leaf, position
+    return None
+
+
 # ── registration authority ───────────────────────────────────────────────────
 
 
@@ -414,22 +454,20 @@ class Credential:
 
 
 class RegistrationAuthority:
-    """Enrolls workers, accumulates quality pairs, arbitrates protests.
+    """Certifies identities at enrollment and arbitrates protests.
 
-    The registry tree is public: every enrollment and every settled update lands in
+    tree is the public registry: every enrollment and every settled update lands in
     it as an opaque commitment-pair payload (the posted pair with a cover term
-    folded in, so leaves never repeat on-chain bytes), and workers locate their own
-    leaf by recomputing it. The authority cannot tell whose any accumulated pair is
-    after the enrollment handshake. serving_post searches a per-round board, built
-    once from the posts on chain, for a response's quality post: workers adopt from
-    it, and arbitrate upholds a bound protest when it finds none."""
+    folded in, so leaves never repeat on-chain bytes), and the tree indexes its own
+    leaves, so workers locate theirs by recomputing it. The authority cannot tell
+    whose any accumulated pair is after the enrollment handshake. arbitrate upholds
+    a bound protest when the module's serving_post finds no post for it."""
 
     def __init__(
         self,
         ctx: CryptoContext,
         backend: ProofBackend,
         rng: random.Random,
-        depth: int = DEFAULT_DEPTH,
         prior: tuple[int, int] = (1, 1),
     ):
         if prior[0] < 1 or prior[1] < 1:
@@ -439,16 +477,12 @@ class RegistrationAuthority:
         self.rng = rng
         self.prior = prior
         self.keypair: KeyPair = keygen(ctx.group, rng)
-        self.tree = MerkleTree(depth)
-        self._positions: dict[bytes, int] = {}
+        self.tree = MerkleTree()
         self._enrolled: set[bytes] = set()
 
     @property
     def pk(self) -> GroupElement:
         return self.keypair.pk
-
-    def root(self) -> bytes:
-        return self.tree.root()
 
     def enroll(self, ident: Scalar) -> Credential:
         g = self.ctx.group
@@ -460,55 +494,9 @@ class RegistrationAuthority:
         # a starting pair blinding plus a cover term, as an adopted leaf has
         opening = random_blinding_pair(g, self.rng) + random_blinding_pair(g, self.rng)
         pair = self.backend.memo(commit_pair, g, alpha, beta, opening)
-        position = self.accumulate(pair.encode(g))
+        position = self.tree.append(pair.encode(g))
         cert = sign(g, self.keypair.sk, ident_message(self.ctx, ident))
         return Credential(cert, alpha, beta, opening, pair, position)
-
-    def accumulate(self, pair_payload: bytes) -> int:
-        position = self.tree.append(pair_payload)
-        self._positions.setdefault(pair_payload, position)
-        return position
-
-    def find_position(self, pair_payload: bytes) -> int | None:
-        return self._positions.get(pair_payload)
-
-    def prove_membership(self, position: int):
-        return self.tree.prove_membership(position)
-
-    def serving_post(
-        self,
-        task: TaskPublic,
-        target: ParsedResponse | _PendingResponse,
-        claim_key: int,
-        board: dict[tuple[int, bytes], list[QualityPost]],
-        final_cts: tuple[Ciphertext, ...],
-    ) -> tuple[tuple[int, int], BlindingPair, CommitmentPair, int] | None:
-        """The first board post addressed to (target.ref, claim_key), in posting order, whose
-        quality attestation verifies and which serves: an admissible increment steps
-        target.fresh_pair to the posted pair under the unpadded update blinding (new_pair -
-        fresh_pair - update * H, computed once per post, is increment * G), and the
-        pair rerandomized by the unpadded cover term is a registry leaf. Returns
-        (increment, blinding the leaf adds to target.fresh_pair, leaf, position) or None."""
-        ctx, g = self.ctx, self.ctx.group
-        update_pads, cover_pads = claim_pads(ctx, target.ref, claim_key)
-        # a voided task (no final ciphertexts) admits only the void increment;
-        # binding commitments let at most one increment close the equation
-        increments = [quality_increment(v) for v in ((None,) if len(final_cts) == 0 else (True, False))]
-        for post in board.get((target.ref, claim_index(target.ref, claim_key)), ()):
-            stmt = quality_statement(ctx, task, target, final_cts, post.new_pair)
-            if not self.backend.verify(ctx, stmt, post.qual_proof):
-                continue
-            update, dummy = post.blinded_update - update_pads, post.blinded_dummy - cover_pads
-            new, old, H = post.new_pair, target.fresh_pair, g.blind_generator
-            step_a = g.lincomb(((-update.alpha, H),), g.sub(new.alpha_com, old.alpha_com))
-            step_b = g.lincomb(((-update.beta, H),), g.sub(new.beta_com, old.beta_com))
-            for increment in increments:
-                if step_a == g.mul_gen(increment[0]) and step_b == g.mul_gen(increment[1]):
-                    leaf = pair_rerandomize(g, post.new_pair, dummy)
-                    position = self.find_position(leaf.encode(g))
-                    if position is not None:
-                        return increment, update + dummy, leaf, position
-        return None
 
     def arbitrate(
         self,
@@ -534,7 +522,7 @@ class RegistrationAuthority:
             return False
         if bound_ct != target.claim_ct:
             return False  # claim key does not match the on-chain response
-        return self.serving_post(task, target, protest.claim_key, board, final_cts) is None
+        return serving_post(ctx, self.backend, task, target, protest.claim_key, board, final_cts, self.tree) is None
 
 
 # ── worker ───────────────────────────────────────────────────────────────────
@@ -588,7 +576,7 @@ class WorkerAgent:
         ra: RegistrationAuthority,
         task: TaskPublic,
         answer: int,
-        address: int | None = None,
+        address: int,
     ) -> bytes:
         """Builds the response payload and remembers the secrets needed to
         claim the eventual quality post. The reference is attached by
@@ -599,8 +587,6 @@ class WorkerAgent:
             raise ThresholdError(f"worker {self.name} does not clear the task threshold")
         if not (0 <= answer < task.policy.domain_size):
             raise ValueError("answer outside the task domain")
-        if address is None:
-            address = rng.randrange(ctx.address_codec.domain_size)
 
         rerand = random_blinding_pair(g, rng)
         answer_rand = g.random_scalar(rng)
@@ -634,7 +620,7 @@ class WorkerAgent:
             answer_rand=answer_rand,
             address=address,
             address_rand=address_rand,
-            path=ra.prove_membership(self.cred.position),
+            path=ra.tree.prove_membership(self.cred.position),
         )
         proof = self.backend.prove(ctx, stmt, witness)
         claim_ct = encrypt_message(
@@ -657,14 +643,14 @@ class WorkerAgent:
         board: dict[tuple[int, bytes], list[QualityPost]],
         final_cts: tuple[Ciphertext, ...],
     ) -> Protest | None:
-        """Adopts the update from the post RegistrationAuthority.serving_post finds.
+        """Adopts the update from the post serving_post finds in ra's registry.
         On success the local opening advances and None returns; otherwise the
         worker walks away with a ready-to-file protest."""
         self._require_enrolled()
         p = self._pending
         if p is None or p.ref is None:
             raise ProtocolError("no submitted response on record")
-        served = ra.serving_post(task, p, p.claim_key, board, final_cts)
+        served = serving_post(self.ctx, self.backend, task, p, p.claim_key, board, final_cts, ra.tree)
         if served is None:
             return Protest(p.ref, p.claim_key, p.claim_rand, payout_account(p.address))
         (da, db), blinding, leaf, position = served
@@ -718,7 +704,7 @@ class RequesterAgent:
         return self.keypair.pk
 
     def announce(self, policy: TaskPolicy, ra: RegistrationAuthority) -> TaskPublic:
-        return TaskPublic(policy, self.keypair.pk, ra.pk, ra.root())
+        return TaskPublic(policy, self.keypair.pk, ra.pk, ra.tree.root())
 
     def evaluate(
         self,
@@ -753,7 +739,7 @@ class RequesterAgent:
             leaves.append(leaf)
             if void:
                 continue  # a void task settles zero increments and pays nobody
-            address = self.backend.memo(decrypt_message, g, sk, ctx.address_codec, parsed.address_ct)
+            address = decrypt_message(g, sk, ctx.address_codec, parsed.address_ct)
             payments.append((payout_account(address), paym_calc(correct, task.policy)))
             if correct:
                 correct_refs.append(parsed.ref)
@@ -792,7 +778,7 @@ class RequesterAgent:
             value_proof = self.backend.prove(ctx, value_stmt, AuthValueWitness(sk))
 
         try:
-            key = self.backend.memo(decrypt_message, g, sk, ctx.claim_codec, parsed.claim_ct)
+            key = decrypt_message(g, sk, ctx.claim_codec, parsed.claim_ct)
             update_pads, cover_pads = claim_pads(ctx, parsed.ref, key)
             idx = claim_index(parsed.ref, key)
             blinded = update + update_pads

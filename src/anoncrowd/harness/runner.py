@@ -308,7 +308,7 @@ class _Run:
         for parsed, post, leaf in zip(outcome.accepted, outcome.quality_posts, outcome.leaves):
             if parsed.ref != victim_ref:
                 ledger.submit_quality(contract, REQUESTER, post)
-                self.ra.accumulate(leaf)
+                self.ra.tree.append(leaf)
         for parsed, (account, amount) in zip(outcome.accepted, outcome.payments):  # none when void
             if parsed.ref != victim_ref:
                 ledger.worker_payment(contract, REQUESTER, account, amount)

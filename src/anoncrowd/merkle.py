@@ -6,10 +6,12 @@ leaf touches exactly one node per level. Leaves and internal nodes hash
 under distinct prefixes (0x00 / 0x01) to keep the two layers from ever
 colliding. Membership paths list sibling digests from the leaf level up.
 
-Single-writer: the registration authority owns appends. Readers may hold
-paths across later appends, but a path only verifies against the root of
-the epoch it was issued in, which is exactly the protocol's requirement
-(statements pin the root they were proven against).
+The tree owns its leaf index: each payload maps to the first position it
+was appended at, so anyone who rebuilds the tree from the appended payloads
+(a worker, an auditor) can look a leaf up without the party that appended
+it. Readers may hold paths across later appends, but a path only verifies
+against the root of the epoch it was issued in, which is exactly the
+protocol's requirement (statements pin the root they were proven against).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ class MerkleTree:
         self._empty = empty_digests(depth)
         # _levels[0] holds leaf digests, _levels[depth] holds the root
         self._levels: list[list[bytes]] = [[] for _ in range(depth + 1)]
+        self._positions: dict[bytes, int] = {}
 
     @property
     def capacity(self) -> int:
@@ -98,7 +101,12 @@ class MerkleTree:
                 parent = _node_hash(nodes[idx], right)
             idx >>= 1
             self._set(lvl + 1, idx, parent)
+        self._positions.setdefault(payload, position)
         return position
+
+    def position_of(self, payload: bytes) -> int | None:
+        """The first position payload was appended at, or None."""
+        return self._positions.get(payload)
 
     def _set(self, level: int, idx: int, digest: bytes) -> None:
         nodes = self._levels[level]

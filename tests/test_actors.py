@@ -37,10 +37,12 @@ from anoncrowd.actors import (
     quality_statement,
     response_statement,
     screen_responses,
+    serving_post,
 )
 from anoncrowd.context import production_context, tiny_context
 from anoncrowd.errors import DuplicateIdentifierError, ProtocolError, RelationUnsatisfiedError, ThresholdError
 from anoncrowd.group import _FixedBaseTable
+from anoncrowd.merkle import MerkleTree
 from anoncrowd.policy import MAJORITY, TaskPolicy, quality_increment
 from anoncrowd.primitives import (
     BlindingPair,
@@ -77,7 +79,7 @@ class World:
         self.ctx = ctx or tiny_context()
         self.backend = ProofBackend(b"actor-tests")
         rng = random.Random(seed)
-        self.ra = RegistrationAuthority(self.ctx, self.backend, rng, depth=6, prior=prior)
+        self.ra = RegistrationAuthority(self.ctx, self.backend, rng, prior=prior)
         self.requester = RequesterAgent(self.ctx, self.backend, "req", rng)
         self.workers = [
             WorkerAgent(self.ctx, self.backend, f"w{i}", f"secret-{i}".encode(), rng)
@@ -85,16 +87,18 @@ class World:
         ]
         for w in self.workers:
             w.enroll(self.ra)
+        self.enrolled = [w.cred.pair.encode(self.ctx.group) for w in self.workers]
 
     def announce(self, policy=None):
         return self.requester.announce(policy or mk_policy(), self.ra)
 
     def respond(self, task, answers, first_ref=10):
-        """Workers answer in order; refs mimic ledger record indexes."""
+        """Workers answer in order; refs mimic ledger record indexes and
+        double as small payout addresses, as the runner draws them."""
         included = []
         for i, (w, ans) in enumerate(zip(self.workers, answers)):
-            bundle = w.build_response(self.ra, task, ans)
             ref = first_ref + i
+            bundle = w.build_response(self.ra, task, ans, ref)
             w.mark_submitted(ref)
             included.append((ref, bundle))
         return included
@@ -106,7 +110,16 @@ class World:
     def settle(self, task, outcome):
         """The bookkeeping the harness would do: accumulate covered leaves."""
         for leaf in outcome.leaves:
-            self.ra.accumulate(leaf)
+            self.ra.tree.append(leaf)
+
+    def rebuilt_registry(self, settled):
+        """The registry rebuilt from its enrollment and settlement payloads,
+        as anyone reading them can, with no authority object."""
+        tree = MerkleTree()
+        for payload in self.enrolled + settled:
+            tree.append(payload)
+        assert tree.root() == self.ra.tree.root()
+        return tree
 
 
 class TestEnrollment:
@@ -115,7 +128,7 @@ class TestEnrollment:
         for w in world.workers:
             cred = w.cred
             assert open_pair_check(world.ctx.group, cred.pair, cred.alpha, cred.beta, cred.opening)
-            assert world.ra.find_position(cred.pair.encode(world.ctx.group)) == cred.position
+            assert world.ra.tree.position_of(cred.pair.encode(world.ctx.group)) == cred.position
 
     def test_double_enrollment_rejected(self):
         world = World(n_workers=1)
@@ -131,7 +144,7 @@ class TestEnrollment:
         world = World(n_workers=1, prior=(1, 1))
         task = world.announce()
         with pytest.raises(ThresholdError):
-            world.workers[0].build_response(world.ra, task, 1)
+            world.workers[0].build_response(world.ra, task, 1, 7)
 
     def test_ident_is_a_stable_derivation(self):
         ctx = tiny_context()
@@ -143,7 +156,7 @@ class TestResponses:
     def test_bundle_round_trip_and_proof(self):
         world = World()
         task = world.announce()
-        bundle = world.workers[0].build_response(world.ra, task, 1)
+        bundle = world.workers[0].build_response(world.ra, task, 1, 7)
         parsed = decode_response_bundle(world.ctx, 42, bundle)
         assert parsed.ref == 42
         assert parsed.tag == world.workers[0].current_tag()
@@ -192,8 +205,8 @@ class TestResponses:
         world = World(n_workers=1)
         task = world.announce()
         w = world.workers[0]
-        first = w.build_response(world.ra, task, 1)
-        second = w.build_response(world.ra, task, 0)  # same credential, same tag
+        first = w.build_response(world.ra, task, 1, 7)
+        second = w.build_response(world.ra, task, 0, 8)  # same credential, same tag
         accepted, rejections = screen_responses(
             world.ctx, world.backend, task, [(10, first), (11, second)], set()
         )
@@ -213,7 +226,7 @@ class TestResponses:
         from anoncrowd.relations import ProveQualWitness
 
         def spliced(w, ref):
-            honest = decode_response_bundle(ctx, ref, w.build_response(world.ra, task, 1))
+            honest = decode_response_bundle(ctx, ref, w.build_response(world.ra, task, 1, ref))
             address, address_rand = w._pending.address, g.random_scalar(rng)
             address_ct = encrypt(g, task.requester_pk, ctx.address_codec.forward(address), address_rand)
             wit = ProveQualWitness(
@@ -228,7 +241,7 @@ class TestResponses:
                 answer_rand=answer_rand,
                 address=address,
                 address_rand=address_rand,
-                path=world.ra.prove_membership(w.cred.position),
+                path=world.ra.tree.prove_membership(w.cred.position),
             )
             stmt = response_statement(ctx, task, honest.fresh_pair, honest.tag, shared_ct, address_ct)
             proof = world.backend.prove(ctx, stmt, wit)
@@ -300,7 +313,7 @@ class TestSettlement:
         assert (world.workers[2].cred.alpha, world.workers[2].cred.beta) == (4, 2)
         for w in world.workers:
             assert open_pair_check(world.ctx.group, w.cred.pair, w.cred.alpha, w.cred.beta, w.cred.opening)
-            assert world.ra.find_position(w.cred.pair.encode(world.ctx.group)) == w.cred.position
+            assert world.ra.tree.position_of(w.cred.pair.encode(world.ctx.group)) == w.cred.position
 
     def test_second_round_runs_on_updated_credentials(self):
         # everyone answers with the majority so all three still qualify
@@ -331,7 +344,7 @@ class TestSettlement:
         # cheater prefers the stale (4,1); the old leaf is still in the tree
         straggler.cred = old_cred
         task2 = world.announce()
-        bundle = straggler.build_response(world.ra, task2, 1)
+        bundle = straggler.build_response(world.ra, task2, 1, 60)
         accepted, rejections = screen_responses(
             world.ctx, world.backend, task2, [(60, bundle)], world.requester.seen_tags
         )
@@ -512,13 +525,16 @@ class TestProtests:
         if case in ("honest", "garbled-then-honest", "unattested", "undecodable-then-honest"):
             leaves.append(outcome.leaves[victim])
         for leaf in leaves:
-            world.ra.accumulate(leaf)
+            world.ra.tree.append(leaf)
 
         protest = Protest(p.ref, p.claim_key, p.claim_rand, payout_account(p.address))
         accepted = world.accepted(task, included, tags_before)
         adopted = worker.adopt_update(world.ra, task, post_board(ctx, posts), outcome.final_cts) is None
         upheld = world.ra.arbitrate(protest, task, accepted, post_board(ctx, posts), outcome.final_cts)
         assert adopted != upheld
+        tree = world.rebuilt_registry(leaves)
+        args = (ctx, world.backend, task, target, p.claim_key, post_board(ctx, posts), outcome.final_cts, tree)
+        assert (serving_post(*args) is None) == upheld
         assert adopted == (case in ("honest", "garbled-then-honest", "undecodable-then-honest"))
 
     def test_garbled_claim_ciphertext_is_workers_own_loss(self):
@@ -526,9 +542,9 @@ class TestProtests:
         task = world.announce()
         g = world.ctx.group
         w0, w1 = world.workers
-        b0 = w0.build_response(world.ra, task, 1)
+        b0 = w0.build_response(world.ra, task, 1, 10)
         w0.mark_submitted(10)
-        b1 = w1.build_response(world.ra, task, 1)
+        b1 = w1.build_response(world.ra, task, 1, 11)
         w1.mark_submitted(11)
         p1 = decode_response_bundle(world.ctx, 11, b1)
         junk = encrypt(g, task.requester_pk, g.hash_to_element(b"junk"), g.random_scalar(random.Random(5)))
@@ -552,21 +568,21 @@ class TestProtests:
         )
 
 
-def pair_step_search(ra, task, target, claim_key, board, final_cts):
+def pair_step_search(ctx, backend, task, target, claim_key, board, final_cts, tree):
     """serving_post as it searched before it checked one difference per
     post: a full pair_step for every admissible increment tried."""
-    ctx, g = ra.ctx, ra.ctx.group
+    g = ctx.group
     update_pads, cover_pads = claim_pads(ctx, target.ref, claim_key)
     increments = [quality_increment(v) for v in ((None,) if len(final_cts) == 0 else (True, False))]
     for post in board.get((target.ref, claim_index(target.ref, claim_key)), ()):
         stmt = quality_statement(ctx, task, target, final_cts, post.new_pair)
-        if not ra.backend.verify(ctx, stmt, post.qual_proof):
+        if not backend.verify(ctx, stmt, post.qual_proof):
             continue
         update, dummy = post.blinded_update - update_pads, post.blinded_dummy - cover_pads
         for increment in increments:
             if pair_step(g, target.fresh_pair, increment, update) == post.new_pair:
                 leaf = pair_rerandomize(g, post.new_pair, dummy)
-                position = ra.find_position(leaf.encode(g))
+                position = tree.position_of(leaf.encode(g))
                 if position is not None:
                     return increment, update + dummy, leaf, position
     return None
@@ -589,13 +605,15 @@ class TestServingDifferenceCheck:
             outcome = world.requester.evaluate(task, included, min_workers)
             assert outcome.void == (min_workers == 4)
             world.settle(task, outcome)
+            tree = world.rebuilt_registry(outcome.leaves)
             board = post_board(ctx, outcome.quality_posts)
             for i, increment in want.items():
-                p = world.workers[i]._pending
-                args = (task, p, p.claim_key, board, outcome.final_cts)
-                served = world.ra.serving_post(*args)
+                w = world.workers[i]
+                p, before = w._pending, w.cred
+                args = (ctx, world.backend, task, p, p.claim_key, board, outcome.final_cts, tree)
+                served = serving_post(*args)
                 assert served is not None and served[0] == increment
-                assert served == pair_step_search(world.ra, *args)
+                assert served == pair_step_search(*args)
 
                 # the update pad off by one, and the inadmissible increment
                 # (1, 1) behind a minted attestation with its leaf accumulated
@@ -605,11 +623,21 @@ class TestServingDifferenceCheck:
                 new_pair = pair_step(g, p.fresh_pair, (1, 1), own.blinded_update - update_pads)
                 stmt = quality_statement(ctx, task, p, outcome.final_cts, new_pair)
                 minted = replace(own, new_pair=new_pair, qual_proof=world.backend._proof(ctx, stmt))
-                world.ra.accumulate(pair_rerandomize(g, new_pair, own.blinded_dummy - cover_pads).encode(g))
+                tree.append(pair_rerandomize(g, new_pair, own.blinded_dummy - cover_pads).encode(g))
                 for bad in (off, minted):
-                    args = (task, p, p.claim_key, post_board(ctx, [bad.encode(ctx)]), outcome.final_cts)
-                    assert world.ra.serving_post(*args) is None
-                    assert pair_step_search(world.ra, *args) is None
+                    args = (ctx, world.backend, task, p, p.claim_key, post_board(ctx, [bad.encode(ctx)]),
+                            outcome.final_cts, tree)
+                    assert serving_post(*args) is None
+                    assert pair_step_search(*args) is None
+
+                # the worker, searching the authority's registry, adopts what
+                # the search over the rebuilt one found
+                assert w.adopt_update(world.ra, task, board, outcome.final_cts) is None
+                (da, db), blinding, leaf, position = served
+                assert (w.cred.alpha, w.cred.beta) == (before.alpha + da, before.beta + db)
+                assert (w.cred.opening, w.cred.pair, w.cred.position) == (
+                    before.opening + p.rerand + blinding, leaf, position
+                )
 
     def test_settlement_repeats_no_fixed_base_work(self, monkeypatch):
         # the checker reads the requester's pair_step from the memo, and
@@ -638,7 +666,8 @@ class TestServingDifferenceCheck:
         monkeypatch.setattr(_FixedBaseTable, "accumulate", counted)
         assert check_auth_qual(ctx, stmt, witness, world.backend)
         assert sum(bases.values()) == 0
-        assert world.ra.serving_post(task, p, p.claim_key, board, outcome.final_cts) is not None
+        args = (ctx, world.backend, task, p, p.claim_key, board, outcome.final_cts, world.ra.tree)
+        assert serving_post(*args) is not None
         assert 0 < bases[ctx.group.blind_generator] <= 4, bases
 
 
@@ -692,7 +721,7 @@ class TestWorkerBookkeeping:
         task = world.announce()
         with pytest.raises(ProtocolError):
             world.workers[0].adopt_update(world.ra, task, post_board(world.ctx, []), ())
-        world.workers[0].build_response(world.ra, task, 1)
+        world.workers[0].build_response(world.ra, task, 1, 7)
         with pytest.raises(ProtocolError):  # built but never marked submitted
             world.workers[0].adopt_update(world.ra, task, post_board(world.ctx, []), ())
 
@@ -706,4 +735,4 @@ class TestWorkerBookkeeping:
         world = World(n_workers=1)
         task = world.announce()
         with pytest.raises(ValueError):
-            world.workers[0].build_response(world.ra, task, 2)
+            world.workers[0].build_response(world.ra, task, 2, 7)

@@ -123,6 +123,11 @@ class TestCapacityAndDuplicates:
         root = tree.root()
         assert verify_path(root, b"same", tree.prove_membership(0))
         assert verify_path(root, b"same", tree.prove_membership(1))
+        # the leaf index keeps a repeated payload's first position
+        tree.append(b"other")
+        assert tree.position_of(b"same") == 0
+        assert tree.position_of(b"other") == 2
+        assert tree.position_of(b"never") is None
 
 
 @given(
