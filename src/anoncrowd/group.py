@@ -465,6 +465,15 @@ class Group:
         raise NotImplementedError
 
     def hash_to_element(self, data: bytes) -> GroupElement:
+        """Try-and-increment: the first counter whose digest maps to an element.
+        Nothing-up-my-sleeve, so the result's discrete log to the generator is unknown."""
+        ctr = 0
+        while (p := self._from_digest(hashlib.sha256(_DST_H2G + data + ctr.to_bytes(4, "little")).digest())) is None:
+            ctr += 1
+        return p
+
+    def _from_digest(self, digest: bytes) -> GroupElement | None:
+        """The element a 32-byte digest maps to, or None when it maps to none."""
         raise NotImplementedError
 
 
@@ -597,17 +606,10 @@ class CurveGroup(Group):
             y = _Q - y
         return CurvePoint(x, y)
 
-    def hash_to_element(self, data: bytes) -> CurvePoint:
-        """Try-and-increment map to the curve; nothing-up-my-sleeve, so the
-        discrete log of the result relative to G is unknown."""
-        ctr = 0
-        while True:
-            digest = hashlib.sha256(_DST_H2G + data + ctr.to_bytes(4, "little")).digest()
-            x = int.from_bytes(digest, "big") % _Q
-            y = _curve_y(x)
-            if y is not None:
-                return CurvePoint(x, _Q - y if digest[0] & 1 else y)
-            ctr += 1
+    def _from_digest(self, digest: bytes) -> CurvePoint | None:
+        x = int.from_bytes(digest, "big") % _Q
+        y = _curve_y(x)
+        return None if y is None else CurvePoint(x, _Q - y if digest[0] & 1 else y)
 
 
 # ── tiny oracle backend ──────────────────────────────────────────────────────
@@ -661,15 +663,9 @@ class TinyGroup(Group):
             raise EncodingError("tiny element outside the prime-order subgroup")
         return FieldUnit(v)
 
-    def hash_to_element(self, data: bytes) -> FieldUnit:
-        ctr = 0
-        while True:
-            digest = hashlib.sha256(_DST_H2G + data + ctr.to_bytes(4, "little")).digest()
-            v = int.from_bytes(digest, "big") % _T_P
-            e = pow(v, _T_COFACTOR, _T_P)
-            if e != 1:
-                return FieldUnit(e)
-            ctr += 1
+    def _from_digest(self, digest: bytes) -> FieldUnit | None:
+        e = pow(int.from_bytes(digest, "big") % _T_P, _T_COFACTOR, _T_P)
+        return None if e == 1 else FieldUnit(e)
 
 
 # ── shared instances ─────────────────────────────────────────────────────────

@@ -34,7 +34,8 @@ class Attack:
         """Runs once the round is closed and self-checked."""
 
     def check(self, run) -> list[str]:
-        return []
+        """The run's failures: in an honest run, any protest at all."""
+        return [f"round {s.index}: protest in an honest run" for s in run.stats if s.protests]
 
 
 def _failures(*checks: tuple[bool, str]) -> list[str]:
@@ -48,7 +49,6 @@ def _rejections(run, reason: str) -> int:
 def _outsider_submits(run, rnd, payload: bytes):
     """An outsider's response, two blocks after the cast's."""
     run.ledger.tick(2)
-    rnd.stats.submitted += 1
     return run.ledger.submit_response(run.contract, ADVERSARY, payload)
 
 

@@ -47,6 +47,7 @@ from ..ledger import (
     LedgerRecord,
     gas_by_sender,
     included_responses,
+    mistyped_field,
     void_refunds,
 )
 from ..policy import TaskPolicy
@@ -126,11 +127,6 @@ def _policy_from_header(d: dict) -> TaskPolicy:
     return TaskPolicy(**{name: Fraction(d[name]) if name in rational else d[name] for name in _POLICY_FIELDS})
 
 
-def _mistyped(event: dict, fields: dict) -> str | None:
-    """The first field the replay reads that is missing or of the wrong type."""
-    return next((name for name, kind in fields.items() if not isinstance(event.get(name), kind)), None)
-
-
 def _unattested(ctx, backend: ProofBackend, stmt, proof, what: str, where: str) -> str | None:
     """None when proof attests stmt, else the problem; a statement built from logged
     fields that does not validate attests nothing, and the problem names why."""
@@ -175,7 +171,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
     header = events[0]
     if header.get("version") != LOG_VERSION:
         return AuditReport(False, [f"unsupported log version {header.get('version')}"], stats)
-    bad = _mistyped(header, _FIELDS["header"]) or _mistyped(header["policy"], _POLICY_FIELDS)
+    bad = mistyped_field(header, _FIELDS["header"]) or mistyped_field(header["policy"], _POLICY_FIELDS)
     if bad:
         return AuditReport(False, [f"header field {bad!r} is missing or mistyped"], stats)
     try:
@@ -194,7 +190,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
 
     if signoff is None:
         problems.append("log carries no signoff")
-    elif _mistyped(signoff, _FIELDS["signoff"]):
+    elif mistyped_field(signoff, _FIELDS["signoff"]):
         problems.append("signoff signature is malformed")
     else:
         if signoff["chain"] != chain.hex():
@@ -214,7 +210,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
     summaries: list[dict] = []
     for event in events[1:]:
         kind = event["type"]
-        bad = _mistyped(event, _FIELDS.get(kind, {}))
+        bad = mistyped_field(event, _FIELDS.get(kind, {}))
         if bad:
             problems.append(f"{kind} event field {bad!r} is missing or mistyped")
         elif kind == "round":

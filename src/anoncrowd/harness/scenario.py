@@ -19,7 +19,7 @@ from pathlib import Path
 from ..context import BACKENDS
 from ..errors import ConfigError
 from ..ledger import PROFILES, FeeParams, GasSchedule
-from ..policy import AVERAGE, MAJORITY, TaskPolicy
+from ..policy import MAJORITY, TaskPolicy
 
 WEI_PER_ETH = 10**18
 
@@ -78,11 +78,8 @@ def _wei(text: str) -> int:
 
 
 def _policy_from(section: configparser.SectionProxy) -> TaskPolicy:
-    kind = section.get("kind", "majority").strip().lower()
-    if kind not in (MAJORITY, AVERAGE):
-        raise ConfigError(f"unknown policy kind {kind!r}")
     return TaskPolicy(
-        kind=kind,
+        kind=section.get("kind", MAJORITY).strip().lower(),
         domain_size=section.getint("domain_size"),
         threshold=Fraction(section.get("threshold", "1/2")),
         pay_correct=_wei(section.get("pay_correct_eth", "0")),
@@ -109,6 +106,7 @@ def load_scenario(name_or_path: str) -> ScenarioConfig:
 
 def parse_scenario(text: str, fallback_name: str) -> ScenarioConfig:
     cp = configparser.ConfigParser()
+    fee = FeeParams()
     try:
         cp.read_string(text)
         for optional in ("scenario", "network"):
@@ -123,9 +121,9 @@ def parse_scenario(text: str, fallback_name: str) -> ScenarioConfig:
             description=scenario.get("description", ""),
             backend=network.get("backend", "curve254"),
             profile=network.get("profile", "rinkeby"),
-            base_fee_gwei=network.getfloat("base_fee_gwei", fallback=5.0),
-            tip_gwei=network.getfloat("tip_gwei", fallback=1.0),
-            eth_usd=network.getfloat("eth_usd", fallback=1554.89),
+            base_fee_gwei=network.getfloat("base_fee_gwei", fallback=fee.base_fee_gwei),
+            tip_gwei=network.getfloat("tip_gwei", fallback=fee.tip_gwei),
+            eth_usd=network.getfloat("eth_usd", fallback=fee.eth_usd),
             rounds=task.getint("rounds", fallback=1),
             min_workers=task.getint("min_workers"),
             response_window=task.getint("response_window", fallback=600),

@@ -185,9 +185,9 @@ class LedgerRecord:
     @classmethod
     def from_json_dict(cls, d: dict) -> "LedgerRecord":
         """Inverse of to_json_dict; ValueError on a missing or mistyped field."""
-        bad = [name for name, kind in _JSON_FIELDS.items() if not isinstance(d.get(name), kind)]
+        bad = mistyped_field(d, _JSON_FIELDS)
         if bad:
-            raise ValueError(f"field {bad[0]!r} is missing or mistyped")
+            raise ValueError(f"field {bad!r} is missing or mistyped")
         return cls(**{**{name: d[name] for name in _JSON_FIELDS}, "payload": bytes.fromhex(d["payload"])})
 
 
@@ -384,18 +384,8 @@ class Ledger:
             raise PhaseError(f"payments not accepted in phase {task.phase}")
         if amount_wei < 0:
             raise ValueError("payments cannot be negative")
-        if amount_wei > task.escrow_wei:
-            raise FundsError("escrow cannot cover this payment")
-        rec = self._append(
-            WORKER_PAYMENT,
-            sender,
-            task_seq=task.seq,
-            value_wei=-amount_wei,
-            beneficiary=payout_account,
-        )
-        task.escrow_wei -= amount_wei
+        rec = self._pay_out(WORKER_PAYMENT, sender, task, payout_account, amount_wei)
         task.paid_out_wei += amount_wei
-        self.fund(payout_account, amount_wei)
         return rec
 
     def finalize(self, contract: TaskContract, sender: str) -> LedgerRecord:
@@ -443,32 +433,23 @@ class Ledger:
         if task.phase != PROCESSING and not ghosted:
             raise PhaseError(f"cannot confiscate a task in phase {task.phase}")
         amount = task.escrow_wei
-        rec = self._append(
-            CONFISCATE,
-            "contract",
-            task_seq=task.seq,
-            value_wei=-amount,
-            beneficiary=arbiter_beneficiary,
-        )
-        task.escrow_wei = 0
+        rec = self._pay_out(CONFISCATE, "contract", task, arbiter_beneficiary, amount)
         task.confiscated_wei += amount
         task.phase = FINALIZED
-        self.fund(arbiter_beneficiary, amount)
         return rec
 
     def _refund(self, task: TaskState, beneficiary: str, amount: int) -> None:
-        if amount > task.escrow_wei:
-            raise FundsError("escrow cannot cover this refund")
-        task.escrow_wei -= amount
+        self._pay_out(REFUND, "contract", task, beneficiary, amount)
         task.refunded_wei += amount
+
+    def _pay_out(self, method: str, sender: str, task: TaskState, beneficiary: str, amount: int) -> LedgerRecord:
+        """Logs a transfer of amount wei out of the task's escrow to beneficiary."""
+        if amount > task.escrow_wei:
+            raise FundsError(f"escrow cannot cover this {method}")
+        rec = self._append(method, sender, task_seq=task.seq, value_wei=-amount, beneficiary=beneficiary)
+        task.escrow_wei -= amount
         self.fund(beneficiary, amount)
-        self._append(
-            REFUND,
-            "contract",
-            task_seq=task.seq,
-            value_wei=-amount,
-            beneficiary=beneficiary,
-        )
+        return rec
 
     # ── reporting helpers ──
 
@@ -496,6 +477,11 @@ def void_refunds(included: Iterable[LedgerRecord], escrow_wei: int, requester: s
     if remainder > 0:
         refunds.append((requester, remainder))
     return refunds
+
+
+def mistyped_field(d: dict, fields: dict) -> str | None:
+    """The first of fields (name -> JSON type) that d lacks or holds with another type."""
+    return next((name for name, kind in fields.items() if not isinstance(d.get(name), kind)), None)
 
 
 def gas_by_sender(records: Iterable[LedgerRecord]) -> dict[str, int]:
