@@ -2,9 +2,10 @@
 
 verify_log holds no agent secrets. From the log alone it rebuilds the
 crypto context, replays every screening verdict, re-verifies every
-attestation, recomputes fees and escrow flows, and checks that the hash
-chain over the lines is intact and signed off by the registration
-authority's key from the header.
+attestation, recomputes fees and escrow flows, holds every transaction to
+its task's deadline windows, and checks that the hash chain over the lines
+is intact and signed off by the registration authority's key from the
+header.
 
 Two trust anchors come from the header: the authority's public key (for
 the signoff) and the attestation setup seed. A deployment would publish a
@@ -49,6 +50,7 @@ from ..ledger import (
     included_responses,
     mistyped_field,
     void_refunds,
+    window_problem,
 )
 from ..policy import TaskPolicy
 from ..primitives import decode_signature, hash_bytes, verify_sig
@@ -86,7 +88,14 @@ _FIELDS = {
         "tip_gwei": _NUMBER,
         "eth_usd": _NUMBER,
     },
-    "round": {"round": int, "task_seq": int, "tree_root": str, "response_deadline": int, "escrow_wei": int},
+    "round": {
+        "round": int,
+        "task_seq": int,
+        "tree_root": str,
+        "response_deadline": int,
+        "processing_deadline": int,
+        "escrow_wei": int,
+    },
     "screening": {"round": int, "accepted": list, "rejections": list, "void": bool},
     "arbitration": {"round": int, "ref": int, "upheld": bool},
     "signoff": {"chain": str, "sig": str},
@@ -270,6 +279,10 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         prefix = f"round {r}: "
         round_txs = [t for t in txs if t.task_seq == meta["task_seq"]]
         stats["rounds"] += 1
+        for t in round_txs:
+            why = window_problem(t.method, t.submitted_block, meta["response_deadline"], meta["processing_deadline"])
+            if why is not None:
+                problems.append(prefix + f"tx {t.index} ({t.method}): {why}")
 
         screening = screenings.get(r)
         if screening is None:

@@ -63,6 +63,7 @@ from .scenario import ScenarioConfig
 
 REQUESTER = "requester"
 _ADDRESS_SPACE = 1 << 20  # payout addresses drawn small so decryption is quick
+_SUBMITS_PER_BLOCK = 7  # the cast's pace: one block passes after every 7th response
 
 
 @dataclass
@@ -159,6 +160,12 @@ class _Run:
         if attack is not None and attack not in ATTACKS:
             raise ConfigError(f"unknown attack {attack!r} (one of {', '.join(ATTACKS)})")
         config.validate()
+        # the cast's last response, and an outsider's two blocks after it, go in before the window closes
+        if config.response_window < config.worker_count // _SUBMITS_PER_BLOCK + 2:
+            raise ConfigError(
+                f"a response window of {config.response_window} blocks is too short for {config.worker_count}"
+                f" workers submitting {_SUBMITS_PER_BLOCK} per block"
+            )
         answers = load_fixture(config.fixture)
         if len(answers) < config.worker_count:
             raise ConfigError(
@@ -267,7 +274,7 @@ class _Run:
             rnd.ref_to_worker[rec.index] = w
             rnd.ref_to_answer[rec.index] = self.answers[i]
             rnd.kept_bundles[i] = bundle
-            if pos % 7 == 6:
+            if pos % _SUBMITS_PER_BLOCK == _SUBMITS_PER_BLOCK - 1:
                 ledger.tick(1)
         self.hook.after_collect(self, rnd)
 

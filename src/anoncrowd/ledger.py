@@ -274,6 +274,11 @@ class Ledger:
 
     # ── internals ──
 
+    def _require_window(self, method: str, task: TaskState) -> None:
+        why = window_problem(method, self.block, task.params.response_deadline, task.params.processing_deadline)
+        if why is not None:
+            raise DeadlineError(why)
+
     def _charge(self, sender: str, wei: int) -> None:
         held = self.balances.get(sender, 0)
         if held < wei:
@@ -334,8 +339,7 @@ class Ledger:
         task = contract._require_active()
         if task.phase != COLLECTING:
             raise PhaseError(f"responses are not accepted in phase {task.phase}")
-        if self.block > task.params.response_deadline:
-            raise DeadlineError("response window has closed")
+        self._require_window(SUBMIT_RESPONSE, task)
         rec = self._append(SUBMIT_RESPONSE, sender, task_seq=task.seq, payload=payload)
         task.responses.append(rec)  # counted only if it lands in time, see included_responses
         return rec
@@ -344,17 +348,11 @@ class Ledger:
         task = contract._require_active()
         if sender != contract.requester:
             raise PermissionError("only the requester posts the final answer")
-        if self.block <= task.params.response_deadline:
-            raise DeadlineError("response window is still open")
-        if task.phase == COLLECTING:
-            task.phase = PROCESSING
-        if task.phase != PROCESSING:
-            raise PhaseError(f"final answer not accepted in phase {task.phase}")
-        if self.block > task.params.processing_deadline:
-            raise DeadlineError("processing window has closed")
+        self._require_window(SUBMIT_AUTH_CALC, task)
         if task.auth_calc is not None:
             raise PhaseError("final answer already posted")
         rec = self._append(SUBMIT_AUTH_CALC, sender, task_seq=task.seq, payload=payload)
+        task.phase = PROCESSING  # an active task is Collecting or Processing
         task.auth_calc = rec
         return rec
 
@@ -368,8 +366,7 @@ class Ledger:
             raise PermissionError("only the requester posts quality updates")
         if task.phase not in (PROCESSING, VOID):
             raise PhaseError(f"quality posts not accepted in phase {task.phase}")
-        if self.block > task.params.processing_deadline:
-            raise DeadlineError("processing window has closed")
+        self._require_window(SUBMIT_QUALITY, task)
         rec = self._append(SUBMIT_QUALITY, sender, task_seq=task.seq, payload=payload)
         task.quality_posts.append(rec)
         return rec
@@ -412,8 +409,7 @@ class Ledger:
         task = contract._require_active()
         if sender != contract.requester:
             raise PermissionError("only the requester voids")
-        if self.block <= task.params.response_deadline:
-            raise DeadlineError("cannot void before the response window closes")
+        self._require_window(VOID_TASK, task)
         rec = self._append(VOID_TASK, sender, task_seq=task.seq)
         included = included_responses(task.responses, task.params.response_deadline)
         for beneficiary, amount in void_refunds(included, task.escrow_wei, contract.requester):
@@ -469,13 +465,33 @@ def included_responses(records: Iterable[LedgerRecord], response_deadline: int) 
     return sorted(landed, key=lambda r: (r.inclusion_block, r.index))
 
 
+def window_problem(method: str, block: int, response_deadline: int, processing_deadline: int) -> str | None:
+    """Why a task's transaction of this method submitted at this block falls
+    outside its deadline windows, or None. Responses close with the response
+    window; the final answer and a void need that window closed; the final
+    answer and quality posts close with the processing window."""
+    if method == SUBMIT_RESPONSE and block > response_deadline:
+        return "response window has closed"
+    if method in (SUBMIT_AUTH_CALC, VOID_TASK) and block <= response_deadline:
+        return "response window is still open"
+    if method in (SUBMIT_AUTH_CALC, SUBMIT_QUALITY) and block > processing_deadline:
+        return "processing window has closed"
+    return None
+
+
 def void_refunds(included: Iterable[LedgerRecord], escrow_wei: int, requester: str) -> list[tuple[str, int]]:
     """The (beneficiary, wei) refunds that void a task, in order: each included
-    responder's fee in log order, then any escrow left to the requester."""
-    refunds = [(r.sender, r.fee_wei) for r in sorted(included, key=lambda r: r.index)]
-    remainder = escrow_wei - sum(fee for _, fee in refunds)
-    if remainder > 0:
-        refunds.append((requester, remainder))
+    responder's fee in log order while the escrow lasts (the escrow's last wei
+    may cover a fee in part), then any escrow left to the requester."""
+    refunds, left = [], escrow_wei
+    for r in sorted(included, key=lambda r: r.index):
+        if left == 0 < r.fee_wei:
+            break
+        amount = min(r.fee_wei, left)
+        refunds.append((r.sender, amount))
+        left -= amount
+    if left > 0:
+        refunds.append((requester, left))
     return refunds
 
 

@@ -413,6 +413,22 @@ class TestRunner:
         with pytest.raises(ConfigError, match="row 1"):
             run(cfg, seed=1)
 
+    def test_response_window_shorter_than_the_cast_rejected(self, tiny_image):
+        # 39 workers submit over 5 blocks and an outsider 2 blocks later
+        with pytest.raises(ConfigError, match="too short for 39 workers"):
+            run(replace(tiny_image, response_window=6), seed=1)
+
+    def test_late_responses_fail_an_honest_run_only(self, tiny_image):
+        # at a 7-block window, 7 of the 39 responses land late, and their
+        # workers protest the updates they never got
+        cfg = replace(tiny_image, response_window=7)
+        honest = run(cfg, seed=1)
+        s = honest.rounds[0]
+        assert (s.submitted, s.included, s.protests) == (39, 32, 7)
+        assert "round 0: protest in an honest run" in honest.failures
+        attacked = run(cfg, seed=1, attack="duplicate-response")
+        assert not any("protest in an honest run" in f for f in attacked.failures)
+
     @pytest.mark.parametrize("attack", [None, "deprivation"])
     def test_settlement_decodes_each_quality_post_once(self, tiny_image, monkeypatch, attack):
         # the round's posts are decoded once into a board, not once per
@@ -519,6 +535,13 @@ class TestAttacks:
         s = res.rounds[1]
         assert (s.included, s.accepted, s.void) == (39, 38, True)
         assert s.refunded_wei == cfg.escrow_wei
+        assert verify_log(res.log_lines).ok
+
+    def test_void_task_with_no_escrow_refunds_nothing(self, tiny_image):
+        policy = replace(tiny_image.policy, pay_correct=0, pay_incorrect=0)
+        res = run(replace(tiny_image, policy=policy, escrow_wei=0), seed=1, attack="void-task")
+        assert res.failures == []
+        assert res.rounds[0].void and res.rounds[0].refunded_wei == 0
         assert verify_log(res.log_lines).ok
 
     def test_void_task_refunds_and_preserves_quality(self, attack_runs, tiny_image):
@@ -629,6 +652,25 @@ class TestAudit:
         want = f"tx {tx['index']}: {method} moves {abs(value_wei)} wei {direction} escrow"
         assert want in report.problems
         assert not any("signoff" in p for p in report.problems)
+
+    @pytest.mark.parametrize(
+        "method, deadline, past, why",
+        [
+            ("SubmitAuthCalc", "processing_deadline", 1, "processing window has closed"),
+            ("SubmitQuality", "processing_deadline", 1, "processing window has closed"),
+            ("SubmitAuthCalc", "response_deadline", 0, "response window is still open"),
+        ],
+    )
+    def test_submission_outside_its_window_fails(self, authority_run, method, deadline, past, why):
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        meta = next(b for b in bodies if b["type"] == "round")
+        tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == method)
+        shift = meta[deadline] + past - tx["submitted_block"]
+        tx["submitted_block"] += shift
+        tx["inclusion_block"] += shift
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert report.problems == [f"round 0: tx {tx['index']} ({method}): {why}"]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from anoncrowd.errors import DeadlineError, FundsError, PhaseError
 from anoncrowd.ledger import (
+    COLLECTING,
     CONFISCATE,
     FINALIZED,
     PROCESSING,
@@ -261,6 +262,18 @@ class TestGating:
         with pytest.raises(DeadlineError):
             led.submit_auth_calc(contract, "req", payload=b"too-late")
 
+    def test_refused_final_answer_changes_no_state(self):
+        # a late final answer leaves the task collecting, so no payment follows it
+        led, contract, params = self.setup_task()
+        led.tick_to(params.processing_deadline + 1)
+        logged = len(led.records)
+        with pytest.raises(DeadlineError):
+            led.submit_auth_calc(contract, "req", payload=b"too-late")
+        task = contract.tasks[-1]
+        assert (task.phase, task.auth_calc, len(led.records)) == (COLLECTING, None, logged)
+        with pytest.raises(PhaseError):
+            led.worker_payment(contract, "req", "w1", 1)
+
     def test_quality_and_payment_require_processing_phase(self):
         led, contract, params = self.setup_task()
         with pytest.raises(PhaseError):
@@ -351,6 +364,23 @@ class TestVoidAndArbitration:
         assert task.phase == VOID
         assert led.balance("w1") == w1_before + r1.fee_wei
         assert led.escrow_conserved(task)
+
+    def test_void_refunds_stop_when_the_escrow_runs_out(self):
+        led = funded_ledger(("req", "w1", "w2", "w3"))
+        contract = led.deploy("req")
+        probe = FEE.fee_wei(GAS.submit_response)
+        params = task_params(led, escrow=probe + 5)
+        task = led.create_task(contract, "req", params)
+        for w in ("w1", "w2", "w3"):
+            led.submit_response(contract, w, payload=w.encode())
+        led.tick_to(params.response_deadline + 1)
+        before = {a: led.balance(a) for a in ("req", "w1", "w2", "w3")}
+        led.void_task(contract, "req")
+        # w1's fee in full, the last 5 wei toward w2's, nothing for w3 or the requester
+        refunds = [(r.beneficiary, -r.value_wei) for r in led.records if r.method == REFUND]
+        assert refunds == [("w1", probe), ("w2", 5)]
+        assert {a: led.balance(a) - before[a] for a in before} == {"req": 0, "w1": probe, "w2": 5, "w3": 0}
+        assert task.escrow_wei == 0 and led.escrow_conserved(task)
 
     def test_void_is_requester_only(self):
         led, contract, task, params = self.setup_short_task()

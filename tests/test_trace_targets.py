@@ -1,13 +1,20 @@
-"""The benchmark's traced mode wraps library functions by name.
+"""The benchmark's code under perfbench/ stays in step with the library.
 
 perfbench/layers.py names the methods and functions it traces; a rename or
-deletion in the library breaks `perfbench/run.py --trace 1`. This test
+deletion in the library breaks `perfbench/run.py --trace 1`. One test
 installs the trace and takes it off again, so such a break shows up in the
-suite instead.
+suite instead. Another replays two workloads against the log pins in
+perfbench/workloads.py, so a drift in log bytes fails here before it
+reaches the benchmark.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from anoncrowd.harness.runner import run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +42,11 @@ def test_every_trace_target_resolves_and_is_restored():
             assert vars(owner)[attr] is original, f"{owner}.{attr} was not restored"
         else:
             assert attr not in vars(owner), f"{owner}.{attr} was not restored"
+
+
+@pytest.mark.parametrize("name", ["settle_tiny31", "poll_rounds_curve254"])
+def test_workload_log_matches_its_pin(tmp_path, name):
+    workloads = load("workloads")
+    result = run(workloads.load(name, workloads.DEFAULT_SEED, tmp_path), workloads.DEFAULT_SEED)
+    log = "\n".join(result.log_lines) + "\n"
+    assert hashlib.sha256(log.encode()).hexdigest() == workloads.PINS[name]
