@@ -368,8 +368,8 @@ class TestVoidAndArbitration:
     def test_void_refunds_stop_when_the_escrow_runs_out(self):
         led = funded_ledger(("req", "w1", "w2", "w3"))
         contract = led.deploy("req")
-        probe = FEE.fee_wei(GAS.submit_response)
-        params = task_params(led, escrow=probe + 5)
+        fee = FEE.fee_wei(GAS.submit_response)
+        params = task_params(led, escrow=fee + 5)
         task = led.create_task(contract, "req", params)
         for w in ("w1", "w2", "w3"):
             led.submit_response(contract, w, payload=w.encode())
@@ -378,8 +378,8 @@ class TestVoidAndArbitration:
         led.void_task(contract, "req")
         # w1's fee in full, the last 5 wei toward w2's, nothing for w3 or the requester
         refunds = [(r.beneficiary, -r.value_wei) for r in led.records if r.method == REFUND]
-        assert refunds == [("w1", probe), ("w2", 5)]
-        assert {a: led.balance(a) - before[a] for a in before} == {"req": 0, "w1": probe, "w2": 5, "w3": 0}
+        assert refunds == [("w1", fee), ("w2", 5)]
+        assert {a: led.balance(a) - before[a] for a in before} == {"req": 0, "w1": fee, "w2": 5, "w3": 0}
         assert task.escrow_wei == 0 and led.escrow_conserved(task)
 
     def test_void_is_requester_only(self):
