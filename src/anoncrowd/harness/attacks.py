@@ -9,6 +9,7 @@ trigger and what the attacker must not gain.
 from __future__ import annotations
 
 from ..actors import REJECT_DUP_TAG, REJECT_PROOF, REJECT_STALE
+from ..ledger import included_responses
 
 ADVERSARY = "adversary"
 
@@ -53,11 +54,14 @@ def _outsider_submits(run, rnd, payload: bytes):
 
 
 def _outsider_failures(run, reason: str, detection: str, who: str) -> list[str]:
-    """A replayed response is screened out exactly once and earns nothing."""
+    """Each replayed response that lands in time is screened out once, and none earns anything."""
     ledger = run.ledger
     spent = sum(r.fee_wei for r in ledger.records if r.sender == ADVERSARY)
+    landed = sum(
+        r.sender == ADVERSARY for t in run.contract.tasks for r in included_responses(t.responses, t.params.response_deadline)
+    )
     return _failures(
-        (_rejections(run, reason) != 1, f"expected exactly one {detection} detection"),
+        (_rejections(run, reason) != landed, f"expected exactly one {detection} detection per copy that landed in time"),
         (ledger.balance(ADVERSARY) != run.config.worker_funding_wei - spent, f"the {who} outsider was paid"),
     )
 

@@ -2,10 +2,11 @@
 
 verify_log holds no agent secrets. From the log alone it rebuilds the
 crypto context, replays every screening verdict, re-verifies every
-attestation, recomputes fees and escrow flows, holds every transaction to
-its task's deadline windows, and checks that the hash chain over the lines
-is intact and signed off by the registration authority's key from the
-header.
+attestation, recomputes fees and escrow flows, replays each round's
+transactions in log order through the contract's own rules (sender, phase
+and deadline windows, as `ledger.RULES` and `window_problem` state them),
+and checks that the hash chain over the lines is intact and signed off by
+the registration authority's key from the header.
 
 Two trust anchors come from the header: the authority's public key (for
 the signoff) and the attestation setup seed. A deployment would publish a
@@ -37,15 +38,18 @@ from ..errors import ConfigError, EncodingError, MalformedStatementError
 from ..ledger import (
     CONFISCATE,
     CREATE_TASK,
-    FINALIZE,
+    DEPLOY,
+    FINALIZED,
     REFUND,
+    RULES,
     SUBMIT_AUTH_CALC,
     SUBMIT_QUALITY,
-    VOID_TASK,
+    VOID,
     WORKER_PAYMENT,
     FeeParams,
     GasSchedule,
     LedgerRecord,
+    contract_problem,
     gas_by_sender,
     included_responses,
     mistyped_field,
@@ -243,8 +247,12 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         problems.append("round metadata does not cover rounds 0..n-1")
     known_seqs = {meta["task_seq"] for meta in metas.values()}
     for rec in txs:
-        if rec.task_seq != -1 and rec.task_seq not in known_seqs:
+        if rec.task_seq not in known_seqs and (rec.method, rec.task_seq) != (DEPLOY, -1):
             problems.append(f"tx {rec.index} belongs to an unknown task {rec.task_seq}")
+    deploys = [t for t in txs if t.method == DEPLOY]
+    if len(deploys) != 1:
+        problems.append(f"expected exactly one deploy transaction, found {len(deploys)}")
+    requester = deploys[0].sender if deploys else None
     for r in screenings:
         if r not in metas:
             problems.append(f"screening event for unknown round {r}")
@@ -279,10 +287,17 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         prefix = f"round {r}: "
         round_txs = [t for t in txs if t.task_seq == meta["task_seq"]]
         stats["rounds"] += 1
+        phase = None  # the replayed task's; a refusal by its window alone still moves it
         for t in round_txs:
-            why = window_problem(t.method, t.submitted_block, meta["response_deadline"], meta["processing_deadline"])
-            if why is not None:
-                problems.append(prefix + f"tx {t.index} ({t.method}): {why}")
+            refusal = contract_problem(t.method, t.sender, requester, phase)
+            if refusal is None:
+                phase = RULES[t.method][2] or phase
+                refusal = window_problem(t.method, t.submitted_block, meta["response_deadline"], meta["processing_deadline"])
+            if refusal is not None:
+                problems.append(prefix + f"tx {t.index} ({t.method}): {refusal[1]}")
+        closed = phase in (FINALIZED, VOID)
+        if not closed:
+            problems.append(prefix + "task was never closed")
 
         screening = screenings.get(r)
         if screening is None:
@@ -310,21 +325,17 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if screening["void"] != void:
             problems.append(prefix + "void flag does not match the quorum rule")
 
-        void_txs = [t for t in round_txs if t.method == VOID_TASK]
-        if void and len(void_txs) != 1:
+        if void and phase != VOID:
             problems.append(prefix + "voided round must carry exactly one void transaction")
-        if not void and void_txs:
+        if not void and phase == VOID:
             problems.append(prefix + "quorate round carries a void transaction")
 
         calc_txs = [t for t in round_txs if t.method == SUBMIT_AUTH_CALC]
         final_cts = ()
         accepted_by_ref = {p.ref: p for p in accepted}
-        if void:
-            if calc_txs:
-                problems.append(prefix + "voided round carries a final answer")
-        elif len(calc_txs) != 1:
+        if not void and len(calc_txs) != 1:
             problems.append(prefix + "expected exactly one final answer post")
-        else:
+        elif not void:
             try:
                 final_cts, calc_proof = decode_final_bundle(ctx, calc_txs[0].payload, policy.final_ct_count)
             except (EncodingError, ValueError):
@@ -383,10 +394,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             problems.append(prefix + "confiscation without an upheld protest")
 
         pay_txs = [t for t in round_txs if t.method == WORKER_PAYMENT]
-        if void:
-            if pay_txs:
-                problems.append(prefix + "voided round pays workers")
-        else:
+        if not void:
             if len(pay_txs) != len(covered):
                 problems.append(prefix + f"{len(pay_txs)} payments for {len(covered)} served responses")
             amounts = Counter(-t.value_wei for t in pay_txs)
@@ -398,21 +406,16 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
                         prefix + "correct-answer payments do not match the correctness attestations"
                     )
 
-        create_txs = [t for t in round_txs if t.method == CREATE_TASK]
+        create = next((t for t in round_txs if t.method == CREATE_TASK), None)
         escrow_in = meta["escrow_wei"]
-        if len(create_txs) != 1:
-            problems.append(prefix + "expected exactly one task creation")
-        elif create_txs[0].value_wei != escrow_in:
+        if create is not None and create.value_wei != escrow_in:
             problems.append(prefix + "escrow deposit does not match the announced amount")
         outgoing = sum(-t.value_wei for t in round_txs if t.value_wei < 0)
-        closed = any(t.method in (FINALIZE, VOID_TASK, CONFISCATE) for t in round_txs)
         if closed and outgoing != escrow_in:
             problems.append(prefix + f"escrow not conserved: {escrow_in} in, {outgoing} out")
-        if not closed:
-            problems.append(prefix + "task was never closed")
-        if void and len(create_txs) == 1:
+        if void and requester is not None:
             refunds = [(t.beneficiary, -t.value_wei) for t in round_txs if t.method == REFUND]
-            if refunds != void_refunds(included, escrow_in, create_txs[0].sender):
+            if refunds != void_refunds(included, escrow_in, requester):
                 problems.append(prefix + "void refunds do not reimburse the responders")
 
     # pass 5: summary totals

@@ -7,10 +7,11 @@ bookkeeping and to USD only for reporting. Inclusion latency in blocks is
 drawn from a seeded truncated-normal model calibrated per network profile
 and tip level.
 
-One deployed contract hosts a sequence of escrow-backed tasks. Phase
-gating, deadlines, escrow conservation and sender permissions are enforced
-here; everything cryptographic happens in the layers above, which hand
-payloads down as opaque bytes.
+One deployed contract hosts a sequence of escrow-backed tasks. Its rules
+are the RULES table (sender and phases per method) and window_problem (the
+deadlines): the contract enforces them through one gate, and the log audit
+replays them. Everything cryptographic happens in the layers above, which
+hand payloads down as opaque bytes.
 
 All money is integer wei (1 Gwei = 10^9 wei). Escrow conservation is exact:
 deposit == payments + refunds + confiscation + remainder, always.
@@ -45,6 +46,23 @@ COLLECTING = "Collecting"
 PROCESSING = "Processing"
 FINALIZED = "Finalized"
 VOID = "Void"
+
+# The contract's rules, one row per task method: who may send it (the
+# deploying requester, anyone, or the contract itself), the phases of the
+# contract's latest task it is legal in (None: no task is open), and the
+# phase it leaves that task in (None: the phase it found).
+REQUESTER, ANYONE, CONTRACT = "requester", "anyone", "contract"
+RULES: dict[str, tuple[str, tuple[str | None, ...], str | None]] = {
+    CREATE_TASK: (REQUESTER, (None, FINALIZED, VOID), COLLECTING),
+    SUBMIT_RESPONSE: (ANYONE, (COLLECTING,), None),
+    SUBMIT_AUTH_CALC: (REQUESTER, (COLLECTING,), PROCESSING),
+    SUBMIT_QUALITY: (REQUESTER, (PROCESSING, VOID), None),  # a void task still records its zero steps
+    WORKER_PAYMENT: (REQUESTER, (PROCESSING,), None),
+    FINALIZE: (REQUESTER, (PROCESSING,), FINALIZED),
+    VOID_TASK: (REQUESTER, (COLLECTING,), VOID),
+    REFUND: (CONTRACT, (FINALIZED, VOID), None),  # Finalize and VoidTask close the task first
+    CONFISCATE: (CONTRACT, (COLLECTING, PROCESSING), FINALIZED),
+}
 
 
 @dataclass(frozen=True)
@@ -233,12 +251,6 @@ class TaskContract:
             return self.tasks[-1]
         return None
 
-    def _require_active(self) -> TaskState:
-        task = self.active
-        if task is None:
-            raise PhaseError("no active task on this contract")
-        return task
-
 
 class Ledger:
     """The chain: accounts, transaction log, latency, contract enforcement."""
@@ -274,10 +286,15 @@ class Ledger:
 
     # ── internals ──
 
-    def _require_window(self, method: str, task: TaskState) -> None:
-        why = window_problem(method, self.block, task.params.response_deadline, task.params.processing_deadline)
-        if why is not None:
-            raise DeadlineError(why)
+    def _enter(self, contract: TaskContract, method: str, sender: str) -> TaskState | None:
+        """The contract's latest task, once RULES and its windows admit method from sender."""
+        task = contract.tasks[-1] if contract.tasks else None
+        refusal = contract_problem(method, sender, contract.requester, task and task.phase)
+        if refusal is None and task is not None:
+            refusal = window_problem(method, self.block, task.params.response_deadline, task.params.processing_deadline)
+        if refusal is not None:
+            raise refusal[0](f"{method}: {refusal[1]}")
+        return task
 
     def _charge(self, sender: str, wei: int) -> None:
         held = self.balances.get(sender, 0)
@@ -289,11 +306,15 @@ class Ledger:
         self,
         method: str,
         sender: str,
-        task_seq: int,
+        task: TaskState | None,
         payload: bytes = b"",
         value_wei: int = 0,
         beneficiary: str = "",
     ) -> LedgerRecord:
+        """Logs a transaction of task (None: a deploy), moves value_wei into its escrow
+        (negative: out, to beneficiary) and moves it to the phase the method leaves."""
+        if task is not None and -value_wei > task.escrow_wei:
+            raise FundsError(f"escrow cannot cover this {method}")
         gas = self.gas.for_method(method)
         fee_wei = self.fee.fee_wei(gas)
         self._charge(sender, fee_wei + max(value_wei, 0))
@@ -306,12 +327,17 @@ class Ledger:
             tip_gwei=self.fee.tip_gwei,
             submitted_block=self.block,
             inclusion_block=self.block + self.latency_model.latency(self.fee.tip_gwei),
-            task_seq=task_seq,
+            task_seq=-1 if task is None else task.seq,
             payload=payload,
             value_wei=value_wei,
             beneficiary=beneficiary,
         )
         self.records.append(rec)
+        if task is not None:
+            task.escrow_wei += value_wei
+            task.phase = RULES[method][2] or task.phase
+        if beneficiary:
+            self.fund(beneficiary, -value_wei)
         return rec
 
     # ── contract methods ──
@@ -319,83 +345,51 @@ class Ledger:
     def deploy(self, sender: str) -> TaskContract:
         contract = TaskContract(sender)
         self.contracts.append(contract)
-        self._append(DEPLOY, sender, task_seq=-1)
+        self._append(DEPLOY, sender, None)
         return contract
 
     def create_task(self, contract: TaskContract, sender: str, params: ChainTaskParams) -> TaskState:
-        if sender != contract.requester:
-            raise PermissionError("only the deploying requester can create tasks")
-        if contract.active is not None:
-            raise PhaseError("contract already has an active task")
+        self._enter(contract, CREATE_TASK, sender)
         if params.response_deadline <= self.block:
             raise DeadlineError("response deadline is not in the future")
-        seq = len(contract.tasks)
-        rec = self._append(CREATE_TASK, sender, task_seq=seq, value_wei=params.escrow_wei)
-        task = TaskState(seq=seq, params=params, escrow_wei=params.escrow_wei)
+        task = TaskState(seq=len(contract.tasks), params=params)
+        self._append(CREATE_TASK, sender, task, value_wei=params.escrow_wei)
         contract.tasks.append(task)
         return task
 
     def submit_response(self, contract: TaskContract, sender: str, payload: bytes) -> LedgerRecord:
-        task = contract._require_active()
-        if task.phase != COLLECTING:
-            raise PhaseError(f"responses are not accepted in phase {task.phase}")
-        self._require_window(SUBMIT_RESPONSE, task)
-        rec = self._append(SUBMIT_RESPONSE, sender, task_seq=task.seq, payload=payload)
+        task = self._enter(contract, SUBMIT_RESPONSE, sender)
+        rec = self._append(SUBMIT_RESPONSE, sender, task, payload=payload)
         task.responses.append(rec)  # counted only if it lands in time, see included_responses
         return rec
 
     def submit_auth_calc(self, contract: TaskContract, sender: str, payload: bytes) -> LedgerRecord:
-        task = contract._require_active()
-        if sender != contract.requester:
-            raise PermissionError("only the requester posts the final answer")
-        self._require_window(SUBMIT_AUTH_CALC, task)
-        if task.auth_calc is not None:
-            raise PhaseError("final answer already posted")
-        rec = self._append(SUBMIT_AUTH_CALC, sender, task_seq=task.seq, payload=payload)
-        task.phase = PROCESSING  # an active task is Collecting or Processing
-        task.auth_calc = rec
-        return rec
+        task = self._enter(contract, SUBMIT_AUTH_CALC, sender)
+        task.auth_calc = self._append(SUBMIT_AUTH_CALC, sender, task, payload=payload)
+        return task.auth_calc
 
     def submit_quality(self, contract: TaskContract, sender: str, payload: bytes) -> LedgerRecord:
-        # legal on the voided path too: a voided task still records its
-        # zero-increment updates, up to the same processing deadline
-        if not contract.tasks:
-            raise PhaseError("no task on this contract")
-        task = contract.tasks[-1]
-        if sender != contract.requester:
-            raise PermissionError("only the requester posts quality updates")
-        if task.phase not in (PROCESSING, VOID):
-            raise PhaseError(f"quality posts not accepted in phase {task.phase}")
-        self._require_window(SUBMIT_QUALITY, task)
-        rec = self._append(SUBMIT_QUALITY, sender, task_seq=task.seq, payload=payload)
+        task = self._enter(contract, SUBMIT_QUALITY, sender)
+        rec = self._append(SUBMIT_QUALITY, sender, task, payload=payload)
         task.quality_posts.append(rec)
         return rec
 
     def worker_payment(
         self, contract: TaskContract, sender: str, payout_account: str, amount_wei: int
     ) -> LedgerRecord:
-        task = contract._require_active()
-        if sender != contract.requester:
-            raise PermissionError("only the requester triggers payments")
-        if task.phase != PROCESSING:
-            raise PhaseError(f"payments not accepted in phase {task.phase}")
+        task = self._enter(contract, WORKER_PAYMENT, sender)
         if amount_wei < 0:
             raise ValueError("payments cannot be negative")
-        rec = self._pay_out(WORKER_PAYMENT, sender, task, payout_account, amount_wei)
+        rec = self._append(WORKER_PAYMENT, sender, task, value_wei=-amount_wei, beneficiary=payout_account)
         task.paid_out_wei += amount_wei
         return rec
 
     def finalize(self, contract: TaskContract, sender: str) -> LedgerRecord:
         """Close the task and refund the unspent escrow to the requester."""
-        task = contract._require_active()
-        if sender != contract.requester:
-            raise PermissionError("only the requester finalizes")
-        if task.phase != PROCESSING:
-            raise PhaseError("nothing to finalize")
-        rec = self._append(FINALIZE, sender, task_seq=task.seq)
+        task = self._enter(contract, FINALIZE, sender)
+        rec = self._append(FINALIZE, sender, task)
         if task.escrow_wei:
             self._refund(task, contract.requester, task.escrow_wei)
-        task.phase = FINALIZED
         return rec
 
     def void_task(self, contract: TaskContract, sender: str) -> LedgerRecord:
@@ -406,15 +400,11 @@ class Ledger:
         The contract holds payloads as opaque bytes, so it cannot tell an
         accepted response from a rejected one and leaves the quorum to the
         requester; the log audit replays screening and judges it."""
-        task = contract._require_active()
-        if sender != contract.requester:
-            raise PermissionError("only the requester voids")
-        self._require_window(VOID_TASK, task)
-        rec = self._append(VOID_TASK, sender, task_seq=task.seq)
+        task = self._enter(contract, VOID_TASK, sender)
+        rec = self._append(VOID_TASK, sender, task)
         included = included_responses(task.responses, task.params.response_deadline)
         for beneficiary, amount in void_refunds(included, task.escrow_wei, contract.requester):
             self._refund(task, beneficiary, amount)
-        task.phase = VOID
         return rec
 
     def confiscate(self, contract: TaskContract, arbiter_beneficiary: str) -> LedgerRecord:
@@ -422,30 +412,15 @@ class Ledger:
         goes to the wronged party, and the task is closed against further
         requester moves. Valid while processing is underway, or when the
         requester went silent after the response window."""
-        if not contract.tasks:
-            raise PhaseError("no task to confiscate from")
-        task = contract.tasks[-1]
-        ghosted = task.phase == COLLECTING and self.block > task.params.response_deadline
-        if task.phase != PROCESSING and not ghosted:
-            raise PhaseError(f"cannot confiscate a task in phase {task.phase}")
+        task = self._enter(contract, CONFISCATE, CONTRACT)
         amount = task.escrow_wei
-        rec = self._pay_out(CONFISCATE, "contract", task, arbiter_beneficiary, amount)
+        rec = self._append(CONFISCATE, CONTRACT, task, value_wei=-amount, beneficiary=arbiter_beneficiary)
         task.confiscated_wei += amount
-        task.phase = FINALIZED
         return rec
 
     def _refund(self, task: TaskState, beneficiary: str, amount: int) -> None:
-        self._pay_out(REFUND, "contract", task, beneficiary, amount)
+        self._append(REFUND, CONTRACT, task, value_wei=-amount, beneficiary=beneficiary)
         task.refunded_wei += amount
-
-    def _pay_out(self, method: str, sender: str, task: TaskState, beneficiary: str, amount: int) -> LedgerRecord:
-        """Logs a transfer of amount wei out of the task's escrow to beneficiary."""
-        if amount > task.escrow_wei:
-            raise FundsError(f"escrow cannot cover this {method}")
-        rec = self._append(method, sender, task_seq=task.seq, value_wei=-amount, beneficiary=beneficiary)
-        task.escrow_wei -= amount
-        self.fund(beneficiary, amount)
-        return rec
 
     # ── reporting helpers ──
 
@@ -465,17 +440,34 @@ def included_responses(records: Iterable[LedgerRecord], response_deadline: int) 
     return sorted(landed, key=lambda r: (r.inclusion_block, r.index))
 
 
-def window_problem(method: str, block: int, response_deadline: int, processing_deadline: int) -> str | None:
+def contract_problem(method: str, sender: str, requester: str, phase: str | None) -> tuple[type, str] | None:
+    """Why the contract refuses method from sender while its latest task is in
+    phase (None: no task is open), as (error class, reason) by RULES, or None."""
+    if method not in RULES:
+        return PhaseError, "not a method of a task"
+    who, phases, _ = RULES[method]
+    if who != ANYONE and sender != (requester if who == REQUESTER else who):
+        return PermissionError, f"only the {who} may send it"
+    if phase not in phases:
+        return PhaseError, f"not legal in phase {phase}" if phase else "not legal while no task is open"
+    return None
+
+
+def window_problem(
+    method: str, block: int, response_deadline: int, processing_deadline: int
+) -> tuple[type, str] | None:
     """Why a task's transaction of this method submitted at this block falls
-    outside its deadline windows, or None. Responses close with the response
-    window; the final answer and a void need that window closed; the final
-    answer and quality posts close with the processing window."""
+    outside its deadline windows, as (error class, reason), or None.
+    Responses close with the response window; the final answer and a void
+    need that window closed, and so does confiscating from a task that is
+    still collecting (a phase refusal: the task has not failed to process
+    yet); the final answer and quality posts close with the processing window."""
     if method == SUBMIT_RESPONSE and block > response_deadline:
-        return "response window has closed"
-    if method in (SUBMIT_AUTH_CALC, VOID_TASK) and block <= response_deadline:
-        return "response window is still open"
+        return DeadlineError, "response window has closed"
+    if method in (SUBMIT_AUTH_CALC, VOID_TASK, CONFISCATE) and block <= response_deadline:
+        return (PhaseError if method == CONFISCATE else DeadlineError), "response window is still open"
     if method in (SUBMIT_AUTH_CALC, SUBMIT_QUALITY) and block > processing_deadline:
-        return "processing window has closed"
+        return DeadlineError, "processing window has closed"
     return None
 
 

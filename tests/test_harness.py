@@ -525,6 +525,19 @@ class TestAttacks:
         assert len(victims) == 1
         assert victims[0].paid_wei == 0
 
+    @pytest.mark.parametrize("attack", ["duplicate-response", "forged-proof"])
+    def test_outsider_copy_that_lands_late_needs_no_detection(self, tiny_image, attack):
+        # at a 7-block window the copy is submitted in time but lands late, so
+        # screening never sees it and nothing went wrong
+        res = run(replace(tiny_image, response_window=7), seed=1, attack=attack)
+        assert res.rounds[0].rejections == []
+        assert res.failures == []
+
+    def test_outsider_copy_detected_once_per_round(self, tiny_image):
+        res = run(replace(tiny_image, rounds=3), seed=1, attack="duplicate-response")
+        assert [why for s in res.rounds for _, why in s.rejections] == ["duplicate-tag"] * 3
+        assert res.failures == []
+
     def test_void_on_accepted_count_below_an_included_quorum(self, tiny_image):
         # round two includes 39 responses and accepts 38 (one stale tag): the
         # requester voids a task whose included count meets the quorum
@@ -671,6 +684,47 @@ class TestAudit:
         tx["inclusion_block"] += shift
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
         assert report.problems == [f"round 0: tx {tx['index']} ({method}): {why}"]
+
+    @pytest.mark.parametrize(
+        "probe, why",
+        [
+            ("sent by a worker", "only the requester may send it"),
+            ("moved ahead of the final answer", "not legal in phase Collecting"),
+        ],
+    )
+    def test_finalize_off_the_contract_rules_fails(self, authority_run, probe, why):
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == "Finalize")
+        if probe == "sent by a worker":
+            tx["sender"] = "worker-003"  # Finalize costs no gas, so the summary's totals still hold
+        else:
+            bodies.remove(tx)
+            bodies.insert(next(i for i, b in enumerate(bodies) if b.get("method") == "SubmitAuthCalc"), tx)
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert f"round 0: tx {tx['index']} (Finalize): {why}" in report.problems
+        assert not any("signoff" in p for p in report.problems)
+
+    @pytest.mark.parametrize("deploys", [0, 2])
+    def test_log_without_exactly_one_deploy_fails(self, authority_run, deploys):
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        deploy = next(b for b in bodies if b["type"] == "tx" and b["method"] == "Deploy")
+        if deploys == 0:
+            bodies.remove(deploy)
+        else:
+            bodies.insert(bodies.index(deploy) + 1, {**deploy, "index": deploy["index"] + 1})
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert f"expected exactly one deploy transaction, found {deploys}" in report.problems
+
+    def test_task_transaction_outside_every_task_fails(self, authority_run):
+        # only the deploy belongs to no task; a payment there would escape the replay
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == "WorkerPayment")
+        tx["task_seq"] = -1
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert f"tx {tx['index']} belongs to an unknown task -1" in report.problems
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -382,6 +382,19 @@ class TestVoidAndArbitration:
         assert {a: led.balance(a) - before[a] for a in before} == {"req": 0, "w1": fee, "w2": 5, "w3": 0}
         assert task.escrow_wei == 0 and led.escrow_conserved(task)
 
+    def test_void_after_the_final_answer_refused(self):
+        # a processing task finalizes or is confiscated; voiding it would
+        # refund the escrow its served workers are owed
+        led, contract, task, params = self.setup_short_task()
+        led.submit_response(contract, "w1", payload=b"a")
+        led.tick_to(params.response_deadline + 1)
+        led.submit_auth_calc(contract, "req", payload=b"f")
+        led.worker_payment(contract, "req", "w1", ETH // 5)
+        logged = len(led.records)
+        with pytest.raises(PhaseError):
+            led.void_task(contract, "req")
+        assert (task.phase, task.escrow_wei, len(led.records)) == (PROCESSING, ETH - ETH // 5, logged)
+
     def test_void_is_requester_only(self):
         led, contract, task, params = self.setup_short_task()
         led.tick_to(params.response_deadline + 1)
