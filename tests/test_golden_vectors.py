@@ -6,21 +6,28 @@ encoding change, regenerate by running this file as a script.
 """
 
 import random
+from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from anoncrowd.actors import QualityPost, encode_response_bundle
 from anoncrowd.context import production_context, tiny_context
 from anoncrowd.merkle import MerkleTree
+from anoncrowd.policy import MAJORITY, TaskPolicy
 from anoncrowd.primitives import (
     commit,
     commit_pair,
     encrypt_message,
+    hash_bytes,
     keygen,
     pair_rerandomize,
+    pair_step,
     quality_tag,
     random_blinding_pair,
     sign,
 )
+from anoncrowd.relations import AuthQualStatement, AuthValueStatement, ProofBackend, ProveQualStatement
 
 SEED = 0x601D
 MESSAGE = b"anoncrowd golden"
@@ -56,9 +63,51 @@ def generate() -> str:
             ("quality_tag", quality_tag(g, pair, ident)),
             ("tree_root", tree.root()),
         ]
+        vectors += _protocol_records(ctx, rng, keys, pair, extra, ident, tree)
         lines.append("")
         lines.extend(f"{g.name}.{name} = {value.hex()}" for name, value in vectors)
     return "\n".join(lines) + "\n"
+
+
+def _protocol_records(ctx, rng, ra_keys, pair, extra, ident, tree):
+    """The on-chain records, drawn after the primitive vectors so their draws
+    leave the vectors above unchanged: a prove-qual statement, its proof, a
+    response bundle, and a quality post with and without a value proof."""
+    g = ctx.group
+    requester = keygen(g, rng)
+    policy = TaskPolicy(MAJORITY, 4, Fraction(1, 2), 10, 1)
+    answer_ct, address_ct, claim_ct, final_ct = (
+        encrypt_message(g, requester.pk, codec, m, g.random_scalar(rng))
+        for codec, m in ((ctx.answer_codec, 2), (ctx.address_codec, 77), (ctx.claim_codec, 5), (ctx.answer_codec, 2))
+    )
+    fresh = pair_rerandomize(g, pair, extra)
+    stmt = ProveQualStatement(
+        ctx.params_digest, policy, ra_keys.pk, requester.pk, tree.root(),
+        fresh, quality_tag(g, pair, ident), answer_ct, address_ct,
+    )
+    backend = ProofBackend(MESSAGE)
+    proof = backend._proof(ctx, stmt)
+    new_pair = pair_step(g, fresh, (1, 0), random_blinding_pair(g, rng))
+    qual_stmt = AuthQualStatement(
+        ctx.params_digest, policy, requester.pk, answer_ct, (final_ct,), fresh, new_pair
+    )
+    value_stmt = AuthValueStatement(ctx.params_digest, policy, requester.pk, answer_ct, (final_ct,))
+    post = QualityPost(
+        7,
+        hash_bytes(MESSAGE),
+        random_blinding_pair(g, rng),
+        random_blinding_pair(g, rng),
+        new_pair,
+        backend._proof(ctx, qual_stmt),
+        backend._proof(ctx, value_stmt),
+    )
+    return [
+        ("prove_qual_statement", stmt.encode(ctx)),
+        ("proof", proof.encode()),
+        ("response", encode_response_bundle(ctx, fresh, stmt.quality_tag, answer_ct, address_ct, claim_ct, proof)),
+        ("quality_post", post.encode(ctx)),
+        ("quality_post_unvalued", replace(post, value_proof=None).encode(ctx)),
+    ]
 
 
 def test_encodings_match_the_shipped_vectors():
