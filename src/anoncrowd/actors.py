@@ -3,8 +3,11 @@
 The three agent classes speak in bytes. Responses, final-answer posts and
 per-worker quality posts are canonical records that travel as ledger
 payloads, so an auditor can replay every decision from a transaction log
-and the registry tree alone. Nothing in here touches the chain directly;
-the harness shuttles the bytes.
+and the registry tree alone. A response (ParsedResponse) and a quality post
+(QualityPost) are Records of the primitives' codec, declared once as
+dataclasses; the final-answer bundle, a bare ciphertext list whose count
+the policy gives, keeps its own pair of functions. Nothing in here touches
+the chain directly; the harness shuttles the bytes.
 
 The claim channel works like this: each response carries an encrypted
 claim key. The requester addresses the matching quality post with an index
@@ -27,7 +30,7 @@ exactly when the search finds nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .context import CryptoContext
 from .encoding import enc_u32, enc_u64, record, record_fields
@@ -55,11 +58,10 @@ from .primitives import (
     Ciphertext,
     CommitmentPair,
     KeyPair,
+    Record,
     Signature,
     commit_pair,
-    decode_ciphertext,
     decode_ciphertexts,
-    decode_commitment_pair,
     decrypt_message,
     encode_ciphertexts,
     encrypt_message,
@@ -128,72 +130,40 @@ def payout_account(address: int) -> str:
 
 
 @dataclass(frozen=True)
-class ParsedResponse:
-    """A decoded response payload, tied to its ledger record index."""
+class ParsedResponse(Record):
+    """A response payload; ref, off the wire, is its ledger record index
+    once it is on chain."""
 
-    ref: int
+    TAG = "response"
+
     fresh_pair: CommitmentPair
     tag: bytes
     answer_ct: Ciphertext
     address_ct: Ciphertext
     claim_ct: Ciphertext
     proof: Proof
-
-
-def encode_response_bundle(
-    ctx: CryptoContext,
-    fresh_pair: CommitmentPair,
-    tag: bytes,
-    answer_ct: Ciphertext,
-    address_ct: Ciphertext,
-    claim_ct: Ciphertext,
-    proof: Proof,
-) -> bytes:
-    g = ctx.group
-    return record(
-        "response",
-        fresh_pair.encode(g),
-        tag,
-        answer_ct.encode(g),
-        address_ct.encode(g),
-        claim_ct.encode(g),
-        proof.encode(),
-    )
-
-
-def decode_response_bundle(ctx: CryptoContext, ref: int, data: bytes) -> ParsedResponse:
-    g = ctx.group
-    pair, tag, answer_ct, address_ct, claim_ct, proof = record_fields(data, "response", 6)
-    if len(tag) != 32:
-        raise EncodingError("linkability tag must be 32 bytes")
-    return ParsedResponse(
-        ref=ref,
-        fresh_pair=decode_commitment_pair(g, pair),
-        tag=tag,
-        answer_ct=decode_ciphertext(g, answer_ct),
-        address_ct=decode_ciphertext(g, address_ct),
-        claim_ct=decode_ciphertext(g, claim_ct),
-        proof=Proof.decode(proof),
-    )
+    ref: int | None = field(default=None, kw_only=True)
 
 
 def encode_final_bundle(ctx: CryptoContext, final_cts: tuple[Ciphertext, ...], proof: Proof) -> bytes:
     g = ctx.group
-    return record("final-answer", encode_ciphertexts(g, final_cts), proof.encode())
+    return record("final-answer", encode_ciphertexts(g, final_cts), proof.encode(g))
 
 
 def decode_final_bundle(ctx: CryptoContext, data: bytes, count: int) -> tuple[tuple[Ciphertext, ...], Proof]:
     body, proof = record_fields(data, "final-answer", 2)
-    return decode_ciphertexts(ctx.group, body, count), Proof.decode(proof)
+    return decode_ciphertexts(ctx.group, body, count), Proof.decode(ctx.group, proof)
 
 
 @dataclass(frozen=True)
-class QualityPost:
+class QualityPost(Record):
     """One worker's quality update, addressed through the claim channel.
 
     The posted pair excludes the cover term the accumulator folds into the
     registry leaf; the worker recovers that term from blinded_dummy and
     reconstructs the leaf locally, so the two never match byte for byte."""
+
+    TAG = "quality-post"
 
     response_ref: int
     claim_index: bytes
@@ -203,40 +173,6 @@ class QualityPost:
     qual_proof: Proof
     value_proof: Proof | None  # present exactly when the answer was correct
 
-    def encode(self, ctx: CryptoContext) -> bytes:
-        g = ctx.group
-        return record(
-            "quality-post",
-            enc_u32(self.response_ref),
-            self.claim_index,
-            g.encode_scalar(self.blinded_update.alpha),
-            g.encode_scalar(self.blinded_update.beta),
-            g.encode_scalar(self.blinded_dummy.alpha),
-            g.encode_scalar(self.blinded_dummy.beta),
-            self.new_pair.encode(g),
-            self.qual_proof.encode(),
-            self.value_proof.encode() if self.value_proof else b"",
-        )
-
-    @classmethod
-    def decode(cls, ctx: CryptoContext, data: bytes) -> "QualityPost":
-        g = ctx.group
-        fields = record_fields(data, "quality-post", 9)
-        ref, idx, update_a, update_b, dummy_a, dummy_b, pair, qual, value = fields
-        if len(ref) != 4:
-            raise EncodingError("bad response reference")
-        if len(idx) != 32:
-            raise EncodingError("claim index must be 32 bytes")
-        return cls(
-            int.from_bytes(ref, "little"),
-            idx,
-            BlindingPair(g.decode_scalar(update_a), g.decode_scalar(update_b)),
-            BlindingPair(g.decode_scalar(dummy_a), g.decode_scalar(dummy_b)),
-            decode_commitment_pair(g, pair),
-            Proof.decode(qual),
-            Proof.decode(value) if value else None,
-        )
-
 
 def post_board(ctx: CryptoContext, payloads: list[bytes]) -> dict[tuple[int, bytes], list[QualityPost]]:
     """A round's quality posts decoded once, keyed by (response_ref, claim_index), each
@@ -244,7 +180,7 @@ def post_board(ctx: CryptoContext, payloads: list[bytes]) -> dict[tuple[int, byt
     board: dict[tuple[int, bytes], list[QualityPost]] = {}
     for payload in payloads:
         try:
-            post = QualityPost.decode(ctx, payload)
+            post = QualityPost.decode(ctx.group, payload)
         except (EncodingError, ValueError):
             continue
         board.setdefault((post.response_ref, post.claim_index), []).append(post)
@@ -364,7 +300,7 @@ def screen_responses(
     survivors: list[ParsedResponse] = []
     for ref, payload in included:
         try:
-            parsed = decode_response_bundle(ctx, ref, payload)
+            parsed = ParsedResponse.decode(ctx.group, payload, ref=ref)
         except (EncodingError, ValueError):
             rejections.append((ref, REJECT_MALFORMED))
             continue
@@ -627,9 +563,8 @@ class WorkerAgent:
             g, task.requester_pk, ctx.claim_codec, pending.claim_key, pending.claim_rand
         )
         self._pending = pending
-        return encode_response_bundle(
-            ctx, stmt.fresh_pair, stmt.quality_tag, stmt.answer_ct, stmt.address_ct, claim_ct, proof
-        )
+        response = ParsedResponse(stmt.fresh_pair, stmt.quality_tag, stmt.answer_ct, stmt.address_ct, claim_ct, proof)
+        return response.encode(g)
 
     def mark_submitted(self, ref: int) -> None:
         if self._pending is None:
@@ -790,4 +725,4 @@ class RequesterAgent:
             blinded = update
             covered = dummy
         post = QualityPost(parsed.ref, idx, blinded, covered, new_pair, qual_proof, value_proof)
-        return post.encode(ctx), pair_rerandomize(g, new_pair, dummy).encode(g)
+        return post.encode(g), pair_rerandomize(g, new_pair, dummy).encode(g)

@@ -57,7 +57,7 @@ from ..ledger import (
     window_problem,
 )
 from ..policy import TaskPolicy
-from ..primitives import decode_signature, hash_bytes, verify_sig
+from ..primitives import Signature, hash_bytes, verify_sig
 from ..relations import ProofBackend
 
 LOG_VERSION = 1
@@ -209,7 +209,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if signoff["chain"] != chain.hex():
             problems.append("signoff does not cover the log contents")
         try:
-            sig = decode_signature(g, bytes.fromhex(signoff["sig"]))
+            sig = Signature.decode(g, bytes.fromhex(signoff["sig"]))
             if not verify_sig(g, ra_pk, bytes.fromhex(signoff["chain"]), sig):
                 problems.append("signoff signature does not verify")
         except (ValueError, EncodingError):
@@ -351,7 +351,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         value_count = 0
         for t in (t for t in round_txs if t.method == SUBMIT_QUALITY):
             try:
-                post = QualityPost.decode(ctx, t.payload)
+                post = QualityPost.decode(g, t.payload)
             except (EncodingError, ValueError):
                 problems.append(prefix + f"quality post tx {t.index} does not decode")
                 continue

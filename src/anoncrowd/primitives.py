@@ -18,14 +18,23 @@ This is the cryptographic toolbox the protocol layers build on:
 Quality values travel as ordered pairs (one commitment per Beta-posterior
 parameter), so pair-level containers and arithmetic live here too. Every
 sum of scalar multiples below is one Group.lincomb call.
+
+The record codec lives here as well: a Record dataclass declares its tag
+and fields once, and its encode and decode follow from that declaration.
+Commitment pairs, ciphertexts and signatures are Records, and so are the
+proofs and on-chain posts of the layers above.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
+from functools import cache
+from types import NoneType, UnionType
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
-from .encoding import record, record_fields
+from .encoding import enc_u16, enc_u32, record, record_fields
 from .errors import DomainError, EncodingError
 from .group import Group, GroupElement, Scalar
 
@@ -43,6 +52,95 @@ def hash_bytes(data: bytes) -> bytes:
 def hash_to_scalar(group: Group, data: bytes) -> Scalar:
     d = hashlib.sha256(_DST_SCALAR + data).digest()
     return group.scalar(int.from_bytes(d, "big"))
+
+
+# ── record codec ─────────────────────────────────────────────────────────────
+
+
+class Record:
+    """A dataclass that travels as one tagged record.
+
+    A subclass declares TAG and its fields. encode writes the fields in
+    declaration order, each as its declared type says, and decode reads them
+    back the same way:
+
+    * a group element or a scalar: as the group encodes it;
+    * a nested Record: as its own record;
+    * a BlindingPair: as its two scalars;
+    * bytes: a 32-byte digest;
+    * int: 4 bytes; str: ASCII;
+    * X | None: empty bytes when None.
+
+    A kw_only field stays off the wire; decode takes it as a keyword.
+    Reordering a class's fields changes its bytes.
+    """
+
+    TAG: ClassVar[str]
+
+    def encode(self, group: Group) -> bytes:
+        return record(self.TAG, *record_parts(group, self))
+
+    @classmethod
+    def decode(cls, group: Group, data: bytes, **off_wire) -> Record:
+        layout, width = record_layout(cls)
+        parts = record_fields(data, cls.TAG, width)
+        return cls(*[read(group, parts, i) for _, _, _, read, i in layout], **off_wire)
+
+
+def record_parts(group: Group, obj) -> list[bytes]:
+    """The record parts of a dataclass's wire fields, in declaration order."""
+    return [part for name, _, write, _, _ in record_layout(type(obj))[0] for part in write(group, getattr(obj, name))]
+
+
+@cache
+def record_layout(cls: type) -> tuple[tuple, int]:
+    """((name, type, write, read, first part) per wire field of cls, part count).
+    Each field's kind is resolved here, once per class."""
+    hints, layout, width = get_type_hints(cls), [], 0
+    for f in fields(cls):
+        if not f.kw_only:
+            n, write, read = _kind(hints[f.name])
+            layout.append((f.name, hints[f.name], write, read, width))
+            width += n
+    return tuple(layout), width
+
+
+def _sized(part: bytes, size: int) -> bytes:
+    if len(part) != size:
+        raise EncodingError(f"record part of {len(part)} bytes where {size} are due")
+    return part
+
+
+def _kind(tp) -> tuple[int, Callable, Callable | None]:
+    """(part count, write, read) for a field declared as tp: write(group, value)
+    gives its parts, read(group, parts, i) takes the value from parts[i:].
+    Two write-only kinds serve statements: a tuple of records goes in counted,
+    and any other type (a policy) as its digest()."""
+    if tp is GroupElement:
+        return 1, lambda g, v: (g.encode_element(v),), lambda g, p, i: g.decode_element(p[i])
+    if tp is Scalar:
+        return 1, lambda g, v: (g.encode_scalar(v),), lambda g, p, i: g.decode_scalar(p[i])
+    if tp is BlindingPair:
+        return (
+            2,
+            lambda g, v: (g.encode_scalar(v.alpha), g.encode_scalar(v.beta)),
+            lambda g, p, i: BlindingPair(g.decode_scalar(p[i]), g.decode_scalar(p[i + 1])),
+        )
+    if tp is bytes:
+        return 1, lambda g, v: (v,), lambda g, p, i: _sized(p[i], 32)
+    if tp is int:
+        return 1, lambda g, v: (enc_u32(v),), lambda g, p, i: int.from_bytes(_sized(p[i], 4), "little")
+    if tp is str:
+        return 1, lambda g, v: (v.encode("ascii"),), lambda g, p, i: p[i].decode("ascii")
+    if isinstance(tp, UnionType):
+        (inner,) = set(get_args(tp)) - {NoneType}
+        _, write, read = _kind(inner)
+        return 1, lambda g, v: (b"",) if v is None else write(g, v), lambda g, p, i: None if p[i] == b"" else read(g, p, i)
+    if get_origin(tp) is tuple:
+        return 1, lambda g, v: (enc_u16(len(v)) + b"".join(x.encode(g) for x in v),), None
+    if issubclass(tp, Record):
+        return 1, lambda g, v: (v.encode(g),), lambda g, p, i: tp.decode(g, p[i])
+    return 1, lambda g, v: (v.digest(),), None
 
 
 # ── commitments ──────────────────────────────────────────────────────────────
@@ -82,20 +180,15 @@ def random_blinding_pair(group: Group, rng) -> BlindingPair:
 
 
 @dataclass(frozen=True)
-class CommitmentPair:
+class CommitmentPair(Record):
     """Commitments to the two Beta-posterior parameters, in (alpha, beta)
     order. The pair as a whole is what gets accumulated, tagged and
     re-randomized; it is never split."""
 
+    TAG = "compair"
+
     alpha_com: GroupElement
     beta_com: GroupElement
-
-    def encode(self, group: Group) -> bytes:
-        return record(
-            "compair",
-            group.encode_element(self.alpha_com),
-            group.encode_element(self.beta_com),
-        )
 
 
 def commit_pair(group: Group, alpha: int, beta: int, blind: BlindingPair) -> CommitmentPair:
@@ -153,12 +246,11 @@ def keygen(group: Group, rng) -> KeyPair:
 
 
 @dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(Record):
+    TAG = "cipher"
+
     c1: GroupElement
     c2: GroupElement
-
-    def encode(self, group: Group) -> bytes:
-        return record("cipher", group.encode_element(self.c1), group.encode_element(self.c2))
 
 
 def encode_ciphertexts(group: Group, cts) -> bytes:
@@ -172,7 +264,7 @@ def decode_ciphertexts(group: Group, data: bytes, count: int) -> tuple[Ciphertex
     if count == 0 or len(data) % count:
         raise EncodingError("final ciphertext list length mismatch")
     step = len(data) // count
-    return tuple(decode_ciphertext(group, data[i * step : (i + 1) * step]) for i in range(count))
+    return tuple(Ciphertext.decode(group, data[i * step : (i + 1) * step]) for i in range(count))
 
 
 class MessageCodec:
@@ -258,12 +350,11 @@ def decrypt_message(group: Group, sk: Scalar, codec: MessageCodec, ct: Ciphertex
 
 
 @dataclass(frozen=True)
-class Signature:
+class Signature(Record):
+    TAG = "sig"
+
     R: GroupElement
     s: Scalar
-
-    def encode(self, group: Group) -> bytes:
-        return record("sig", group.encode_element(self.R), group.encode_scalar(self.s))
 
 
 def sign(group: Group, sk: Scalar, message: bytes) -> Signature:
@@ -279,20 +370,3 @@ def verify_sig(group: Group, pk: GroupElement, message: bytes, sig: Signature) -
     e = hash_to_scalar(group, message)
     return group.lincomb(((sig.s, group.generator), (-e, pk))) == sig.R
 
-
-# ── decoding helpers for logged records ──────────────────────────────────────
-
-
-def decode_ciphertext(group: Group, data: bytes) -> Ciphertext:
-    c1, c2 = record_fields(data, "cipher", 2)
-    return Ciphertext(group.decode_element(c1), group.decode_element(c2))
-
-
-def decode_commitment_pair(group: Group, data: bytes) -> CommitmentPair:
-    a, b = record_fields(data, "compair", 2)
-    return CommitmentPair(group.decode_element(a), group.decode_element(b))
-
-
-def decode_signature(group: Group, data: bytes) -> Signature:
-    R, s = record_fields(data, "sig", 2)
-    return Signature(group.decode_element(R), group.decode_scalar(s))

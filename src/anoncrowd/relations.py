@@ -1,9 +1,10 @@
 """Verification relations and the attestation proof backend.
 
 Four relations tie the protocol together. Each one is a plain predicate
-over (statement, witness). A statement encodes to a canonical record, and
-that record is what an attestation digests; records are never decoded, since
-an auditor rebuilds each statement from the logged fields it covers:
+over (statement, witness). A statement encodes to a canonical record through
+the primitives' record codec, and that record is what an attestation
+digests; records are never decoded, since an auditor rebuilds each
+statement from the logged fields it covers:
 
 * check_prove_qual: a submitted response is well-formed. Its quality pair
   is a re-randomization of a credentialed pair accumulated in the registry
@@ -29,9 +30,9 @@ witness never supplies a plaintext, a ciphertext or a commitment.
 
 The proof backend is an attestation oracle standing in for a succinct
 proving system: prove() runs the relation checker and, only on success,
-emits the proof: the digest and the keyed attestation of one statement
-record, encoded once; verify() rebuilds that proof and compares. Proofs
-depend on the statement alone, never on the witness, which is the
+emits the proof (a Record): the digest and the keyed attestation of one
+statement record, encoded once; verify() rebuilds that proof and compares.
+Proofs depend on the statement alone, never on the witness, which is the
 unlinkability property the protocol leans on. Soundness holds within one
 simulation run (the setup secret could mint attestations), matching the
 trust model of a simulated prover rather than re-implementing one. The
@@ -43,14 +44,12 @@ with the checkers that repeat it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields
-from functools import cache
+from dataclasses import dataclass
 
 from .context import CryptoContext
-from .encoding import enc_u16, record, record_fields
+from .encoding import record
 from .errors import (
     DomainError,
-    EncodingError,
     MalformedStatementError,
     RelationUnsatisfiedError,
 )
@@ -71,15 +70,17 @@ from .primitives import (
     BlindingPair,
     Ciphertext,
     CommitmentPair,
+    Record,
     Signature,
     commit_pair,
     decrypt_message,
-    encode_ciphertexts,
     encrypt_message,
     hash_bytes,
     pair_rerandomize,
     pair_step,
     quality_tag,
+    record_layout,
+    record_parts,
     verify_sig,
 )
 
@@ -96,26 +97,15 @@ def ident_message(ctx: CryptoContext, ident: Scalar) -> bytes:
 
 # ── statements ───────────────────────────────────────────────────────────────
 
-# field annotation -> the type its value must have, for the kinds that are
-# checked by type alone (annotations are strings under the future import)
-_TYPED_KINDS = {
-    "TaskPolicy": TaskPolicy,
-    "GroupElement": GroupElement,
-    "CommitmentPair": CommitmentPair,
-    "Ciphertext": Ciphertext,
-}
-_DIGEST = "bytes"
-_CT_LIST = "tuple[Ciphertext, ...]"
-
-
 class Statement:
     """The record form the four statements share.
 
-    Each field is checked and written by its kind, which its annotation
-    names: a 32-byte digest goes in as is, the policy as its digest, a group
-    element as its encoding, a pair or a ciphertext as its own record, and a
-    ciphertext list counted. Record order is declaration order, so
-    reordering a class's fields changes its bytes and every attestation.
+    Each field is written by the record codec's writer for its declared type
+    (see primitives.Record): a 32-byte digest goes in as is, a group element
+    as its encoding, a pair or a ciphertext as its own record, the policy as
+    its digest and a ciphertext list counted. Record order is declaration
+    order, so reordering a class's fields changes its bytes and every
+    attestation.
 
     A list named final_cts holds the policy's final_ct_count entries, or
     none on a class that admits a voided task; any other list is non-empty.
@@ -124,12 +114,12 @@ class Statement:
     admits_void = False
 
     def validate(self, ctx: CryptoContext) -> None:
-        for name, kind in _layout(type(self)):
+        for name, kind, _, _, _ in record_layout(type(self))[0]:
             value = getattr(self, name)
-            if kind == _DIGEST:
+            if kind is bytes:
                 ok, problem = isinstance(value, bytes) and len(value) == 32, "is not a 32-byte digest"
-            elif kind in _TYPED_KINDS:
-                ok, problem = isinstance(value, _TYPED_KINDS[kind]), "is missing"
+            elif isinstance(kind, type):  # a class, not a list alias
+                ok, problem = isinstance(value, kind), "is missing"
             elif name == "final_cts":
                 count = self.policy.final_ct_count
                 ok = len(value) in ((0, count) if self.admits_void else (count,))
@@ -141,27 +131,7 @@ class Statement:
 
     def encode(self, ctx: CryptoContext) -> bytes:
         self.validate(ctx)
-        g = ctx.group
-        parts = []
-        for name, kind in _layout(type(self)):
-            value = getattr(self, name)
-            if kind == _DIGEST:
-                parts.append(value)
-            elif kind == "TaskPolicy":
-                parts.append(value.digest())
-            elif kind == "GroupElement":
-                parts.append(g.encode_element(value))
-            elif kind == _CT_LIST:
-                parts.append(enc_u16(len(value)) + encode_ciphertexts(g, value))
-            else:  # a commitment pair or a ciphertext
-                parts.append(value.encode(g))
-        return record("stmt/" + relation_id_for(self), *parts)
-
-
-@cache
-def _layout(cls: type) -> tuple[tuple[str, str], ...]:
-    """(name, kind) of each field of a statement class, in declaration order."""
-    return tuple((f.name, f.type) for f in fields(cls))
+        return record("stmt/" + relation_id_for(self), *record_parts(ctx.group, self))
 
 
 @dataclass(frozen=True)
@@ -383,25 +353,12 @@ def relation_id_for(stmt) -> str:
 
 
 @dataclass(frozen=True)
-class Proof:
+class Proof(Record):
+    TAG = "proof"
+
     relation_id: str
     statement_digest: bytes
     attestation: bytes
-
-    def encode(self) -> bytes:
-        return record(
-            "proof",
-            self.relation_id.encode("ascii"),
-            self.statement_digest,
-            self.attestation,
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Proof":
-        rid, digest, att = record_fields(data, "proof", 3)
-        if len(digest) != 32 or len(att) != 32:
-            raise EncodingError("proof digests must be 32 bytes")
-        return cls(rid.decode("ascii"), digest, att)
 
 
 class ProofBackend:

@@ -431,7 +431,7 @@ def test_reposted_pairs_unlinkable_and_proofs_witness_blind():
     other = replace(wit, path=tree.prove_membership(twin))
     assert other.path != wit.path
     backend = ProofBackend(b"acceptance")
-    assert backend.prove(tctx, stmt, wit).encode() == backend.prove(tctx, stmt, other).encode()
+    assert backend.prove(tctx, stmt, wit).encode(tctx.group) == backend.prove(tctx, stmt, other).encode(tctx.group)
 
 
 def test_free_riders_detected_and_unpaid():

@@ -20,6 +20,7 @@ from anoncrowd.actors import (
     REJECT_PROOF,
     REJECT_STALE,
     Credential,
+    ParsedResponse,
     Protest,
     QualityPost,
     RegistrationAuthority,
@@ -29,9 +30,7 @@ from anoncrowd.actors import (
     claim_index,
     claim_pads,
     decode_final_bundle,
-    decode_response_bundle,
     derive_ident,
-    encode_response_bundle,
     payout_account,
     post_board,
     quality_statement,
@@ -157,7 +156,7 @@ class TestResponses:
         world = World()
         task = world.announce()
         bundle = world.workers[0].build_response(world.ra, task, 1, 7)
-        parsed = decode_response_bundle(world.ctx, 42, bundle)
+        parsed = ParsedResponse.decode(world.ctx.group, bundle, ref=42)
         assert parsed.ref == 42
         assert parsed.tag == world.workers[0].current_tag()
         stmt = response_statement(
@@ -181,19 +180,11 @@ class TestResponses:
         included = world.respond(task, [1, 1, 0])
         ref, bundle = included[0]
         mangled = (ref, bundle[:-3])
-        parsed = decode_response_bundle(world.ctx, ref, bundle)
+        parsed = ParsedResponse.decode(world.ctx.group, bundle, ref=ref)
         bad_proof = replace(parsed.proof, attestation=bytes(32))
         forged = (
             included[1][0],
-            encode_response_bundle(
-                world.ctx,
-                parsed.fresh_pair,
-                parsed.tag,
-                parsed.answer_ct,
-                parsed.address_ct,
-                parsed.claim_ct,
-                bad_proof,
-            ),
+            replace(parsed, proof=bad_proof).encode(world.ctx.group),
         )
         accepted, rejections = screen_responses(
             world.ctx, world.backend, task, [mangled, forged, included[2]], set()
@@ -226,7 +217,7 @@ class TestResponses:
         from anoncrowd.relations import ProveQualWitness
 
         def spliced(w, ref):
-            honest = decode_response_bundle(ctx, ref, w.build_response(world.ra, task, 1, ref))
+            honest = ParsedResponse.decode(g, w.build_response(world.ra, task, 1, ref), ref=ref)
             address, address_rand = w._pending.address, g.random_scalar(rng)
             address_ct = encrypt(g, task.requester_pk, ctx.address_codec.forward(address), address_rand)
             wit = ProveQualWitness(
@@ -245,9 +236,7 @@ class TestResponses:
             )
             stmt = response_statement(ctx, task, honest.fresh_pair, honest.tag, shared_ct, address_ct)
             proof = world.backend.prove(ctx, stmt, wit)
-            return encode_response_bundle(
-                ctx, honest.fresh_pair, honest.tag, shared_ct, address_ct, honest.claim_ct, proof
-            )
+            return replace(honest, answer_ct=shared_ct, address_ct=address_ct, proof=proof).encode(g)
 
         w0, w1 = world.workers
         accepted, rejections = screen_responses(
@@ -451,9 +440,9 @@ class TestProtests:
     def test_misaddressed_post_is_deprivation(self):
         world, task, included, outcome, kept, tags_before = self.deprived_round(victim=1)
         victim = world.workers[1]
-        post = QualityPost.decode(world.ctx, outcome.quality_posts[1])
+        post = QualityPost.decode(world.ctx.group, outcome.quality_posts[1])
         wrong = replace(post, claim_index=bytes(32))
-        doctored = kept + [wrong.encode(world.ctx)]
+        doctored = kept + [wrong.encode(world.ctx.group)]
         protest = victim.adopt_update(world.ra, task, post_board(world.ctx, doctored), outcome.final_cts)
         assert isinstance(protest, Protest)
         assert world.ra.arbitrate(
@@ -464,11 +453,11 @@ class TestProtests:
     def test_garbled_blinding_is_deprivation(self):
         world, task, included, outcome, kept, tags_before = self.deprived_round(victim=1)
         victim = world.workers[1]
-        post = QualityPost.decode(world.ctx, outcome.quality_posts[1])
+        post = QualityPost.decode(world.ctx.group, outcome.quality_posts[1])
         spoiled = replace(
             post, blinded_update=replace(post.blinded_update, alpha=post.blinded_update.alpha + 1)
         )
-        doctored = kept + [spoiled.encode(world.ctx)]
+        doctored = kept + [spoiled.encode(world.ctx.group)]
         protest = victim.adopt_update(world.ra, task, post_board(world.ctx, doctored), outcome.final_cts)
         assert isinstance(protest, Protest)
         assert world.ra.arbitrate(
@@ -493,7 +482,7 @@ class TestProtests:
         tags_before = set(world.requester.seen_tags)
         outcome = world.requester.evaluate(task, included, 1)
         worker, target = world.workers[victim], outcome.accepted[victim]
-        own = QualityPost.decode(ctx, outcome.quality_posts[victim])
+        own = QualityPost.decode(g, outcome.quality_posts[victim])
         posts = [p for i, p in enumerate(outcome.quality_posts) if i != victim]
         leaves = [leaf for i, leaf in enumerate(outcome.leaves) if i != victim]
         p = worker._pending
@@ -501,10 +490,10 @@ class TestProtests:
         if case in ("honest", "never-accumulated"):
             posts.append(outcome.quality_posts[victim])
         elif case == "misaddressed":
-            posts.append(replace(own, claim_index=bytes(32)).encode(ctx))
+            posts.append(replace(own, claim_index=bytes(32)).encode(g))
         elif case in ("garbled-blinding", "garbled-then-honest"):
             garbled = replace(own.blinded_update, alpha=own.blinded_update.alpha + 1)
-            posts.append(replace(own, blinded_update=garbled).encode(ctx))
+            posts.append(replace(own, blinded_update=garbled).encode(g))
             if case == "garbled-then-honest":
                 posts.append(outcome.quality_posts[victim])
         elif case == "undecodable-then-honest":
@@ -512,15 +501,15 @@ class TestProtests:
             posts += [outcome.quality_posts[victim][:-3], outcome.quality_posts[victim]]
         elif case == "unattested":
             # a serving post carrying the attestation of worker 0's post
-            other = QualityPost.decode(ctx, outcome.quality_posts[0])
-            posts.append(replace(own, qual_proof=other.qual_proof).encode(ctx))
+            other = QualityPost.decode(g, outcome.quality_posts[0])
+            posts.append(replace(own, qual_proof=other.qual_proof).encode(g))
         elif case == "wrong-increment":
             # (1, 1) is no admissible increment; its attestation is minted
             # outside prove(), as a cheating prover would have to
             new_pair = pair_step(g, target.fresh_pair, (1, 1), own.blinded_update - update_pads)
             stmt = quality_statement(ctx, task, target, outcome.final_cts, new_pair)
             minted = replace(own, new_pair=new_pair, qual_proof=world.backend._proof(ctx, stmt))
-            posts.append(minted.encode(ctx))
+            posts.append(minted.encode(g))
             leaves.append(pair_rerandomize(g, new_pair, own.blinded_dummy - cover_pads).encode(g))
         if case in ("honest", "garbled-then-honest", "unattested", "undecodable-then-honest"):
             leaves.append(outcome.leaves[victim])
@@ -546,17 +535,15 @@ class TestProtests:
         w0.mark_submitted(10)
         b1 = w1.build_response(world.ra, task, 1, 11)
         w1.mark_submitted(11)
-        p1 = decode_response_bundle(world.ctx, 11, b1)
+        p1 = ParsedResponse.decode(world.ctx.group, b1, ref=11)
         junk = encrypt(g, task.requester_pk, g.hash_to_element(b"junk"), g.random_scalar(random.Random(5)))
-        sabotaged = encode_response_bundle(
-            world.ctx, p1.fresh_pair, p1.tag, p1.answer_ct, p1.address_ct, junk, p1.proof
-        )
+        sabotaged = replace(p1, claim_ct=junk).encode(g)
         tags_before = set(world.requester.seen_tags)
         included = [(10, b0), (11, sabotaged)]
         outcome = world.requester.evaluate(task, included, 1)
         assert not outcome.void
         assert len(outcome.quality_posts) == 2  # update still posted, unaddressed
-        unaddressed = QualityPost.decode(world.ctx, outcome.quality_posts[1])
+        unaddressed = QualityPost.decode(world.ctx.group, outcome.quality_posts[1])
         assert unaddressed.claim_index == bytes(32)
         board = post_board(world.ctx, outcome.quality_posts)
         protest = w1.adopt_update(world.ra, task, board, outcome.final_cts)
@@ -617,7 +604,7 @@ class TestServingDifferenceCheck:
 
                 # the update pad off by one, and the inadmissible increment
                 # (1, 1) behind a minted attestation with its leaf accumulated
-                own = QualityPost.decode(ctx, outcome.quality_posts[i])
+                own = QualityPost.decode(g, outcome.quality_posts[i])
                 update_pads, cover_pads = claim_pads(ctx, p.ref, p.claim_key)
                 off = replace(own, blinded_update=replace(own.blinded_update, alpha=own.blinded_update.alpha + 1))
                 new_pair = pair_step(g, p.fresh_pair, (1, 1), own.blinded_update - update_pads)
@@ -625,7 +612,7 @@ class TestServingDifferenceCheck:
                 minted = replace(own, new_pair=new_pair, qual_proof=world.backend._proof(ctx, stmt))
                 tree.append(pair_rerandomize(g, new_pair, own.blinded_dummy - cover_pads).encode(g))
                 for bad in (off, minted):
-                    args = (ctx, world.backend, task, p, p.claim_key, post_board(ctx, [bad.encode(ctx)]),
+                    args = (ctx, world.backend, task, p, p.claim_key, post_board(ctx, [bad.encode(g)]),
                             outcome.final_cts, tree)
                     assert serving_post(*args) is None
                     assert pair_step_search(*args) is None
@@ -650,7 +637,7 @@ class TestServingDifferenceCheck:
         outcome = world.requester.evaluate(task, included, 1)
         world.settle(task, outcome)
         p, target = world.workers[0]._pending, outcome.accepted[0]
-        post = QualityPost.decode(ctx, outcome.quality_posts[0])
+        post = QualityPost.decode(ctx.group, outcome.quality_posts[0])
         update = post.blinded_update - claim_pads(ctx, p.ref, p.claim_key)[0]
         witness = AuthQualWitness(world.requester.keypair.sk, update)
         stmt = quality_statement(ctx, task, target, outcome.final_cts, post.new_pair)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from anoncrowd.actors import QualityPost, encode_response_bundle
+from anoncrowd.actors import ParsedResponse, QualityPost
 from anoncrowd.context import production_context, tiny_context
 from anoncrowd.merkle import MerkleTree
 from anoncrowd.policy import MAJORITY, TaskPolicy
@@ -103,10 +103,10 @@ def _protocol_records(ctx, rng, ra_keys, pair, extra, ident, tree):
     )
     return [
         ("prove_qual_statement", stmt.encode(ctx)),
-        ("proof", proof.encode()),
-        ("response", encode_response_bundle(ctx, fresh, stmt.quality_tag, answer_ct, address_ct, claim_ct, proof)),
-        ("quality_post", post.encode(ctx)),
-        ("quality_post_unvalued", replace(post, value_proof=None).encode(ctx)),
+        ("proof", proof.encode(g)),
+        ("response", ParsedResponse(fresh, stmt.quality_tag, answer_ct, address_ct, claim_ct, proof).encode(g)),
+        ("quality_post", post.encode(g)),
+        ("quality_post_unvalued", replace(post, value_proof=None).encode(g)),
     ]
 
 

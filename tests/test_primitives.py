@@ -20,11 +20,9 @@ from anoncrowd.primitives import (
     Ciphertext,
     CommitmentPair,
     MessageCodec,
+    Signature,
     commit,
     commit_pair,
-    decode_ciphertext,
-    decode_commitment_pair,
-    decode_signature,
     decrypt_element,
     decrypt_message,
     encrypt,
@@ -348,25 +346,25 @@ class TestRecordEncodings:
     def test_ciphertext_round_trip(self, prod, rng):
         keys = keygen(prod, rng)
         ct = encrypt(prod, keys.pk, prod.mul_gen(5), prod.random_scalar(rng))
-        assert decode_ciphertext(prod, ct.encode(prod)) == ct
+        assert Ciphertext.decode(prod, ct.encode(prod)) == ct
 
     def test_commitment_pair_round_trip(self, tiny, rng):
         pair = commit_pair(tiny, 2, 3, random_blinding_pair(tiny, rng))
-        assert decode_commitment_pair(tiny, pair.encode(tiny)) == pair
+        assert CommitmentPair.decode(tiny, pair.encode(tiny)) == pair
 
     def test_signature_round_trip(self, prod, rng):
         keys = keygen(prod, rng)
         sig = sign(prod, keys.sk, b"x")
-        assert decode_signature(prod, sig.encode(prod)) == sig
+        assert Signature.decode(prod, sig.encode(prod)) == sig
 
     def test_wrong_tag_rejected(self, prod, rng):
         keys = keygen(prod, rng)
         sig = sign(prod, keys.sk, b"x")
         with pytest.raises(EncodingError):
-            decode_ciphertext(prod, sig.encode(prod))
+            Ciphertext.decode(prod, sig.encode(prod))
 
     def test_truncation_rejected(self, tiny, rng):
         pair = commit_pair(tiny, 2, 3, random_blinding_pair(tiny, rng))
         data = pair.encode(tiny)
         with pytest.raises(EncodingError):
-            decode_commitment_pair(tiny, data[:-3])
+            CommitmentPair.decode(tiny, data[:-3])

@@ -415,7 +415,7 @@ class TestProofBackend:
         stmt, wit = build_response(world, world.workers[0], answer=1, address=10)
         proof = backend.prove(tctx, stmt, wit)
         assert backend.verify(tctx, stmt, proof)
-        assert Proof.decode(proof.encode()) == proof
+        assert Proof.decode(tctx.group, proof.encode(tctx.group)) == proof
 
     def test_prove_refuses_unsatisfied_witness(self, tctx):
         world = build_world(tctx)
@@ -436,7 +436,7 @@ class TestProofBackend:
         assert other.path != wit.path
         p1 = backend.prove(tctx, stmt, wit)
         p2 = backend.prove(tctx, stmt, other)
-        assert p1.encode() == p2.encode()
+        assert p1.encode(tctx.group) == p2.encode(tctx.group)
 
     def test_statement_tamper_breaks_verification(self, tctx):
         world = build_world(tctx)
