@@ -4,9 +4,10 @@ verify_log holds no agent secrets. From the log alone it rebuilds the
 crypto context, replays every screening verdict, re-verifies every
 attestation, recomputes fees and escrow flows, replays each round's
 transactions in log order through the contract's own rules (sender, phase
-and deadline windows, as `ledger.RULES` and `window_problem` state them),
-and checks that the hash chain over the lines is intact and signed off by
-the registration authority's key from the header.
+and deadline windows, as `ledger.RULES` and `window_problem` state them)
+and the ledger's numbering (transactions 0..n-1 in log order, tasks in
+creation order), and checks that the hash chain over the lines is intact
+and signed off by the registration authority's key from the header.
 
 Two trust anchors come from the header: the authority's public key (for
 the signoff) and the attestation setup seed. A deployment would publish a
@@ -242,6 +243,12 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         else:
             problems.append(f"unknown event type {kind!r}")
     stats["txs"] = len(txs)
+    # the ledger numbers its transactions 0..n-1 in log order; only the first
+    # break is named, since one dropped or added transaction shifts every later index
+    for pos, t in enumerate(txs):
+        if t.index != pos:
+            problems.append(f"transaction {pos} in log order carries index {t.index}")
+            break
 
     if len(metas) != header["rounds"] or sorted(metas) != list(range(len(metas))):
         problems.append("round metadata does not cover rounds 0..n-1")
@@ -253,6 +260,8 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
     if len(deploys) != 1:
         problems.append(f"expected exactly one deploy transaction, found {len(deploys)}")
     requester = deploys[0].sender if deploys else None
+    # the contract numbers its tasks in creation order
+    task_number = {id(t): k for k, t in enumerate(t for t in txs if t.method == CREATE_TASK)}
     for r in screenings:
         if r not in metas:
             problems.append(f"screening event for unknown round {r}")
@@ -289,6 +298,8 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         stats["rounds"] += 1
         phase = None  # the replayed task's; a refusal by its window alone still moves it
         for t in round_txs:
+            if t.method == CREATE_TASK and task_number[id(t)] != t.task_seq:
+                problems.append(prefix + f"tx {t.index} (CreateTask): opens task {task_number[id(t)]}, not {t.task_seq}")
             refusal = contract_problem(t.method, t.sender, requester, phase)
             if refusal is None:
                 phase = RULES[t.method][2] or phase

@@ -245,12 +245,6 @@ class TaskContract:
         self.requester = requester
         self.tasks: list[TaskState] = []
 
-    @property
-    def active(self) -> TaskState | None:
-        if self.tasks and self.tasks[-1].phase in (COLLECTING, PROCESSING):
-            return self.tasks[-1]
-        return None
-
 
 class Ledger:
     """The chain: accounts, transaction log, latency, contract enforcement."""

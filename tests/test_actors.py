@@ -10,8 +10,11 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anoncrowd.actors import (
     REJECT_DUP_CT,
@@ -38,8 +41,15 @@ from anoncrowd.actors import (
     screen_responses,
     serving_post,
 )
-from anoncrowd.context import production_context, tiny_context
-from anoncrowd.errors import DuplicateIdentifierError, ProtocolError, RelationUnsatisfiedError, ThresholdError
+from anoncrowd.context import context_for, production_context, tiny_context
+from anoncrowd.encoding import record, record_fields
+from anoncrowd.errors import (
+    DuplicateIdentifierError,
+    EncodingError,
+    ProtocolError,
+    RelationUnsatisfiedError,
+    ThresholdError,
+)
 from anoncrowd.group import _FixedBaseTable
 from anoncrowd.merkle import MerkleTree
 from anoncrowd.policy import MAJORITY, TaskPolicy, quality_increment
@@ -50,6 +60,7 @@ from anoncrowd.primitives import (
     pair_rerandomize,
     pair_step,
     random_blinding_pair,
+    record_layout,
 )
 from anoncrowd.relations import (
     AuthCalcStatement,
@@ -151,18 +162,82 @@ class TestEnrollment:
         assert derive_ident(ctx, b"abc") != derive_ident(ctx, b"abd")
 
 
+@cache
+def real_records(backend):
+    """One record of each Record type, on backend, taken from a settled round: a
+    response and the parts it is made of, a credential's signature, and quality
+    posts with and without a value proof."""
+    world = World(ctx=context_for(backend))
+    g = world.ctx.group
+    task = world.announce()
+    included = world.respond(task, [1, 1, 0])
+    outcome = world.requester.evaluate(task, included, 1)
+    response = ParsedResponse.decode(g, included[0][1], ref=included[0][0])
+    posts = [QualityPost.decode(g, post) for post in outcome.quality_posts[1:]]
+    cert = world.workers[0].cred.cert
+    return [response, response.fresh_pair, response.claim_ct, response.proof, cert, *posts]
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize("backend", ["tiny31", "curve254"])
+    def test_every_record_type_round_trips(self, backend):
+        g = context_for(backend).group
+        records = real_records(backend)
+        assert {type(r).__name__ for r in records} == {
+            "ParsedResponse", "CommitmentPair", "Ciphertext", "Proof", "Signature", "QualityPost"
+        }
+        assert [r.value_proof is None for r in records[-2:]] == [False, True]
+        for r in records:
+            off_wire = {"ref": r.ref} if isinstance(r, ParsedResponse) else {}
+            assert type(r).decode(g, r.encode(g), **off_wire) == r
+
+    @pytest.mark.parametrize("backend", ["tiny31", "curve254"])
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_hostile_encodings_raise_only_encoding_or_value_errors(self, backend, data):
+        # screening, post_board and the audit catch exactly these two; "reframe"
+        # cuts or grows one field inside an intact frame, so the field readers see it
+        g = context_for(backend).group
+        r = data.draw(st.sampled_from(real_records(backend)))
+        raw = bytearray(r.encode(g))
+        how = data.draw(st.sampled_from(["truncate", "extend", "flip", "reframe"]))
+        if how == "truncate":
+            del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+        elif how == "extend":
+            raw += data.draw(st.binary(min_size=1, max_size=48))
+        elif how == "flip":
+            for _ in range(data.draw(st.integers(1, 4))):
+                raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        else:
+            parts = record_fields(bytes(raw), r.TAG, record_layout(type(r))[1])
+            i = data.draw(st.integers(0, len(parts) - 1))
+            parts[i] = parts[i][: data.draw(st.integers(0, len(parts[i])))] + data.draw(st.binary(max_size=8))
+            raw = record(r.TAG, *parts)
+        try:
+            type(r).decode(g, bytes(raw))
+        except (EncodingError, ValueError):
+            pass
+
+
 class TestResponses:
     def test_bundle_round_trip_and_proof(self):
         world = World()
         task = world.announce()
+        g = world.ctx.group
         bundle = world.workers[0].build_response(world.ra, task, 1, 7)
-        parsed = ParsedResponse.decode(world.ctx.group, bundle, ref=42)
+        parsed = ParsedResponse.decode(g, bundle, ref=42)
         assert parsed.ref == 42
+        assert parsed.encode(g) == bundle
         assert parsed.tag == world.workers[0].current_tag()
         stmt = response_statement(
             world.ctx, task, parsed.fresh_pair, parsed.tag, parsed.answer_ct, parsed.address_ct
         )
         assert world.backend.verify(world.ctx, stmt, parsed.proof)
+        # a round's quality posts, with a value proof (correct answers) and without
+        outcome = world.requester.evaluate(task, world.respond(task, [1, 1, 0]), 1)
+        posts = [QualityPost.decode(g, post) for post in outcome.quality_posts]
+        assert [post.value_proof is not None for post in posts] == [True, True, False]
+        assert [post.encode(g) for post in posts] == outcome.quality_posts
 
     def test_screen_accepts_honest_cast(self):
         world = World()

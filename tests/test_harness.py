@@ -200,6 +200,11 @@ def honest_run(tiny_image):
 @pytest.fixture(scope="module")
 def authority_run(tiny_image):
     """An honest run at seed 1 and the authority that signed its log off."""
+    return signed_run(tiny_image)
+
+
+def signed_run(cfg, attack=None):
+    """A run at seed 1 and the authority that signed its log off."""
     authorities = []
 
     class Recorded(runner.RegistrationAuthority):
@@ -209,7 +214,7 @@ def authority_run(tiny_image):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner, "RegistrationAuthority", Recorded)
-        result = run(tiny_image, seed=1)
+        result = run(cfg, seed=1, attack=attack)
     return result, authorities[0]
 
 
@@ -725,6 +730,33 @@ class TestAudit:
         tx["task_seq"] = -1
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
         assert f"tx {tx['index']} belongs to an unknown task -1" in report.problems
+
+    def test_transactions_numbered_out_of_log_order_fail(self, authority_run):
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        first, second = [b for b in bodies if b["type"] == "tx" and b["method"] == "WorkerPayment"][:2]
+        first["index"], second["index"] = second["index"], first["index"]
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert report.problems == [f"transaction {second['index']} in log order carries index {first['index']}"]
+
+    def test_second_task_under_a_taken_number_fails(self, tiny_image):
+        # after the voided task 0 closes, a zero-wei task opens and is voided
+        # again under task_seq 0; the contract would have numbered it 1
+        result, ra = signed_run(tiny_image, attack="void-task")
+        bodies, _ = split_log(result.log_lines)
+        txs = [b for b in bodies if b["type"] == "tx"]
+        create, void = (next(b for b in txs if b["method"] == m) for m in ("CreateTask", "VoidTask"))
+        block = txs[-1]["inclusion_block"] + 1
+        added = [
+            {**create, "index": len(txs), "submitted_block": block, "inclusion_block": block + 1, "value_wei": 0},
+            {**void, "index": len(txs) + 1, "submitted_block": block + 2, "inclusion_block": block + 3},
+        ]
+        at = bodies.index(txs[-1]) + 1
+        bodies[at:at] = added
+        summary = next(b for b in bodies if b["type"] == "summary")
+        summary["gas_by_sender"][create["sender"]] += create["gas"]
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert report.problems == [f"round 0: tx {len(txs)} (CreateTask): opens task 1, not 0"]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -190,11 +190,11 @@ class TestTaskLifecycle:
         led.tick_to(params1.response_deadline + 1)
         led.submit_auth_calc(contract, "req", payload=b"f1")
         led.finalize(contract, "req")
-        assert contract.active is None
+        assert contract.tasks[-1].phase == FINALIZED
         params2 = task_params(led)
         task2 = led.create_task(contract, "req", params2)
         assert task2.seq == 1
-        assert contract.active is task2
+        assert contract.tasks[-1] is task2 and task2.phase == COLLECTING
         assert led.escrow_conserved(task1)
 
 
