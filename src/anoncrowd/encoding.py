@@ -32,44 +32,41 @@ def enc_bytes(b: bytes) -> bytes:
     return enc_u32(len(b)) + b
 
 
-def canon(*parts: bytes) -> bytes:
-    """Unambiguous concatenation: every part is length-prefixed."""
-    out = bytearray()
-    for p in parts:
-        out += enc_u32(len(p))
-        out += p
-    return bytes(out)
-
-
 def record(tag: str, *parts: bytes) -> bytes:
-    """Tagged canonical record. The tag pins the record type and the wire
-    version so cross-type collisions are impossible."""
+    """Tagged canonical record: the length-prefixed tag, the wire version,
+    then every part length-prefixed. The tag pins the record type and the
+    wire version so cross-type collisions are impossible."""
     t = tag.encode("ascii")
-    return enc_bytes(t) + enc_u16(WIRE_VERSION) + canon(*parts)
+    out = [enc_u32(len(t)), t, enc_u16(WIRE_VERSION)]
+    for p in parts:
+        out += (len(p).to_bytes(4, "little"), p)
+    return b"".join(out)
 
 
 def record_fields(data: bytes, tag: str, count: int) -> list[bytes]:
     """The parts of a record built by record with exactly `count` of them,
     after validating the tag and the wire version."""
-    pos = 0
+    end = len(data)
 
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
+    def chunk(pos: int) -> tuple[bytes, int]:
+        start = pos + 4
+        stop = start + int.from_bytes(data[pos:start], "little")
+        if stop > end:
             raise EncodingError("record truncated")
-        pos += n
-        return data[pos - n : pos]
+        return data[start:stop], stop
 
-    def chunk() -> bytes:
-        return take(int.from_bytes(take(4), "little"))
-
-    got = chunk()
+    got, pos = chunk(0)
     if got != tag.encode("ascii"):
         raise EncodingError(f"expected record tag {tag!r}, got {got!r}")
-    version = int.from_bytes(take(2), "little")
+    if pos + 2 > end:
+        raise EncodingError("record truncated")
+    version = int.from_bytes(data[pos : pos + 2], "little")
     if version != WIRE_VERSION:
         raise EncodingError(f"unsupported wire version {version}")
-    fields = [chunk() for _ in range(count)]
-    if pos != len(data):
+    fields, pos = [], pos + 2
+    for _ in range(count):
+        part, pos = chunk(pos)
+        fields.append(part)
+    if pos != end:
         raise EncodingError(f"trailing bytes in {tag} record")
     return fields

@@ -31,8 +31,9 @@ import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import cache
+from operator import attrgetter
 from types import NoneType, UnionType
-from typing import ClassVar, get_args, get_origin, get_type_hints
+from typing import ClassVar, NamedTuple, get_args, get_origin, get_type_hints
 
 from .encoding import enc_u16, enc_u32, record, record_fields
 from .errors import DomainError, EncodingError
@@ -82,27 +83,41 @@ class Record:
 
     @classmethod
     def decode(cls, group: Group, data: bytes, **off_wire) -> Record:
-        layout, width = record_layout(cls)
-        parts = record_fields(data, cls.TAG, width)
-        return cls(*[read(group, parts, i) for _, _, _, read, i in layout], **off_wire)
+        layout = record_layout(cls)
+        parts = record_fields(data, cls.TAG, len(layout.writers))
+        return cls(*[read(group, parts, i) for read, i in layout.readers], **off_wire)
+
+
+class Layout(NamedTuple):
+    fields: tuple  # (name, declared type) per wire field
+    writers: tuple  # (get, write) per record part: write(group, get(obj)) is the part
+    readers: tuple  # (read, first part) per wire field: read(group, parts, i) is the value
 
 
 def record_parts(group: Group, obj) -> list[bytes]:
     """The record parts of a dataclass's wire fields, in declaration order."""
-    return [part for name, _, write, _, _ in record_layout(type(obj))[0] for part in write(group, getattr(obj, name))]
+    return [write(group, get(obj)) for get, write in record_layout(type(obj)).writers]
 
 
 @cache
-def record_layout(cls: type) -> tuple[tuple, int]:
-    """((name, type, write, read, first part) per wire field of cls, part count).
-    Each field's kind is resolved here, once per class."""
-    hints, layout, width = get_type_hints(cls), [], 0
-    for f in fields(cls):
-        if not f.kw_only:
-            n, write, read = _kind(hints[f.name])
-            layout.append((f.name, hints[f.name], write, read, width))
-            width += n
-    return tuple(layout), width
+def record_layout(cls: type) -> Layout:
+    """The wire layout of a dataclass, each field's kind resolved once per class.
+    A BlindingPair field is the one that takes two parts."""
+    hints = get_type_hints(cls)
+    wire = [(f.name, hints[f.name]) for f in fields(cls) if not f.kw_only]
+    writers, readers = [], []
+    for name, tp in wire:
+        if tp is BlindingPair:  # as its two scalars
+            write = _kind(Scalar)[0]
+            readers.append((lambda g, p, i: BlindingPair(g.decode_scalar(p[i]), g.decode_scalar(p[i + 1])), len(writers)))
+            writers += [(attrgetter(name + ".alpha"), write), (attrgetter(name + ".beta"), write)]
+            continue
+        write, read = _kind(tp)
+        if read is None and issubclass(cls, Record):
+            raise TypeError(f"{cls.__name__}.{name}: a {tp} field cannot be decoded")
+        readers.append((read, len(writers)))
+        writers.append((attrgetter(name), write))
+    return Layout(tuple(wire), tuple(writers), tuple(readers))
 
 
 def _sized(part: bytes, size: int) -> bytes:
@@ -111,36 +126,33 @@ def _sized(part: bytes, size: int) -> bytes:
     return part
 
 
-def _kind(tp) -> tuple[int, Callable, Callable | None]:
-    """(part count, write, read) for a field declared as tp: write(group, value)
-    gives its parts, read(group, parts, i) takes the value from parts[i:].
+def _kind(tp) -> tuple[Callable, Callable | None]:
+    """(write, read) for a one-part field declared as tp: write(group, value)
+    gives its part, read(group, parts, i) takes the value from parts[i].
     Two write-only kinds serve statements: a tuple of records goes in counted,
     and any other type (a policy) as its digest()."""
     if tp is GroupElement:
-        return 1, lambda g, v: (g.encode_element(v),), lambda g, p, i: g.decode_element(p[i])
+        return lambda g, v: g.encode_element(v), lambda g, p, i: g.decode_element(p[i])
     if tp is Scalar:
-        return 1, lambda g, v: (g.encode_scalar(v),), lambda g, p, i: g.decode_scalar(p[i])
-    if tp is BlindingPair:
-        return (
-            2,
-            lambda g, v: (g.encode_scalar(v.alpha), g.encode_scalar(v.beta)),
-            lambda g, p, i: BlindingPair(g.decode_scalar(p[i]), g.decode_scalar(p[i + 1])),
-        )
+        return lambda g, v: g.encode_scalar(v), lambda g, p, i: g.decode_scalar(p[i])
     if tp is bytes:
-        return 1, lambda g, v: (v,), lambda g, p, i: _sized(p[i], 32)
+        return lambda g, v: v, lambda g, p, i: _sized(p[i], 32)
     if tp is int:
-        return 1, lambda g, v: (enc_u32(v),), lambda g, p, i: int.from_bytes(_sized(p[i], 4), "little")
+        return lambda g, v: enc_u32(v), lambda g, p, i: int.from_bytes(_sized(p[i], 4), "little")
     if tp is str:
-        return 1, lambda g, v: (v.encode("ascii"),), lambda g, p, i: p[i].decode("ascii")
+        return lambda g, v: v.encode("ascii"), lambda g, p, i: p[i].decode("ascii")
     if isinstance(tp, UnionType):
         (inner,) = set(get_args(tp)) - {NoneType}
-        _, write, read = _kind(inner)
-        return 1, lambda g, v: (b"",) if v is None else write(g, v), lambda g, p, i: None if p[i] == b"" else read(g, p, i)
+        write, read = _kind(inner)
+        return (
+            lambda g, v: b"" if v is None else write(g, v),
+            read and (lambda g, p, i: None if p[i] == b"" else read(g, p, i)),
+        )
     if get_origin(tp) is tuple:
-        return 1, lambda g, v: (enc_u16(len(v)) + b"".join(x.encode(g) for x in v),), None
+        return lambda g, v: enc_u16(len(v)) + b"".join(x.encode(g) for x in v), None
     if issubclass(tp, Record):
-        return 1, lambda g, v: (v.encode(g),), lambda g, p, i: tp.decode(g, p[i])
-    return 1, lambda g, v: (v.digest(),), None
+        return lambda g, v: v.encode(g), lambda g, p, i: tp.decode(g, p[i])
+    return lambda g, v: v.digest(), None
 
 
 # ── commitments ──────────────────────────────────────────────────────────────

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from types import GenericAlias
 
 from .context import CryptoContext
 from .encoding import record
@@ -114,11 +115,11 @@ class Statement:
     admits_void = False
 
     def validate(self, ctx: CryptoContext) -> None:
-        for name, kind, _, _, _ in record_layout(type(self))[0]:
+        for name, kind in record_layout(type(self)).fields:
             value = getattr(self, name)
             if kind is bytes:
                 ok, problem = isinstance(value, bytes) and len(value) == 32, "is not a 32-byte digest"
-            elif isinstance(kind, type):  # a class, not a list alias
+            elif not isinstance(kind, GenericAlias):  # a class, not a list alias
                 ok, problem = isinstance(value, kind), "is missing"
             elif name == "final_cts":
                 count = self.policy.final_ct_count

@@ -7,6 +7,7 @@ tautology.
 """
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from anoncrowd.primitives import (
     Ciphertext,
     CommitmentPair,
     MessageCodec,
+    Record,
     Signature,
     commit,
     commit_pair,
@@ -37,6 +39,7 @@ from anoncrowd.primitives import (
     pair_step,
     quality_tag,
     random_blinding_pair,
+    record_layout,
     rerandomize,
     sign,
     verify_sig,
@@ -368,3 +371,15 @@ class TestRecordEncodings:
         data = pair.encode(tiny)
         with pytest.raises(EncodingError):
             CommitmentPair.decode(tiny, data[:-3])
+
+    def test_record_field_with_no_reader_refused_when_laid_out(self):
+        # a ciphertext list is written counted for statements but has no reader,
+        # so a Record declaring one must fail at once, not on its first decode
+        @dataclass(frozen=True)
+        class Bundle(Record):
+            TAG = "bundle"
+
+            cts: tuple[Ciphertext, ...]
+
+        with pytest.raises(TypeError, match="cannot be decoded"):
+            record_layout(Bundle)

@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
+from types import GenericAlias
 
 import pytest
 
@@ -17,8 +18,10 @@ from anoncrowd.context import CryptoContext, tiny_context
 from anoncrowd.errors import DomainError, MalformedStatementError, RelationUnsatisfiedError
 from anoncrowd.merkle import MerkleTree
 from anoncrowd.policy import AVERAGE, MAJORITY, TaskPolicy, ans_calc
+from anoncrowd import relations
 from anoncrowd.primitives import (
     BlindingPair,
+    Ciphertext,
     commit_pair,
     decrypt_message,
     encrypt_message,
@@ -297,6 +300,24 @@ class TestAuthCalc:
         stripped = replace(stmt, answer_cts=())
         with pytest.raises(MalformedStatementError):
             check_auth_calc(tctx, stripped, AuthCalcWitness(keys.sk), backend)
+
+    def test_list_fields_validate_whatever_the_alias_claims_to_be(self, tctx, rng, monkeypatch):
+        # on Python 3.10, isinstance(tuple[Ciphertext, ...], type) holds; validate
+        # must still read such a field as a list, not hand it to isinstance
+        class Py310Alias(GenericAlias):
+            __class__ = property(lambda self: type)
+
+        layout = relations.record_layout(AuthCalcStatement)
+        kinds = tuple((n, Py310Alias(tuple, (Ciphertext, ...)) if n.endswith("_cts") else k) for n, k in layout.fields)
+        assert isinstance(kinds[-1][1], type)
+        monkeypatch.setattr(relations, "record_layout", lambda cls: layout._replace(fields=kinds))
+        keys = keygen(tctx.group, rng)
+        stmt = build_auth_calc(tctx, rng, mk_policy(domain=2), [0, 1], keys)
+        stmt.validate(tctx)
+        with pytest.raises(MalformedStatementError, match="answer cts is empty"):
+            replace(stmt, answer_cts=()).validate(tctx)
+        with pytest.raises(MalformedStatementError, match="final cts has the wrong length"):
+            replace(stmt, final_cts=()).validate(tctx)
 
 
 # ── single-answer correctness relation ───────────────────────────────────────
