@@ -27,11 +27,6 @@ def enc_u64(v: int) -> bytes:
     return v.to_bytes(8, "little")
 
 
-def enc_bytes(b: bytes) -> bytes:
-    """Length-prefixed byte string."""
-    return enc_u32(len(b)) + b
-
-
 def record(tag: str, *parts: bytes) -> bytes:
     """Tagged canonical record: the length-prefixed tag, the wire version,
     then every part length-prefixed. The tag pins the record type and the

@@ -1,13 +1,16 @@
 """Independent re-verification of a run's transaction log.
 
 verify_log holds no agent secrets. From the log alone it rebuilds the
-crypto context, replays every screening verdict, re-verifies every
-attestation, recomputes fees and escrow flows, replays each round's
-transactions in log order through the contract's own rules (sender, phase
-and deadline windows, as `ledger.RULES` and `window_problem` state them)
-and the ledger's numbering (transactions 0..n-1 in log order, tasks in
-creation order), and checks that the hash chain over the lines is intact
-and signed off by the registration authority's key from the header.
+crypto context, replays every screening verdict and re-verifies every
+attestation. It re-executes the contract: every logged transaction, in
+log order, goes through the same `ledger.TaskContract` check and move the
+simulated chain ran (sender, phase, deadlines, gas, fee, value, escrow,
+the task it names and the refunds a close owes), each task must end
+closed with no escrow and no refund owed, and the summary must match the
+replayed totals. It also checks the chain's numbering (transactions
+0..n-1 in log order, each included after it was submitted) and that the
+hash chain over the lines is intact and signed off by the registration
+authority's key from the header.
 
 Two trust anchors come from the header: the authority's public key (for
 the signoff) and the attestation setup seed. A deployment would publish a
@@ -38,24 +41,19 @@ from ..context import context_for
 from ..errors import ConfigError, EncodingError, MalformedStatementError
 from ..ledger import (
     CONFISCATE,
-    CREATE_TASK,
     DEPLOY,
     FINALIZED,
-    REFUND,
-    RULES,
     SUBMIT_AUTH_CALC,
     SUBMIT_QUALITY,
     VOID,
     WORKER_PAYMENT,
+    ChainTaskParams,
     FeeParams,
-    GasSchedule,
     LedgerRecord,
-    contract_problem,
+    TaskContract,
     gas_by_sender,
     included_responses,
     mistyped_field,
-    void_refunds,
-    window_problem,
 )
 from ..policy import TaskPolicy
 from ..primitives import Signature, hash_bytes, verify_sig
@@ -252,63 +250,54 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
 
     if len(metas) != header["rounds"] or sorted(metas) != list(range(len(metas))):
         problems.append("round metadata does not cover rounds 0..n-1")
-    known_seqs = {meta["task_seq"] for meta in metas.values()}
-    for rec in txs:
-        if rec.task_seq not in known_seqs and (rec.method, rec.task_seq) != (DEPLOY, -1):
-            problems.append(f"tx {rec.index} belongs to an unknown task {rec.task_seq}")
     deploys = [t for t in txs if t.method == DEPLOY]
     if len(deploys) != 1:
         problems.append(f"expected exactly one deploy transaction, found {len(deploys)}")
-    requester = deploys[0].sender if deploys else None
-    # the contract numbers its tasks in creation order
-    task_number = {id(t): k for k, t in enumerate(t for t in txs if t.method == CREATE_TASK)}
     for r in screenings:
         if r not in metas:
             problems.append(f"screening event for unknown round {r}")
 
-    # pass 3: per-transaction fee, value and timing rules
-    sched = GasSchedule()
+    # pass 3: re-execute the contract over every transaction in log order; the
+    # replay follows the log past a refusal, so one bad transaction is one problem
+    round_of = {meta["task_seq"]: r for r, meta in metas.items()}
+    params_of: dict[int, ChainTaskParams] = {}
+    for r, meta in sorted(metas.items()):
+        try:
+            params_of[meta["task_seq"]] = ChainTaskParams(
+                meta["response_deadline"], meta["processing_deadline"], meta["escrow_wei"]
+            )
+        except ValueError as exc:
+            problems.append(f"round {r}: task parameters do not hold: {exc}")
+
+    def tx_problem(rec: LedgerRecord, why: str) -> None:
+        r = round_of.get(rec.task_seq)
+        problems.append(("" if r is None else f"round {r}: ") + f"tx {rec.index} ({rec.method}): {why}")
+
+    contract = TaskContract(deploys[0].sender if deploys else None, fee)
     for rec in txs:
-        try:
-            gas = sched.for_method(rec.method)
-        except KeyError:
-            problems.append(f"tx {rec.index}: unknown method {rec.method!r}")
-            continue
-        if rec.gas != gas:
-            problems.append(f"tx {rec.index}: gas {rec.gas} != schedule {gas}")
-        if rec.value_wei > 0 and rec.method != CREATE_TASK:
-            problems.append(f"tx {rec.index}: {rec.method} moves {rec.value_wei} wei into escrow")
-        if rec.value_wei < 0 and rec.method not in (WORKER_PAYMENT, REFUND, CONFISCATE):
-            problems.append(f"tx {rec.index}: {rec.method} moves {-rec.value_wei} wei out of escrow")
-        try:
-            fee_ok = rec.fee_wei == fee.fee_wei(rec.gas)
-        except (OverflowError, ValueError):  # a non-finite or huge fee or gas figure
-            fee_ok = False
-        if not fee_ok:
-            problems.append(f"tx {rec.index}: fee {rec.fee_wei} off the fee rule")
+        if rec.task_seq not in round_of and (rec.method, rec.task_seq) != (DEPLOY, -1):
+            problems.append(f"tx {rec.index} belongs to an unknown task {rec.task_seq}")
         if rec.inclusion_block <= rec.submitted_block:
-            problems.append(f"tx {rec.index}: included before it was submitted")
+            tx_problem(rec, "included before it was submitted")
+        params = params_of.get(rec.task_seq)
+        if refusal := contract.check(rec, params):
+            tx_problem(rec, refusal[1])
+        contract.move(rec, params)
 
     # pass 4: replay each round
     tags_seen: set[bytes] = set()
+    tasks = dict(enumerate(contract.tasks))
     for r in sorted(metas):
         meta = metas[r]
         prefix = f"round {r}: "
         round_txs = [t for t in txs if t.task_seq == meta["task_seq"]]
         stats["rounds"] += 1
-        phase = None  # the replayed task's; a refusal by its window alone still moves it
-        for t in round_txs:
-            if t.method == CREATE_TASK and task_number[id(t)] != t.task_seq:
-                problems.append(prefix + f"tx {t.index} (CreateTask): opens task {task_number[id(t)]}, not {t.task_seq}")
-            refusal = contract_problem(t.method, t.sender, requester, phase)
-            if refusal is None:
-                phase = RULES[t.method][2] or phase
-                refusal = window_problem(t.method, t.submitted_block, meta["response_deadline"], meta["processing_deadline"])
-            if refusal is not None:
-                problems.append(prefix + f"tx {t.index} ({t.method}): {refusal[1]}")
-        closed = phase in (FINALIZED, VOID)
-        if not closed:
+        task = tasks.get(meta["task_seq"])
+        phase = task and task.phase
+        if phase not in (FINALIZED, VOID):
             problems.append(prefix + "task was never closed")
+        elif task.escrow_wei or task.owed:
+            problems.append(prefix + f"task closed holding {task.escrow_wei} wei, {len(task.owed)} refunds owed")
 
         screening = screenings.get(r)
         if screening is None:
@@ -417,30 +406,16 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
                         prefix + "correct-answer payments do not match the correctness attestations"
                     )
 
-        create = next((t for t in round_txs if t.method == CREATE_TASK), None)
-        escrow_in = meta["escrow_wei"]
-        if create is not None and create.value_wei != escrow_in:
-            problems.append(prefix + "escrow deposit does not match the announced amount")
-        outgoing = sum(-t.value_wei for t in round_txs if t.value_wei < 0)
-        if closed and outgoing != escrow_in:
-            problems.append(prefix + f"escrow not conserved: {escrow_in} in, {outgoing} out")
-        if void and requester is not None:
-            refunds = [(t.beneficiary, -t.value_wei) for t in round_txs if t.method == REFUND]
-            if refunds != void_refunds(included, escrow_in, requester):
-                problems.append(prefix + "void refunds do not reimburse the responders")
-
-    # pass 5: summary totals
+    # pass 5: the summary against the chain's gas and the replayed contract's totals
     if len(summaries) != 1:
         problems.append("expected exactly one summary event")
     else:
         s = summaries[0]
-        paid = sum(-t.value_wei for t in txs if t.method == WORKER_PAYMENT)
-        confiscated = sum(-t.value_wei for t in txs if t.method == CONFISCATE)
         if s.get("gas_by_sender") != gas_by_sender(txs):
             problems.append("summary gas totals do not match the transactions")
-        if s.get("payments_wei") != paid:
+        if s.get("payments_wei") != sum(t.paid_out_wei for t in contract.tasks):
             problems.append("summary payment total does not match the transactions")
-        if s.get("confiscated_wei") != confiscated:
+        if s.get("confiscated_wei") != sum(t.confiscated_wei for t in contract.tasks):
             problems.append("summary confiscation total does not match the transactions")
 
     return AuditReport(not problems, problems, stats)

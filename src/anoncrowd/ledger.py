@@ -1,17 +1,18 @@
-"""Single-chain ledger simulation: fees, inclusion latency, task contracts.
+"""Single-chain ledger simulation: the chain, and the task contract it hosts.
 
-The chain is a log of transaction records plus an account table, advanced
-by explicit ticks. Fees follow the base-fee-plus-tip model: a transaction
-costs gas * (base_fee + tip) in Gwei, converted to integer wei for
-bookkeeping and to USD only for reporting. Inclusion latency in blocks is
-drawn from a seeded truncated-normal model calibrated per network profile
-and tip level.
+The chain (Ledger) is a log of transaction records plus an account table,
+advanced by explicit ticks. Fees follow the base-fee-plus-tip model: a
+transaction costs gas * (base_fee + tip) in Gwei, converted to integer wei
+for bookkeeping and to USD only for reporting. Inclusion latency in blocks
+is drawn from a seeded truncated-normal model calibrated per network
+profile and tip level.
 
-One deployed contract hosts a sequence of escrow-backed tasks. Its rules
-are the RULES table (sender and phases per method) and window_problem (the
-deadlines): the contract enforces them through one gate, and the log audit
-replays them. Everything cryptographic happens in the layers above, which
-hand payloads down as opaque bytes.
+One deployed contract (TaskContract) hosts a sequence of escrow-backed
+tasks. Its transition (check, then move) is the one place its rules are
+written: the chain runs it on each record it builds, and the log audit
+re-runs it on each logged record, as a full node re-executes a block.
+Everything cryptographic happens in the layers above, which hand payloads
+down as opaque bytes.
 
 All money is integer wei (1 Gwei = 10^9 wei). Escrow conservation is exact:
 deposit == payments + refunds + confiscation + remainder, always.
@@ -65,6 +66,21 @@ RULES: dict[str, tuple[str, tuple[str | None, ...], str | None]] = {
 }
 
 
+# the GasSchedule field each method's gas is read from (None: it costs none)
+GAS_FIELDS: dict[str, str | None] = {
+    DEPLOY: "deploy",
+    CREATE_TASK: "create_task",
+    SUBMIT_RESPONSE: "submit_response",
+    SUBMIT_AUTH_CALC: "submit_auth_calc",
+    SUBMIT_QUALITY: "submit_quality",
+    WORKER_PAYMENT: "worker_payment",
+    VOID_TASK: None,
+    FINALIZE: None,
+    REFUND: None,
+    CONFISCATE: None,
+}
+
+
 @dataclass(frozen=True)
 class GasSchedule:
     """Measured per-call gas for the four benchmarked methods; the last two
@@ -78,18 +94,8 @@ class GasSchedule:
     worker_payment: int = 60_000  # placeholder
 
     def for_method(self, method: str) -> int:
-        return {
-            DEPLOY: self.deploy,
-            CREATE_TASK: self.create_task,
-            SUBMIT_RESPONSE: self.submit_response,
-            SUBMIT_AUTH_CALC: self.submit_auth_calc,
-            SUBMIT_QUALITY: self.submit_quality,
-            WORKER_PAYMENT: self.worker_payment,
-            VOID_TASK: 0,
-            FINALIZE: 0,
-            REFUND: 0,
-            CONFISCATE: 0,
-        }[method]
+        name = GAS_FIELDS[method]
+        return getattr(self, name) if name else 0
 
 
 @dataclass(frozen=True)
@@ -236,22 +242,111 @@ class TaskState:
     paid_out_wei: int = 0
     refunded_wei: int = 0
     confiscated_wei: int = 0
+    owed: list[tuple[str, int]] = field(default_factory=list)  # (beneficiary, wei) refunds its close left, head first
 
 
 class TaskContract:
-    """One deployed escrow contract hosting sequential tasks."""
+    """One deployed escrow contract hosting sequential tasks; every method
+    but CreateTask acts on the latest task."""
 
-    def __init__(self, requester: str):
+    gas = GasSchedule()
+
+    def __init__(self, requester: str, fee: FeeParams):
         self.requester = requester
+        self.fee = fee
         self.tasks: list[TaskState] = []
+
+    def check(self, rec: LedgerRecord, params: ChainTaskParams | None = None) -> tuple[type, str] | None:
+        """Why the contract refuses rec, as (error class, reason), or None; params: the task a CreateTask opens."""
+        method = rec.method
+        task = self.tasks[-1] if self.tasks else None
+        if method not in GAS_FIELDS:
+            return PhaseError, "not a method of the contract"
+        if method in RULES:
+            who, phases, _ = RULES[method]
+            if who != ANYONE and rec.sender != (self.requester if who == REQUESTER else who):
+                return PermissionError, f"only the {who} may send it"
+            phase = task and task.phase
+            if phase not in phases:
+                return PhaseError, f"not legal in phase {phase}" if phase else "not legal while no task is open"
+        if method == CREATE_TASK:
+            if params is None:
+                return ValueError, "its task has no parameters"
+            if rec.task_seq != len(self.tasks):
+                return PhaseError, f"opens task {len(self.tasks)}, not {rec.task_seq}"
+            if params.response_deadline <= rec.submitted_block:
+                return DeadlineError, "response deadline is not in the future"
+            if rec.value_wei != params.escrow_wei:
+                return FundsError, f"deposits {rec.value_wei} wei, not the task's escrow of {params.escrow_wei}"
+        elif task is not None:
+            if rec.task_seq != task.seq:
+                return PhaseError, f"belongs to task {task.seq}, not {rec.task_seq}"
+            # responses close with the response window; the final answer, a void and (a phase refusal:
+            # the task has not failed to process yet) a confiscation need it closed; the final answer
+            # and quality posts close with the processing window
+            block, due, end = rec.submitted_block, task.params.response_deadline, task.params.processing_deadline
+            if method == SUBMIT_RESPONSE and block > due:
+                return DeadlineError, "response window has closed"
+            if method in (SUBMIT_AUTH_CALC, VOID_TASK, CONFISCATE) and block <= due:
+                return (PhaseError if method == CONFISCATE else DeadlineError), "response window is still open"
+            if method in (SUBMIT_AUTH_CALC, SUBMIT_QUALITY) and block > end:
+                return DeadlineError, "processing window has closed"
+        gas = self.gas.for_method(method)
+        if rec.gas != gas:
+            return ValueError, f"gas {rec.gas} != schedule {gas}"
+        try:
+            fee_ok = rec.fee_wei == self.fee.fee_wei(gas)
+        except (OverflowError, ValueError):  # a non-finite or huge fee figure
+            fee_ok = False
+        if not fee_ok:
+            return ValueError, f"fee {rec.fee_wei} off the fee rule"
+        if rec.value_wei > 0 and method != CREATE_TASK:
+            return ValueError, f"moves {rec.value_wei} wei into escrow"
+        if rec.value_wei < 0 and method not in (WORKER_PAYMENT, REFUND, CONFISCATE):
+            return ValueError, f"moves {-rec.value_wei} wei out of escrow"
+        if task is not None and -rec.value_wei > task.escrow_wei:
+            return FundsError, f"escrow of {task.escrow_wei} wei cannot cover it"
+        if method == REFUND and task.owed[:1] != [(rec.beneficiary, -rec.value_wei)]:
+            if not task.owed:
+                return FundsError, "no refund is owed"
+            return FundsError, "the next refund owed is {1} wei to {0}".format(*task.owed[0])
+        return None
+
+    def move(self, rec: LedgerRecord, params: ChainTaskParams | None = None) -> None:
+        """Applies rec as it stands (so a replay can follow a log past a refusal):
+        moves escrow, phase and totals; a close queues the refunds it owes."""
+        method = rec.method
+        if method == CREATE_TASK and params is not None:
+            self.tasks.append(TaskState(seq=rec.task_seq, params=params, escrow_wei=rec.value_wei))
+        if method not in RULES or method == CREATE_TASK or not self.tasks:
+            return
+        task = self.tasks[-1]
+        amount = -rec.value_wei
+        task.escrow_wei -= amount
+        task.phase = RULES[method][2] or task.phase
+        if method == SUBMIT_RESPONSE:
+            task.responses.append(rec)  # counted only if it lands in time, see included_responses
+        elif method == SUBMIT_AUTH_CALC:
+            task.auth_calc = rec
+        elif method == SUBMIT_QUALITY:
+            task.quality_posts.append(rec)
+        elif method == WORKER_PAYMENT:
+            task.paid_out_wei += amount
+        elif method == CONFISCATE:
+            task.confiscated_wei += amount
+        elif method == REFUND:
+            task.refunded_wei += amount
+            del task.owed[:1]
+        else:  # a close; a void reimburses its included responders' fees first
+            landed = included_responses(task.responses, task.params.response_deadline) if method == VOID_TASK else ()
+            task.owed = close_refunds(landed, task.escrow_wei, self.requester)
 
 
 class Ledger:
-    """The chain: accounts, transaction log, latency, contract enforcement."""
+    """The chain: accounts, transaction log, latency and fees."""
 
     def __init__(self, seed: int, profile: str = "rinkeby", fee: FeeParams | None = None):
         self.fee = fee or FeeParams()
-        self.gas = GasSchedule()
         self.latency_model = LatencyModel(profile, random.Random(seed))
         self.block = 0
         self.records: list[LedgerRecord] = []
@@ -280,111 +375,87 @@ class Ledger:
 
     # ── internals ──
 
-    def _enter(self, contract: TaskContract, method: str, sender: str) -> TaskState | None:
-        """The contract's latest task, once RULES and its windows admit method from sender."""
-        task = contract.tasks[-1] if contract.tasks else None
-        refusal = contract_problem(method, sender, contract.requester, task and task.phase)
-        if refusal is None and task is not None:
-            refusal = window_problem(method, self.block, task.params.response_deadline, task.params.processing_deadline)
-        if refusal is not None:
-            raise refusal[0](f"{method}: {refusal[1]}")
-        return task
-
     def _charge(self, sender: str, wei: int) -> None:
         held = self.balances.get(sender, 0)
         if held < wei:
             raise FundsError(f"{sender} cannot cover {wei} wei")
         self.balances[sender] = held - wei
 
-    def _append(
+    def _submit(
         self,
+        contract: TaskContract,
         method: str,
         sender: str,
-        task: TaskState | None,
         payload: bytes = b"",
         value_wei: int = 0,
         beneficiary: str = "",
+        params: ChainTaskParams | None = None,
     ) -> LedgerRecord:
-        """Logs a transaction of task (None: a deploy), moves value_wei into its escrow
-        (negative: out, to beneficiary) and moves it to the phase the method leaves."""
-        if task is not None and -value_wei > task.escrow_wei:
-            raise FundsError(f"escrow cannot cover this {method}")
-        gas = self.gas.for_method(method)
-        fee_wei = self.fee.fee_wei(gas)
-        self._charge(sender, fee_wei + max(value_wei, 0))
+        """Logs a transaction once contract accepts it: charges its fee and
+        deposit, applies it, and credits beneficiary with what it moves out."""
+        gas = contract.gas.for_method(method)
         rec = LedgerRecord(
             index=len(self.records),
             method=method,
             sender=sender,
             gas=gas,
-            fee_wei=fee_wei,
+            fee_wei=self.fee.fee_wei(gas),
             tip_gwei=self.fee.tip_gwei,
             submitted_block=self.block,
-            inclusion_block=self.block + self.latency_model.latency(self.fee.tip_gwei),
-            task_seq=-1 if task is None else task.seq,
+            inclusion_block=self.block,  # plus the latency, drawn once it is accepted
+            # the task a CreateTask opens, else the latest (-1: none, as for the deploy)
+            task_seq=len(contract.tasks) - (method != CREATE_TASK),
             payload=payload,
             value_wei=value_wei,
             beneficiary=beneficiary,
         )
+        refusal = contract.check(rec, params)
+        if refusal is not None:
+            raise refusal[0](f"{method}: {refusal[1]}")
+        self._charge(sender, rec.fee_wei + max(value_wei, 0))
+        contract.move(rec, params)
+        rec.inclusion_block += self.latency_model.latency(self.fee.tip_gwei)
         self.records.append(rec)
-        if task is not None:
-            task.escrow_wei += value_wei
-            task.phase = RULES[method][2] or task.phase
         if beneficiary:
             self.fund(beneficiary, -value_wei)
+        return rec
+
+    def _close(self, contract: TaskContract, method: str, sender: str) -> LedgerRecord:
+        """Logs a Finalize or VoidTask, then the Refunds it leaves owed."""
+        rec = self._submit(contract, method, sender)
+        for beneficiary, amount in list(contract.tasks[-1].owed):  # each Refund pays the queue's head
+            self._submit(contract, REFUND, CONTRACT, value_wei=-amount, beneficiary=beneficiary)
         return rec
 
     # ── contract methods ──
 
     def deploy(self, sender: str) -> TaskContract:
-        contract = TaskContract(sender)
+        contract = TaskContract(sender, self.fee)
+        self._submit(contract, DEPLOY, sender)
         self.contracts.append(contract)
-        self._append(DEPLOY, sender, None)
         return contract
 
     def create_task(self, contract: TaskContract, sender: str, params: ChainTaskParams) -> TaskState:
-        self._enter(contract, CREATE_TASK, sender)
-        if params.response_deadline <= self.block:
-            raise DeadlineError("response deadline is not in the future")
-        task = TaskState(seq=len(contract.tasks), params=params)
-        self._append(CREATE_TASK, sender, task, value_wei=params.escrow_wei)
-        contract.tasks.append(task)
-        return task
+        self._submit(contract, CREATE_TASK, sender, value_wei=params.escrow_wei, params=params)
+        return contract.tasks[-1]
 
     def submit_response(self, contract: TaskContract, sender: str, payload: bytes) -> LedgerRecord:
-        task = self._enter(contract, SUBMIT_RESPONSE, sender)
-        rec = self._append(SUBMIT_RESPONSE, sender, task, payload=payload)
-        task.responses.append(rec)  # counted only if it lands in time, see included_responses
-        return rec
+        return self._submit(contract, SUBMIT_RESPONSE, sender, payload=payload)
 
     def submit_auth_calc(self, contract: TaskContract, sender: str, payload: bytes) -> LedgerRecord:
-        task = self._enter(contract, SUBMIT_AUTH_CALC, sender)
-        task.auth_calc = self._append(SUBMIT_AUTH_CALC, sender, task, payload=payload)
-        return task.auth_calc
+        return self._submit(contract, SUBMIT_AUTH_CALC, sender, payload=payload)
 
     def submit_quality(self, contract: TaskContract, sender: str, payload: bytes) -> LedgerRecord:
-        task = self._enter(contract, SUBMIT_QUALITY, sender)
-        rec = self._append(SUBMIT_QUALITY, sender, task, payload=payload)
-        task.quality_posts.append(rec)
-        return rec
+        return self._submit(contract, SUBMIT_QUALITY, sender, payload=payload)
 
     def worker_payment(
         self, contract: TaskContract, sender: str, payout_account: str, amount_wei: int
     ) -> LedgerRecord:
-        task = self._enter(contract, WORKER_PAYMENT, sender)
-        if amount_wei < 0:
-            raise ValueError("payments cannot be negative")
-        rec = self._append(WORKER_PAYMENT, sender, task, value_wei=-amount_wei, beneficiary=payout_account)
-        task.paid_out_wei += amount_wei
-        return rec
+        return self._submit(contract, WORKER_PAYMENT, sender, value_wei=-amount_wei, beneficiary=payout_account)
 
     def finalize(self, contract: TaskContract, sender: str) -> LedgerRecord:
         """Close the task and refund the unspent escrow to the requester."""
-        task = self._enter(contract, FINALIZE, sender)
-        rec = self._append(FINALIZE, sender, task)
-        if task.escrow_wei:
-            self._refund(task, contract.requester, task.escrow_wei)
-        return rec
+        return self._close(contract, FINALIZE, sender)
 
     def void_task(self, contract: TaskContract, sender: str) -> LedgerRecord:
         """Void an under-subscribed task: reimburse every included
@@ -394,27 +465,15 @@ class Ledger:
         The contract holds payloads as opaque bytes, so it cannot tell an
         accepted response from a rejected one and leaves the quorum to the
         requester; the log audit replays screening and judges it."""
-        task = self._enter(contract, VOID_TASK, sender)
-        rec = self._append(VOID_TASK, sender, task)
-        included = included_responses(task.responses, task.params.response_deadline)
-        for beneficiary, amount in void_refunds(included, task.escrow_wei, contract.requester):
-            self._refund(task, beneficiary, amount)
-        return rec
+        return self._close(contract, VOID_TASK, sender)
 
     def confiscate(self, contract: TaskContract, arbiter_beneficiary: str) -> LedgerRecord:
         """Arbitration outcome: the remaining escrow of the most recent task
         goes to the wronged party, and the task is closed against further
         requester moves. Valid while processing is underway, or when the
         requester went silent after the response window."""
-        task = self._enter(contract, CONFISCATE, CONTRACT)
-        amount = task.escrow_wei
-        rec = self._append(CONFISCATE, CONTRACT, task, value_wei=-amount, beneficiary=arbiter_beneficiary)
-        task.confiscated_wei += amount
-        return rec
-
-    def _refund(self, task: TaskState, beneficiary: str, amount: int) -> None:
-        self._append(REFUND, CONTRACT, task, value_wei=-amount, beneficiary=beneficiary)
-        task.refunded_wei += amount
+        amount = contract.tasks[-1].escrow_wei if contract.tasks else 0
+        return self._submit(contract, CONFISCATE, CONTRACT, value_wei=-amount, beneficiary=arbiter_beneficiary)
 
     # ── reporting helpers ──
 
@@ -423,7 +482,7 @@ class Ledger:
         return task.params.escrow_wei == spent + task.escrow_wei
 
 
-# ── rules the contract and the log audit share ──
+# ── rules the contract, the runner and the log audit share ──
 
 
 def included_responses(records: Iterable[LedgerRecord], response_deadline: int) -> list[LedgerRecord]:
@@ -434,43 +493,13 @@ def included_responses(records: Iterable[LedgerRecord], response_deadline: int) 
     return sorted(landed, key=lambda r: (r.inclusion_block, r.index))
 
 
-def contract_problem(method: str, sender: str, requester: str, phase: str | None) -> tuple[type, str] | None:
-    """Why the contract refuses method from sender while its latest task is in
-    phase (None: no task is open), as (error class, reason) by RULES, or None."""
-    if method not in RULES:
-        return PhaseError, "not a method of a task"
-    who, phases, _ = RULES[method]
-    if who != ANYONE and sender != (requester if who == REQUESTER else who):
-        return PermissionError, f"only the {who} may send it"
-    if phase not in phases:
-        return PhaseError, f"not legal in phase {phase}" if phase else "not legal while no task is open"
-    return None
-
-
-def window_problem(
-    method: str, block: int, response_deadline: int, processing_deadline: int
-) -> tuple[type, str] | None:
-    """Why a task's transaction of this method submitted at this block falls
-    outside its deadline windows, as (error class, reason), or None.
-    Responses close with the response window; the final answer and a void
-    need that window closed, and so does confiscating from a task that is
-    still collecting (a phase refusal: the task has not failed to process
-    yet); the final answer and quality posts close with the processing window."""
-    if method == SUBMIT_RESPONSE and block > response_deadline:
-        return DeadlineError, "response window has closed"
-    if method in (SUBMIT_AUTH_CALC, VOID_TASK, CONFISCATE) and block <= response_deadline:
-        return (PhaseError if method == CONFISCATE else DeadlineError), "response window is still open"
-    if method in (SUBMIT_AUTH_CALC, SUBMIT_QUALITY) and block > processing_deadline:
-        return DeadlineError, "processing window has closed"
-    return None
-
-
-def void_refunds(included: Iterable[LedgerRecord], escrow_wei: int, requester: str) -> list[tuple[str, int]]:
-    """The (beneficiary, wei) refunds that void a task, in order: each included
-    responder's fee in log order while the escrow lasts (the escrow's last wei
-    may cover a fee in part), then any escrow left to the requester."""
+def close_refunds(reimbursed: Iterable[LedgerRecord], escrow_wei: int, requester: str) -> list[tuple[str, int]]:
+    """The (beneficiary, wei) refunds that close a task, in order: each
+    reimbursed response's fee in log order while the escrow lasts (a void
+    reimburses its included responders; the escrow's last wei may cover a fee
+    in part), then any escrow left to the requester."""
     refunds, left = [], escrow_wei
-    for r in sorted(included, key=lambda r: r.index):
+    for r in sorted(reimbursed, key=lambda r: r.index):
         if left == 0 < r.fee_wei:
             break
         amount = min(r.fee_wei, left)

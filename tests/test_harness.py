@@ -38,6 +38,7 @@ from anoncrowd.harness.attacks import ATTACKS
 from anoncrowd.harness import runner
 from anoncrowd.harness.runner import run
 from anoncrowd.harness.scenario import list_bundled, load_scenario, parse_scenario
+from anoncrowd.ledger import CREATE_TASK, TaskContract
 from anoncrowd.policy import ans_calc
 
 
@@ -125,6 +126,10 @@ REPLAY_BREAKERS = {
     "NaN base fee": [("header", lambda ev: ev.update(base_fee_gwei=float("nan")))],
     "oversized domain": [("header", lambda ev: ev["policy"].update(domain_size=2**70))],
     "short tree root": [("round", lambda ev: ev.update(tree_root="00"))],
+    "processing deadline at the response deadline": [
+        ("round", lambda ev: ev.update(processing_deadline=ev["response_deadline"]))
+    ],
+    "negative escrow": [("round", lambda ev: ev.update(escrow_wei=-1))],
     # nothing is included, yet the round counts as quorate: the final-answer
     # statement covers no answer ciphertext and does not validate
     "quorate round with no answers": [
@@ -205,17 +210,22 @@ def authority_run(tiny_image):
 
 def signed_run(cfg, attack=None):
     """A run at seed 1 and the authority that signed its log off."""
-    authorities = []
+    return recorded_run(cfg, "RegistrationAuthority", seed=1, attack=attack)
 
-    class Recorded(runner.RegistrationAuthority):
+
+def recorded_run(cfg, name, seed, attack=None):
+    """A run and the first instance of the runner's class `name` it made."""
+    made = []
+
+    class Recorded(getattr(runner, name)):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            authorities.append(self)
+            made.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "RegistrationAuthority", Recorded)
-        result = run(cfg, seed=1, attack=attack)
-    return result, authorities[0]
+        mp.setattr(runner, name, Recorded)
+        result = run(cfg, seed=seed, attack=attack)
+    return result, made[0]
 
 
 @pytest.fixture(scope="module")
@@ -583,6 +593,23 @@ class TestAudit:
         expected_proofs = s.included + 1 + s.posts_onchain + s.value_proofs
         assert report.stats["proofs_verified"] == expected_proofs
 
+    @pytest.mark.parametrize("attack", [None, *ATTACKS])
+    def test_live_records_replay_through_a_fresh_contract(self, tiny_image, attack):
+        # the chain and the audit run one transition: the records a run logged
+        # replay without a refusal and leave every task as the live one ended
+        _, ledger = recorded_run(tiny_image, "Ledger", seed=11, attack=attack)
+        (live,) = ledger.contracts
+        replay = TaskContract(live.requester, ledger.fee)
+        for rec in ledger.records:
+            params = live.tasks[rec.task_seq].params if rec.method == CREATE_TASK else None
+            assert replay.check(rec, params) is None, rec.index
+            replay.move(rec, params)
+
+        def end(task):
+            return task.phase, task.escrow_wei, task.paid_out_wei, task.refunded_wei, task.confiscated_wei, task.owed
+
+        assert [end(t) for t in replay.tasks] == [end(t) for t in live.tasks]
+
     def test_text_entry_point(self, honest_run):
         assert verify_log("\n".join(honest_run.log_lines).splitlines()).ok
 
@@ -651,7 +678,8 @@ class TestAudit:
         for key in ("beneficiary", "value_wei"):
             first[key], last[key] = last[key], first[key]
         problems = verify_log(chained(bodies, signoff)).problems
-        assert "round 0: void refunds do not reimburse the responders" in problems
+        owed = f"{-last['value_wei']} wei to {last['beneficiary']}"  # the first refund, before the swap
+        assert f"round 0: tx {first['index']} (Refund): the next refund owed is {owed}" in problems
 
     @pytest.mark.parametrize(
         "method, value_wei",
@@ -667,7 +695,7 @@ class TestAudit:
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
         assert not report.ok
         direction = "into" if value_wei > 0 else "out of"
-        want = f"tx {tx['index']}: {method} moves {abs(value_wei)} wei {direction} escrow"
+        want = f"round 0: tx {tx['index']} ({method}): moves {abs(value_wei)} wei {direction} escrow"
         assert want in report.problems
         assert not any("signoff" in p for p in report.problems)
 
@@ -677,6 +705,7 @@ class TestAudit:
             ("SubmitAuthCalc", "processing_deadline", 1, "processing window has closed"),
             ("SubmitQuality", "processing_deadline", 1, "processing window has closed"),
             ("SubmitAuthCalc", "response_deadline", 0, "response window is still open"),
+            ("CreateTask", "response_deadline", 0, "response deadline is not in the future"),
         ],
     )
     def test_submission_outside_its_window_fails(self, authority_run, method, deadline, past, why):
@@ -689,6 +718,28 @@ class TestAudit:
         tx["inclusion_block"] += shift
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
         assert report.problems == [f"round 0: tx {tx['index']} ({method}): {why}"]
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_finalize_refund_to_anyone_but_the_requester_fails(self, authority_run, split):
+        # the refund goes to a worker, or 1 wei of it is split off to one
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        refund = next(b for b in bodies if b["type"] == "tx" and b["method"] == "Refund")
+        at, owed = refund["index"], -refund["value_wei"]
+        assert refund["beneficiary"] == "requester"
+        if split:
+            for b in bodies:
+                if b["type"] == "tx" and b["index"] > at:
+                    b["index"] += 1
+            part = {**refund, "index": at + 1, "beneficiary": "worker-003", "value_wei": -1}
+            bodies.insert(bodies.index(refund) + 1, part)
+            refund["value_wei"] += 1
+            wrong = [(at, f"the next refund owed is {owed} wei to requester"), (at + 1, "no refund is owed")]
+        else:
+            refund["beneficiary"] = "worker-003"
+            wrong = [(at, f"the next refund owed is {owed} wei to requester")]
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert report.problems == [f"round 0: tx {i} (Refund): {why}" for i, why in wrong]
 
     @pytest.mark.parametrize(
         "probe, why",
@@ -730,6 +781,17 @@ class TestAudit:
         tx["task_seq"] = -1
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
         assert f"tx {tx['index']} belongs to an unknown task -1" in report.problems
+
+    def test_transaction_labelled_with_another_task_fails(self, tiny_image):
+        # task 0's finalize refund, relabelled as task 1's: the money moves
+        # the same, but the contract paid it from task 0
+        result, ra = signed_run(tiny_image, attack="stale-quality")
+        bodies, _ = split_log(result.log_lines)
+        refund = next(b for b in bodies if b["type"] == "tx" and b["method"] == "Refund")
+        assert refund["task_seq"] == 0
+        refund["task_seq"] = 1
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert report.problems == [f"round 1: tx {refund['index']} (Refund): belongs to task 0, not 1"]
 
     def test_transactions_numbered_out_of_log_order_fail(self, authority_run):
         result, ra = authority_run

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import statistics
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,12 @@ from anoncrowd.errors import DeadlineError, FundsError, PhaseError
 from anoncrowd.ledger import (
     COLLECTING,
     CONFISCATE,
+    DEPLOY,
     FINALIZED,
+    GAS_FIELDS,
     PROCESSING,
     REFUND,
+    RULES,
     SUBMIT_RESPONSE,
     VOID,
     ChainTaskParams,
@@ -79,6 +83,11 @@ class TestFees:
     def test_zero_gas_methods_are_free(self):
         for method in ("VoidTask", "Finalize", "Refund", "Confiscate"):
             assert GAS.for_method(method) == 0
+
+    def test_every_method_has_rules_and_a_gas_figure(self):
+        # a new method must land in both tables, or the contract refuses it
+        assert set(RULES) | {DEPLOY} == set(GAS_FIELDS)
+        assert {name for name in GAS_FIELDS.values() if name} <= {f.name for f in fields(GasSchedule)}
 
 
 class TestLatencyModel:
@@ -317,6 +326,49 @@ class TestGating:
         with pytest.raises(FundsError):
             # fee money alone cannot also cover the escrow deposit
             led.create_task(other, "broke-req", task_params(led, escrow=ETH))
+
+    def test_refused_calls_leave_the_ledger_untouched(self):
+        # a twin on the same seed never sees the refused calls; afterwards both
+        # log the same records, inclusion blocks (the latency draws) included
+        def state(led):
+            tasks = [
+                (t.phase, t.escrow_wei, t.paid_out_wei, t.refunded_wei, t.owed, len(t.responses), t.auth_calc is None)
+                for c in led.contracts
+                for t in c.tasks
+            ]
+            return [r.to_json_dict() for r in led.records], dict(led.balances), tasks, led.block
+
+        def refuse_all(led, contract, calls):
+            before = state(led)
+            for error, call in calls:
+                with pytest.raises(error):
+                    call(led, contract)
+                assert state(led) == before
+
+        collecting = [
+            (FundsError, lambda led, c: led.submit_response(c, "poor", payload=b"x")),  # cannot cover the fee
+            (DeadlineError, lambda led, c: led.submit_auth_calc(c, "req", payload=b"early")),
+            (PhaseError, lambda led, c: led.create_task(c, "req", task_params(led))),
+        ]
+        processing = [
+            (PhaseError, lambda led, c: led.submit_response(c, "w1", payload=b"late")),
+            (FundsError, lambda led, c: led.worker_payment(c, "req", "w1", ETH + 1)),  # escrow cannot cover it
+            (PermissionError, lambda led, c: led.finalize(c, "eve")),
+            (PhaseError, lambda led, c: led.void_task(c, "req")),
+        ]
+        ledgers = []
+        for refused in (True, False):
+            led, contract, params = self.setup_task()
+            led.fund("poor", 100)
+            refuse_all(led, contract, collecting if refused else [])
+            led.submit_response(contract, "w1", payload=b"x")
+            led.tick_to(params.response_deadline + 1)
+            led.submit_auth_calc(contract, "req", payload=b"f")
+            refuse_all(led, contract, processing if refused else [])
+            led.worker_payment(contract, "req", "w1", ETH // 4)
+            led.finalize(contract, "req")
+            ledgers.append(led)
+        assert state(ledgers[0]) == state(ledgers[1])
 
     def test_time_does_not_run_backwards(self):
         led = make_ledger()
