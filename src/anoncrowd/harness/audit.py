@@ -7,7 +7,9 @@ log order, goes through the same `ledger.TaskContract` check and move the
 simulated chain ran (sender, phase, deadlines, gas, fee, value, escrow,
 the task it names and the refunds a close owes), each task must end
 closed with no escrow and no refund owed, and the summary must match the
-replayed totals. It also checks the chain's numbering (transactions
+replayed totals. Each task opens with its round event's figures, so a bad
+figure is a refusal of that round's CreateTask, not of every later
+transaction. It also checks the chain's numbering (transactions
 0..n-1 in log order, each included after it was submitted) and that the
 hash chain over the lines is intact and signed off by the registration
 authority's key from the header.
@@ -257,17 +259,14 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if r not in metas:
             problems.append(f"screening event for unknown round {r}")
 
-    # pass 3: re-execute the contract over every transaction in log order; the
-    # replay follows the log past a refusal, so one bad transaction is one problem
+    # pass 3: re-execute the contract over every transaction in log order; each task
+    # opens with its round's logged figures, and the replay follows the log past a
+    # refusal, so one bad transaction or task figure is one problem
     round_of = {meta["task_seq"]: r for r, meta in metas.items()}
-    params_of: dict[int, ChainTaskParams] = {}
-    for r, meta in sorted(metas.items()):
-        try:
-            params_of[meta["task_seq"]] = ChainTaskParams(
-                meta["response_deadline"], meta["processing_deadline"], meta["escrow_wei"]
-            )
-        except ValueError as exc:
-            problems.append(f"round {r}: task parameters do not hold: {exc}")
+    params_of = {
+        meta["task_seq"]: ChainTaskParams(meta["response_deadline"], meta["processing_deadline"], meta["escrow_wei"])
+        for meta in metas.values()
+    }
 
     def tx_problem(rec: LedgerRecord, why: str) -> None:
         r = round_of.get(rec.task_seq)

@@ -42,6 +42,7 @@ from ..ledger import (
     PROCESSING,
     ChainTaskParams,
     FeeParams,
+    GasSchedule,
     Ledger,
     TaskState,
     gas_by_sender,
@@ -185,6 +186,17 @@ class _Run:
         self.attack = attack
         self.answers = answers
         self.hook = ATTACKS[attack]() if attack is not None else Attack()
+        self.rounds = rounds = self.hook.rounds(config)
+        self.fee = FeeParams(config.base_fee_gwei, config.tip_gwei, config.eth_usd)
+        # the funding must cover every fee and deposit before the first transaction: each round may keep its
+        # whole escrow (an upheld protest confiscates what is left), and each party sends one response a round
+        gas, fee, n = GasSchedule(), self.fee.fee_wei, config.worker_count
+        per_round = config.escrow_wei + fee(gas.create_task) + fee(gas.submit_auth_calc)
+        need = fee(gas.deploy) + rounds * (per_round + n * (fee(gas.submit_quality) + fee(gas.worker_payment)))
+        if config.requester_funding_wei < need:
+            raise ConfigError(f"requester funding cannot cover the {need} wei that {rounds} round(s) may cost")
+        if config.worker_funding_wei < rounds * fee(gas.submit_response):
+            raise ConfigError(f"worker funding cannot cover {rounds} response fee(s) of {fee(gas.submit_response)} wei")
 
         self.ctx = context_for(config.backend)
         master = random.Random(seed)
@@ -196,7 +208,6 @@ class _Run:
         worker_rngs = [random.Random(master.getrandbits(64)) for _ in range(config.worker_count)]
         self.address_rng = random.Random(master.getrandbits(64))
 
-        self.fee = FeeParams(config.base_fee_gwei, config.tip_gwei, config.eth_usd)
         self.ledger = Ledger(seed=ledger_seed, profile=config.profile, fee=self.fee)
         self.ledger.fund(REQUESTER, config.requester_funding_wei)
         self.ledger.fund(ADVERSARY, config.worker_funding_wei)
@@ -212,7 +223,6 @@ class _Run:
             self.workers.append(w)
 
         self.contract = self.ledger.deploy(REQUESTER)
-        self.rounds = self.hook.rounds(config)
         self.round_events: list[dict] = []
         self.screening_events: list[dict] = []
         self.arbitration_events: list[dict] = []

@@ -16,7 +16,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from ..context import BACKENDS
+from ..context import ANSWER_DOMAIN, BACKENDS
 from ..errors import ConfigError
 from ..ledger import PROFILES, FeeParams, GasSchedule
 from ..policy import MAJORITY, TaskPolicy
@@ -63,6 +63,8 @@ class ScenarioConfig:
             raise ConfigError("min_workers must be between 1 and the worker count")
         if self.response_window < 2 or self.processing_window < 2:
             raise ConfigError("phase windows must span at least two blocks")
+        if self.policy.domain_size > ANSWER_DOMAIN:
+            raise ConfigError(f"domain_size exceeds the answer codec's domain of {ANSWER_DOMAIN}")
         if self.escrow_wei < self.worker_count * self.policy.pay_correct:
             raise ConfigError("escrow cannot cover a fully correct round")
         if min(self.prior) < 1:

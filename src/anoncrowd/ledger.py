@@ -8,8 +8,10 @@ is drawn from a seeded truncated-normal model calibrated per network
 profile and tip level.
 
 One deployed contract (TaskContract) hosts a sequence of escrow-backed
-tasks. Its transition (check, then move) is the one place its rules are
-written: the chain runs it on each record it builds, and the log audit
+tasks. RULES gives each method, Deploy included, one row: its sender,
+its legal phases, the phase it leaves and its gas. The transition (check,
+then move) is the one place the rules are enforced, a task's parameters
+included: the chain runs it on each record it builds, and the log audit
 re-runs it on each logged record, as a full node re-executes a block.
 Everything cryptographic happens in the layers above, which hand payloads
 down as opaque bytes.
@@ -48,36 +50,23 @@ PROCESSING = "Processing"
 FINALIZED = "Finalized"
 VOID = "Void"
 
-# The contract's rules, one row per task method: who may send it (the
-# deploying requester, anyone, or the contract itself), the phases of the
-# contract's latest task it is legal in (None: no task is open), and the
-# phase it leaves that task in (None: the phase it found).
+# The contract's rules, one row per method: who may send it (the deploying
+# requester, anyone, or the contract itself), the phases of the contract's
+# latest task it is legal in (None: no task is open), the phase it leaves
+# that task in (None: the phase it found), and the GasSchedule field its gas
+# is read from (None: it costs none).
 REQUESTER, ANYONE, CONTRACT = "requester", "anyone", "contract"
-RULES: dict[str, tuple[str, tuple[str | None, ...], str | None]] = {
-    CREATE_TASK: (REQUESTER, (None, FINALIZED, VOID), COLLECTING),
-    SUBMIT_RESPONSE: (ANYONE, (COLLECTING,), None),
-    SUBMIT_AUTH_CALC: (REQUESTER, (COLLECTING,), PROCESSING),
-    SUBMIT_QUALITY: (REQUESTER, (PROCESSING, VOID), None),  # a void task still records its zero steps
-    WORKER_PAYMENT: (REQUESTER, (PROCESSING,), None),
-    FINALIZE: (REQUESTER, (PROCESSING,), FINALIZED),
-    VOID_TASK: (REQUESTER, (COLLECTING,), VOID),
-    REFUND: (CONTRACT, (FINALIZED, VOID), None),  # Finalize and VoidTask close the task first
-    CONFISCATE: (CONTRACT, (COLLECTING, PROCESSING), FINALIZED),
-}
-
-
-# the GasSchedule field each method's gas is read from (None: it costs none)
-GAS_FIELDS: dict[str, str | None] = {
-    DEPLOY: "deploy",
-    CREATE_TASK: "create_task",
-    SUBMIT_RESPONSE: "submit_response",
-    SUBMIT_AUTH_CALC: "submit_auth_calc",
-    SUBMIT_QUALITY: "submit_quality",
-    WORKER_PAYMENT: "worker_payment",
-    VOID_TASK: None,
-    FINALIZE: None,
-    REFUND: None,
-    CONFISCATE: None,
+RULES: dict[str, tuple[str, tuple[str | None, ...], str | None, str | None]] = {
+    DEPLOY: (REQUESTER, (None,), None, "deploy"),
+    CREATE_TASK: (REQUESTER, (None, FINALIZED, VOID), COLLECTING, "create_task"),
+    SUBMIT_RESPONSE: (ANYONE, (COLLECTING,), None, "submit_response"),
+    SUBMIT_AUTH_CALC: (REQUESTER, (COLLECTING,), PROCESSING, "submit_auth_calc"),
+    SUBMIT_QUALITY: (REQUESTER, (PROCESSING, VOID), None, "submit_quality"),  # a void task still records its zero steps
+    WORKER_PAYMENT: (REQUESTER, (PROCESSING,), None, "worker_payment"),
+    FINALIZE: (REQUESTER, (PROCESSING,), FINALIZED, None),
+    VOID_TASK: (REQUESTER, (COLLECTING,), VOID, None),
+    REFUND: (CONTRACT, (FINALIZED, VOID), None, None),  # Finalize and VoidTask close the task first
+    CONFISCATE: (CONTRACT, (COLLECTING, PROCESSING), FINALIZED, None),
 }
 
 
@@ -94,7 +83,7 @@ class GasSchedule:
     worker_payment: int = 60_000  # placeholder
 
     def for_method(self, method: str) -> int:
-        name = GAS_FIELDS[method]
+        name = RULES[method][3]
         return getattr(self, name) if name else 0
 
 
@@ -217,17 +206,12 @@ class LedgerRecord:
 
 @dataclass(frozen=True)
 class ChainTaskParams:
-    """The chain-visible slice of a task: gating fields only."""
+    """The chain-visible slice of a task: gating fields only, as plain data
+    that TaskContract.check judges when a CreateTask opens the task."""
 
     response_deadline: int  # block height, inclusive
     processing_deadline: int  # block height, inclusive
     escrow_wei: int
-
-    def __post_init__(self):
-        if self.escrow_wei < 0:
-            raise ValueError("escrow cannot be negative")
-        if self.processing_deadline <= self.response_deadline:
-            raise ValueError("processing deadline must come after the response deadline")
 
 
 @dataclass
@@ -260,15 +244,14 @@ class TaskContract:
         """Why the contract refuses rec, as (error class, reason), or None; params: the task a CreateTask opens."""
         method = rec.method
         task = self.tasks[-1] if self.tasks else None
-        if method not in GAS_FIELDS:
+        if method not in RULES:
             return PhaseError, "not a method of the contract"
-        if method in RULES:
-            who, phases, _ = RULES[method]
-            if who != ANYONE and rec.sender != (self.requester if who == REQUESTER else who):
-                return PermissionError, f"only the {who} may send it"
-            phase = task and task.phase
-            if phase not in phases:
-                return PhaseError, f"not legal in phase {phase}" if phase else "not legal while no task is open"
+        who, phases, _, _ = RULES[method]
+        if who != ANYONE and rec.sender != (self.requester if who == REQUESTER else who):
+            return PermissionError, f"only the {who} may send it"
+        phase = task and task.phase
+        if phase not in phases:
+            return PhaseError, f"not legal in phase {phase}" if phase else "not legal while no task is open"
         if method == CREATE_TASK:
             if params is None:
                 return ValueError, "its task has no parameters"
@@ -276,6 +259,8 @@ class TaskContract:
                 return PhaseError, f"opens task {len(self.tasks)}, not {rec.task_seq}"
             if params.response_deadline <= rec.submitted_block:
                 return DeadlineError, "response deadline is not in the future"
+            if params.processing_deadline <= params.response_deadline:
+                return ValueError, "processing deadline is not after the response deadline"
             if rec.value_wei != params.escrow_wei:
                 return FundsError, f"deposits {rec.value_wei} wei, not the task's escrow of {params.escrow_wei}"
         elif task is not None:
@@ -318,7 +303,7 @@ class TaskContract:
         method = rec.method
         if method == CREATE_TASK and params is not None:
             self.tasks.append(TaskState(seq=rec.task_seq, params=params, escrow_wei=rec.value_wei))
-        if method not in RULES or method == CREATE_TASK or not self.tasks:
+        if method not in RULES or method in (DEPLOY, CREATE_TASK) or not self.tasks:
             return
         task = self.tasks[-1]
         amount = -rec.value_wei

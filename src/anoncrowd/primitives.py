@@ -163,10 +163,6 @@ def commit(group: Group, value: "int | Scalar", blind: Scalar) -> GroupElement:
     return group.dual_mul(group.scalar(value), blind)
 
 
-def open_check(group: Group, com: GroupElement, value: "int | Scalar", blind: Scalar) -> bool:
-    return commit(group, value, blind) == com
-
-
 def rerandomize(group: Group, com: GroupElement, extra: Scalar) -> GroupElement:
     """Homomorphic re-randomization: adds a commitment to zero, so the
     committed value is unchanged while the opening shifts by ``extra``."""
@@ -231,10 +227,6 @@ def pair_rerandomize(group: Group, pair: CommitmentPair, extra: BlindingPair) ->
         rerandomize(group, pair.alpha_com, extra.alpha),
         rerandomize(group, pair.beta_com, extra.beta),
     )
-
-
-def open_pair_check(group: Group, pair: CommitmentPair, alpha: int, beta: int, blind: BlindingPair) -> bool:
-    return commit_pair(group, alpha, beta, blind) == pair
 
 
 def quality_tag(group: Group, pair: CommitmentPair, ident: Scalar) -> bytes:

@@ -55,8 +55,8 @@ from anoncrowd.merkle import MerkleTree
 from anoncrowd.policy import MAJORITY, TaskPolicy, quality_increment
 from anoncrowd.primitives import (
     BlindingPair,
+    commit_pair,
     encrypt,
-    open_pair_check,
     pair_rerandomize,
     pair_step,
     random_blinding_pair,
@@ -137,7 +137,7 @@ class TestEnrollment:
         world = World(n_workers=2)
         for w in world.workers:
             cred = w.cred
-            assert open_pair_check(world.ctx.group, cred.pair, cred.alpha, cred.beta, cred.opening)
+            assert commit_pair(world.ctx.group, cred.alpha, cred.beta, cred.opening) == cred.pair
             assert world.ra.tree.position_of(cred.pair.encode(world.ctx.group)) == cred.position
 
     def test_double_enrollment_rejected(self):
@@ -364,7 +364,7 @@ class TestSettlement:
         assert (world.workers[1].cred.alpha, world.workers[1].cred.beta) == (5, 1)
         assert (world.workers[2].cred.alpha, world.workers[2].cred.beta) == (4, 2)
         for w in world.workers:
-            assert open_pair_check(world.ctx.group, w.cred.pair, w.cred.alpha, w.cred.beta, w.cred.opening)
+            assert commit_pair(world.ctx.group, w.cred.alpha, w.cred.beta, w.cred.opening) == w.cred.pair
             assert world.ra.tree.position_of(w.cred.pair.encode(world.ctx.group)) == w.cred.position
 
     def test_second_round_runs_on_updated_credentials(self):

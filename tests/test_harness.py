@@ -306,6 +306,7 @@ class TestScenarios:
             ("network", "tip_gwei", "nan"),
             ("network", "tip_gwei", "1e300"),
             ("network", "eth_usd", "inf"),
+            ("policy", "domain_size", "100000"),  # above the answer codec's 2^16
         ],
     )
     def test_hostile_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
@@ -420,6 +421,29 @@ class TestRunner:
         monkeypatch.setattr(runner, "context_for", lambda name: pytest.fail("crypto set-up ran"))
         with pytest.raises(ConfigError, match="sum to 127872"):
             run(cfg, seed=1)
+
+    @pytest.mark.parametrize(
+        "who, short",
+        [
+            ("requester", {"requester_funding_wei": 0}),
+            ("requester", {"rounds": 2, "escrow_wei": 5 * 10**18}),  # each round may keep its 5 ETH escrow
+            ("worker", {"worker_funding_wei": 0}),
+        ],
+        ids=["requester unfunded", "two rounds of a 5 ETH escrow", "workers unfunded"],
+    )
+    def test_underfunded_scenario_rejected_before_any_crypto(self, tiny_image, monkeypatch, who, short):
+        monkeypatch.setattr(runner, "context_for", lambda name: pytest.fail("crypto set-up ran"))
+        with pytest.raises(ConfigError, match=f"^{who} funding cannot cover"):
+            run(replace(tiny_image, **short), seed=1)
+
+    def test_funding_bound_is_exact(self, tiny_image):
+        # the requester deposits the escrow and pays every fee before the
+        # finalize refund comes back: exactly that much runs, a wei less is refused
+        _, ledger = recorded_run(tiny_image, "Ledger", seed=1)
+        need = tiny_image.escrow_wei + sum(r.fee_wei for r in ledger.records if r.sender == runner.REQUESTER)
+        assert run(replace(tiny_image, requester_funding_wei=need), seed=1).failures == []
+        with pytest.raises(ConfigError, match=f"cannot cover the {need} wei"):
+            run(replace(tiny_image, requester_funding_wei=need - 1), seed=1)
 
     def test_out_of_domain_fixture_rejected(self, tiny_image, tmp_path):
         path = tmp_path / "wide.csv"
@@ -718,6 +742,33 @@ class TestAudit:
         tx["inclusion_block"] += shift
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
         assert report.problems == [f"round 0: tx {tx['index']} ({method}): {why}"]
+
+    @pytest.mark.parametrize(
+        "case, why, closes_processing",
+        [
+            ("negative escrow", "deposits 1000000000000000000 wei, not the task's escrow of -1", False),
+            (
+                "processing deadline at the response deadline",
+                "processing deadline is not after the response deadline",
+                True,
+            ),
+        ],
+        ids=["negative escrow", "inverted deadlines"],
+    )
+    def test_bad_task_figure_is_refused_once_at_its_create_task(self, authority_run, case, why, closes_processing):
+        # the replay opens the task from the round's logged figures, so the
+        # later transactions replay against them and are not refused wholesale
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        for kind, mutate in REPLAY_BREAKERS[case]:
+            mutate(next(b for b in bodies if b["type"] == kind))
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        txs = [b for b in bodies if b["type"] == "tx"]
+        # with no processing window, the final answer and every quality post land after it
+        late = [b for b in txs if closes_processing and b["method"] in ("SubmitAuthCalc", "SubmitQuality")]
+        assert report.problems == [f"round 0: tx 1 (CreateTask): {why}"] + [
+            f"round 0: tx {b['index']} ({b['method']}): processing window has closed" for b in late
+        ]
 
     @pytest.mark.parametrize("split", [False, True])
     def test_finalize_refund_to_anyone_but_the_requester_fails(self, authority_run, split):

@@ -14,14 +14,19 @@ from anoncrowd.errors import DeadlineError, FundsError, PhaseError
 from anoncrowd.ledger import (
     COLLECTING,
     CONFISCATE,
+    CREATE_TASK,
     DEPLOY,
+    FINALIZE,
     FINALIZED,
-    GAS_FIELDS,
     PROCESSING,
     REFUND,
     RULES,
+    SUBMIT_AUTH_CALC,
+    SUBMIT_QUALITY,
     SUBMIT_RESPONSE,
     VOID,
+    VOID_TASK,
+    WORKER_PAYMENT,
     ChainTaskParams,
     FeeParams,
     GasSchedule,
@@ -85,9 +90,11 @@ class TestFees:
             assert GAS.for_method(method) == 0
 
     def test_every_method_has_rules_and_a_gas_figure(self):
-        # a new method must land in both tables, or the contract refuses it
-        assert set(RULES) | {DEPLOY} == set(GAS_FIELDS)
-        assert {name for name in GAS_FIELDS.values() if name} <= {f.name for f in fields(GasSchedule)}
+        # one row per method, whose gas field (if any) is a schedule figure
+        methods = {DEPLOY, CREATE_TASK, SUBMIT_RESPONSE, SUBMIT_AUTH_CALC, SUBMIT_QUALITY}
+        methods |= {WORKER_PAYMENT, VOID_TASK, FINALIZE, REFUND, CONFISCATE}
+        assert set(RULES) == methods
+        assert {row[3] for row in RULES.values() if row[3]} <= {f.name for f in fields(GasSchedule)}
 
 
 class TestLatencyModel:
@@ -356,6 +363,10 @@ class TestGating:
             (PermissionError, lambda led, c: led.finalize(c, "eve")),
             (PhaseError, lambda led, c: led.void_task(c, "req")),
         ]
+        closed = [  # the next task's figures do not hold
+            (ValueError, lambda led, c: led.create_task(c, "req", task_params(led, processing_window=-5))),
+            (ValueError, lambda led, c: led.create_task(c, "req", task_params(led, escrow=-1))),
+        ]
         ledgers = []
         for refused in (True, False):
             led, contract, params = self.setup_task()
@@ -367,6 +378,7 @@ class TestGating:
             refuse_all(led, contract, processing if refused else [])
             led.worker_payment(contract, "req", "w1", ETH // 4)
             led.finalize(contract, "req")
+            refuse_all(led, contract, closed if refused else [])
             ledgers.append(led)
         assert state(ledgers[0]) == state(ledgers[1])
 
@@ -545,14 +557,6 @@ class TestLogAndViews:
         assert run(99) == run(99)
         a, b = run(99), run(100)
         assert [r["method"] for r in a] == [r["method"] for r in b]
-
-
-class TestParamsValidation:
-    def test_chain_task_params(self):
-        with pytest.raises(ValueError):
-            ChainTaskParams(10, 5, 0)
-        with pytest.raises(ValueError):
-            ChainTaskParams(10, 20, -1)
 
 
 # ── property sweeps ──────────────────────────────────────────────────────────
