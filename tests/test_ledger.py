@@ -559,6 +559,18 @@ class TestLogAndViews:
         assert [r["method"] for r in a] == [r["method"] for r in b]
 
 
+class TestParamsValidation:
+    def test_chain_task_params(self):
+        # the contract, not the record, judges a task's figures when it opens
+        led = funded_ledger(("req",))
+        contract = led.deploy("req")
+        with pytest.raises(ValueError):
+            led.create_task(contract, "req", ChainTaskParams(led.block + 10, led.block + 5, 0))
+        with pytest.raises(ValueError):
+            led.create_task(contract, "req", ChainTaskParams(led.block + 10, led.block + 20, -1))
+        assert contract.tasks == []
+
+
 # ── property sweeps ──────────────────────────────────────────────────────────
 
 
