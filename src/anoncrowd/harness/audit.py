@@ -2,17 +2,20 @@
 
 verify_log holds no agent secrets. From the log alone it rebuilds the
 crypto context, replays every screening verdict and re-verifies every
-attestation. It re-executes the contract: every logged transaction, in
-log order, goes through the same `ledger.TaskContract` check and move the
-simulated chain ran (sender, phase, deadlines, gas, fee, value, escrow,
-the task it names and the refunds a close owes), each task must end
-closed with no escrow and no refund owed, and the summary must match the
-replayed totals. Each task opens with its round event's figures, so a bad
-figure is a refusal of that round's CreateTask, not of every later
-transaction. It also checks the chain's numbering (transactions
-0..n-1 in log order, each included after it was submitted) and that the
-hash chain over the lines is intact and signed off by the registration
-authority's key from the header.
+attestation. It reads the header's fees and policy, each round's task
+parameters and each transaction with encoding.from_json, the inverse of
+the runner's to_json, so a missing or mistyped field is named. It
+re-executes the contract: every logged transaction, in log order, goes
+through the same `ledger.TaskContract` check and move the simulated chain
+ran (sender, phase, deadlines, gas, fee, value, escrow, the task it names
+and the refunds a close owes), each task must end closed with no escrow
+and no refund owed, and the summary must match the replayed totals. Each
+task opens with its round event's figures, so a bad figure is a refusal
+of that round's CreateTask, not of every later transaction. It also
+checks the chain's numbering (transactions 0..n-1 in log order, each
+included after it was submitted) and that the hash chain over the lines
+is intact and signed off by the registration authority's key from the
+header.
 
 Two trust anchors come from the header: the authority's public key (for
 the signoff) and the attestation setup seed. A deployment would publish a
@@ -26,7 +29,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable
 
 from ..actors import (
@@ -40,6 +42,7 @@ from ..actors import (
     value_statement,
 )
 from ..context import context_for
+from ..encoding import from_json, mistyped_field
 from ..errors import ConfigError, EncodingError, MalformedStatementError
 from ..ledger import (
     CONFISCATE,
@@ -55,7 +58,6 @@ from ..ledger import (
     TaskContract,
     gas_by_sender,
     included_responses,
-    mistyped_field,
 )
 from ..policy import TaskPolicy
 from ..primitives import Signature, hash_bytes, verify_sig
@@ -64,21 +66,9 @@ from ..relations import ProofBackend
 LOG_VERSION = 1
 CHAIN_SEED = hash_bytes(b"anoncrowd/v1/log-chain")
 
-# the task policy as a log header carries it: field -> JSON type, with the
-# rational threshold and tolerance written as "n/d" text
-_POLICY_FIELDS = {
-    "kind": str,
-    "domain_size": int,
-    "threshold": str,
-    "epsilon": str,
-    "winners": int,
-    "pay_correct": int,
-    "pay_incorrect": int,
-}
-
-# the fields the replay reads from each event type, with their JSON types;
-# transaction events are checked by LedgerRecord.from_json_dict
-_NUMBER = (int, float)
+# the plain fields the replay reads from each event type, with their JSON types;
+# the dataclasses an event carries (the header's fees and policy, a round's task
+# parameters, a transaction) are read by from_json
 _FIELDS = {
     "header": {
         "backend": str,
@@ -89,18 +79,8 @@ _FIELDS = {
         "policy": dict,
         "rounds": int,
         "min_workers": int,
-        "base_fee_gwei": _NUMBER,
-        "tip_gwei": _NUMBER,
-        "eth_usd": _NUMBER,
     },
-    "round": {
-        "round": int,
-        "task_seq": int,
-        "tree_root": str,
-        "response_deadline": int,
-        "processing_deadline": int,
-        "escrow_wei": int,
-    },
+    "round": {"round": int, "task_seq": int, "tree_root": str},
     "screening": {"round": int, "accepted": list, "rejections": list, "void": bool},
     "arbitration": {"round": int, "ref": int, "upheld": bool},
     "signoff": {"chain": str, "sig": str},
@@ -130,15 +110,6 @@ class AuditReport:
         for problem in self.problems:
             lines.append(f"  problem: {problem}")
         return "\n".join(lines) + "\n"
-
-
-def policy_header(policy: TaskPolicy) -> dict:
-    return {name: kind(getattr(policy, name)) for name, kind in _POLICY_FIELDS.items()}
-
-
-def _policy_from_header(d: dict) -> TaskPolicy:
-    rational = ("threshold", "epsilon")
-    return TaskPolicy(**{name: Fraction(d[name]) if name in rational else d[name] for name in _POLICY_FIELDS})
 
 
 def _unattested(ctx, backend: ProofBackend, stmt, proof, what: str, where: str) -> str | None:
@@ -185,10 +156,12 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
     header = events[0]
     if header.get("version") != LOG_VERSION:
         return AuditReport(False, [f"unsupported log version {header.get('version')}"], stats)
-    bad = mistyped_field(header, _FIELDS["header"]) or mistyped_field(header["policy"], _POLICY_FIELDS)
+    bad = mistyped_field(header, _FIELDS["header"])
     if bad:
         return AuditReport(False, [f"header field {bad!r} is missing or mistyped"], stats)
     try:
+        fee = from_json(FeeParams, header)
+        policy = from_json(TaskPolicy, header["policy"])
         ctx = context_for(header["backend"])
         g = ctx.group
         if header["params_digest"] != ctx.params_digest.hex():
@@ -196,9 +169,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         ra_pk = g.decode_element(bytes.fromhex(header["ra_pk"]))
         requester_pk = g.decode_element(bytes.fromhex(header["requester_pk"]))
         backend = ProofBackend(bytes.fromhex(header["backend_seed"]))
-        policy = _policy_from_header(header["policy"])
         min_workers = header["min_workers"]
-        fee = FeeParams(header["base_fee_gwei"], header["tip_gwei"], header["eth_usd"])
     except (ConfigError, ValueError, ZeroDivisionError, EncodingError) as exc:
         return AuditReport(False, [f"header does not parse: {exc}"], stats)
 
@@ -218,6 +189,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
 
     # pass 2: group events
     metas: dict[int, dict] = {}
+    params_of: dict[int, ChainTaskParams] = {}  # task_seq -> its round's task parameters
     screenings: dict[int, dict] = {}
     arbitrations: dict[int, list[dict]] = {}
     txs: list[LedgerRecord] = []
@@ -228,14 +200,17 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if bad:
             problems.append(f"{kind} event field {bad!r} is missing or mistyped")
         elif kind == "round":
-            metas[event["round"]] = event
+            try:
+                params_of[event["task_seq"]], metas[event["round"]] = from_json(ChainTaskParams, event), event
+            except ValueError as exc:
+                problems.append(f"{kind} event {exc}")
         elif kind == "screening":
             screenings[event["round"]] = event
         elif kind == "arbitration":
             arbitrations.setdefault(event["round"], []).append(event)
         elif kind == "tx":
             try:
-                txs.append(LedgerRecord.from_json_dict(event))
+                txs.append(from_json(LedgerRecord, event))
             except ValueError as exc:
                 problems.append(f"transaction event does not parse: {exc}")
         elif kind == "summary":
@@ -263,10 +238,6 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
     # opens with its round's logged figures, and the replay follows the log past a
     # refusal, so one bad transaction or task figure is one problem
     round_of = {meta["task_seq"]: r for r, meta in metas.items()}
-    params_of = {
-        meta["task_seq"]: ChainTaskParams(meta["response_deadline"], meta["processing_deadline"], meta["escrow_wei"])
-        for meta in metas.values()
-    }
 
     def tx_problem(rec: LedgerRecord, why: str) -> None:
         r = round_of.get(rec.task_seq)
@@ -302,7 +273,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if screening is None:
             problems.append(prefix + "no screening event")
             continue
-        included = included_responses(round_txs, meta["response_deadline"])
+        included = included_responses(round_txs, params_of[meta["task_seq"]].response_deadline)
         try:
             tree_root = bytes.fromhex(meta["tree_root"])
         except ValueError:

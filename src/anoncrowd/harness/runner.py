@@ -36,6 +36,7 @@ from ..actors import (
     screen_responses,
 )
 from ..context import ANSWER_DOMAIN, context_for
+from ..encoding import to_json
 from ..errors import ConfigError
 from ..ledger import (
     BLOCK_SECONDS,
@@ -58,7 +59,7 @@ from ..relations import (
     ProofBackend,
 )
 from .attacks import ADVERSARY, ATTACKS, Attack
-from .audit import CHAIN_SEED, LOG_VERSION, canonical_line, chain_digest, policy_header
+from .audit import CHAIN_SEED, LOG_VERSION, canonical_line, chain_digest
 from .fixtures import load_fixture
 from .scenario import ScenarioConfig
 
@@ -260,9 +261,7 @@ class _Run:
                 "round": st.index,
                 "task_seq": st.task_seq,
                 "tree_root": rnd.task_pub.tree_root.hex(),
-                "response_deadline": params.response_deadline,
-                "processing_deadline": params.processing_deadline,
-                "escrow_wei": params.escrow_wei,
+                **to_json(params),
                 "opened_block": st.opened_block,
             }
         )
@@ -418,10 +417,8 @@ class _Run:
             "attack": self.attack,
             "backend": g.name,
             "profile": config.profile,
-            "base_fee_gwei": config.base_fee_gwei,
-            "tip_gwei": config.tip_gwei,
-            "eth_usd": config.eth_usd,
-            "policy": policy_header(config.policy),
+            **to_json(self.fee),
+            "policy": to_json(config.policy),
             "prior": list(config.prior),
             "rounds": self.rounds,
             "min_workers": config.min_workers,
@@ -440,7 +437,7 @@ class _Run:
             "final_block": ledger.block,
         }
         events = [header, *self.round_events]
-        events.extend({"type": "tx", **rec.to_json_dict()} for rec in ledger.records)
+        events.extend({"type": "tx", **to_json(rec)} for rec in ledger.records)
         events.extend(self.screening_events)
         events.extend(self.arbitration_events)
         events.append(summary)

@@ -14,7 +14,7 @@ then move) is the one place the rules are enforced, a task's parameters
 included: the chain runs it on each record it builds, and the log audit
 re-runs it on each logged record, as a full node re-executes a block.
 Everything cryptographic happens in the layers above, which hand payloads
-down as opaque bytes.
+down as opaque bytes; the log's JSON form of a record is encoding.to_json's.
 
 All money is integer wei (1 Gwei = 10^9 wei). Escrow conservation is exact:
 deposit == payments + refunds + confiscation + remainder, always.
@@ -160,23 +160,6 @@ class LatencyModel:
         return max(1, math.ceil(draw))
 
 
-# a record as the log carries it: field -> JSON type, payload as hex text
-_JSON_FIELDS = {
-    "index": int,
-    "method": str,
-    "sender": str,
-    "gas": int,
-    "fee_wei": int,
-    "tip_gwei": (int, float),
-    "submitted_block": int,
-    "inclusion_block": int,
-    "task_seq": int,
-    "payload": str,
-    "value_wei": int,
-    "beneficiary": str,
-}
-
-
 @dataclass
 class LedgerRecord:
     index: int
@@ -191,17 +174,6 @@ class LedgerRecord:
     payload: bytes = b""
     value_wei: int = 0  # wei moved into (positive) or out of (negative) escrow
     beneficiary: str = ""  # account credited on outgoing transfers
-
-    def to_json_dict(self) -> dict:
-        return {**{name: getattr(self, name) for name in _JSON_FIELDS}, "payload": self.payload.hex()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LedgerRecord":
-        """Inverse of to_json_dict; ValueError on a missing or mistyped field."""
-        bad = mistyped_field(d, _JSON_FIELDS)
-        if bad:
-            raise ValueError(f"field {bad!r} is missing or mistyped")
-        return cls(**{**{name: d[name] for name in _JSON_FIELDS}, "payload": bytes.fromhex(d["payload"])})
 
 
 @dataclass(frozen=True)
@@ -221,7 +193,6 @@ class TaskState:
     phase: str = COLLECTING
     escrow_wei: int = 0
     responses: list[LedgerRecord] = field(default_factory=list)  # all submitted, log order
-    auth_calc: LedgerRecord | None = None
     quality_posts: list[LedgerRecord] = field(default_factory=list)
     paid_out_wei: int = 0
     refunded_wei: int = 0
@@ -261,6 +232,8 @@ class TaskContract:
                 return DeadlineError, "response deadline is not in the future"
             if params.processing_deadline <= params.response_deadline:
                 return ValueError, "processing deadline is not after the response deadline"
+            if params.escrow_wei < 0:
+                return ValueError, f"escrow of {params.escrow_wei} wei is negative"
             if rec.value_wei != params.escrow_wei:
                 return FundsError, f"deposits {rec.value_wei} wei, not the task's escrow of {params.escrow_wei}"
         elif task is not None:
@@ -311,8 +284,6 @@ class TaskContract:
         task.phase = RULES[method][2] or task.phase
         if method == SUBMIT_RESPONSE:
             task.responses.append(rec)  # counted only if it lands in time, see included_responses
-        elif method == SUBMIT_AUTH_CALC:
-            task.auth_calc = rec
         elif method == SUBMIT_QUALITY:
             task.quality_posts.append(rec)
         elif method == WORKER_PAYMENT:
@@ -322,7 +293,7 @@ class TaskContract:
         elif method == REFUND:
             task.refunded_wei += amount
             del task.owed[:1]
-        else:  # a close; a void reimburses its included responders' fees first
+        elif method in (FINALIZE, VOID_TASK):  # a void reimburses its included responders' fees first
             landed = included_responses(task.responses, task.params.response_deadline) if method == VOID_TASK else ()
             task.owed = close_refunds(landed, task.escrow_wei, self.requester)
 
@@ -493,11 +464,6 @@ def close_refunds(reimbursed: Iterable[LedgerRecord], escrow_wei: int, requester
     if left > 0:
         refunds.append((requester, left))
     return refunds
-
-
-def mistyped_field(d: dict, fields: dict) -> str | None:
-    """The first of fields (name -> JSON type) that d lacks or holds with another type."""
-    return next((name for name, kind in fields.items() if not isinstance(d.get(name), kind)), None)
 
 
 def gas_by_sender(records: Iterable[LedgerRecord]) -> dict[str, int]:

@@ -338,6 +338,7 @@ def check_auth_qual(
 
 _DST_SETUP = b"anoncrowd/v1/backend-setup"
 _DST_ATTEST = b"anoncrowd/v1/attestation"
+_UNSET = object()  # a memo entry not yet filled
 
 _RELATIONS = {
     ProveQualStatement: (PROVE_QUAL_ID, check_prove_qual),
@@ -388,9 +389,10 @@ class ProofBackend:
         stored). A call that raises, such as a decryption outside the
         codec's domain, raises each time."""
         key = (fn, *args, *map(type, args))
-        if key not in self._results:
-            self._results[key] = fn(*args)
-        return self._results[key]
+        result = self._results.get(key, _UNSET)  # one lookup, so a hit hashes its key once
+        if result is _UNSET:
+            result = self._results[key] = fn(*args)
+        return result
 
     def _proof(self, ctx: CryptoContext, stmt) -> Proof:
         """The proof of stmt: its relation id, then the digest and the keyed attestation of its record."""

@@ -9,7 +9,7 @@ import configparser
 import hashlib
 import json
 import random
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from anoncrowd import primitives
 from anoncrowd.actors import QualityPost
+from anoncrowd.encoding import from_json, to_json
 from anoncrowd.errors import ConfigError
 from anoncrowd.harness.audit import (
     CHAIN_SEED,
@@ -38,44 +39,52 @@ from anoncrowd.harness.attacks import ATTACKS
 from anoncrowd.harness import runner
 from anoncrowd.harness.runner import run
 from anoncrowd.harness.scenario import list_bundled, load_scenario, parse_scenario
-from anoncrowd.ledger import CREATE_TASK, TaskContract
-from anoncrowd.policy import ans_calc
+from anoncrowd.ledger import CREATE_TASK, ChainTaskParams, FeeParams, LedgerRecord, TaskContract
+from anoncrowd.policy import TaskPolicy, ans_calc
 
 
-# SHA-256 of the log bytes ("\n".join(log_lines) + "\n") and of the report
-# for the tiny31 image_annotation runs at seed 11. A change that alters
-# either on purpose updates the pin together with its reason.
+# SHA-256 of the log bytes ("\n".join(log_lines) + "\n"), of the report and
+# of the log audit's rendered report for the tiny31 image_annotation runs at
+# seed 11. A change that alters any of them on purpose updates the pin
+# together with its reason.
 PINS = {
     None: (
         "ed1eb80e9b9a3b07dc8cdfc9f19917f63188c3f73990963a379f1d867dd8ece0",
         "9993de7d491f3c98df021842423b169fc5ffadf698e0a80bf078dcfbdb95cde9",
+        "db212962ad8dcf00ab87f329fb7278085288354abae4ea01405ebcb89283b428",
     ),
     "duplicate-response": (
         "f8bac0e78836367f65a8eb3d9422edbd4276e93b223b405e76e023e45c204a24",
         "0d9b3b17deea43f050a70ec8c714f95146797524c592e342e5c8110c50cc3b01",
+        "80288fd5d41321ce22b99ebaddbf31103e38532e6d774b4cca96740bd0edcbc0",
     ),
     "forged-proof": (
         "bb33b629a11a93df6f97373fe77d14beb49cb47f0611f2fa051d1686d54d5023",
         "6a49bd6c8decbfad06eda1a8ea477c2e93834773f2b2f53cbc1c9dd707321c96",
+        "80288fd5d41321ce22b99ebaddbf31103e38532e6d774b4cca96740bd0edcbc0",
     ),
     "stale-quality": (
         "22ad2b94a61f0a59305fe533be45063e0c9a0dd62e3694d63c28d6be2609bd47",
         "5b18553162a03f40a2056765b12dfc97d6b15b9c147bb012e026b8510696ee28",
+        "ab60dda540a2625e3328debd8aade4d19cb16ada5e3fe91c05184d738460ed89",
     ),
     "deprivation": (
         "a7071abc2c6946b19c506ee27ed6a712d2281e236a6725ee0fab256c199e3037",
         "fb130e1d4daade4594389b956167f629b3041de50322bdc16b58e1db03ea1e7b",
+        "8dace37e4f6bf5b067a0c728175298d4dfa15ad88701a917ee0110fa92764689",
     ),
     "void-task": (
         "8da911d87667b82c4d957f21f6170e1c2d77bda26d661c46a57d34992062f3dc",
         "fece0cb56716d6a3533db55ed0c37b3f4d18daba69d302ec3c5ddc8642edfdd7",
+        "3fbc703c59f44ef260a664e8e0b85c16ba54eb8c78e1fafac3379a14f80cad3a",
     ),
 }
 
 
 def digests(result):
     log = "\n".join(result.log_lines) + "\n"
-    return hashlib.sha256(log.encode()).hexdigest(), hashlib.sha256(result.report.encode()).hexdigest()
+    texts = (log, result.report, verify_log(result.log_lines).render())
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
 
 
 def chained(bodies, signoff=None):
@@ -524,6 +533,50 @@ class TestPins:
         assert digests(attack_runs[attack]) == PINS[attack]
 
 
+@dataclass
+class Listed:
+    count: int
+    items: list
+
+
+class TestJsonLayout:
+    @pytest.fixture(scope="class")
+    def logged(self, tiny_image):
+        """Values of each dataclass the log carries, from a tiny31 run."""
+        _, ledger = recorded_run(tiny_image, "Ledger", seed=11)
+        policy = tiny_image.policy
+        return {
+            LedgerRecord: ledger.records,
+            TaskPolicy: [policy, replace(policy, epsilon=Fraction(3, 7))],
+            FeeParams: [ledger.fee],
+            ChainTaskParams: [task.params for contract in ledger.contracts for task in contract.tasks],
+        }
+
+    @pytest.mark.parametrize("cls", [LedgerRecord, TaskPolicy, FeeParams, ChainTaskParams])
+    def test_round_trip_through_the_log(self, logged, cls):
+        assert logged[cls]
+        for value in logged[cls]:
+            assert from_json(cls, json.loads(canonical_line(to_json(value)))) == value
+
+    @pytest.mark.parametrize("cls", [LedgerRecord, TaskPolicy, FeeParams, ChainTaskParams])
+    def test_a_dropped_or_retyped_field_is_named(self, logged, cls):
+        wire = to_json(logged[cls][0])
+        for name in (f.name for f in fields(cls)):
+            other = 7 if isinstance(wire[name], str) else "7"
+            for broken in ({k: v for k, v in wire.items() if k != name}, {**wire, name: other}, {**wire, name: None}):
+                with pytest.raises(ValueError, match=f"^field '{name}' is missing or mistyped$"):
+                    from_json(cls, broken)
+
+    @pytest.mark.parametrize("cls, name, text", [(LedgerRecord, "payload", "0g"), (TaskPolicy, "threshold", "1/0")])
+    def test_text_that_does_not_parse_is_named(self, logged, cls, name, text):
+        with pytest.raises(ValueError, match=f"^field '{name}' is missing or mistyped$"):
+            from_json(cls, {**to_json(logged[cls][0]), name: text})
+
+    def test_a_field_type_with_no_layout_is_refused(self):
+        with pytest.raises(TypeError, match="Listed.items"):
+            to_json(Listed(1, []))
+
+
 class TestAttacks:
     def test_every_attack_clears_its_own_assertions(self, attack_runs):
         for attack, res in attack_runs.items():
@@ -672,6 +725,33 @@ class TestAudit:
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "kind, mutate, want",
+        [
+            (
+                "header",
+                lambda ev: ev["policy"].update(threshold=0.5),
+                "header does not parse: field 'threshold' is missing or mistyped",
+            ),
+            (
+                "header",
+                lambda ev: ev.update(tip_gwei="1"),
+                "header does not parse: field 'tip_gwei' is missing or mistyped",
+            ),
+            (
+                "round",
+                lambda ev: ev.update(response_deadline=None),
+                "round event field 'response_deadline' is missing or mistyped",
+            ),
+        ],
+        ids=["policy", "fee", "round"],
+    )
+    def test_mistyped_dataclass_field_is_named(self, honest_run, kind, mutate, want):
+        problems = verify_log(rechain(honest_run.log_lines, kind, mutate)).problems
+        assert want in problems
+        if kind == "header":
+            assert problems == [want]
+
     def test_statement_that_does_not_validate_is_named(self, honest_run):
         lines = honest_run.log_lines
         for kind, mutate in REPLAY_BREAKERS["quorate round with no answers"]:
@@ -746,7 +826,7 @@ class TestAudit:
     @pytest.mark.parametrize(
         "case, why, closes_processing",
         [
-            ("negative escrow", "deposits 1000000000000000000 wei, not the task's escrow of -1", False),
+            ("negative escrow", "escrow of -1 wei is negative", False),
             (
                 "processing deadline at the response deadline",
                 "processing deadline is not after the response deadline",

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anoncrowd.encoding import from_json, to_json
 from anoncrowd.errors import DeadlineError, FundsError, PhaseError
 from anoncrowd.ledger import (
     COLLECTING,
@@ -286,7 +287,7 @@ class TestGating:
         with pytest.raises(DeadlineError):
             led.submit_auth_calc(contract, "req", payload=b"too-late")
         task = contract.tasks[-1]
-        assert (task.phase, task.auth_calc, len(led.records)) == (COLLECTING, None, logged)
+        assert (task.phase, len(led.records)) == (COLLECTING, logged)
         with pytest.raises(PhaseError):
             led.worker_payment(contract, "req", "w1", 1)
 
@@ -339,11 +340,11 @@ class TestGating:
         # log the same records, inclusion blocks (the latency draws) included
         def state(led):
             tasks = [
-                (t.phase, t.escrow_wei, t.paid_out_wei, t.refunded_wei, t.owed, len(t.responses), t.auth_calc is None)
+                (t.phase, t.escrow_wei, t.paid_out_wei, t.refunded_wei, t.owed, len(t.responses))
                 for c in led.contracts
                 for t in c.tasks
             ]
-            return [r.to_json_dict() for r in led.records], dict(led.balances), tasks, led.block
+            return [to_json(r) for r in led.records], dict(led.balances), tasks, led.block
 
         def refuse_all(led, contract, calls):
             before = state(led)
@@ -515,8 +516,8 @@ class TestLogAndViews:
         led.create_task(contract, "req", params)
         led.submit_response(contract, "w1", payload=b"\x00\xffpayload")
         for rec in led.records:
-            wire = json.dumps(rec.to_json_dict(), sort_keys=True)
-            assert LedgerRecord.from_json_dict(json.loads(wire)) == rec
+            wire = json.dumps(to_json(rec), sort_keys=True)
+            assert from_json(LedgerRecord, json.loads(wire)) == rec
 
     def test_included_responses_sorted_by_inclusion(self):
         led = funded_ledger(("req", "w1", "w2", "w3", "w4"), seed=11)
@@ -552,7 +553,7 @@ class TestLogAndViews:
             led.tick_to(params.response_deadline + 1)
             led.submit_auth_calc(contract, "req", payload=b"f")
             led.finalize(contract, "req")
-            return [r.to_json_dict() for r in led.records]
+            return [to_json(r) for r in led.records]
 
         assert run(99) == run(99)
         a, b = run(99), run(100)
@@ -566,7 +567,7 @@ class TestParamsValidation:
         contract = led.deploy("req")
         with pytest.raises(ValueError):
             led.create_task(contract, "req", ChainTaskParams(led.block + 10, led.block + 5, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="escrow of -1 wei is negative"):
             led.create_task(contract, "req", ChainTaskParams(led.block + 10, led.block + 20, -1))
         assert contract.tasks == []
 
