@@ -289,15 +289,17 @@ def screen_responses(
     included: list[tuple[int, bytes]],
     known_tags: frozenset[bytes] | set[bytes],
 ) -> tuple[list[ParsedResponse], list[tuple[int, str]]]:
-    """The response filter, in fixed verdict order: malformed bundles,
-    failing proofs, tags already seen in earlier tasks, then same-task
-    duplicates by tag or by answer ciphertext (earlier inclusion wins).
+    """The response filter, one pass in inclusion order, each response judged in
+    fixed verdict order: malformed, failing proof, tag seen in an earlier task,
+    then a duplicate tag or answer ciphertext of an earlier accepted response.
 
     Deterministic given the same inputs; the requester, the authority and
     the log auditor all run this same function.
     """
     rejections: list[tuple[int, str]] = []
-    survivors: list[ParsedResponse] = []
+    accepted: list[ParsedResponse] = []
+    seen_tags: set[bytes] = set()
+    seen_cts: set[bytes] = set()
     for ref, payload in included:
         try:
             parsed = ParsedResponse.decode(ctx.group, payload, ref=ref)
@@ -307,26 +309,16 @@ def screen_responses(
         stmt = response_statement(ctx, task, parsed.fresh_pair, parsed.tag, parsed.answer_ct, parsed.address_ct)
         if not backend.verify(ctx, stmt, parsed.proof):
             rejections.append((ref, REJECT_PROOF))
-            continue
-        survivors.append(parsed)
-
-    accepted: list[ParsedResponse] = []
-    seen_tags: set[bytes] = set()
-    seen_cts: set[bytes] = set()
-    for parsed in survivors:
-        if parsed.tag in known_tags:
-            rejections.append((parsed.ref, REJECT_STALE))
-            continue
-        if parsed.tag in seen_tags:
-            rejections.append((parsed.ref, REJECT_DUP_TAG))
-            continue
-        ct_bytes = parsed.answer_ct.encode(ctx.group)
-        if ct_bytes in seen_cts:
-            rejections.append((parsed.ref, REJECT_DUP_CT))
-            continue
-        seen_tags.add(parsed.tag)
-        seen_cts.add(ct_bytes)
-        accepted.append(parsed)
+        elif parsed.tag in known_tags:
+            rejections.append((ref, REJECT_STALE))
+        elif parsed.tag in seen_tags:
+            rejections.append((ref, REJECT_DUP_TAG))
+        elif (ct_bytes := parsed.answer_ct.encode(ctx.group)) in seen_cts:
+            rejections.append((ref, REJECT_DUP_CT))
+        else:
+            seen_tags.add(parsed.tag)
+            seen_cts.add(ct_bytes)
+            accepted.append(parsed)
     rejections.sort()
     return accepted, rejections
 
@@ -606,7 +598,8 @@ class WorkerAgent:
 
 @dataclass
 class TaskOutcome:
-    """Everything the requester computes for one task, ready to post."""
+    """Everything the requester computes for one task, ready to post; a quality
+    post carries a value proof exactly when its answer was judged correct."""
 
     accepted: list[ParsedResponse]
     rejections: list[tuple[int, str]]
@@ -617,7 +610,6 @@ class TaskOutcome:
     quality_posts: list[bytes]  # aligned with accepted
     leaves: list[bytes]  # covered registry payloads, aligned with quality_posts
     payments: list[tuple[str, int]]  # (payout account, wei), aligned; empty when void
-    correct_refs: list[int]
 
 
 class RequesterAgent:
@@ -666,7 +658,7 @@ class RequesterAgent:
             calc_proof = self.backend.prove(ctx, calc_stmt, AuthCalcWitness(sk))
             final_bundle = encode_final_bundle(ctx, final_cts, calc_proof)
 
-        posts, leaves, payments, correct_refs = [], [], [], []
+        posts, leaves, payments = [], [], []
         for parsed, answer in zip(accepted, answers):
             correct = None if void else is_correct(answer, final, task.policy)
             post, leaf = self._quality_post(task, parsed, final_cts, correct)
@@ -676,8 +668,6 @@ class RequesterAgent:
                 continue  # a void task settles zero increments and pays nobody
             address = decrypt_message(g, sk, ctx.address_codec, parsed.address_ct)
             payments.append((payout_account(address), paym_calc(correct, task.policy)))
-            if correct:
-                correct_refs.append(parsed.ref)
         return TaskOutcome(
             accepted=accepted,
             rejections=rejections,
@@ -688,7 +678,6 @@ class RequesterAgent:
             quality_posts=posts,
             leaves=leaves,
             payments=payments,
-            correct_refs=correct_refs,
         )
 
     def _quality_post(

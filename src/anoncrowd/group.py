@@ -10,7 +10,7 @@ Two interchangeable instantiations of one interface:
 * ``TinyGroup``: a multiplicative subgroup of prime order 2^31 - 1 inside
   a 37-bit prime field. Discrete logs in it are brute-forceable by design;
   oracle tests use it to cross-check relation semantics against exhaustive
-  recomputation. Never use it outside tests.
+  recomputation. It offers no security; runs use it only for speed.
 
 Scalars are immutable and carry their modulus, so values from the two
 backends cannot be mixed silently. Group elements are opaque value objects;

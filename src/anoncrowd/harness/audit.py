@@ -9,7 +9,10 @@ re-executes the contract: every logged transaction, in log order, goes
 through the same `ledger.TaskContract` check and move the simulated chain
 ran (sender, phase, deadlines, gas, fee, value, escrow, the task it names
 and the refunds a close owes), each task must end closed with no escrow
-and no refund owed, and the summary must match the replayed totals. Each
+and no refund owed, and the summary must match the replayed totals. A
+quorate round's payments must be the multiset of `paym_calc` amounts owed
+to its served responses, given which carry a verified correctness
+attestation: addresses are encrypted, so no payment names its response. Each
 task opens with its round event's figures, so a bad figure is a refusal
 of that round's CreateTask, not of every later transaction. It also
 checks the chain's numbering (transactions 0..n-1 in log order, each
@@ -59,7 +62,7 @@ from ..ledger import (
     gas_by_sender,
     included_responses,
 )
-from ..policy import TaskPolicy
+from ..policy import TaskPolicy, paym_calc
 from ..primitives import Signature, hash_bytes, verify_sig
 from ..relations import ProofBackend
 
@@ -318,7 +321,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
                     stats["proofs_verified"] += 1
 
         covered: set[int] = set()
-        value_count = 0
+        valued: set[int] = set()  # responses whose correctness attestation verified
         for t in (t for t in round_txs if t.method == SUBMIT_QUALITY):
             try:
                 post = QualityPost.decode(g, t.payload)
@@ -341,14 +344,11 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             covered.add(post.response_ref)
             if post.value_proof is None:
                 continue
-            if void:
-                problems.append(prefix + "voided round carries a correctness attestation")
-                continue
             value_stmt = value_statement(ctx, task_pub, target, final_cts)
             if problem := _unattested(ctx, backend, value_stmt, post.value_proof, "correctness", where):
                 problems.append(prefix + problem)
             else:
-                value_count += 1
+                valued.add(post.response_ref)
                 stats["proofs_verified"] += 1
 
         upheld_refs = {a["ref"] for a in arbitrations.get(r, []) if a["upheld"]}
@@ -363,18 +363,12 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if confiscations and not upheld_refs:
             problems.append(prefix + "confiscation without an upheld protest")
 
-        pay_txs = [t for t in round_txs if t.method == WORKER_PAYMENT]
         if not void:
-            if len(pay_txs) != len(covered):
-                problems.append(prefix + f"{len(pay_txs)} payments for {len(covered)} served responses")
-            amounts = Counter(-t.value_wei for t in pay_txs)
-            if any(a not in (policy.pay_correct, policy.pay_incorrect) for a in amounts):
-                problems.append(prefix + "payment amount outside the policy")
-            elif policy.pay_correct != policy.pay_incorrect:
-                if amounts.get(policy.pay_correct, 0) != value_count:
-                    problems.append(
-                        prefix + "correct-answer payments do not match the correctness attestations"
-                    )
+            paid = Counter(-t.value_wei for t in round_txs if t.method == WORKER_PAYMENT)
+            owed = Counter(paym_calc(ref in valued, policy) for ref in covered)
+            if paid != owed:
+                extra, missing = sorted((paid - owed).elements()), sorted((owed - paid).elements())
+                problems.append(prefix + f"payments do not match the policy: paid but not owed {extra}, owed but not paid {missing}")
 
     # pass 5: the summary against the chain's gas and the replayed contract's totals
     if len(summaries) != 1:

@@ -334,8 +334,8 @@ class _Run:
 
         rnd.board = post_board(self.ctx, [rec.payload for rec in rnd.task.quality_posts])
         st.posts_onchain = len(rnd.task.quality_posts)
-        # a correct answer's post carries a value proof, unless it was withheld
-        st.value_proofs = sum(1 for ref in outcome.correct_refs if ref != victim_ref)
+        # the correctness proofs that reached the chain, as the audit counts them
+        st.value_proofs = sum(post.value_proof is not None for posts in rnd.board.values() for post in posts)
 
     def _adopt_and_arbitrate(self, rnd: _Round) -> None:
         final_cts, status, st = rnd.outcome.final_cts, self.status, rnd.stats

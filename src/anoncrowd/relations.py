@@ -58,7 +58,6 @@ from .group import GroupElement, Scalar
 from .merkle import MerklePath, verify_path
 from .policy import (
     AVERAGE,
-    MAJORITY,
     FinalAnswer,
     QualityState,
     TaskPolicy,
@@ -275,13 +274,9 @@ def _decrypt_answers(ctx, backend: ProofBackend, sk: Scalar, cts) -> list[int] |
 
 def _decrypt_final(ctx, backend: ProofBackend, sk: Scalar, stmt) -> FinalAnswer | None:
     values = _decrypt_answers(ctx, backend, sk, stmt.final_cts)
-    if values is None:
-        return None
-    if stmt.policy.kind == AVERAGE:
-        if values[1] < 1:
-            return None
-        return FinalAnswer(AVERAGE, (values[0], values[1]))
-    return FinalAnswer(MAJORITY, tuple(values))
+    if values is None or stmt.policy.kind == AVERAGE and values[1] < 1:
+        return None  # an average over no answers is no answer
+    return FinalAnswer(stmt.policy.kind, tuple(values))
 
 
 def check_auth_calc(

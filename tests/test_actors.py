@@ -332,7 +332,8 @@ class TestSettlement:
         task, included, outcome = self.run_round(world, [1, 1, 0])
         assert not outcome.void
         assert outcome.final.values == (1,)
-        assert outcome.correct_refs == [10, 11]
+        posts = [QualityPost.decode(world.ctx.group, post) for post in outcome.quality_posts]
+        assert [post.value_proof is not None for post in posts] == [True, True, False]
         accounts = [payout_account(w._pending.address) for w in world.workers]
         assert outcome.payments == [
             (accounts[0], 100),
@@ -381,7 +382,8 @@ class TestSettlement:
         assert not outcome2.void
         assert outcome2.rejections == []
         assert outcome2.final.values == (0,)
-        assert len(outcome2.correct_refs) == 3
+        posts = [QualityPost.decode(world.ctx.group, post) for post in outcome2.quality_posts]
+        assert [post.value_proof is not None for post in posts] == [True, True, True]
 
     def test_stale_credential_replay_is_caught_next_task(self):
         world = World()

@@ -587,6 +587,12 @@ class TestAttacks:
         for attack, res in attack_runs.items():
             assert verify_log(res.log_lines).ok, attack
 
+    @pytest.mark.parametrize("attack", [None, *ATTACKS])
+    def test_audit_verifies_every_proof_the_run_posted(self, honest_run, attack_runs, attack):
+        # the benchmark's proof gate: the proofs the audit verifies are those the run counts
+        res = honest_run if attack is None else attack_runs[attack]
+        assert verify_log(res.log_lines).stats["proofs_verified"] == sum(res.proof_counts.values())
+
     def test_duplicate_response_detected_once_and_unpaid(self, attack_runs):
         res = attack_runs["duplicate-response"]
         rejections = [why for s in res.rounds for _, why in s.rejections]
@@ -758,6 +764,42 @@ class TestAudit:
             lines = rechain(lines, kind, mutate)
         problems = verify_log(lines).problems
         assert "round 0: final answer statement does not validate: answer cts is empty" in problems
+
+    def test_payment_off_the_policy_fails(self, authority_run):
+        # one correct answer is paid as an incorrect one: the round's payments are
+        # no longer the multiset paym_calc owes the attested correctness
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        policy = from_json(TaskPolicy, bodies[0]["policy"])
+        assert policy.pay_correct != policy.pay_incorrect
+        pay = next(
+            b for b in bodies
+            if b["type"] == "tx" and b["method"] == "WorkerPayment" and b["value_wei"] == -policy.pay_correct
+        )
+        pay["value_wei"] = -policy.pay_incorrect
+        problems = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk)).problems
+        want = (
+            "round 0: payments do not match the policy: "
+            f"paid but not owed [{policy.pay_incorrect}], owed but not paid [{policy.pay_correct}]"
+        )
+        # the escrow the payment leaves behind also shows in the refund, the close
+        # and the summary, so only this problem's presence is pinned
+        assert want in problems
+
+    def test_correctness_proof_in_a_void_round_fails(self, tiny_image):
+        # a void round has no final answer, so no correctness statement validates
+        result, ra = signed_run(tiny_image, attack="void-task")
+        g = ra.ctx.group
+        bodies, _ = split_log(result.log_lines)
+        tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == "SubmitQuality")
+        post = QualityPost.decode(g, bytes.fromhex(tx["payload"]))
+        assert post.value_proof is None
+        tx["payload"] = replace(post, value_proof=post.qual_proof).encode(g).hex()
+        problems = verify_log(resigned(bodies, g, ra.keypair.sk)).problems
+        assert problems == [
+            f"round 0: correctness statement for response {post.response_ref} does not validate: "
+            "final cts has the wrong length for the policy"
+        ]
 
     def test_void_flag_off_the_quorum_rule_fails(self, honest_run):
         # a quorum above the 39 accepted responses: the round should have voided

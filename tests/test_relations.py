@@ -367,6 +367,27 @@ class TestAuthValue:
         assert not check_auth_value(tctx, stmt, AuthValueWitness(outsider.sk), backend)
 
 
+    def test_average_over_no_answers_judges_nothing(self, tctx, prod, rng, backend):
+        # a posted average of 0/0 would put every answer within epsilon of it
+        # (|a*0 - 0| <= eps*0), so neither correctness nor any increment is provable
+        for ctx in (tctx, CryptoContext(prod)):
+            g = ctx.group
+            keys = keygen(g, rng)
+            pol = mk_policy(kind=AVERAGE, domain=6)
+            worker_ct = encrypt_message(g, keys.pk, ctx.answer_codec, 3, g.random_scalar(rng))
+            final_cts = tuple(
+                encrypt_message(g, keys.pk, ctx.answer_codec, 0, g.random_scalar(rng)) for _ in range(2)
+            )
+            value = AuthValueStatement(ctx.params_digest, pol, keys.pk, worker_ct, final_cts)
+            assert not check_auth_value(ctx, value, AuthValueWitness(keys.sk), backend)
+            old = commit_pair(g, 4, 1, random_blinding_pair(g, rng))
+            blind = random_blinding_pair(g, rng)
+            for step in ((1, 0), (0, 1), (0, 0)):
+                new = pair_add(g, old, commit_pair(g, step[0], step[1], blind))
+                qual = AuthQualStatement(ctx.params_digest, pol, keys.pk, worker_ct, final_cts, old, new)
+                assert not check_auth_qual(ctx, qual, AuthQualWitness(keys.sk, blind), backend), step
+
+
 # ── quality-step relation: the 2x2 truth table and the void extension ────────
 
 
