@@ -9,7 +9,7 @@ trigger and what the attacker must not gain.
 from __future__ import annotations
 
 from ..actors import REJECT_DUP_TAG, REJECT_PROOF, REJECT_STALE
-from ..ledger import included_responses
+from ..ledger import SUBMIT_RESPONSE, included_responses
 
 ADVERSARY = "adversary"
 
@@ -50,7 +50,7 @@ def _rejections(run, reason: str) -> int:
 def _outsider_submits(run, rnd, payload: bytes):
     """An outsider's response, two blocks after the cast's."""
     run.ledger.tick(2)
-    return run.ledger.submit_response(run.contract, ADVERSARY, payload)
+    return run.ledger.send(SUBMIT_RESPONSE, ADVERSARY, payload)
 
 
 def _outsider_failures(run, reason: str, detection: str, who: str) -> list[str]:
@@ -58,7 +58,7 @@ def _outsider_failures(run, reason: str, detection: str, who: str) -> list[str]:
     ledger = run.ledger
     spent = sum(r.fee_wei for r in ledger.records if r.sender == ADVERSARY)
     landed = sum(
-        r.sender == ADVERSARY for t in run.contract.tasks for r in included_responses(t.responses, t.params.response_deadline)
+        r.sender == ADVERSARY for t in ledger.contract.tasks for r in included_responses(t.responses, t.params.response_deadline)
     )
     return _failures(
         (_rejections(run, reason) != landed, f"expected exactly one {detection} detection per copy that landed in time"),

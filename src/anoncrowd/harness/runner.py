@@ -40,7 +40,16 @@ from ..encoding import to_json
 from ..errors import ConfigError
 from ..ledger import (
     BLOCK_SECONDS,
+    CONFISCATE,
+    CONTRACT,
+    CREATE_TASK,
+    FINALIZE,
     PROCESSING,
+    SUBMIT_AUTH_CALC,
+    SUBMIT_QUALITY,
+    SUBMIT_RESPONSE,
+    VOID_TASK,
+    WORKER_PAYMENT,
     ChainTaskParams,
     FeeParams,
     GasSchedule,
@@ -223,7 +232,7 @@ class _Run:
             w.enroll(self.ra)
             self.workers.append(w)
 
-        self.contract = self.ledger.deploy(REQUESTER)
+        self.ledger.deploy(REQUESTER)
         self.round_events: list[dict] = []
         self.screening_events: list[dict] = []
         self.arbitration_events: list[dict] = []
@@ -233,7 +242,7 @@ class _Run:
         self.status = {w.name: "idle" for w in self.workers}
 
     def play(self) -> RunResult:
-        phases = (self._open, self._collect, self._screen_and_settle, self._adopt_and_arbitrate, self._close)
+        phases = (self._open, self._collect, self._screen_and_settle, self._adopt_and_arbitrate, self._close_and_check)
         for r in range(self.rounds):
             rnd = _Round(RoundStats(r))
             for phase in phases:
@@ -253,7 +262,8 @@ class _Run:
         )
         st.opened_block = ledger.block
         st.collect_blocks = config.response_window
-        rnd.task = ledger.create_task(self.contract, REQUESTER, params)
+        ledger.send(CREATE_TASK, REQUESTER, value_wei=params.escrow_wei, params=params)
+        rnd.task = ledger.contract.tasks[-1]
         st.task_seq = rnd.task.seq
         self.round_events.append(
             {
@@ -278,7 +288,7 @@ class _Run:
                 rnd.stats.notes.append(f"{w.name} no longer clears the admission threshold and sits out")
                 continue
             bundle = w.build_response(self.ra, rnd.task_pub, self.answers[i], address=addresses[i])
-            rec = ledger.submit_response(self.contract, w.name, bundle)
+            rec = ledger.send(SUBMIT_RESPONSE, w.name, bundle)
             w.mark_submitted(rec.index)
             rnd.ref_to_worker[rec.index] = w
             rnd.ref_to_answer[rec.index] = self.answers[i]
@@ -294,7 +304,7 @@ class _Run:
         rnd.tags_before = set(self.requester.seen_tags)
 
     def _screen_and_settle(self, rnd: _Round) -> None:
-        ledger, contract, st = self.ledger, self.contract, rnd.stats
+        ledger, st = self.ledger, rnd.stats
         outcome = rnd.outcome = self.requester.evaluate(rnd.task_pub, rnd.included, self.config.min_workers)
         st.accepted = len(outcome.accepted)
         st.rejections = outcome.rejections
@@ -316,17 +326,17 @@ class _Run:
 
         victim_ref = self.hook.victim(self, rnd)
         if outcome.void:
-            ledger.void_task(contract, REQUESTER)
+            ledger.send(VOID_TASK, REQUESTER)
         else:
-            ledger.submit_auth_calc(contract, REQUESTER, outcome.final_bundle)
+            ledger.send(SUBMIT_AUTH_CALC, REQUESTER, outcome.final_bundle)
             ledger.tick(1)
         for parsed, post, leaf in zip(outcome.accepted, outcome.quality_posts, outcome.leaves):
             if parsed.ref != victim_ref:
-                ledger.submit_quality(contract, REQUESTER, post)
+                ledger.send(SUBMIT_QUALITY, REQUESTER, post)
                 self.ra.tree.append(leaf)
         for parsed, (account, amount) in zip(outcome.accepted, outcome.payments):  # none when void
             if parsed.ref != victim_ref:
-                ledger.worker_payment(contract, REQUESTER, account, amount)
+                ledger.send(WORKER_PAYMENT, REQUESTER, value_wei=-amount, beneficiary=account)
                 earner = rnd.account_to_worker.get(account)
                 if earner is not None:
                     self.paid_to_worker[earner] += amount
@@ -361,7 +371,7 @@ class _Run:
                 status[w.name] = "protest upheld, escrow confiscated"
                 st.notes.append(f"protest over response {ref} upheld, escrow confiscated")
                 if rnd.task.phase == PROCESSING:
-                    self.ledger.confiscate(self.contract, grievance.payout)
+                    self.ledger.send(CONFISCATE, CONTRACT, value_wei=-rnd.task.escrow_wei, beneficiary=grievance.payout)
             else:
                 base = status[w.name]
                 status[w.name] = (
@@ -369,14 +379,14 @@ class _Run:
                 )
                 st.notes.append(f"protest over response {ref} rejected")
 
-    def _close(self, rnd: _Round) -> None:
+    def _close_and_check(self, rnd: _Round) -> None:
         """Closes the task and self-checks the round: conservation, recount,
         policy payments."""
         ledger, task, outcome, st = self.ledger, rnd.task, rnd.outcome, rnd.stats
         policy = self.config.policy
         close_block = ledger.block
         if task.phase == PROCESSING:
-            close_block = ledger.finalize(self.contract, REQUESTER).inclusion_block
+            close_block = ledger.send(FINALIZE, REQUESTER).inclusion_block
         st.process_blocks = max(close_block - task.params.response_deadline, 0)
         st.submitted = len(task.responses)
         st.payments_wei = task.paid_out_wei

@@ -7,12 +7,14 @@ for bookkeeping and to USD only for reporting. Inclusion latency in blocks
 is drawn from a seeded truncated-normal model calibrated per network
 profile and tip level.
 
-One deployed contract (TaskContract) hosts a sequence of escrow-backed
-tasks. RULES gives each method, Deploy included, one row: its sender,
-its legal phases, the phase it leaves and its gas. The transition (check,
-then move) is the one place the rules are enforced, a task's parameters
-included: the chain runs it on each record it builds, and the log audit
-re-runs it on each logged record, as a full node re-executes a block.
+Each ledger hosts one contract (TaskContract), which runs a sequence of
+escrow-backed tasks, and Ledger.send is the one way onto the chain for
+every method, Deploy included. RULES gives each method one row: its
+sender, its legal phases, the phase it leaves and its gas. The transition
+(check, then move) judges every figure a transaction carries, a task's
+parameters and a confiscation's amount included: send runs it on each
+record it builds, and the log audit re-runs it on each logged record, as
+a full node re-executes a block.
 Everything cryptographic happens in the layers above, which hand payloads
 down as opaque bytes; the log's JSON form of a record is encoding.to_json's.
 
@@ -63,9 +65,13 @@ RULES: dict[str, tuple[str, tuple[str | None, ...], str | None, str | None]] = {
     SUBMIT_AUTH_CALC: (REQUESTER, (COLLECTING,), PROCESSING, "submit_auth_calc"),
     SUBMIT_QUALITY: (REQUESTER, (PROCESSING, VOID), None, "submit_quality"),  # a void task still records its zero steps
     WORKER_PAYMENT: (REQUESTER, (PROCESSING,), None, "worker_payment"),
-    FINALIZE: (REQUESTER, (PROCESSING,), FINALIZED, None),
+    FINALIZE: (REQUESTER, (PROCESSING,), FINALIZED, None),  # the unspent escrow goes back to the requester
+    # a void reimburses its included responders' fees first; the contract holds payloads
+    # as opaque bytes, so it cannot judge the quorum and leaves it to the log audit
     VOID_TASK: (REQUESTER, (COLLECTING,), VOID, None),
     REFUND: (CONTRACT, (FINALIZED, VOID), None, None),  # Finalize and VoidTask close the task first
+    # an upheld protest, or a requester silent after the response window: the whole escrow
+    # goes to the wronged party, and the task is closed against further requester moves
     CONFISCATE: (CONTRACT, (COLLECTING, PROCESSING), FINALIZED, None),
 }
 
@@ -264,6 +270,8 @@ class TaskContract:
             return ValueError, f"moves {-rec.value_wei} wei out of escrow"
         if task is not None and -rec.value_wei > task.escrow_wei:
             return FundsError, f"escrow of {task.escrow_wei} wei cannot cover it"
+        if method == CONFISCATE and -rec.value_wei != task.escrow_wei:
+            return FundsError, f"a confiscation takes the task's whole escrow of {task.escrow_wei} wei"
         if method == REFUND and task.owed[:1] != [(rec.beneficiary, -rec.value_wei)]:
             if not task.owed:
                 return FundsError, "no refund is owed"
@@ -307,7 +315,7 @@ class Ledger:
         self.block = 0
         self.records: list[LedgerRecord] = []
         self.balances: dict[str, int] = {}
-        self.contracts: list[TaskContract] = []
+        self.contract: TaskContract | None = None  # set by the first accepted Deploy
 
     # ── accounts and time ──
 
@@ -329,17 +337,16 @@ class Ledger:
         self.block = block
         return self.block
 
-    # ── internals ──
-
     def _charge(self, sender: str, wei: int) -> None:
         held = self.balances.get(sender, 0)
         if held < wei:
             raise FundsError(f"{sender} cannot cover {wei} wei")
         self.balances[sender] = held - wei
 
-    def _submit(
+    # ── the one way onto the chain ──
+
+    def send(
         self,
-        contract: TaskContract,
         method: str,
         sender: str,
         payload: bytes = b"",
@@ -347,8 +354,11 @@ class Ledger:
         beneficiary: str = "",
         params: ChainTaskParams | None = None,
     ) -> LedgerRecord:
-        """Logs a transaction once contract accepts it: charges its fee and
-        deposit, applies it, and credits beneficiary with what it moves out."""
+        """Logs a transaction once the contract accepts it: charges its fee and
+        deposit, applies it, credits beneficiary with what it moves out, then
+        sends the refunds a close left owed. A refused call raises and changes
+        nothing; the first accepted Deploy installs the ledger's contract."""
+        contract = self.contract or TaskContract(sender if method == DEPLOY else None, self.fee)
         gas = contract.gas.for_method(method)
         rec = LedgerRecord(
             index=len(self.records),
@@ -370,66 +380,20 @@ class Ledger:
             raise refusal[0](f"{method}: {refusal[1]}")
         self._charge(sender, rec.fee_wei + max(value_wei, 0))
         contract.move(rec, params)
+        self.contract = contract
         rec.inclusion_block += self.latency_model.latency(self.fee.tip_gwei)
         self.records.append(rec)
         if beneficiary:
             self.fund(beneficiary, -value_wei)
+        if method != REFUND and contract.tasks:
+            for owed_to, amount in list(contract.tasks[-1].owed):  # each Refund pays the queue's head
+                self.send(REFUND, CONTRACT, value_wei=-amount, beneficiary=owed_to)
         return rec
-
-    def _close(self, contract: TaskContract, method: str, sender: str) -> LedgerRecord:
-        """Logs a Finalize or VoidTask, then the Refunds it leaves owed."""
-        rec = self._submit(contract, method, sender)
-        for beneficiary, amount in list(contract.tasks[-1].owed):  # each Refund pays the queue's head
-            self._submit(contract, REFUND, CONTRACT, value_wei=-amount, beneficiary=beneficiary)
-        return rec
-
-    # ── contract methods ──
 
     def deploy(self, sender: str) -> TaskContract:
-        contract = TaskContract(sender, self.fee)
-        self._submit(contract, DEPLOY, sender)
-        self.contracts.append(contract)
-        return contract
-
-    def create_task(self, contract: TaskContract, sender: str, params: ChainTaskParams) -> TaskState:
-        self._submit(contract, CREATE_TASK, sender, value_wei=params.escrow_wei, params=params)
-        return contract.tasks[-1]
-
-    def submit_response(self, contract: TaskContract, sender: str, payload: bytes) -> LedgerRecord:
-        return self._submit(contract, SUBMIT_RESPONSE, sender, payload=payload)
-
-    def submit_auth_calc(self, contract: TaskContract, sender: str, payload: bytes) -> LedgerRecord:
-        return self._submit(contract, SUBMIT_AUTH_CALC, sender, payload=payload)
-
-    def submit_quality(self, contract: TaskContract, sender: str, payload: bytes) -> LedgerRecord:
-        return self._submit(contract, SUBMIT_QUALITY, sender, payload=payload)
-
-    def worker_payment(
-        self, contract: TaskContract, sender: str, payout_account: str, amount_wei: int
-    ) -> LedgerRecord:
-        return self._submit(contract, WORKER_PAYMENT, sender, value_wei=-amount_wei, beneficiary=payout_account)
-
-    def finalize(self, contract: TaskContract, sender: str) -> LedgerRecord:
-        """Close the task and refund the unspent escrow to the requester."""
-        return self._close(contract, FINALIZE, sender)
-
-    def void_task(self, contract: TaskContract, sender: str) -> LedgerRecord:
-        """Void an under-subscribed task: reimburse every included
-        responder's transaction fee from escrow, return the rest to the
-        requester.
-
-        The contract holds payloads as opaque bytes, so it cannot tell an
-        accepted response from a rejected one and leaves the quorum to the
-        requester; the log audit replays screening and judges it."""
-        return self._close(contract, VOID_TASK, sender)
-
-    def confiscate(self, contract: TaskContract, arbiter_beneficiary: str) -> LedgerRecord:
-        """Arbitration outcome: the remaining escrow of the most recent task
-        goes to the wronged party, and the task is closed against further
-        requester moves. Valid while processing is underway, or when the
-        requester went silent after the response window."""
-        amount = contract.tasks[-1].escrow_wei if contract.tasks else 0
-        return self._submit(contract, CONFISCATE, CONTRACT, value_wei=-amount, beneficiary=arbiter_beneficiary)
+        """Deploys the ledger's contract, with sender as its requester."""
+        self.send(DEPLOY, sender)
+        return self.contract
 
     # ── reporting helpers ──
 

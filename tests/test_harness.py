@@ -549,7 +549,7 @@ class TestJsonLayout:
             LedgerRecord: ledger.records,
             TaskPolicy: [policy, replace(policy, epsilon=Fraction(3, 7))],
             FeeParams: [ledger.fee],
-            ChainTaskParams: [task.params for contract in ledger.contracts for task in contract.tasks],
+            ChainTaskParams: [task.params for task in ledger.contract.tasks],
         }
 
     @pytest.mark.parametrize("cls", [LedgerRecord, TaskPolicy, FeeParams, ChainTaskParams])
@@ -681,7 +681,7 @@ class TestAudit:
         # the chain and the audit run one transition: the records a run logged
         # replay without a refusal and leave every task as the live one ended
         _, ledger = recorded_run(tiny_image, "Ledger", seed=11, attack=attack)
-        (live,) = ledger.contracts
+        live = ledger.contract
         replay = TaskContract(live.requester, ledger.fee)
         for rec in ledger.records:
             params = live.tasks[rec.task_seq].params if rec.method == CREATE_TASK else None
@@ -913,6 +913,18 @@ class TestAudit:
             wrong = [(at, f"the next refund owed is {owed} wei to requester")]
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
         assert report.problems == [f"round 0: tx {i} (Refund): {why}" for i, why in wrong]
+
+    def test_partial_confiscation_fails(self, tiny_image):
+        # the upheld protest's confiscation takes half the escrow: the contract
+        # names the transaction, and the stranded half echoes in the close
+        result, ra = signed_run(tiny_image, attack="deprivation")
+        bodies, _ = split_log(result.log_lines)
+        tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == "Confiscate")
+        escrow = -tx["value_wei"]
+        tx["value_wei"] = -(escrow // 2)
+        problems = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk)).problems
+        want = f"round 0: tx {tx['index']} (Confiscate): a confiscation takes the task's whole escrow of {escrow} wei"
+        assert want in problems
 
     @pytest.mark.parametrize(
         "probe, why",

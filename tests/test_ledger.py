@@ -15,6 +15,7 @@ from anoncrowd.errors import DeadlineError, FundsError, PhaseError
 from anoncrowd.ledger import (
     COLLECTING,
     CONFISCATE,
+    CONTRACT,
     CREATE_TASK,
     DEPLOY,
     FINALIZE,
@@ -54,6 +55,16 @@ def funded_ledger(accounts, wei=100 * ETH, **kw):
     return led
 
 
+def open_task(led, sender, params):
+    """Sends the CreateTask that opens params' task; returns the task."""
+    led.send(CREATE_TASK, sender, value_wei=params.escrow_wei, params=params)
+    return led.contract.tasks[-1]
+
+
+def pay(led, sender, worker, wei):
+    return led.send(WORKER_PAYMENT, sender, value_wei=-wei, beneficiary=worker)
+
+
 def task_params(led, response_window=50, processing_window=200, escrow=ETH):
     return ChainTaskParams(
         response_deadline=led.block + response_window,
@@ -65,7 +76,7 @@ def task_params(led, response_window=50, processing_window=200, escrow=ETH):
 def total_wei(led, funded_total):
     """Global conservation: funded = balances + locked escrow + burned fees."""
     in_accounts = sum(led.balances.values())
-    in_escrow = sum(t.escrow_wei for c in led.contracts for t in c.tasks)
+    in_escrow = sum(t.escrow_wei for t in led.contract.tasks)
     burned = sum(r.fee_wei for r in led.records)
     return in_accounts + in_escrow + burned == funded_total
 
@@ -145,23 +156,23 @@ class TestLatencyModel:
 class TestTaskLifecycle:
     def setup_task(self, workers=("w1", "w2", "w3"), **params_kw):
         led = funded_ledger(("req", *workers))
-        contract = led.deploy("req")
+        led.deploy("req")
         params = task_params(led, **params_kw)
-        task = led.create_task(contract, "req", params)
-        return led, contract, task, params
+        task = open_task(led, "req", params)
+        return led, task, params
 
     def test_happy_path_conserves_escrow_and_wei(self):
-        led, contract, task, params = self.setup_task()
+        led, task, params = self.setup_task()
         for w in ("w1", "w2", "w3"):
-            led.submit_response(contract, w, payload=b"resp-" + w.encode())
+            led.send(SUBMIT_RESPONSE, w, payload=b"resp-" + w.encode())
             led.tick(3)
         led.tick_to(params.response_deadline + 1)
-        led.submit_auth_calc(contract, "req", payload=b"final")
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"final")
         assert task.phase == PROCESSING
         for w in ("w1", "w2", "w3"):
-            led.submit_quality(contract, "req", payload=b"qual-" + w.encode())
-            led.worker_payment(contract, "req", w, ETH // 10)
-        led.finalize(contract, "req")
+            led.send(SUBMIT_QUALITY, "req", payload=b"qual-" + w.encode())
+            pay(led, "req", w, ETH // 10)
+        led.send(FINALIZE, "req")
         assert task.phase == FINALIZED
         assert task.escrow_wei == 0
         assert task.paid_out_wei == 3 * (ETH // 10)
@@ -171,30 +182,30 @@ class TestTaskLifecycle:
         assert all(v >= 0 for v in led.balances.values())
 
     def test_worker_balance_arithmetic(self):
-        led, contract, task, params = self.setup_task(workers=("w1",))
-        rec = led.submit_response(contract, "w1", payload=b"x")
+        led, task, params = self.setup_task(workers=("w1",))
+        rec = led.send(SUBMIT_RESPONSE, "w1", payload=b"x")
         led.tick_to(params.response_deadline + 1)
-        led.submit_auth_calc(contract, "req", payload=b"final")
-        led.worker_payment(contract, "req", "w1", 7 * ETH // 10)
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"final")
+        pay(led, "req", "w1", 7 * ETH // 10)
         assert led.balance("w1") == 100 * ETH - rec.fee_wei + 7 * ETH // 10
 
     def test_requester_balance_arithmetic(self):
-        led, contract, task, params = self.setup_task(workers=())
+        led, task, params = self.setup_task(workers=())
         led.tick_to(params.response_deadline + 1)
-        led.submit_auth_calc(contract, "req", payload=b"final")
-        led.finalize(contract, "req")
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"final")
+        led.send(FINALIZE, "req")
         fees = sum(r.fee_wei for r in led.records if r.sender == "req")
         # escrow went in at creation and came back whole at finalize
         assert led.balance("req") == 100 * ETH - fees
 
     def test_finalize_refunds_to_requester(self):
-        led, contract, task, params = self.setup_task()
-        led.submit_response(contract, "w1", payload=b"x")
+        led, task, params = self.setup_task()
+        led.send(SUBMIT_RESPONSE, "w1", payload=b"x")
         led.tick_to(params.response_deadline + 1)
-        led.submit_auth_calc(contract, "req", payload=b"final")
-        led.worker_payment(contract, "req", "w1", ETH // 4)
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"final")
+        pay(led, "req", "w1", ETH // 4)
         before = led.balance("req")
-        led.finalize(contract, "req")
+        led.send(FINALIZE, "req")
         assert led.balance("req") == before + (ETH - ETH // 4)
         refunds = [r for r in led.records if r.method == REFUND]
         assert len(refunds) == 1
@@ -203,137 +214,140 @@ class TestTaskLifecycle:
         assert refunds[0].value_wei == -(ETH - ETH // 4)
 
     def test_two_tasks_in_sequence_on_one_contract(self):
-        led, contract, task1, params1 = self.setup_task()
+        led, task1, params1 = self.setup_task()
         led.tick_to(params1.response_deadline + 1)
-        led.submit_auth_calc(contract, "req", payload=b"f1")
-        led.finalize(contract, "req")
-        assert contract.tasks[-1].phase == FINALIZED
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"f1")
+        led.send(FINALIZE, "req")
+        assert led.contract.tasks[-1].phase == FINALIZED
         params2 = task_params(led)
-        task2 = led.create_task(contract, "req", params2)
+        task2 = open_task(led, "req", params2)
         assert task2.seq == 1
-        assert contract.tasks[-1] is task2 and task2.phase == COLLECTING
+        assert led.contract.tasks[-1] is task2 and task2.phase == COLLECTING
         assert led.escrow_conserved(task1)
 
 
 class TestGating:
     def setup_task(self, **kw):
         led = funded_ledger(("req", "w1", "eve"))
-        contract = led.deploy("req")
+        led.deploy("req")
         params = task_params(led, **kw)
-        led.create_task(contract, "req", params)
-        return led, contract, params
+        open_task(led, "req", params)
+        return led, params
 
     def test_create_requires_future_deadline(self):
         led = funded_ledger(("req",))
-        contract = led.deploy("req")
+        led.deploy("req")
         led.tick(10)
         with pytest.raises(DeadlineError):
-            led.create_task(
-                contract,
-                "req",
-                ChainTaskParams(
-                    response_deadline=led.block,
-                    processing_deadline=led.block + 10,
-                    escrow_wei=0,
-                ),
-            )
+            open_task(led, "req", ChainTaskParams(led.block, led.block + 10, 0))
 
     def test_only_one_active_task(self):
-        led, contract, params = self.setup_task()
+        led, params = self.setup_task()
         with pytest.raises(PhaseError):
-            led.create_task(contract, "req", task_params(led))
+            open_task(led, "req", task_params(led))
 
     def test_response_after_deadline_rejected(self):
-        led, contract, params = self.setup_task()
+        led, params = self.setup_task()
         led.tick_to(params.response_deadline + 1)
         with pytest.raises(DeadlineError):
-            led.submit_response(contract, "w1", payload=b"late")
+            led.send(SUBMIT_RESPONSE, "w1", payload=b"late")
 
     def test_response_included_late_is_ignored_but_charged(self):
-        led, contract, params = self.setup_task()
+        led, params = self.setup_task()
         led.tick_to(params.response_deadline)  # submission still legal
         before = led.balance("w1")
-        rec = led.submit_response(contract, "w1", payload=b"squeaker")
+        rec = led.send(SUBMIT_RESPONSE, "w1", payload=b"squeaker")
         # inclusion latency is at least one block, so it lands past the deadline
         assert rec.inclusion_block > params.response_deadline
-        task = contract.tasks[-1]
+        task = led.contract.tasks[-1]
         assert rec not in included_responses(task.responses, params.response_deadline)
         assert rec in led.records
         assert led.balance("w1") == before - rec.fee_wei
 
     def test_auth_calc_needs_closed_response_window(self):
-        led, contract, params = self.setup_task()
+        led, params = self.setup_task()
         with pytest.raises(DeadlineError):
-            led.submit_auth_calc(contract, "req", payload=b"early")
+            led.send(SUBMIT_AUTH_CALC, "req", payload=b"early")
 
     def test_auth_calc_only_once(self):
-        led, contract, params = self.setup_task()
+        led, params = self.setup_task()
         led.tick_to(params.response_deadline + 1)
-        led.submit_auth_calc(contract, "req", payload=b"f")
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"f")
         with pytest.raises(PhaseError):
-            led.submit_auth_calc(contract, "req", payload=b"again")
+            led.send(SUBMIT_AUTH_CALC, "req", payload=b"again")
 
     def test_auth_calc_respects_processing_deadline(self):
-        led, contract, params = self.setup_task()
+        led, params = self.setup_task()
         led.tick_to(params.processing_deadline + 1)
         with pytest.raises(DeadlineError):
-            led.submit_auth_calc(contract, "req", payload=b"too-late")
+            led.send(SUBMIT_AUTH_CALC, "req", payload=b"too-late")
 
     def test_refused_final_answer_changes_no_state(self):
         # a late final answer leaves the task collecting, so no payment follows it
-        led, contract, params = self.setup_task()
+        led, params = self.setup_task()
         led.tick_to(params.processing_deadline + 1)
         logged = len(led.records)
         with pytest.raises(DeadlineError):
-            led.submit_auth_calc(contract, "req", payload=b"too-late")
-        task = contract.tasks[-1]
+            led.send(SUBMIT_AUTH_CALC, "req", payload=b"too-late")
+        task = led.contract.tasks[-1]
         assert (task.phase, len(led.records)) == (COLLECTING, logged)
         with pytest.raises(PhaseError):
-            led.worker_payment(contract, "req", "w1", 1)
+            pay(led, "req", "w1", 1)
 
     def test_quality_and_payment_require_processing_phase(self):
-        led, contract, params = self.setup_task()
+        led, params = self.setup_task()
         with pytest.raises(PhaseError):
-            led.submit_quality(contract, "req", payload=b"q")
+            led.send(SUBMIT_QUALITY, "req", payload=b"q")
         with pytest.raises(PhaseError):
-            led.worker_payment(contract, "req", "w1", 1)
+            pay(led, "req", "w1", 1)
         with pytest.raises(PhaseError):
-            led.finalize(contract, "req")
+            led.send(FINALIZE, "req")
 
     def test_requester_only_methods(self):
-        led, contract, params = self.setup_task()
+        led, params = self.setup_task()
         led.tick_to(params.response_deadline + 1)
         with pytest.raises(PermissionError):
-            led.submit_auth_calc(contract, "eve", payload=b"f")
-        led.submit_auth_calc(contract, "req", payload=b"f")
+            led.send(SUBMIT_AUTH_CALC, "eve", payload=b"f")
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"f")
         with pytest.raises(PermissionError):
-            led.submit_quality(contract, "eve", payload=b"q")
+            led.send(SUBMIT_QUALITY, "eve", payload=b"q")
         with pytest.raises(PermissionError):
-            led.worker_payment(contract, "eve", "eve", 1)
+            pay(led, "eve", "eve", 1)
         with pytest.raises(PermissionError):
-            led.finalize(contract, "eve")
+            led.send(FINALIZE, "eve")
 
     def test_payment_cannot_exceed_escrow(self):
-        led, contract, params = self.setup_task()
+        led, params = self.setup_task()
         led.tick_to(params.response_deadline + 1)
-        led.submit_auth_calc(contract, "req", payload=b"f")
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"f")
         with pytest.raises(FundsError):
-            led.worker_payment(contract, "req", "w1", ETH + 1)
+            pay(led, "req", "w1", ETH + 1)
         with pytest.raises(ValueError):
-            led.worker_payment(contract, "req", "w1", -5)
+            pay(led, "req", "w1", -5)
 
     def test_sender_must_cover_fee_and_deposit(self):
         led = funded_ledger(("req",))
-        contract = led.deploy("req")
-        led.create_task(contract, "req", task_params(led))
+        led.deploy("req")
+        open_task(led, "req", task_params(led))
         led.fund("poor", 100)  # not even one fee
         with pytest.raises(FundsError):
-            led.submit_response(contract, "poor", payload=b"x")
+            led.send(SUBMIT_RESPONSE, "poor", payload=b"x")
+        led = make_ledger()  # one contract per ledger: the poor requester deploys its own
         led.fund("broke-req", FEE.fee_wei(GAS.deploy) + FEE.fee_wei(GAS.create_task))
-        other = led.deploy("broke-req")
+        led.deploy("broke-req")
         with pytest.raises(FundsError):
             # fee money alone cannot also cover the escrow deposit
-            led.create_task(other, "broke-req", task_params(led, escrow=ETH))
+            open_task(led, "broke-req", task_params(led, escrow=ETH))
+
+    def test_refused_deploy_leaves_the_ledger_untouched(self):
+        led = funded_ledger(("req",))
+        led.fund("poor", FEE.fee_wei(GAS.deploy) - 1)
+        balances = dict(led.balances)
+        with pytest.raises(FundsError):
+            led.deploy("poor")
+        assert (led.records, led.contract, led.balances) == ([], None, balances)
+        led.deploy("req")  # the contract is still free to deploy
+        assert led.contract.requester == "req" and len(led.records) == 1
 
     def test_refused_calls_leave_the_ledger_untouched(self):
         # a twin on the same seed never sees the refused calls; afterwards both
@@ -341,45 +355,46 @@ class TestGating:
         def state(led):
             tasks = [
                 (t.phase, t.escrow_wei, t.paid_out_wei, t.refunded_wei, t.owed, len(t.responses))
-                for c in led.contracts
-                for t in c.tasks
+                for t in led.contract.tasks
             ]
             return [to_json(r) for r in led.records], dict(led.balances), tasks, led.block
 
-        def refuse_all(led, contract, calls):
+        def refuse_all(led, calls):
             before = state(led)
             for error, call in calls:
                 with pytest.raises(error):
-                    call(led, contract)
+                    call(led)
                 assert state(led) == before
 
         collecting = [
-            (FundsError, lambda led, c: led.submit_response(c, "poor", payload=b"x")),  # cannot cover the fee
-            (DeadlineError, lambda led, c: led.submit_auth_calc(c, "req", payload=b"early")),
-            (PhaseError, lambda led, c: led.create_task(c, "req", task_params(led))),
+            (FundsError, lambda led: led.send(SUBMIT_RESPONSE, "poor", payload=b"x")),  # cannot cover the fee
+            (DeadlineError, lambda led: led.send(SUBMIT_AUTH_CALC, "req", payload=b"early")),
+            (PhaseError, lambda led: open_task(led, "req", task_params(led))),
         ]
         processing = [
-            (PhaseError, lambda led, c: led.submit_response(c, "w1", payload=b"late")),
-            (FundsError, lambda led, c: led.worker_payment(c, "req", "w1", ETH + 1)),  # escrow cannot cover it
-            (PermissionError, lambda led, c: led.finalize(c, "eve")),
-            (PhaseError, lambda led, c: led.void_task(c, "req")),
+            (PhaseError, lambda led: led.send(SUBMIT_RESPONSE, "w1", payload=b"late")),
+            (FundsError, lambda led: pay(led, "req", "w1", ETH + 1)),  # escrow cannot cover it
+            (PermissionError, lambda led: led.send(FINALIZE, "eve")),
+            (PhaseError, lambda led: led.send(VOID_TASK, "req")),
+            # a confiscation takes the whole escrow, not a part of it
+            (FundsError, lambda led: led.send(CONFISCATE, CONTRACT, value_wei=-(ETH // 2), beneficiary="w1")),
         ]
         closed = [  # the next task's figures do not hold
-            (ValueError, lambda led, c: led.create_task(c, "req", task_params(led, processing_window=-5))),
-            (ValueError, lambda led, c: led.create_task(c, "req", task_params(led, escrow=-1))),
+            (ValueError, lambda led: open_task(led, "req", task_params(led, processing_window=-5))),
+            (ValueError, lambda led: open_task(led, "req", task_params(led, escrow=-1))),
         ]
         ledgers = []
         for refused in (True, False):
-            led, contract, params = self.setup_task()
+            led, params = self.setup_task()
             led.fund("poor", 100)
-            refuse_all(led, contract, collecting if refused else [])
-            led.submit_response(contract, "w1", payload=b"x")
+            refuse_all(led, collecting if refused else [])
+            led.send(SUBMIT_RESPONSE, "w1", payload=b"x")
             led.tick_to(params.response_deadline + 1)
-            led.submit_auth_calc(contract, "req", payload=b"f")
-            refuse_all(led, contract, processing if refused else [])
-            led.worker_payment(contract, "req", "w1", ETH // 4)
-            led.finalize(contract, "req")
-            refuse_all(led, contract, closed if refused else [])
+            led.send(SUBMIT_AUTH_CALC, "req", payload=b"f")
+            refuse_all(led, processing if refused else [])
+            pay(led, "req", "w1", ETH // 4)
+            led.send(FINALIZE, "req")
+            refuse_all(led, closed if refused else [])
             ledgers.append(led)
         assert state(ledgers[0]) == state(ledgers[1])
 
@@ -395,19 +410,19 @@ class TestGating:
 class TestVoidAndArbitration:
     def setup_short_task(self):
         led = funded_ledger(("req", "w1", "w2", "w3"))
-        contract = led.deploy("req")
+        led.deploy("req")
         params = task_params(led)
-        task = led.create_task(contract, "req", params)
-        return led, contract, task, params
+        task = open_task(led, "req", params)
+        return led, task, params
 
     def test_void_reimburses_responder_fees(self):
-        led, contract, task, params = self.setup_short_task()
-        r1 = led.submit_response(contract, "w1", payload=b"a")
-        r2 = led.submit_response(contract, "w2", payload=b"b")
+        led, task, params = self.setup_short_task()
+        r1 = led.send(SUBMIT_RESPONSE, "w1", payload=b"a")
+        r2 = led.send(SUBMIT_RESPONSE, "w2", payload=b"b")
         led.tick_to(params.response_deadline + 1)
         w1_before, w2_before = led.balance("w1"), led.balance("w2")
         req_before = led.balance("req")
-        led.void_task(contract, "req")
+        led.send(VOID_TASK, "req")
         assert task.phase == VOID
         assert led.balance("w1") == w1_before + r1.fee_wei
         assert led.balance("w2") == w2_before + r2.fee_wei
@@ -417,30 +432,30 @@ class TestVoidAndArbitration:
         assert total_wei(led, 4 * 100 * ETH)
 
     def test_void_needs_closed_window_and_shortfall(self):
-        led, contract, task, params = self.setup_short_task()
-        r1 = led.submit_response(contract, "w1", payload=b"a")
+        led, task, params = self.setup_short_task()
+        r1 = led.send(SUBMIT_RESPONSE, "w1", payload=b"a")
         with pytest.raises(DeadlineError):
-            led.void_task(contract, "req")
+            led.send(VOID_TASK, "req")
         led.tick_to(params.response_deadline + 1)
         # the quorum counts accepted responses, which only screening can
         # tell from rejected ones; the contract leaves it to the log audit
         w1_before = led.balance("w1")
-        led.void_task(contract, "req")
+        led.send(VOID_TASK, "req")
         assert task.phase == VOID
         assert led.balance("w1") == w1_before + r1.fee_wei
         assert led.escrow_conserved(task)
 
     def test_void_refunds_stop_when_the_escrow_runs_out(self):
         led = funded_ledger(("req", "w1", "w2", "w3"))
-        contract = led.deploy("req")
+        led.deploy("req")
         fee = FEE.fee_wei(GAS.submit_response)
         params = task_params(led, escrow=fee + 5)
-        task = led.create_task(contract, "req", params)
+        task = open_task(led, "req", params)
         for w in ("w1", "w2", "w3"):
-            led.submit_response(contract, w, payload=w.encode())
+            led.send(SUBMIT_RESPONSE, w, payload=w.encode())
         led.tick_to(params.response_deadline + 1)
         before = {a: led.balance(a) for a in ("req", "w1", "w2", "w3")}
-        led.void_task(contract, "req")
+        led.send(VOID_TASK, "req")
         # w1's fee in full, the last 5 wei toward w2's, nothing for w3 or the requester
         refunds = [(r.beneficiary, -r.value_wei) for r in led.records if r.method == REFUND]
         assert refunds == [("w1", fee), ("w2", 5)]
@@ -450,31 +465,31 @@ class TestVoidAndArbitration:
     def test_void_after_the_final_answer_refused(self):
         # a processing task finalizes or is confiscated; voiding it would
         # refund the escrow its served workers are owed
-        led, contract, task, params = self.setup_short_task()
-        led.submit_response(contract, "w1", payload=b"a")
+        led, task, params = self.setup_short_task()
+        led.send(SUBMIT_RESPONSE, "w1", payload=b"a")
         led.tick_to(params.response_deadline + 1)
-        led.submit_auth_calc(contract, "req", payload=b"f")
-        led.worker_payment(contract, "req", "w1", ETH // 5)
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"f")
+        pay(led, "req", "w1", ETH // 5)
         logged = len(led.records)
         with pytest.raises(PhaseError):
-            led.void_task(contract, "req")
+            led.send(VOID_TASK, "req")
         assert (task.phase, task.escrow_wei, len(led.records)) == (PROCESSING, ETH - ETH // 5, logged)
 
     def test_void_is_requester_only(self):
-        led, contract, task, params = self.setup_short_task()
+        led, task, params = self.setup_short_task()
         led.tick_to(params.response_deadline + 1)
         with pytest.raises(PermissionError):
-            led.void_task(contract, "w1")
+            led.send(VOID_TASK, "w1")
 
     def test_confiscation_during_processing(self):
-        led, contract, task, params = self.setup_short_task()
-        led.submit_response(contract, "w1", payload=b"a")
+        led, task, params = self.setup_short_task()
+        led.send(SUBMIT_RESPONSE, "w1", payload=b"a")
         led.tick_to(params.response_deadline + 1)
-        led.submit_auth_calc(contract, "req", payload=b"f")
-        led.worker_payment(contract, "req", "w2", ETH // 5)
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"f")
+        pay(led, "req", "w2", ETH // 5)
         remaining = task.escrow_wei
         w1_before = led.balance("w1")
-        rec = led.confiscate(contract, "w1")
+        rec = led.send(CONFISCATE, CONTRACT, value_wei=-remaining, beneficiary="w1")
         assert rec.method == CONFISCATE
         assert rec.fee_wei == 0
         assert led.balance("w1") == w1_before + remaining
@@ -482,28 +497,28 @@ class TestVoidAndArbitration:
         assert task.confiscated_wei == remaining
         assert led.escrow_conserved(task)
         with pytest.raises(PhaseError):
-            led.finalize(contract, "req")
+            led.send(FINALIZE, "req")
 
     def test_voided_task_still_accepts_quality_posts(self):
-        led, contract, task, params = self.setup_short_task()
-        led.submit_response(contract, "w1", payload=b"a")
+        led, task, params = self.setup_short_task()
+        led.send(SUBMIT_RESPONSE, "w1", payload=b"a")
         led.tick_to(params.response_deadline + 1)
-        led.void_task(contract, "req")
-        rec = led.submit_quality(contract, "req", payload=b"zero-step")
+        led.send(VOID_TASK, "req")
+        rec = led.send(SUBMIT_QUALITY, "req", payload=b"zero-step")
         assert rec in task.quality_posts
         with pytest.raises(PhaseError):
-            led.worker_payment(contract, "req", "w1", 1)
+            pay(led, "req", "w1", 1)
         led.tick_to(params.processing_deadline + 1)
         with pytest.raises(DeadlineError):
-            led.submit_quality(contract, "req", payload=b"too-late")
+            led.send(SUBMIT_QUALITY, "req", payload=b"too-late")
 
     def test_confiscation_when_requester_ghosts(self):
-        led, contract, task, params = self.setup_short_task()
-        led.submit_response(contract, "w1", payload=b"a")
+        led, task, params = self.setup_short_task()
+        led.send(SUBMIT_RESPONSE, "w1", payload=b"a")
         with pytest.raises(PhaseError):
-            led.confiscate(contract, "w1")  # window still open
+            led.send(CONFISCATE, CONTRACT, value_wei=-ETH, beneficiary="w1")  # window still open
         led.tick_to(params.response_deadline + 1)
-        led.confiscate(contract, "w1")
+        led.send(CONFISCATE, CONTRACT, value_wei=-ETH, beneficiary="w1")
         assert task.phase == FINALIZED
         assert task.confiscated_wei == ETH
 
@@ -511,21 +526,21 @@ class TestVoidAndArbitration:
 class TestLogAndViews:
     def test_record_json_round_trip(self):
         led = funded_ledger(("req", "w1"))
-        contract = led.deploy("req")
+        led.deploy("req")
         params = task_params(led)
-        led.create_task(contract, "req", params)
-        led.submit_response(contract, "w1", payload=b"\x00\xffpayload")
+        open_task(led, "req", params)
+        led.send(SUBMIT_RESPONSE, "w1", payload=b"\x00\xffpayload")
         for rec in led.records:
             wire = json.dumps(to_json(rec), sort_keys=True)
             assert from_json(LedgerRecord, json.loads(wire)) == rec
 
     def test_included_responses_sorted_by_inclusion(self):
         led = funded_ledger(("req", "w1", "w2", "w3", "w4"), seed=11)
-        contract = led.deploy("req")
+        led.deploy("req")
         params = task_params(led, response_window=500)
-        task = led.create_task(contract, "req", params)
+        task = open_task(led, "req", params)
         for i, w in enumerate(("w1", "w2", "w3", "w4")):
-            led.submit_response(contract, w, payload=bytes([i]))
+            led.send(SUBMIT_RESPONSE, w, payload=bytes([i]))
             led.tick(2)
         included = included_responses(task.responses, params.response_deadline)
         keys = [(r.inclusion_block, r.index) for r in included]
@@ -534,9 +549,9 @@ class TestLogAndViews:
 
     def test_gas_by_sender_totals(self):
         led = funded_ledger(("req", "w1"))
-        contract = led.deploy("req")
-        led.create_task(contract, "req", task_params(led))
-        led.submit_response(contract, "w1", payload=b"x")
+        led.deploy("req")
+        open_task(led, "req", task_params(led))
+        led.send(SUBMIT_RESPONSE, "w1", payload=b"x")
         totals = gas_by_sender(led.records)
         assert totals["req"] == GAS.deploy + GAS.create_task
         assert totals["w1"] == GAS.submit_response
@@ -544,15 +559,15 @@ class TestLogAndViews:
     def test_identical_seeds_produce_identical_logs(self):
         def run(seed):
             led = funded_ledger(("req", "w1", "w2"), seed=seed)
-            contract = led.deploy("req")
+            led.deploy("req")
             params = task_params(led)
-            led.create_task(contract, "req", params)
-            led.submit_response(contract, "w1", payload=b"a")
+            open_task(led, "req", params)
+            led.send(SUBMIT_RESPONSE, "w1", payload=b"a")
             led.tick(4)
-            led.submit_response(contract, "w2", payload=b"b")
+            led.send(SUBMIT_RESPONSE, "w2", payload=b"b")
             led.tick_to(params.response_deadline + 1)
-            led.submit_auth_calc(contract, "req", payload=b"f")
-            led.finalize(contract, "req")
+            led.send(SUBMIT_AUTH_CALC, "req", payload=b"f")
+            led.send(FINALIZE, "req")
             return [to_json(r) for r in led.records]
 
         assert run(99) == run(99)
@@ -564,12 +579,12 @@ class TestParamsValidation:
     def test_chain_task_params(self):
         # the contract, not the record, judges a task's figures when it opens
         led = funded_ledger(("req",))
-        contract = led.deploy("req")
+        led.deploy("req")
         with pytest.raises(ValueError):
-            led.create_task(contract, "req", ChainTaskParams(led.block + 10, led.block + 5, 0))
+            open_task(led, "req", ChainTaskParams(led.block + 10, led.block + 5, 0))
         with pytest.raises(ValueError, match="escrow of -1 wei is negative"):
-            led.create_task(contract, "req", ChainTaskParams(led.block + 10, led.block + 20, -1))
-        assert contract.tasks == []
+            open_task(led, "req", ChainTaskParams(led.block + 10, led.block + 20, -1))
+        assert led.contract.tasks == []
 
 
 # ── property sweeps ──────────────────────────────────────────────────────────

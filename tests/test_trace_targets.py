@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from anoncrowd.harness.runner import run
+from anoncrowd.ledger import Ledger
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,6 +34,8 @@ def test_every_trace_target_resolves_and_is_restored():
         layers.install(t)  # getattr on a missing target raises here
         patched = list(t._undo)
         assert patched
+        # every transaction goes through Ledger.send, so the ledger layer sees each one
+        assert (Ledger, "send") in {(owner, attr) for owner, attr, _, _ in patched}
         for owner, attr, _, _ in patched:
             assert hasattr(getattr(owner, attr), "__wrapped__"), f"{owner}.{attr} was not wrapped"
     finally:
