@@ -9,7 +9,7 @@ trigger and what the attacker must not gain.
 from __future__ import annotations
 
 from ..actors import REJECT_DUP_TAG, REJECT_PROOF, REJECT_STALE
-from ..ledger import SUBMIT_RESPONSE, included_responses
+from ..ledger import SUBMIT_RESPONSE
 
 ADVERSARY = "adversary"
 
@@ -57,9 +57,7 @@ def _outsider_failures(run, reason: str, detection: str, who: str) -> list[str]:
     """Each replayed response that lands in time is screened out once, and none earns anything."""
     ledger = run.ledger
     spent = sum(r.fee_wei for r in ledger.records if r.sender == ADVERSARY)
-    landed = sum(
-        r.sender == ADVERSARY for t in ledger.contract.tasks for r in included_responses(t.responses, t.params.response_deadline)
-    )
+    landed = sum(r.sender == ADVERSARY for t in ledger.contract.tasks for r in t.included_responses())
     return _failures(
         (_rejections(run, reason) != landed, f"expected exactly one {detection} detection per copy that landed in time"),
         (ledger.balance(ADVERSARY) != run.config.worker_funding_wei - spent, f"the {who} outsider was paid"),
@@ -138,7 +136,7 @@ class Deprivation(Attack):
     def check(self, run):
         return _failures(
             (not any(s.upheld for s in run.stats), "deprivation protest was not upheld"),
-            (not any(s.confiscated_wei > 0 for s in run.stats), "no escrow was confiscated"),
+            (not any(s.task.confiscated_wei > 0 for s in run.stats), "no escrow was confiscated"),
         )
 
 
@@ -154,7 +152,7 @@ class VoidTask(Attack):
     def check(self, run):
         return _failures(
             (not any(s.void for s in run.stats), "the task did not void"),
-            (any(s.payments_wei for s in run.stats), "a voided task paid workers"),
+            (any(s.task.paid_out_wei for s in run.stats), "a voided task paid workers"),
         )
 
 

@@ -7,18 +7,22 @@ parameters and each transaction with encoding.from_json, the inverse of
 the runner's to_json, so a missing or mistyped field is named. It
 re-executes the contract: every logged transaction, in log order, goes
 through the same `ledger.TaskContract` check and move the simulated chain
-ran (sender, phase, deadlines, gas, fee, value, escrow, the task it names
-and the refunds a close owes), each task must end closed with no escrow
-and no refund owed, and the summary must match the replayed totals. A
-quorate round's payments must be the multiset of `paym_calc` amounts owed
-to its served responses, given which carry a verified correctness
-attestation: addresses are encrypted, so no payment names its response. Each
-task opens with its round event's figures, so a bad figure is a refusal
-of that round's CreateTask, not of every later transaction. It also
-checks the chain's numbering (transactions 0..n-1 in log order, each
-included after it was submitted) and that the hash chain over the lines
-is intact and signed off by the registration authority's key from the
-header.
+ran (the one Deploy, sender, phase, deadlines, gas, fee, value,
+beneficiary, escrow, the task it names and the refunds a close owes), and
+each task must end closed with no escrow and no refund owed. The replayed
+contract is the audit's one record of the chain: each round reads its
+transactions off its replayed task, and the summary's chain figures must
+equal ledger.chain_summary of the replay, the function the runner wrote
+them with. A quorate round's payments must be the multiset of `paym_calc`
+amounts owed to its served responses, given which carry a verified
+correctness attestation: addresses are encrypted, so no payment names its
+response. Each task opens with its round event's figures, so a bad figure
+is a refusal of that round's CreateTask, not of every later transaction,
+and the round must have opened at the block its CreateTask was submitted
+in. It also checks the chain's numbering (transactions 0..n-1 in log
+order, each included after it was submitted) and that the hash chain over
+the lines is intact and signed off by the registration authority's key
+from the header.
 
 Two trust anchors come from the header: the authority's public key (for
 the signoff) and the attestation setup seed. A deployment would publish a
@@ -49,7 +53,6 @@ from ..encoding import from_json, mistyped_field
 from ..errors import ConfigError, EncodingError, MalformedStatementError
 from ..ledger import (
     CONFISCATE,
-    DEPLOY,
     FINALIZED,
     SUBMIT_AUTH_CALC,
     SUBMIT_QUALITY,
@@ -59,8 +62,7 @@ from ..ledger import (
     FeeParams,
     LedgerRecord,
     TaskContract,
-    gas_by_sender,
-    included_responses,
+    chain_summary,
 )
 from ..policy import TaskPolicy, paym_calc
 from ..primitives import Signature, hash_bytes, verify_sig
@@ -83,7 +85,7 @@ _FIELDS = {
         "rounds": int,
         "min_workers": int,
     },
-    "round": {"round": int, "task_seq": int, "tree_root": str},
+    "round": {"round": int, "task_seq": int, "tree_root": str, "opened_block": int},
     "screening": {"round": int, "accepted": list, "rejections": list, "void": bool},
     "arbitration": {"round": int, "ref": int, "upheld": bool},
     "signoff": {"chain": str, "sig": str},
@@ -230,9 +232,6 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
 
     if len(metas) != header["rounds"] or sorted(metas) != list(range(len(metas))):
         problems.append("round metadata does not cover rounds 0..n-1")
-    deploys = [t for t in txs if t.method == DEPLOY]
-    if len(deploys) != 1:
-        problems.append(f"expected exactly one deploy transaction, found {len(deploys)}")
     for r in screenings:
         if r not in metas:
             problems.append(f"screening event for unknown round {r}")
@@ -246,10 +245,8 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         r = round_of.get(rec.task_seq)
         problems.append(("" if r is None else f"round {r}: ") + f"tx {rec.index} ({rec.method}): {why}")
 
-    contract = TaskContract(deploys[0].sender if deploys else None, fee)
+    contract = TaskContract(fee)
     for rec in txs:
-        if rec.task_seq not in round_of and (rec.method, rec.task_seq) != (DEPLOY, -1):
-            problems.append(f"tx {rec.index} belongs to an unknown task {rec.task_seq}")
         if rec.inclusion_block <= rec.submitted_block:
             tx_problem(rec, "included before it was submitted")
         params = params_of.get(rec.task_seq)
@@ -257,16 +254,21 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             tx_problem(rec, refusal[1])
         contract.move(rec, params)
 
-    # pass 4: replay each round
+    # pass 4: replay each round off the transactions its replayed task holds
     tags_seen: set[bytes] = set()
     tasks = dict(enumerate(contract.tasks))
     for r in sorted(metas):
         meta = metas[r]
         prefix = f"round {r}: "
-        round_txs = [t for t in txs if t.task_seq == meta["task_seq"]]
         stats["rounds"] += 1
         task = tasks.get(meta["task_seq"])
-        phase = task and task.phase
+        if task is None:
+            problems.append(prefix + "task was never opened")
+            continue
+        opened = task.records[0].submitted_block  # its CreateTask's
+        if meta["opened_block"] != opened:
+            problems.append(prefix + f"opened at block {meta['opened_block']}, not at its CreateTask's {opened}")
+        phase = task.phase
         if phase not in (FINALIZED, VOID):
             problems.append(prefix + "task was never closed")
         elif task.escrow_wei or task.owed:
@@ -276,7 +278,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if screening is None:
             problems.append(prefix + "no screening event")
             continue
-        included = included_responses(round_txs, params_of[meta["task_seq"]].response_deadline)
+        included = task.included_responses()
         try:
             tree_root = bytes.fromhex(meta["tree_root"])
         except ValueError:
@@ -303,7 +305,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if not void and phase == VOID:
             problems.append(prefix + "quorate round carries a void transaction")
 
-        calc_txs = [t for t in round_txs if t.method == SUBMIT_AUTH_CALC]
+        calc_txs = task.sent(SUBMIT_AUTH_CALC)
         final_cts = ()
         accepted_by_ref = {p.ref: p for p in accepted}
         if not void and len(calc_txs) != 1:
@@ -322,7 +324,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
 
         covered: set[int] = set()
         valued: set[int] = set()  # responses whose correctness attestation verified
-        for t in (t for t in round_txs if t.method == SUBMIT_QUALITY):
+        for t in task.sent(SUBMIT_QUALITY):
             try:
                 post = QualityPost.decode(g, t.payload)
             except (EncodingError, ValueError):
@@ -352,7 +354,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
                 stats["proofs_verified"] += 1
 
         upheld_refs = {a["ref"] for a in arbitrations.get(r, []) if a["upheld"]}
-        confiscations = [t for t in round_txs if t.method == CONFISCATE]
+        confiscations = task.sent(CONFISCATE)
         for p in accepted:
             if p.ref not in covered and p.ref not in upheld_refs:
                 problems.append(
@@ -364,22 +366,16 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             problems.append(prefix + "confiscation without an upheld protest")
 
         if not void:
-            paid = Counter(-t.value_wei for t in round_txs if t.method == WORKER_PAYMENT)
+            paid = Counter(-t.value_wei for t in task.sent(WORKER_PAYMENT))
             owed = Counter(paym_calc(ref in valued, policy) for ref in covered)
             if paid != owed:
                 extra, missing = sorted((paid - owed).elements()), sorted((owed - paid).elements())
                 problems.append(prefix + f"payments do not match the policy: paid but not owed {extra}, owed but not paid {missing}")
 
-    # pass 5: the summary against the chain's gas and the replayed contract's totals
+    # pass 5: the summary's chain figures, recomputed from the transactions and the replay
     if len(summaries) != 1:
         problems.append("expected exactly one summary event")
-    else:
-        s = summaries[0]
-        if s.get("gas_by_sender") != gas_by_sender(txs):
-            problems.append("summary gas totals do not match the transactions")
-        if s.get("payments_wei") != sum(t.paid_out_wei for t in contract.tasks):
-            problems.append("summary payment total does not match the transactions")
-        if s.get("confiscated_wei") != sum(t.confiscated_wei for t in contract.tasks):
-            problems.append("summary confiscation total does not match the transactions")
+    elif off := [k for k, v in chain_summary(txs, contract.tasks).items() if summaries[0].get(k) != v]:
+        problems.append(f"summary figures off the replayed chain: {', '.join(off)}")
 
     return AuditReport(not problems, problems, stats)

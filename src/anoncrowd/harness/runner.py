@@ -13,6 +13,8 @@ adopt and arbitrate, close and self-check), and log writing. An attack
 toggle from attacks.ATTACKS wires one misbehaving party into the phases
 through its hooks.
 
+Each round's record holds the TaskState the ledger's contract keeps, and
+the log's summary is ledger.chain_summary, which the log audit recomputes.
 The runner also self-checks: escrow conservation, a plaintext recount of
 the final answer, payment amounts against the policy, and the attack's own
 detection check. Failed checks land in RunResult.failures and the report;
@@ -43,6 +45,7 @@ from ..ledger import (
     CONFISCATE,
     CONTRACT,
     CREATE_TASK,
+    DEPLOY,
     FINALIZE,
     PROCESSING,
     SUBMIT_AUTH_CALC,
@@ -55,8 +58,7 @@ from ..ledger import (
     GasSchedule,
     Ledger,
     TaskState,
-    gas_by_sender,
-    included_responses,
+    chain_summary,
 )
 from ..policy import AVERAGE, FinalAnswer, ans_calc, is_correct, paym_calc
 from ..primitives import sign
@@ -79,25 +81,19 @@ _SUBMITS_PER_BLOCK = 7  # the cast's pace: one block passes after every 7th resp
 
 @dataclass
 class RoundStats:
-    """One round's record; the phases fill it in as the round plays."""
+    """One round's record; the phases fill it in as the round plays. Its
+    task's records, escrow and totals are the contract's, in task."""
 
     index: int
-    task_seq: int = 0
-    opened_block: int = 0
+    task: TaskState | None = None
     collect_blocks: int = 0
     process_blocks: int = 0
-    submitted: int = 0
     included: int = 0
     accepted: int = 0
     rejections: list[tuple[int, str]] = field(default_factory=list)
     void: bool = False
     final_text: str = ""
     value_proofs: int = 0
-    posts_onchain: int = 0
-    payments_wei: int = 0
-    refunded_wei: int = 0
-    confiscated_wei: int = 0
-    escrow_ok: bool = False
     protests: int = 0
     upheld: int = 0
     notes: list[str] = field(default_factory=list)
@@ -151,7 +147,6 @@ class _Round:
     stats: RoundStats
     # open
     task_pub: TaskPublic | None = None
-    task: TaskState | None = None
     # collect
     account_to_worker: dict[str, str] = field(default_factory=dict)
     ref_to_worker: dict[int, WorkerAgent] = field(default_factory=dict)
@@ -232,7 +227,7 @@ class _Run:
             w.enroll(self.ra)
             self.workers.append(w)
 
-        self.ledger.deploy(REQUESTER)
+        self.ledger.send(DEPLOY, REQUESTER)
         self.round_events: list[dict] = []
         self.screening_events: list[dict] = []
         self.arbitration_events: list[dict] = []
@@ -260,19 +255,17 @@ class _Run:
             processing_deadline=ledger.block + config.response_window + config.processing_window,
             escrow_wei=config.escrow_wei,
         )
-        st.opened_block = ledger.block
         st.collect_blocks = config.response_window
-        ledger.send(CREATE_TASK, REQUESTER, value_wei=params.escrow_wei, params=params)
-        rnd.task = ledger.contract.tasks[-1]
-        st.task_seq = rnd.task.seq
+        create = ledger.send(CREATE_TASK, REQUESTER, value_wei=params.escrow_wei, params=params)
+        st.task = ledger.contract.tasks[-1]
         self.round_events.append(
             {
                 "type": "round",
                 "round": st.index,
-                "task_seq": st.task_seq,
+                "task_seq": st.task.seq,
                 "tree_root": rnd.task_pub.tree_root.hex(),
                 **to_json(params),
-                "opened_block": st.opened_block,
+                "opened_block": create.submitted_block,
             }
         )
 
@@ -297,9 +290,8 @@ class _Run:
                 ledger.tick(1)
         self.hook.after_collect(self, rnd)
 
-        ledger.tick_to(rnd.task.params.response_deadline + 1)
-        counted = included_responses(rnd.task.responses, rnd.task.params.response_deadline)
-        rnd.included = [(rec.index, rec.payload) for rec in counted]
+        ledger.tick_to(rnd.stats.task.params.response_deadline + 1)
+        rnd.included = [(rec.index, rec.payload) for rec in rnd.stats.task.included_responses()]
         rnd.stats.included = len(rnd.included)
         rnd.tags_before = set(self.requester.seen_tags)
 
@@ -342,13 +334,12 @@ class _Run:
                     self.paid_to_worker[earner] += amount
         ledger.tick(1)
 
-        rnd.board = post_board(self.ctx, [rec.payload for rec in rnd.task.quality_posts])
-        st.posts_onchain = len(rnd.task.quality_posts)
+        rnd.board = post_board(self.ctx, [rec.payload for rec in st.task.sent(SUBMIT_QUALITY)])
         # the correctness proofs that reached the chain, as the audit counts them
         st.value_proofs = sum(post.value_proof is not None for posts in rnd.board.values() for post in posts)
 
     def _adopt_and_arbitrate(self, rnd: _Round) -> None:
-        final_cts, status, st = rnd.outcome.final_cts, self.status, rnd.stats
+        final_cts, status, st, task = rnd.outcome.final_cts, self.status, rnd.stats, rnd.stats.task
         protests = []
         for ref in sorted(rnd.ref_to_worker):
             w = rnd.ref_to_worker[ref]
@@ -370,8 +361,8 @@ class _Run:
                 st.upheld += 1
                 status[w.name] = "protest upheld, escrow confiscated"
                 st.notes.append(f"protest over response {ref} upheld, escrow confiscated")
-                if rnd.task.phase == PROCESSING:
-                    self.ledger.send(CONFISCATE, CONTRACT, value_wei=-rnd.task.escrow_wei, beneficiary=grievance.payout)
+                if task.phase == PROCESSING:
+                    self.ledger.send(CONFISCATE, CONTRACT, value_wei=-task.escrow_wei, beneficiary=grievance.payout)
             else:
                 base = status[w.name]
                 status[w.name] = (
@@ -382,20 +373,15 @@ class _Run:
     def _close_and_check(self, rnd: _Round) -> None:
         """Closes the task and self-checks the round: conservation, recount,
         policy payments."""
-        ledger, task, outcome, st = self.ledger, rnd.task, rnd.outcome, rnd.stats
+        ledger, outcome, st, task = self.ledger, rnd.outcome, rnd.stats, rnd.stats.task
         policy = self.config.policy
         close_block = ledger.block
         if task.phase == PROCESSING:
             close_block = ledger.send(FINALIZE, REQUESTER).inclusion_block
         st.process_blocks = max(close_block - task.params.response_deadline, 0)
-        st.submitted = len(task.responses)
-        st.payments_wei = task.paid_out_wei
-        st.refunded_wei = task.refunded_wei
-        st.confiscated_wei = task.confiscated_wei
-        st.escrow_ok = ledger.escrow_conserved(task)
 
         prefix = f"round {st.index}: "
-        if not st.escrow_ok:
+        if not task.escrow_conserved():
             self.failures.append(prefix + "escrow not conserved")
         if not outcome.void:
             recount = ans_calc([rnd.ref_to_answer[p.ref] for p in outcome.accepted], policy)
@@ -414,9 +400,9 @@ class _Run:
         g = ctx.group
         # every submitted response carries a proof, late ones too
         proof_counts = {
-            PROVE_QUAL_ID: sum(s.submitted for s in stats),
+            PROVE_QUAL_ID: sum(len(s.task.sent(SUBMIT_RESPONSE)) for s in stats),
             AUTH_CALC_ID: sum(not s.void for s in stats),
-            AUTH_QUAL_ID: sum(s.posts_onchain for s in stats),
+            AUTH_QUAL_ID: sum(len(s.task.sent(SUBMIT_QUALITY)) for s in stats),
             AUTH_VALUE_ID: sum(s.value_proofs for s in stats),
         }
         header = {
@@ -440,10 +426,8 @@ class _Run:
         }
         summary = {
             "type": "summary",
-            "gas_by_sender": dict(sorted(gas_by_sender(ledger.records).items())),
-            "payments_wei": sum(s.payments_wei for s in stats),
-            "confiscated_wei": sum(s.confiscated_wei for s in stats),
-            "escrow_ok": all(s.escrow_ok for s in stats),
+            **chain_summary(ledger.records, ledger.contract.tasks),
+            "escrow_ok": all(t.escrow_conserved() for t in ledger.contract.tasks),
             "final_block": ledger.block,
         }
         events = [header, *self.round_events]
@@ -504,26 +488,27 @@ def _render_report(run: _Run, worker_rows: list[WorkerRow], proof_counts: dict, 
         lines.append(f"attack enabled: {attack}")
 
     for s in stats:
+        task = s.task
         lines.append("")
-        lines.append(f"-- round {s.index + 1} (task {s.task_seq}) --")
+        lines.append(f"-- round {s.index + 1} (task {task.seq}) --")
         lines.append(
-            f"opened at block {s.opened_block}; collecting {s.collect_blocks} blocks,"
+            f"opened at block {task.records[0].submitted_block}; collecting {s.collect_blocks} blocks,"
             f" processing {s.process_blocks} blocks"
         )
         lines.append(
-            f"responses submitted {s.submitted}, included {s.included},"
+            f"responses submitted {len(task.sent(SUBMIT_RESPONSE))}, included {s.included},"
             f" accepted {s.accepted}, rejected {len(s.rejections)}"
         )
         for ref, reason in s.rejections:
             lines.append(f"  rejected tx {ref}: {reason}")
         lines.append(f"final answer: {s.final_text}")
         lines.append(
-            f"quality posts {s.posts_onchain}, value proofs {s.value_proofs},"
-            f" payments {eth(s.payments_wei)} ETH"
+            f"quality posts {len(task.sent(SUBMIT_QUALITY))}, value proofs {s.value_proofs},"
+            f" payments {eth(task.paid_out_wei)} ETH"
         )
         lines.append(
-            f"escrow: refunded {eth(s.refunded_wei)}, confiscated {eth(s.confiscated_wei)},"
-            f" conserved {'yes' if s.escrow_ok else 'NO'}"
+            f"escrow: refunded {eth(task.refunded_wei)}, confiscated {eth(task.confiscated_wei)},"
+            f" conserved {'yes' if task.escrow_conserved() else 'NO'}"
         )
         lines.append(f"protests {s.protests}, upheld {s.upheld}")
         for note in s.notes:
@@ -545,7 +530,7 @@ def _render_report(run: _Run, worker_rows: list[WorkerRow], proof_counts: dict, 
 
     lines.append("")
     lines.append("-- chain totals --")
-    by_sender = gas_by_sender(ledger.records)
+    by_sender = chain_summary(ledger.records, ledger.contract.tasks)["gas_by_sender"]
     worker_gas = sum(gas for who, gas in by_sender.items() if who.startswith("worker-"))
     req_gas = by_sender.get(REQUESTER, 0)
     adv_gas = by_sender.get(ADVERSARY, 0)

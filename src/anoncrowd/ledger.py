@@ -14,7 +14,9 @@ sender, its legal phases, the phase it leaves and its gas. The transition
 (check, then move) judges every figure a transaction carries, a task's
 parameters and a confiscation's amount included: send runs it on each
 record it builds, and the log audit re-runs it on each logged record, as
-a full node re-executes a block.
+a full node re-executes a block. The contract keeps the chain's facts: its
+one Deploy names the requester, and each TaskState holds every record applied
+to its task and the task's escrow totals, which chain_summary sums.
 Everything cryptographic happens in the layers above, which hand payloads
 down as opaque bytes; the log's JSON form of a record is encoding.to_json's.
 
@@ -52,14 +54,14 @@ PROCESSING = "Processing"
 FINALIZED = "Finalized"
 VOID = "Void"
 
-# The contract's rules, one row per method: who may send it (the deploying
-# requester, anyone, or the contract itself), the phases of the contract's
-# latest task it is legal in (None: no task is open), the phase it leaves
+# The contract's rules, one row per method: who may send it (the requester
+# the Deploy named, anyone, or the contract itself), the phases of the
+# contract's latest task it is legal in (None: no task is open), the phase it leaves
 # that task in (None: the phase it found), and the GasSchedule field its gas
 # is read from (None: it costs none).
 REQUESTER, ANYONE, CONTRACT = "requester", "anyone", "contract"
 RULES: dict[str, tuple[str, tuple[str | None, ...], str | None, str | None]] = {
-    DEPLOY: (REQUESTER, (None,), None, "deploy"),
+    DEPLOY: (ANYONE, (None,), None, "deploy"),  # once: its sender becomes the requester
     CREATE_TASK: (REQUESTER, (None, FINALIZED, VOID), COLLECTING, "create_task"),
     SUBMIT_RESPONSE: (ANYONE, (COLLECTING,), None, "submit_response"),
     SUBMIT_AUTH_CALC: (REQUESTER, (COLLECTING,), PROCESSING, "submit_auth_calc"),
@@ -74,6 +76,7 @@ RULES: dict[str, tuple[str, tuple[str | None, ...], str | None, str | None]] = {
     # goes to the wronged party, and the task is closed against further requester moves
     CONFISCATE: (CONTRACT, (COLLECTING, PROCESSING), FINALIZED, None),
 }
+PAYING = (WORKER_PAYMENT, REFUND, CONFISCATE)  # the methods that move escrow out, to a beneficiary
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ class LedgerRecord:
     tip_gwei: float
     submitted_block: int
     inclusion_block: int
-    task_seq: int  # which task on the contract, -1 for deploy
+    task_seq: int  # which task on the contract, -1 for the deploy
     payload: bytes = b""
     value_wei: int = 0  # wei moved into (positive) or out of (negative) escrow
     beneficiary: str = ""  # account credited on outgoing transfers
@@ -198,22 +201,37 @@ class TaskState:
     params: ChainTaskParams
     phase: str = COLLECTING
     escrow_wei: int = 0
-    responses: list[LedgerRecord] = field(default_factory=list)  # all submitted, log order
-    quality_posts: list[LedgerRecord] = field(default_factory=list)
+    records: list[LedgerRecord] = field(default_factory=list)  # every record applied to the task, log order
     paid_out_wei: int = 0
     refunded_wei: int = 0
     confiscated_wei: int = 0
     owed: list[tuple[str, int]] = field(default_factory=list)  # (beneficiary, wei) refunds its close left, head first
 
+    def sent(self, method: str) -> list[LedgerRecord]:
+        """The task's records of one method, in log order."""
+        return [r for r in self.records if r.method == method]
+
+    def included_responses(self) -> list[LedgerRecord]:
+        """The responses the task counts: those that landed by its response
+        deadline, in inclusion order (block, then log index). One that lands
+        later is ignored, its fee already spent."""
+        landed = (r for r in self.sent(SUBMIT_RESPONSE) if r.inclusion_block <= self.params.response_deadline)
+        return sorted(landed, key=lambda r: (r.inclusion_block, r.index))
+
+    def escrow_conserved(self) -> bool:
+        spent = self.paid_out_wei + self.refunded_wei + self.confiscated_wei
+        return self.params.escrow_wei == spent + self.escrow_wei
+
 
 class TaskContract:
-    """One deployed escrow contract hosting sequential tasks; every method
-    but CreateTask acts on the latest task."""
+    """One escrow contract hosting sequential tasks; its one Deploy makes the
+    sender its requester, and every later method but CreateTask acts on the
+    latest task."""
 
     gas = GasSchedule()
 
-    def __init__(self, requester: str, fee: FeeParams):
-        self.requester = requester
+    def __init__(self, fee: FeeParams):
+        self.requester: str | None = None  # set by the Deploy
         self.fee = fee
         self.tasks: list[TaskState] = []
 
@@ -224,6 +242,8 @@ class TaskContract:
         if method not in RULES:
             return PhaseError, "not a method of the contract"
         who, phases, _, _ = RULES[method]
+        if (method == DEPLOY) != (self.requester is None):
+            return PhaseError, "no contract is deployed" if self.requester is None else "the contract is already deployed"
         if who != ANYONE and rec.sender != (self.requester if who == REQUESTER else who):
             return PermissionError, f"only the {who} may send it"
         phase = task and task.phase
@@ -242,9 +262,9 @@ class TaskContract:
                 return ValueError, f"escrow of {params.escrow_wei} wei is negative"
             if rec.value_wei != params.escrow_wei:
                 return FundsError, f"deposits {rec.value_wei} wei, not the task's escrow of {params.escrow_wei}"
+        elif rec.task_seq != (seq := task.seq if task else -1):  # with no task open, only a Deploy gets here
+            return PhaseError, f"belongs to task {seq}, not {rec.task_seq}"
         elif task is not None:
-            if rec.task_seq != task.seq:
-                return PhaseError, f"belongs to task {task.seq}, not {rec.task_seq}"
             # responses close with the response window; the final answer, a void and (a phase refusal:
             # the task has not failed to process yet) a confiscation need it closed; the final answer
             # and quality posts close with the processing window
@@ -266,8 +286,10 @@ class TaskContract:
             return ValueError, f"fee {rec.fee_wei} off the fee rule"
         if rec.value_wei > 0 and method != CREATE_TASK:
             return ValueError, f"moves {rec.value_wei} wei into escrow"
-        if rec.value_wei < 0 and method not in (WORKER_PAYMENT, REFUND, CONFISCATE):
+        if rec.value_wei < 0 and method not in PAYING:
             return ValueError, f"moves {-rec.value_wei} wei out of escrow"
+        if rec.beneficiary and method not in PAYING:
+            return ValueError, f"pays no one, yet names {rec.beneficiary} its beneficiary"
         if task is not None and -rec.value_wei > task.escrow_wei:
             return FundsError, f"escrow of {task.escrow_wei} wei cannot cover it"
         if method == CONFISCATE and -rec.value_wei != task.escrow_wei:
@@ -280,21 +302,21 @@ class TaskContract:
 
     def move(self, rec: LedgerRecord, params: ChainTaskParams | None = None) -> None:
         """Applies rec as it stands (so a replay can follow a log past a refusal):
-        moves escrow, phase and totals; a close queues the refunds it owes."""
+        records it on its task and moves escrow, phase and totals; a close
+        queues the refunds it owes. Only the first Deploy names the requester."""
         method = rec.method
-        if method == CREATE_TASK and params is not None:
-            self.tasks.append(TaskState(seq=rec.task_seq, params=params, escrow_wei=rec.value_wei))
+        if method == DEPLOY and self.requester is None:
+            self.requester = rec.sender
+        elif method == CREATE_TASK and params is not None:
+            self.tasks.append(TaskState(rec.task_seq, params, escrow_wei=rec.value_wei, records=[rec]))
         if method not in RULES or method in (DEPLOY, CREATE_TASK) or not self.tasks:
             return
         task = self.tasks[-1]
+        task.records.append(rec)
         amount = -rec.value_wei
         task.escrow_wei -= amount
         task.phase = RULES[method][2] or task.phase
-        if method == SUBMIT_RESPONSE:
-            task.responses.append(rec)  # counted only if it lands in time, see included_responses
-        elif method == SUBMIT_QUALITY:
-            task.quality_posts.append(rec)
-        elif method == WORKER_PAYMENT:
+        if method == WORKER_PAYMENT:
             task.paid_out_wei += amount
         elif method == CONFISCATE:
             task.confiscated_wei += amount
@@ -302,7 +324,7 @@ class TaskContract:
             task.refunded_wei += amount
             del task.owed[:1]
         elif method in (FINALIZE, VOID_TASK):  # a void reimburses its included responders' fees first
-            landed = included_responses(task.responses, task.params.response_deadline) if method == VOID_TASK else ()
+            landed = task.included_responses() if method == VOID_TASK else ()
             task.owed = close_refunds(landed, task.escrow_wei, self.requester)
 
 
@@ -315,7 +337,7 @@ class Ledger:
         self.block = 0
         self.records: list[LedgerRecord] = []
         self.balances: dict[str, int] = {}
-        self.contract: TaskContract | None = None  # set by the first accepted Deploy
+        self.contract = TaskContract(self.fee)
 
     # ── accounts and time ──
 
@@ -357,8 +379,8 @@ class Ledger:
         """Logs a transaction once the contract accepts it: charges its fee and
         deposit, applies it, credits beneficiary with what it moves out, then
         sends the refunds a close left owed. A refused call raises and changes
-        nothing; the first accepted Deploy installs the ledger's contract."""
-        contract = self.contract or TaskContract(sender if method == DEPLOY else None, self.fee)
+        nothing."""
+        contract = self.contract
         gas = contract.gas.for_method(method)
         rec = LedgerRecord(
             index=len(self.records),
@@ -380,7 +402,6 @@ class Ledger:
             raise refusal[0](f"{method}: {refusal[1]}")
         self._charge(sender, rec.fee_wei + max(value_wei, 0))
         contract.move(rec, params)
-        self.contract = contract
         rec.inclusion_block += self.latency_model.latency(self.fee.tip_gwei)
         self.records.append(rec)
         if beneficiary:
@@ -390,27 +411,8 @@ class Ledger:
                 self.send(REFUND, CONTRACT, value_wei=-amount, beneficiary=owed_to)
         return rec
 
-    def deploy(self, sender: str) -> TaskContract:
-        """Deploys the ledger's contract, with sender as its requester."""
-        self.send(DEPLOY, sender)
-        return self.contract
-
-    # ── reporting helpers ──
-
-    def escrow_conserved(self, task: TaskState) -> bool:
-        spent = task.paid_out_wei + task.refunded_wei + task.confiscated_wei
-        return task.params.escrow_wei == spent + task.escrow_wei
-
 
 # ── rules the contract, the runner and the log audit share ──
-
-
-def included_responses(records: Iterable[LedgerRecord], response_deadline: int) -> list[LedgerRecord]:
-    """The responses a task counts: those that landed by its response
-    deadline, in inclusion order (block, then log index). One that lands
-    later is ignored, its fee already spent."""
-    landed = (r for r in records if r.method == SUBMIT_RESPONSE and r.inclusion_block <= response_deadline)
-    return sorted(landed, key=lambda r: (r.inclusion_block, r.index))
 
 
 def close_refunds(reimbursed: Iterable[LedgerRecord], escrow_wei: int, requester: str) -> list[tuple[str, int]]:
@@ -430,9 +432,15 @@ def close_refunds(reimbursed: Iterable[LedgerRecord], escrow_wei: int, requester
     return refunds
 
 
-def gas_by_sender(records: Iterable[LedgerRecord]) -> dict[str, int]:
-    """Gas spent per sending account over a transaction log."""
-    out: dict[str, int] = {}
+def chain_summary(records: Iterable[LedgerRecord], tasks: list[TaskState]) -> dict:
+    """The chain's totals as the log's summary states them: the gas each
+    account spent over the records, by account name, and the wei the tasks
+    paid to workers and confiscated."""
+    gas: dict[str, int] = {}
     for r in records:
-        out[r.sender] = out.get(r.sender, 0) + r.gas
-    return out
+        gas[r.sender] = gas.get(r.sender, 0) + r.gas
+    return {
+        "gas_by_sender": dict(sorted(gas.items())),
+        "payments_wei": sum(t.paid_out_wei for t in tasks),
+        "confiscated_wei": sum(t.confiscated_wei for t in tasks),
+    }

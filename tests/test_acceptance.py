@@ -22,7 +22,7 @@ from anoncrowd.harness.audit import verify_log
 from anoncrowd.harness.fixtures import load_fixture
 from anoncrowd.harness.runner import _final_text, run
 from anoncrowd.harness.scenario import load_scenario
-from anoncrowd.ledger import FeeParams, GasSchedule, LatencyModel
+from anoncrowd.ledger import SUBMIT_RESPONSE, FeeParams, GasSchedule, LatencyModel
 from anoncrowd.merkle import MerkleTree, verify_path
 from anoncrowd.policy import AVERAGE, MAJORITY, TaskPolicy, ans_calc, is_correct, paym_calc
 from anoncrowd.primitives import (
@@ -386,10 +386,10 @@ def test_bundled_scenarios_end_to_end(production_runs):
         final = ans_calc(answers, cfg.policy)
         round0 = res.rounds[0]
         assert round0.final_text == _final_text(final), name
-        assert not round0.void and round0.escrow_ok, name
+        assert not round0.void and round0.task.escrow_conserved(), name
 
         expected_pay = [paym_calc(is_correct(a, final, cfg.policy), cfg.policy) for a in answers]
-        assert round0.payments_wei == sum(expected_pay), name
+        assert round0.task.paid_out_wei == sum(expected_pay), name
         for row, pay in zip(res.worker_rows, expected_pay):
             assert row.paid_wei == pay, (name, row.name)
 
@@ -447,9 +447,9 @@ def test_free_riders_detected_and_unpaid():
         round0 = res.rounds[0]
         assert res.failures == [], (attack, res.failures)
         assert [why for _, why in round0.rejections] == [reason], attack
-        assert round0.submitted == cfg.worker_count + 1, attack
+        assert len(round0.task.sent(SUBMIT_RESPONSE)) == cfg.worker_count + 1, attack
         assert round0.accepted == cfg.worker_count, attack
-        assert round0.payments_wei == honest_total, attack
+        assert round0.task.paid_out_wei == honest_total, attack
         payment_txs = [
             ev
             for ev in map(json.loads, res.log_lines)
@@ -488,7 +488,7 @@ def test_deprivation_protest_upheld_and_confiscated():
     round0 = res.rounds[0]
     assert res.failures == []
     assert round0.protests == 1 and round0.upheld == 1
-    assert round0.confiscated_wei > 0
+    assert round0.task.confiscated_wei > 0
     victims = [row for row in res.worker_rows if row.status == "protest upheld, escrow confiscated"]
     assert len(victims) == 1 and victims[0].paid_wei == 0
     assert all(

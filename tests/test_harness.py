@@ -39,7 +39,15 @@ from anoncrowd.harness.attacks import ATTACKS
 from anoncrowd.harness import runner
 from anoncrowd.harness.runner import run
 from anoncrowd.harness.scenario import list_bundled, load_scenario, parse_scenario
-from anoncrowd.ledger import CREATE_TASK, ChainTaskParams, FeeParams, LedgerRecord, TaskContract
+from anoncrowd.ledger import (
+    CREATE_TASK,
+    SUBMIT_QUALITY,
+    SUBMIT_RESPONSE,
+    ChainTaskParams,
+    FeeParams,
+    LedgerRecord,
+    TaskContract,
+)
 from anoncrowd.policy import TaskPolicy, ans_calc
 
 
@@ -472,7 +480,7 @@ class TestRunner:
         cfg = replace(tiny_image, response_window=7)
         honest = run(cfg, seed=1)
         s = honest.rounds[0]
-        assert (s.submitted, s.included, s.protests) == (39, 32, 7)
+        assert (len(s.task.sent(SUBMIT_RESPONSE)), s.included, s.protests) == (39, 32, 7)
         assert "round 0: protest in an honest run" in honest.failures
         attacked = run(cfg, seed=1, attack="duplicate-response")
         assert not any("protest in an honest run" in f for f in attacked.failures)
@@ -490,7 +498,7 @@ class TestRunner:
         monkeypatch.setattr(QualityPost, "decode", classmethod(counting))
         result = run(tiny_image, seed=11, attack=attack)
         assert result.failures == []
-        assert len(calls) == sum(r.posts_onchain for r in result.rounds) > 0
+        assert len(calls) == sum(len(r.task.sent(SUBMIT_QUALITY)) for r in result.rounds) > 0
 
     def test_requester_decrypts_each_ciphertext_once_per_run(self, tiny_image, monkeypatch):
         # evaluate and the three requester checkers read one memo, so each
@@ -617,8 +625,8 @@ class TestAttacks:
         res = attack_runs["deprivation"]
         s = res.rounds[0]
         assert s.upheld == 1
-        assert s.confiscated_wei > 0
-        assert s.escrow_ok
+        assert s.task.confiscated_wei > 0
+        assert s.task.escrow_conserved()
         victims = [row for row in res.worker_rows if "upheld" in row.status]
         assert len(victims) == 1
         assert victims[0].paid_wei == 0
@@ -645,22 +653,22 @@ class TestAttacks:
         assert res.failures == []
         s = res.rounds[1]
         assert (s.included, s.accepted, s.void) == (39, 38, True)
-        assert s.refunded_wei == cfg.escrow_wei
+        assert s.task.refunded_wei == cfg.escrow_wei
         assert verify_log(res.log_lines).ok
 
     def test_void_task_with_no_escrow_refunds_nothing(self, tiny_image):
         policy = replace(tiny_image.policy, pay_correct=0, pay_incorrect=0)
         res = run(replace(tiny_image, policy=policy, escrow_wei=0), seed=1, attack="void-task")
         assert res.failures == []
-        assert res.rounds[0].void and res.rounds[0].refunded_wei == 0
+        assert res.rounds[0].void and res.rounds[0].task.refunded_wei == 0
         assert verify_log(res.log_lines).ok
 
     def test_void_task_refunds_and_preserves_quality(self, attack_runs, tiny_image):
         res = attack_runs["void-task"]
         s = res.rounds[0]
         assert s.void
-        assert s.payments_wei == 0
-        assert s.refunded_wei == tiny_image.escrow_wei
+        assert s.task.paid_out_wei == 0
+        assert s.task.refunded_wei == tiny_image.escrow_wei
         # responders adopt a zero increment: quality unchanged, still enrolled
         responders = res.worker_rows[: tiny_image.min_workers - 1]
         assert all(row.status == "adopted" for row in responders)
@@ -673,7 +681,7 @@ class TestAudit:
         assert report.ok
         assert report.problems == []
         s = honest_run.rounds[0]
-        expected_proofs = s.included + 1 + s.posts_onchain + s.value_proofs
+        expected_proofs = s.included + 1 + len(s.task.sent(SUBMIT_QUALITY)) + s.value_proofs
         assert report.stats["proofs_verified"] == expected_proofs
 
     @pytest.mark.parametrize("attack", [None, *ATTACKS])
@@ -682,7 +690,7 @@ class TestAudit:
         # replay without a refusal and leave every task as the live one ended
         _, ledger = recorded_run(tiny_image, "Ledger", seed=11, attack=attack)
         live = ledger.contract
-        replay = TaskContract(live.requester, ledger.fee)
+        replay = TaskContract(ledger.fee)
         for rec in ledger.records:
             params = live.tasks[rec.task_seq].params if rec.method == CREATE_TASK else None
             assert replay.check(rec, params) is None, rec.index
@@ -692,6 +700,7 @@ class TestAudit:
             return task.phase, task.escrow_wei, task.paid_out_wei, task.refunded_wei, task.confiscated_wei, task.owed
 
         assert [end(t) for t in replay.tasks] == [end(t) for t in live.tasks]
+        assert replay.requester == live.requester == runner.REQUESTER
 
     def test_text_entry_point(self, honest_run):
         assert verify_log("\n".join(honest_run.log_lines).splitlines()).ok
@@ -712,7 +721,21 @@ class TestAudit:
         report = verify_log(lines)
         assert not report.ok
         assert "signoff signature does not verify" in report.problems
-        assert any("summary payment total" in p for p in report.problems)
+        assert "summary figures off the replayed chain: payments_wei" in report.problems
+
+    @pytest.mark.parametrize("figure", ["gas_by_sender", "payments_wei", "confiscated_wei"])
+    def test_summary_figure_off_the_chain_fails(self, authority_run, figure):
+        # the authority signs a summary whose one figure is off the chain's: the
+        # audit recomputes the figures as the runner wrote them and names the one
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        summary = next(b for b in bodies if b["type"] == "summary")
+        if figure == "gas_by_sender":
+            summary[figure]["requester"] += 1
+        else:
+            summary[figure] += 1
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert report.problems == [f"summary figures off the replayed chain: {figure}"]
 
     @pytest.mark.parametrize("case", [*REPLAY_BREAKERS, "non-utf-8 bytes"])
     def test_malformed_log_fails_without_raising(self, honest_run, tmp_path, capsys, case):
@@ -862,6 +885,8 @@ class TestAudit:
         shift = meta[deadline] + past - tx["submitted_block"]
         tx["submitted_block"] += shift
         tx["inclusion_block"] += shift
+        if method == "CreateTask":  # the round opens when its CreateTask is sent
+            meta["opened_block"] += shift
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
         assert report.problems == [f"round 0: tx {tx['index']} ({method}): {why}"]
 
@@ -948,24 +973,65 @@ class TestAudit:
 
     @pytest.mark.parametrize("deploys", [0, 2])
     def test_log_without_exactly_one_deploy_fails(self, authority_run, deploys):
+        # the contract holds the one-Deploy rule: with none, the first requester
+        # transaction finds no contract; a second is refused as already deployed
         result, ra = authority_run
         bodies, _ = split_log(result.log_lines)
         deploy = next(b for b in bodies if b["type"] == "tx" and b["method"] == "Deploy")
         if deploys == 0:
             bodies.remove(deploy)
+            want = "round 0: tx 1 (CreateTask): no contract is deployed"
         else:
             bodies.insert(bodies.index(deploy) + 1, {**deploy, "index": deploy["index"] + 1})
+            want = "tx 1 (Deploy): the contract is already deployed"
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
-        assert f"expected exactly one deploy transaction, found {deploys}" in report.problems
+        assert want in report.problems
+
+    @pytest.mark.parametrize(
+        "attack, method, edit, why",
+        [
+            *[
+                (None, method, {"beneficiary": "worker-003"}, "pays no one, yet names worker-003 its beneficiary")
+                for method in ("Deploy", "CreateTask", "SubmitResponse", "SubmitAuthCalc", "SubmitQuality", "Finalize")
+            ],
+            ("void-task", "VoidTask", {"beneficiary": "worker-003"}, "pays no one, yet names worker-003 its beneficiary"),
+            (None, "Deploy", {"task_seq": 0}, "belongs to task -1, not 0"),
+        ],
+        ids=[
+            *(f"{method} beneficiary" for method in ("Deploy", "CreateTask", "SubmitResponse", "SubmitAuthCalc")),
+            *(f"{method} beneficiary" for method in ("SubmitQuality", "Finalize", "VoidTask")),
+            "Deploy task label",
+        ],
+    )
+    def test_transaction_field_off_its_method_fails(self, tiny_image, attack, method, edit, why):
+        # a beneficiary on a method that pays no one, or a Deploy labelled as a
+        # task's: the contract refuses that transaction, and nothing else fails
+        result, ra = signed_run(tiny_image, attack=attack)
+        bodies, _ = split_log(result.log_lines)
+        tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == method)
+        tx.update(edit)
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        where = "" if tx["task_seq"] == -1 else "round 0: "  # a problem names the round its label names
+        assert report.problems == [f"{where}tx {tx['index']} ({method}): {why}"]
+
+    def test_round_opened_off_its_create_task_fails(self, authority_run):
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        meta = next(b for b in bodies if b["type"] == "round")
+        create = next(b for b in bodies if b["type"] == "tx" and b["method"] == "CreateTask")
+        assert meta["opened_block"] == create["submitted_block"]
+        meta["opened_block"] = 10**6
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        assert report.problems == [f"round 0: opened at block 1000000, not at its CreateTask's {create['submitted_block']}"]
 
     def test_task_transaction_outside_every_task_fails(self, authority_run):
-        # only the deploy belongs to no task; a payment there would escape the replay
+        # only the deploy belongs to no task; the contract refuses a payment labelled so
         result, ra = authority_run
         bodies, _ = split_log(result.log_lines)
         tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == "WorkerPayment")
         tx["task_seq"] = -1
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
-        assert f"tx {tx['index']} belongs to an unknown task -1" in report.problems
+        assert report.problems == [f"tx {tx['index']} (WorkerPayment): belongs to task 0, not -1"]
 
     def test_transaction_labelled_with_another_task_fails(self, tiny_image):
         # task 0's finalize refund, relabelled as task 1's: the money moves

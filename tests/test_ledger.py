@@ -35,8 +35,7 @@ from anoncrowd.ledger import (
     LatencyModel,
     Ledger,
     LedgerRecord,
-    gas_by_sender,
-    included_responses,
+    chain_summary,
 )
 
 ETH = 10**18
@@ -156,7 +155,7 @@ class TestLatencyModel:
 class TestTaskLifecycle:
     def setup_task(self, workers=("w1", "w2", "w3"), **params_kw):
         led = funded_ledger(("req", *workers))
-        led.deploy("req")
+        led.send(DEPLOY, "req")
         params = task_params(led, **params_kw)
         task = open_task(led, "req", params)
         return led, task, params
@@ -177,7 +176,7 @@ class TestTaskLifecycle:
         assert task.escrow_wei == 0
         assert task.paid_out_wei == 3 * (ETH // 10)
         assert task.refunded_wei == ETH - 3 * (ETH // 10)
-        assert led.escrow_conserved(task)
+        assert task.escrow_conserved()
         assert total_wei(led, 4 * 100 * ETH)
         assert all(v >= 0 for v in led.balances.values())
 
@@ -223,20 +222,20 @@ class TestTaskLifecycle:
         task2 = open_task(led, "req", params2)
         assert task2.seq == 1
         assert led.contract.tasks[-1] is task2 and task2.phase == COLLECTING
-        assert led.escrow_conserved(task1)
+        assert task1.escrow_conserved()
 
 
 class TestGating:
     def setup_task(self, **kw):
         led = funded_ledger(("req", "w1", "eve"))
-        led.deploy("req")
+        led.send(DEPLOY, "req")
         params = task_params(led, **kw)
         open_task(led, "req", params)
         return led, params
 
     def test_create_requires_future_deadline(self):
         led = funded_ledger(("req",))
-        led.deploy("req")
+        led.send(DEPLOY, "req")
         led.tick(10)
         with pytest.raises(DeadlineError):
             open_task(led, "req", ChainTaskParams(led.block, led.block + 10, 0))
@@ -260,7 +259,7 @@ class TestGating:
         # inclusion latency is at least one block, so it lands past the deadline
         assert rec.inclusion_block > params.response_deadline
         task = led.contract.tasks[-1]
-        assert rec not in included_responses(task.responses, params.response_deadline)
+        assert rec not in task.included_responses()
         assert rec in led.records
         assert led.balance("w1") == before - rec.fee_wei
 
@@ -327,14 +326,14 @@ class TestGating:
 
     def test_sender_must_cover_fee_and_deposit(self):
         led = funded_ledger(("req",))
-        led.deploy("req")
+        led.send(DEPLOY, "req")
         open_task(led, "req", task_params(led))
         led.fund("poor", 100)  # not even one fee
         with pytest.raises(FundsError):
             led.send(SUBMIT_RESPONSE, "poor", payload=b"x")
         led = make_ledger()  # one contract per ledger: the poor requester deploys its own
         led.fund("broke-req", FEE.fee_wei(GAS.deploy) + FEE.fee_wei(GAS.create_task))
-        led.deploy("broke-req")
+        led.send(DEPLOY, "broke-req")
         with pytest.raises(FundsError):
             # fee money alone cannot also cover the escrow deposit
             open_task(led, "broke-req", task_params(led, escrow=ETH))
@@ -344,17 +343,65 @@ class TestGating:
         led.fund("poor", FEE.fee_wei(GAS.deploy) - 1)
         balances = dict(led.balances)
         with pytest.raises(FundsError):
-            led.deploy("poor")
-        assert (led.records, led.contract, led.balances) == ([], None, balances)
-        led.deploy("req")  # the contract is still free to deploy
+            led.send(DEPLOY, "poor")
+        assert (led.records, led.contract.requester, led.balances) == ([], None, balances)
+        led.send(DEPLOY, "req")  # the contract is still free to deploy
         assert led.contract.requester == "req" and len(led.records) == 1
+
+    def test_second_deploy_is_refused(self):
+        # one contract, one requester: a second Deploy, from its requester or
+        # anyone else, is refused before any fee is charged
+        led = funded_ledger(("req", "eve"))
+        led.send(DEPLOY, "req")
+
+        def state():
+            contract = (led.contract.requester, list(led.contract.tasks))
+            return [to_json(r) for r in led.records], dict(led.balances), contract
+
+        before = state()
+        for sender in ("req", "eve"):
+            with pytest.raises(PhaseError, match="^Deploy: the contract is already deployed$"):
+                led.send(DEPLOY, sender)
+            assert state() == before
+        assert before[2] == ("req", []) and len(before[0]) == 1
+
+    @pytest.mark.parametrize(
+        "method, calls_before",
+        [
+            (DEPLOY, 0),
+            (CREATE_TASK, 1),
+            (SUBMIT_RESPONSE, 2),
+            (SUBMIT_AUTH_CALC, 3),
+            (VOID_TASK, 3),
+            (SUBMIT_QUALITY, 4),
+            (FINALIZE, 4),
+        ],
+    )
+    def test_beneficiary_on_a_method_that_pays_no_one_is_refused(self, method, calls_before):
+        led = funded_ledger(("req", "w1"))
+        params = task_params(led)
+        calls = [
+            lambda: led.send(DEPLOY, "req"),
+            lambda: open_task(led, "req", params),
+            lambda: led.tick_to(params.response_deadline + 1),
+            lambda: led.send(SUBMIT_AUTH_CALC, "req", payload=b"f"),
+        ]
+        for call in calls[:calls_before]:
+            call()
+        sender = "w1" if method == SUBMIT_RESPONSE else "req"
+        kw = {"value_wei": params.escrow_wei, "params": params} if method == CREATE_TASK else {}
+        logged = len(led.records)
+        with pytest.raises(ValueError, match=f"^{method}: pays no one, yet names w1 its beneficiary$"):
+            led.send(method, sender, beneficiary="w1", **kw)
+        assert len(led.records) == logged
+        led.send(method, sender, **kw)  # the same call without the beneficiary goes through
 
     def test_refused_calls_leave_the_ledger_untouched(self):
         # a twin on the same seed never sees the refused calls; afterwards both
         # log the same records, inclusion blocks (the latency draws) included
         def state(led):
             tasks = [
-                (t.phase, t.escrow_wei, t.paid_out_wei, t.refunded_wei, t.owed, len(t.responses))
+                (t.phase, t.escrow_wei, t.paid_out_wei, t.refunded_wei, t.owed, len(t.records))
                 for t in led.contract.tasks
             ]
             return [to_json(r) for r in led.records], dict(led.balances), tasks, led.block
@@ -410,7 +457,7 @@ class TestGating:
 class TestVoidAndArbitration:
     def setup_short_task(self):
         led = funded_ledger(("req", "w1", "w2", "w3"))
-        led.deploy("req")
+        led.send(DEPLOY, "req")
         params = task_params(led)
         task = open_task(led, "req", params)
         return led, task, params
@@ -428,7 +475,7 @@ class TestVoidAndArbitration:
         assert led.balance("w2") == w2_before + r2.fee_wei
         assert led.balance("req") == req_before + (ETH - r1.fee_wei - r2.fee_wei)
         assert task.escrow_wei == 0
-        assert led.escrow_conserved(task)
+        assert task.escrow_conserved()
         assert total_wei(led, 4 * 100 * ETH)
 
     def test_void_needs_closed_window_and_shortfall(self):
@@ -443,11 +490,11 @@ class TestVoidAndArbitration:
         led.send(VOID_TASK, "req")
         assert task.phase == VOID
         assert led.balance("w1") == w1_before + r1.fee_wei
-        assert led.escrow_conserved(task)
+        assert task.escrow_conserved()
 
     def test_void_refunds_stop_when_the_escrow_runs_out(self):
         led = funded_ledger(("req", "w1", "w2", "w3"))
-        led.deploy("req")
+        led.send(DEPLOY, "req")
         fee = FEE.fee_wei(GAS.submit_response)
         params = task_params(led, escrow=fee + 5)
         task = open_task(led, "req", params)
@@ -460,7 +507,7 @@ class TestVoidAndArbitration:
         refunds = [(r.beneficiary, -r.value_wei) for r in led.records if r.method == REFUND]
         assert refunds == [("w1", fee), ("w2", 5)]
         assert {a: led.balance(a) - before[a] for a in before} == {"req": 0, "w1": fee, "w2": 5, "w3": 0}
-        assert task.escrow_wei == 0 and led.escrow_conserved(task)
+        assert task.escrow_wei == 0 and task.escrow_conserved()
 
     def test_void_after_the_final_answer_refused(self):
         # a processing task finalizes or is confiscated; voiding it would
@@ -495,7 +542,7 @@ class TestVoidAndArbitration:
         assert led.balance("w1") == w1_before + remaining
         assert task.phase == FINALIZED
         assert task.confiscated_wei == remaining
-        assert led.escrow_conserved(task)
+        assert task.escrow_conserved()
         with pytest.raises(PhaseError):
             led.send(FINALIZE, "req")
 
@@ -505,7 +552,7 @@ class TestVoidAndArbitration:
         led.tick_to(params.response_deadline + 1)
         led.send(VOID_TASK, "req")
         rec = led.send(SUBMIT_QUALITY, "req", payload=b"zero-step")
-        assert rec in task.quality_posts
+        assert rec in task.sent(SUBMIT_QUALITY)
         with pytest.raises(PhaseError):
             pay(led, "req", "w1", 1)
         led.tick_to(params.processing_deadline + 1)
@@ -526,7 +573,7 @@ class TestVoidAndArbitration:
 class TestLogAndViews:
     def test_record_json_round_trip(self):
         led = funded_ledger(("req", "w1"))
-        led.deploy("req")
+        led.send(DEPLOY, "req")
         params = task_params(led)
         open_task(led, "req", params)
         led.send(SUBMIT_RESPONSE, "w1", payload=b"\x00\xffpayload")
@@ -536,30 +583,30 @@ class TestLogAndViews:
 
     def test_included_responses_sorted_by_inclusion(self):
         led = funded_ledger(("req", "w1", "w2", "w3", "w4"), seed=11)
-        led.deploy("req")
+        led.send(DEPLOY, "req")
         params = task_params(led, response_window=500)
         task = open_task(led, "req", params)
         for i, w in enumerate(("w1", "w2", "w3", "w4")):
             led.send(SUBMIT_RESPONSE, w, payload=bytes([i]))
             led.tick(2)
-        included = included_responses(task.responses, params.response_deadline)
+        included = task.included_responses()
         keys = [(r.inclusion_block, r.index) for r in included]
         assert keys == sorted(keys)
         assert {r.sender for r in included} == {"w1", "w2", "w3", "w4"}
 
     def test_gas_by_sender_totals(self):
         led = funded_ledger(("req", "w1"))
-        led.deploy("req")
+        led.send(DEPLOY, "req")
         open_task(led, "req", task_params(led))
         led.send(SUBMIT_RESPONSE, "w1", payload=b"x")
-        totals = gas_by_sender(led.records)
+        totals = chain_summary(led.records, led.contract.tasks)["gas_by_sender"]
         assert totals["req"] == GAS.deploy + GAS.create_task
         assert totals["w1"] == GAS.submit_response
 
     def test_identical_seeds_produce_identical_logs(self):
         def run(seed):
             led = funded_ledger(("req", "w1", "w2"), seed=seed)
-            led.deploy("req")
+            led.send(DEPLOY, "req")
             params = task_params(led)
             open_task(led, "req", params)
             led.send(SUBMIT_RESPONSE, "w1", payload=b"a")
@@ -579,7 +626,7 @@ class TestParamsValidation:
     def test_chain_task_params(self):
         # the contract, not the record, judges a task's figures when it opens
         led = funded_ledger(("req",))
-        led.deploy("req")
+        led.send(DEPLOY, "req")
         with pytest.raises(ValueError):
             open_task(led, "req", ChainTaskParams(led.block + 10, led.block + 5, 0))
         with pytest.raises(ValueError, match="escrow of -1 wei is negative"):
