@@ -21,7 +21,10 @@ on the curve in Jacobian coordinates with one normalization. A point that
 on its first multiplication, and lincomb takes that table: the generator,
 the blinding generator and keygen's public keys are such points, which is
 what makes pure-Python commitments fast enough for the acceptance
-workloads. Decoded points carry none. Every other base goes through the
+workloads. Decoded points carry none, and a decoded point's y waits for
+its first use: decoding checks x against the curve with a Jacobi symbol,
+so a point that is only encoded again (the audit's statements) never pays
+for a square root. Every other base goes through the
 GLV endomorphism: the scalar splits into two halves of at most 127 bits,
 each recoded in width-5 NAF over a per-call row of the base's first 15
 multiples and that row's image under the endomorphism, and the halves of
@@ -122,26 +125,48 @@ class GroupElement:
 class CurvePoint(GroupElement):
     """Affine point, or the point at infinity when ``inf`` is set.
 
+    ``odd`` is the parity of y. On the curve, x and that parity name the
+    point (its two y are y and _Q - y, of opposite parity), so equality,
+    hashing and encoding read only x, ``odd`` and ``inf``. A point that
+    CurveGroup.decode_element made leaves the ``y`` slot unset, and its
+    first read finds y with one square root (see __getattr__).
+
     ``table`` is the point's own fixed-base table when CurveGroup.fixed_base
     made it, else None; equality and hashing ignore it."""
 
-    __slots__ = ("x", "y", "inf", "table")
+    __slots__ = ("x", "y", "odd", "inf", "table")
 
     def __init__(self, x: int, y: int, inf: bool = False):
         self.x = x
         self.y = y
+        self.odd = y & 1
         self.inf = inf
         self.table: _FixedBaseTable | None = None
+
+    @classmethod
+    def compressed(cls, x: int, odd: int) -> "CurvePoint":
+        """The point with this x and y of this parity; x must be on the curve."""
+        p = cls.__new__(cls)
+        p.x, p.odd, p.inf, p.table = x, odd, False, None
+        return p
+
+    def __getattr__(self, name: str) -> int:
+        # reached only for an unset slot, which is y on a compressed point
+        if name != "y":
+            raise AttributeError(name)
+        y = _curve_y(self.x)
+        self.y = y if y & 1 == self.odd else _Q - y
+        return self.y
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CurvePoint):
             return NotImplemented
         if self.inf or other.inf:
             return self.inf and other.inf
-        return self.x == other.x and self.y == other.y
+        return self.x == other.x and self.odd == other.odd
 
     def __hash__(self) -> int:
-        return hash((self.inf, self.x, self.y))
+        return hash((self.inf, self.x, self.odd))
 
     def __repr__(self) -> str:
         if self.inf:
@@ -261,6 +286,26 @@ def _affine(points: list[tuple[int, int, int]]) -> list[CurvePoint]:
         zi2 = (zi * zi) % _Q
         out.append(CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q))
     return out
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by the binary algorithm (H.
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.4.10):
+    strip the twos from a, each pair of them free and an odd count flipping
+    the sign when n = 3 or 5 mod 8, then swap a and n by reciprocity,
+    flipping when both are 3 mod 4. For a prime n it is 1 exactly on the
+    nonzero squares, at a fraction of the cost of a pow mod n."""
+    a %= n
+    t = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & n & 3 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
 
 
 def _curve_y(x: int) -> int | None:
@@ -585,8 +630,7 @@ class CurveGroup(Group):
         assert isinstance(p, CurvePoint)
         if p.inf:
             return b"\x00" * 33
-        prefix = 0x03 if p.y & 1 else 0x02
-        return bytes([prefix]) + p.x.to_bytes(32, "big")
+        return bytes([0x03 if p.odd else 0x02]) + p.x.to_bytes(32, "big")
 
     def decode_element(self, data: bytes) -> CurvePoint:
         if len(data) != 33:
@@ -599,12 +643,9 @@ class CurveGroup(Group):
         x = int.from_bytes(data[1:], "big")
         if x >= _Q:
             raise EncodingError("curve x-coordinate out of field range")
-        y = _curve_y(x)
-        if y is None:
+        if _jacobi(x * x * x + 3, _Q) != 1:  # never 0: no point has y = 0 in a group of odd order
             raise EncodingError("x-coordinate is not on the curve")
-        if (y & 1) != (prefix == 0x03):
-            y = _Q - y
-        return CurvePoint(x, y)
+        return CurvePoint.compressed(x, prefix & 1)
 
     def _from_digest(self, digest: bytes) -> CurvePoint | None:
         x = int.from_bytes(digest, "big") % _Q

@@ -53,6 +53,7 @@ from ..encoding import from_json, mistyped_field
 from ..errors import ConfigError, EncodingError, MalformedStatementError
 from ..ledger import (
     CONFISCATE,
+    DEPLOY,
     FINALIZED,
     SUBMIT_AUTH_CALC,
     SUBMIT_QUALITY,
@@ -236,23 +237,30 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         if r not in metas:
             problems.append(f"screening event for unknown round {r}")
 
+    # with no contract every transaction would be refused, so the replay stops here
+    if not any(t.method == DEPLOY for t in txs):
+        return AuditReport(False, problems + ["log carries no Deploy"], stats)
+
     # pass 3: re-execute the contract over every transaction in log order; each task
     # opens with its round's logged figures, and the replay follows the log past a
     # refusal, so one bad transaction or task figure is one problem
     round_of = {meta["task_seq"]: r for r, meta in metas.items()}
+    contract = TaskContract(fee)
 
     def tx_problem(rec: LedgerRecord, why: str) -> None:
-        r = round_of.get(rec.task_seq)
+        # the round of the task the contract applied rec to, whatever task its label names
+        applied = contract.tasks and contract.tasks[-1].records[-1] is rec
+        r = round_of.get(len(contract.tasks) - 1) if applied else None
         problems.append(("" if r is None else f"round {r}: ") + f"tx {rec.index} ({rec.method}): {why}")
 
-    contract = TaskContract(fee)
     for rec in txs:
+        params = params_of.get(rec.task_seq)
+        refusal = contract.check(rec, params)
+        contract.move(rec, params)
         if rec.inclusion_block <= rec.submitted_block:
             tx_problem(rec, "included before it was submitted")
-        params = params_of.get(rec.task_seq)
-        if refusal := contract.check(rec, params):
+        if refusal:
             tx_problem(rec, refusal[1])
-        contract.move(rec, params)
 
     # pass 4: replay each round off the transactions its replayed task holds
     tags_seen: set[bytes] = set()

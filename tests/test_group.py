@@ -29,6 +29,8 @@ from anoncrowd.group import (
     _j_double,
     _glv_split,
     _j_to_affine,
+    _curve_y,
+    _jacobi,
     _wnaf5,
     production_group,
     tiny_group,
@@ -149,6 +151,65 @@ class TestElementEncoding:
         # 2 generates the full multiplicative group, not the prime subgroup
         with pytest.raises(EncodingError):
             tiny.decode_element((2).to_bytes(8, "little"))
+
+
+# ── lazy point decompression against the eager square-root decode ────────────
+
+
+def eager_decode(data):
+    """CurveGroup.decode_element as it was before the lazy y: the square root
+    decides whether x is on the curve, and the point carries y at once."""
+    if data == b"\x00" * 33:
+        return CurvePoint(0, 0, inf=True)
+    x = int.from_bytes(data[1:], "big")
+    if data[0] not in (0x02, 0x03) or x >= _Q or (y := _curve_y(x)) is None:
+        raise EncodingError("rejected")
+    return CurvePoint(x, y if y & 1 == data[0] & 1 else _Q - y)
+
+
+def y_forced(p):
+    """Whether p's y slot is set, read without the __getattr__ fallback."""
+    try:
+        CurvePoint.y.__get__(p)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_jacobi_matches_eulers_criterion():
+    rng = random.Random(5)
+    cases = [(a, n) for n in (3, 5, 7, 11, 13, 17, 19, 23, 97) for a in range(-n, 2 * n)]
+    cases += [(rng.randrange(_Q), _Q) for _ in range(300)] + [(0, _Q), (_Q, _Q), (-1, _Q), (_Q + 4, _Q)]
+    for a, n in cases:
+        euler = pow(a, (n - 1) // 2, n)
+        assert _jacobi(a, n) == (-1 if euler == n - 1 else euler), (a, n)
+
+
+def test_lazy_decode_matches_the_eager_one(prod):
+    rng = random.Random(8)
+    xs = [rng.randrange(_Q) for _ in range(200)] + [0, 1, 2, 4, _Q - 1]
+    cases = [bytes([prefix]) + x.to_bytes(32, "big") for x in xs for prefix in (0x02, 0x03)]
+    cases += [bytes([0x02 + (i & 1)]) + x.to_bytes(32, "big") for i, x in enumerate((_Q, _Q + 1, 2**256 - 1))]
+    cases += [bytes([prefix]) + (1).to_bytes(32, "big") for prefix in (0x00, 0x01, 0x04, 0x07, 0xFF)]
+    cases += [b"\x00" * 33]
+    accepted = 0
+    for data in cases:
+        try:
+            want = eager_decode(data)
+        except EncodingError:
+            with pytest.raises(EncodingError):
+                prod.decode_element(data)
+            continue
+        got = prod.decode_element(data)
+        accepted += 1
+        assert got == want and want == got and hash(got) == hash(want), data.hex()
+        assert got.inf or got != prod.neg(want)
+        assert prod.encode_element(got) == data
+        assert y_forced(got) == got.inf  # equality, hashing and encoding read x and the parity
+        assert (got.inf, got.x, got.y) == (want.inf, want.x, want.y)
+        assert y_forced(got)
+        assert got == want and hash(got) == hash(want)
+    assert 150 < accepted < 260  # about half of the random x are on the curve, each with both parities
 
 
 class TestScalars:

@@ -973,19 +973,23 @@ class TestAudit:
 
     @pytest.mark.parametrize("deploys", [0, 2])
     def test_log_without_exactly_one_deploy_fails(self, authority_run, deploys):
-        # the contract holds the one-Deploy rule: with none, the first requester
-        # transaction finds no contract; a second is refused as already deployed
+        # with none, the audit names the missing Deploy once instead of replaying
+        # every transaction against no contract; the contract refuses a second
         result, ra = authority_run
         bodies, _ = split_log(result.log_lines)
         deploy = next(b for b in bodies if b["type"] == "tx" and b["method"] == "Deploy")
         if deploys == 0:
             bodies.remove(deploy)
-            want = "round 0: tx 1 (CreateTask): no contract is deployed"
+            want = ["transaction 0 in log order carries index 1", "log carries no Deploy"]
         else:
             bodies.insert(bodies.index(deploy) + 1, {**deploy, "index": deploy["index"] + 1})
-            want = "tx 1 (Deploy): the contract is already deployed"
+            want = [
+                "transaction 2 in log order carries index 1",
+                "tx 1 (Deploy): the contract is already deployed",
+                "summary figures off the replayed chain: gas_by_sender",
+            ]
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
-        assert want in report.problems
+        assert report.problems == want
 
     @pytest.mark.parametrize(
         "attack, method, edit, why",
@@ -1011,7 +1015,7 @@ class TestAudit:
         tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == method)
         tx.update(edit)
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
-        where = "" if tx["task_seq"] == -1 else "round 0: "  # a problem names the round its label names
+        where = "" if method == "Deploy" else "round 0: "  # a Deploy is applied to no task, whatever its label
         assert report.problems == [f"{where}tx {tx['index']} ({method}): {why}"]
 
     def test_round_opened_off_its_create_task_fails(self, authority_run):
@@ -1025,24 +1029,25 @@ class TestAudit:
         assert report.problems == [f"round 0: opened at block 1000000, not at its CreateTask's {create['submitted_block']}"]
 
     def test_task_transaction_outside_every_task_fails(self, authority_run):
-        # only the deploy belongs to no task; the contract refuses a payment labelled so
+        # only the deploy belongs to no task; the contract refuses a payment labelled
+        # so, and the problem names the round of the task it was applied to
         result, ra = authority_run
         bodies, _ = split_log(result.log_lines)
         tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == "WorkerPayment")
         tx["task_seq"] = -1
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
-        assert report.problems == [f"tx {tx['index']} (WorkerPayment): belongs to task 0, not -1"]
+        assert report.problems == [f"round 0: tx {tx['index']} (WorkerPayment): belongs to task 0, not -1"]
 
     def test_transaction_labelled_with_another_task_fails(self, tiny_image):
         # task 0's finalize refund, relabelled as task 1's: the money moves
-        # the same, but the contract paid it from task 0
+        # the same, but the contract paid it from task 0, so round 0 names it
         result, ra = signed_run(tiny_image, attack="stale-quality")
         bodies, _ = split_log(result.log_lines)
         refund = next(b for b in bodies if b["type"] == "tx" and b["method"] == "Refund")
         assert refund["task_seq"] == 0
         refund["task_seq"] = 1
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
-        assert report.problems == [f"round 1: tx {refund['index']} (Refund): belongs to task 0, not 1"]
+        assert report.problems == [f"round 0: tx {refund['index']} (Refund): belongs to task 0, not 1"]
 
     def test_transactions_numbered_out_of_log_order_fail(self, authority_run):
         result, ra = authority_run
@@ -1054,7 +1059,7 @@ class TestAudit:
 
     def test_second_task_under_a_taken_number_fails(self, tiny_image):
         # after the voided task 0 closes, a zero-wei task opens and is voided
-        # again under task_seq 0; the contract would have numbered it 1
+        # again under task_seq 0; the contract numbers it 1, which no round describes
         result, ra = signed_run(tiny_image, attack="void-task")
         bodies, _ = split_log(result.log_lines)
         txs = [b for b in bodies if b["type"] == "tx"]
@@ -1069,7 +1074,7 @@ class TestAudit:
         summary = next(b for b in bodies if b["type"] == "summary")
         summary["gas_by_sender"][create["sender"]] += create["gas"]
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
-        assert report.problems == [f"round 0: tx {len(txs)} (CreateTask): opens task 1, not 0"]
+        assert report.problems == [f"tx {len(txs)} (CreateTask): opens task 1, not 0"]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
