@@ -127,9 +127,8 @@ class CurvePoint(GroupElement):
 
     ``odd`` is the parity of y. On the curve, x and that parity name the
     point (its two y are y and _Q - y, of opposite parity), so equality,
-    hashing and encoding read only x, ``odd`` and ``inf``. A point that
-    CurveGroup.decode_element made leaves the ``y`` slot unset, and its
-    first read finds y with one square root (see __getattr__).
+    hashing and encoding read only x, ``odd`` and ``inf``, and a decoded
+    point (a _CompressedPoint) leaves y unset until its first read.
 
     ``table`` is the point's own fixed-base table when CurveGroup.fixed_base
     made it, else None; equality and hashing ignore it."""
@@ -142,21 +141,6 @@ class CurvePoint(GroupElement):
         self.odd = y & 1
         self.inf = inf
         self.table: _FixedBaseTable | None = None
-
-    @classmethod
-    def compressed(cls, x: int, odd: int) -> "CurvePoint":
-        """The point with this x and y of this parity; x must be on the curve."""
-        p = cls.__new__(cls)
-        p.x, p.odd, p.inf, p.table = x, odd, False, None
-        return p
-
-    def __getattr__(self, name: str) -> int:
-        # reached only for an unset slot, which is y on a compressed point
-        if name != "y":
-            raise AttributeError(name)
-        y = _curve_y(self.x)
-        self.y = y if y & 1 == self.odd else _Q - y
-        return self.y
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CurvePoint):
@@ -172,6 +156,28 @@ class CurvePoint(GroupElement):
         if self.inf:
             return "CurvePoint(infinity)"
         return f"CurvePoint({hex(self.x)}, {hex(self.y)})"
+
+
+class _CompressedPoint(CurvePoint):
+    """The point with x on the curve and y of parity odd, as decoded: the y
+    slot stays unset until its first read finds y with one square root. The
+    fallback lives on this subclass alone, because a class that defines
+    __getattr__ takes every attribute load of its instances off the
+    interpreter's specialized slot read, and eager points are read in the
+    hottest loops (the codec's baby table, the multiplication rows)."""
+
+    __slots__ = ()
+
+    def __init__(self, x: int, odd: int):
+        self.x, self.odd, self.inf, self.table = x, odd, False, None
+
+    def __getattr__(self, name: str) -> int:
+        # reached only for an unset slot, which is y
+        if name != "y":
+            raise AttributeError(name)
+        y = _curve_y(self.x)
+        self.y = y if y & 1 == self.odd else _Q - y
+        return self.y
 
 
 class FieldUnit(GroupElement):
@@ -290,19 +296,17 @@ def _affine(points: list[tuple[int, int, int]]) -> list[CurvePoint]:
 
 def _jacobi(a: int, n: int) -> int:
     """The Jacobi symbol (a/n) for odd n > 0, by the binary algorithm (H.
-    Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.4.10):
-    strip the twos from a, each pair of them free and an odd count flipping
-    the sign when n = 3 or 5 mod 8, then swap a and n by reciprocity,
-    flipping when both are 3 mod 4. For a prime n it is 1 exactly on the
-    nonzero squares, at a fraction of the cost of a pow mod n."""
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.4.10).
+    For a prime n it is 1 exactly on the nonzero squares, at about a quarter
+    of the cost of a pow mod n."""
     a %= n
     t = 1
     while a:
         twos = (a & -a).bit_length() - 1
         a >>= twos
-        if twos & 1 and n & 7 in (3, 5):
+        if twos & 1 and n & 7 in (3, 5):  # (2/n) = -1
             t = -t
-        if a & n & 3 == 3:
+        if a & n & 3 == 3:  # reciprocity
             t = -t
         a, n = n % a, a
     return t if n == 1 else 0
@@ -645,7 +649,7 @@ class CurveGroup(Group):
             raise EncodingError("curve x-coordinate out of field range")
         if _jacobi(x * x * x + 3, _Q) != 1:  # never 0: no point has y = 0 in a group of odd order
             raise EncodingError("x-coordinate is not on the curve")
-        return CurvePoint.compressed(x, prefix & 1)
+        return _CompressedPoint(x, prefix & 1)
 
     def _from_digest(self, digest: bytes) -> CurvePoint | None:
         x = int.from_bytes(digest, "big") % _Q

@@ -9,7 +9,9 @@ re-executes the contract: every logged transaction, in log order, goes
 through the same `ledger.TaskContract` check and move the simulated chain
 ran (the one Deploy, sender, phase, deadlines, gas, fee, value,
 beneficiary, escrow, the task it names and the refunds a close owes), and
-each task must end closed with no escrow and no refund owed. The replayed
+each task must end closed with no escrow and no refund owed. A log with no
+Deploy is one problem, and nothing is replayed; a transaction's problem
+names the round of the task the replay applied it to. The replayed
 contract is the audit's one record of the chain: each round reads its
 transactions off its replayed task, and the summary's chain figures must
 equal ledger.chain_summary of the replay, the function the runner wrote
