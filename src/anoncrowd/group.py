@@ -159,12 +159,10 @@ class CurvePoint(GroupElement):
 
 
 class _CompressedPoint(CurvePoint):
-    """The point with x on the curve and y of parity odd, as decoded: the y
-    slot stays unset until its first read finds y with one square root. The
-    fallback lives on this subclass alone, because a class that defines
-    __getattr__ takes every attribute load of its instances off the
-    interpreter's specialized slot read, and eager points are read in the
-    hottest loops (the codec's baby table, the multiplication rows)."""
+    """A decoded point: x on the curve and the parity of y, with y found by
+    one square root on its first read. __getattr__ lives on this subclass
+    alone: defining it takes every attribute load off the interpreter's
+    specialized slot read, and eager points fill the hottest loops."""
 
     __slots__ = ()
 
