@@ -10,6 +10,9 @@ Message domains are finite by design and pinned here:
   domain and replace the additive blinds, see the README limitations.
   The domain equals the answers', so the two share one codec.
 
+Every codec reads its group's one discrete-log table
+(primitives.dlog_table), built once per group per process.
+
 The params digest fingerprints the group, the generators and the codec
 layout; every relation statement embeds it, so proofs cannot be replayed
 across differently parameterized deployments.
@@ -41,7 +44,7 @@ class CryptoContext:
     def __post_init__(self):
         g = self.group
         self.answer_codec = MessageCodec(g, ANSWER_DOMAIN)
-        self.address_codec = MessageCodec(g, ADDRESS_DOMAIN, baby_size=1 << 16)
+        self.address_codec = MessageCodec(g, ADDRESS_DOMAIN)
         self.claim_codec = self.answer_codec  # CLAIM_DOMAIN == ANSWER_DOMAIN
         self.params_digest = hash_bytes(
             record(
@@ -56,7 +59,7 @@ class CryptoContext:
 
 @cache
 def production_context() -> CryptoContext:
-    """Process-wide context over the production curve (codec table reuse)."""
+    """Process-wide context over the production curve."""
     return CryptoContext(production_group())
 
 

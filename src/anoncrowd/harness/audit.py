@@ -23,8 +23,8 @@ is a refusal of that round's CreateTask, not of every later transaction,
 and the round must have opened at the block its CreateTask was submitted
 in. It also checks the chain's numbering (transactions 0..n-1 in log
 order, each included after it was submitted) and that the hash chain over
-the lines is intact and signed off by the registration authority's key
-from the header.
+the lines is intact and ends in one signoff by the registration
+authority's key from the header.
 
 Two trust anchors come from the header: the authority's public key (for
 the signoff) and the attestation setup seed. A deployment would publish a
@@ -148,11 +148,11 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             return AuditReport(False, [f"line {lineno}: not valid json"], stats)
         if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
             return AuditReport(False, [f"line {lineno}: not a log event"], stats)
+        if signoff is not None:
+            return AuditReport(False, [f"line {lineno}: event after the signoff"], stats)
         if obj["type"] == "signoff":
             signoff = obj
             continue
-        if signoff is not None:
-            return AuditReport(False, [f"line {lineno}: event after the signoff"], stats)
         body = {k: v for k, v in obj.items() if k != "chain"}
         chain = chain_digest(chain, body)
         if obj.get("chain") != chain.hex():

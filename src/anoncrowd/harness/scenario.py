@@ -127,14 +127,14 @@ def parse_scenario(text: str, fallback_name: str) -> ScenarioConfig:
             tip_gwei=network.getfloat("tip_gwei", fallback=fee.tip_gwei),
             eth_usd=network.getfloat("eth_usd", fallback=fee.eth_usd),
             rounds=task.getint("rounds", fallback=1),
-            min_workers=task.getint("min_workers"),
+            min_workers=cp.getint("task", "min_workers"),
             response_window=task.getint("response_window", fallback=600),
             processing_window=task.getint("processing_window", fallback=900),
             escrow_wei=_wei(task.get("escrow_eth")),
             policy=_policy_from(cp["policy"]),
-            worker_count=workers.getint("count"),
+            worker_count=cp.getint("workers", "count"),
             prior=(workers.getint("prior_alpha", fallback=1), workers.getint("prior_beta", fallback=1)),
-            fixture=workers.get("fixture"),
+            fixture=cp.get("workers", "fixture"),
             worker_funding_wei=_wei(workers.get("funding_eth", "0.05")),
             requester_funding_wei=_wei(task.get("requester_funding_eth", "10")),
         )

@@ -7,7 +7,9 @@ This is the cryptographic toolbox the protocol layers build on:
   relative to the main generator is unknown.
 * Lifted ElGamal encryption: messages from a declared finite domain are
   embedded as scalar multiples of the generator and recovered after
-  decryption with a bounded baby-step/giant-step search. keygen makes its
+  decryption with a bounded baby-step/giant-step search. Each group has one
+  discrete-log table (dlog_table, BABY_STEPS entries), built on the first
+  decryption and shared by every codec over it. keygen makes its
   public key a fixed base of the group, so encryption under it and
   signature checks against it take the fixed-base path.
 * Schnorr-style signatures with deterministic nonces: S = r + H(m) * sk,
@@ -271,62 +273,52 @@ def decode_ciphertexts(group: Group, data: bytes, count: int) -> tuple[Ciphertex
     return tuple(Ciphertext.decode(group, data[i * step : (i + 1) * step]) for i in range(count))
 
 
+BABY_STEPS = 1 << 16  # entries of each group's discrete-log table
+
+
+@cache
+def dlog_table(group: Group) -> tuple[dict[bytes, int], GroupElement]:
+    """The group's one discrete-log table, which every codec over it reads:
+    the encoding of j * G mapped to j for j below BABY_STEPS, streamed from
+    Group.multiples (batch-normalized on the curve) on first use, and the
+    giant stride -BABY_STEPS * G."""
+    babies = group.multiples(group.generator, BABY_STEPS)
+    return {group.encode_element(p): j for j, p in enumerate(babies)}, group.neg(group.mul_gen(BABY_STEPS))
+
+
 class MessageCodec:
     """Scalar embedding of a finite message domain into the group.
 
     forward maps x to x * G; inverse recovers x from a decrypted element by
-    baby-step/giant-step over the declared domain. The baby table maps the
-    encoding of j * G to j for j below baby_size. It is built on the first
-    inverse, streamed from Group.multiples (batch-normalized on the curve),
-    and is bounded (at most 2^20 entries) so recovery cost is explicit and
-    capped.
+    baby-step/giant-step over the declared domain against the group's
+    dlog_table, so it takes at most ceil(domain_size / BABY_STEPS) probes.
     """
 
-    MAX_TABLE = 1 << 20
-
-    def __init__(self, group: Group, domain_size: int, baby_size: int | None = None):
+    def __init__(self, group: Group, domain_size: int):
         if domain_size < 1:
             raise ValueError("domain must be non-empty")
+        self.group = group
         # the embedding is injective only below the group order, so the
         # declared domain is clamped there (matters for the tiny backend)
-        domain_size = min(domain_size, group.order)
-        if baby_size is None:
-            baby_size = min(domain_size, 4096)
-        if not 1 <= baby_size <= self.MAX_TABLE:
-            raise ValueError("baby table size out of range")
-        self.group = group
-        self.domain_size = domain_size
-        self.baby_size = baby_size
-        self._table: dict[bytes, int] | None = None
-        self._stride_neg: GroupElement | None = None
+        self.domain_size = min(domain_size, group.order)
 
     def forward(self, message: int) -> GroupElement:
         if not isinstance(message, int) or not 0 <= message < self.domain_size:
             raise DomainError(f"message {message!r} outside codec domain [0, {self.domain_size})")
         return self.group.mul_gen(message)
 
-    def _ensure_table(self) -> None:
-        if self._table is not None:
-            return
-        g = self.group
-        babies = g.multiples(g.generator, self.baby_size)
-        self._table = {g.encode_element(p): j for j, p in enumerate(babies)}
-        self._stride_neg = g.neg(g.mul_gen(self.baby_size))
-
     def inverse(self, element: GroupElement) -> int:
-        self._ensure_table()
-        assert self._table is not None and self._stride_neg is not None
         g = self.group
-        giants = -(-self.domain_size // self.baby_size)
+        babies, stride_neg = dlog_table(g)
         probe = element
-        for step in range(giants):
-            hit = self._table.get(g.encode_element(probe))
+        for step in range(-(-self.domain_size // BABY_STEPS)):
+            hit = babies.get(g.encode_element(probe))
             if hit is not None:
-                x = step * self.baby_size + hit
+                x = step * BABY_STEPS + hit
                 if x < self.domain_size:
                     return x
                 break
-            probe = g.add(probe, self._stride_neg)
+            probe = g.add(probe, stride_neg)
         raise DomainError("element does not embed a message from this codec's domain")
 
 

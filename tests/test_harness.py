@@ -7,6 +7,7 @@ Every run here is seeded, so expectations are exact, not statistical.
 
 import configparser
 import hashlib
+import io
 import json
 import random
 from dataclasses import dataclass, fields, replace
@@ -308,6 +309,17 @@ class TestScenarios:
     def test_missing_section_is_a_config_error(self):
         with pytest.raises(ConfigError):
             parse_scenario("[task]\nmin_workers = 1\n", "bad")
+
+    @pytest.mark.parametrize("section, key", [("task", "min_workers"), ("workers", "count"), ("workers", "fixture")])
+    def test_missing_required_key_is_a_config_error(self, section, key):
+        text = resources.files("anoncrowd").joinpath("data/scenarios/image_annotation.ini").read_text()
+        cp = configparser.ConfigParser()
+        cp.read_string(text)
+        cp.remove_option(section, key)
+        out = io.StringIO()
+        cp.write(out)
+        with pytest.raises(ConfigError, match=key):
+            parse_scenario(out.getvalue(), "bad")
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -713,6 +725,15 @@ class TestAudit:
         at = ln.rindex("0") if "0" in ln else len(ln) // 2
         lines[idx] = ln[:at] + "1" + ln[at + 1 :]
         assert not verify_log(lines).ok
+
+    @pytest.mark.parametrize("extra", ["junk before", "repeated"])
+    def test_second_signoff_fails(self, authority_run, extra):
+        lines = list(authority_run[0].log_lines)
+        if extra == "junk before":
+            lines.insert(-1, canonical_line({"type": "signoff", "chain": "00", "sig": "zz"}))
+        else:
+            lines.append(lines[-1])
+        assert verify_log(lines).problems == [f"line {len(lines)}: event after the signoff"]
 
     def test_rechained_tamper_fails_the_signoff(self, honest_run):
         lines = rechain(

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anoncrowd.context import CLAIM_DOMAIN, production_context, tiny_context
+from anoncrowd import primitives
+from anoncrowd.context import ADDRESS_DOMAIN, CLAIM_DOMAIN, CryptoContext, production_context, tiny_context
 from anoncrowd.errors import DomainError, EncodingError
 from anoncrowd.group import production_group, tiny_group
 from anoncrowd.primitives import (
+    BABY_STEPS,
     BlindingPair,
     Ciphertext,
     CommitmentPair,
@@ -27,6 +29,7 @@ from anoncrowd.primitives import (
     commit_pair,
     decrypt_element,
     decrypt_message,
+    dlog_table,
     encrypt,
     encrypt_message,
     hash_bytes,
@@ -169,7 +172,7 @@ def test_homomorphism_property(x1, x2, r1, r2):
 
 class TestMessageCodec:
     def test_round_trip_exhaustive_small_domain(self, tiny):
-        codec = MessageCodec(tiny, domain_size=200, baby_size=16)
+        codec = MessageCodec(tiny, domain_size=200)
         seen = set()
         for x in range(200):
             e = codec.forward(x)
@@ -177,22 +180,27 @@ class TestMessageCodec:
             assert codec.inverse(e) == x
         assert len(seen) == 200  # injective on the whole domain
 
-    def test_round_trip_spans_giant_steps(self, prod):
-        codec = MessageCodec(prod, domain_size=1 << 16, baby_size=256)
-        for x in [0, 1, 255, 256, 257, 5000, 65535]:
-            assert codec.inverse(codec.forward(x)) == x
+    def test_round_trip_spans_giant_steps(self, prod, tiny):
+        # an address-domain codec on either side of the first giant step and
+        # three steps in
+        for g in (tiny, prod):
+            codec = MessageCodec(g, ADDRESS_DOMAIN)
+            for x in (0, BABY_STEPS - 1, BABY_STEPS, BABY_STEPS + 1, 3 * BABY_STEPS + 5):
+                assert codec.inverse(codec.forward(x)) == x
 
     def test_batched_baby_table_matches_sequential_adds(self, prod, tiny):
-        # 600 babies: two full 256-point chunks of Group.multiples and a part
-        for g in (prod, tiny):
-            codec = MessageCodec(g, domain_size=600 * 5 + 17, baby_size=600)
-            for j in (0, 255, 256, 257, codec.baby_size - 1, codec.domain_size - 1):
-                assert codec.inverse(codec.forward(j)) == j
+        # all of the tiny31 table; on the curve the first 600 entries (two
+        # full 256-point chunks of Group.multiples and a part) and the last
+        for g, checked in ((tiny, BABY_STEPS), (prod, 600)):
+            babies, stride_neg = dlog_table(g)
+            assert len(babies) == BABY_STEPS
             want, cur = {}, g.identity()
-            for j in range(600):
+            for j in range(checked):
                 want[g.encode_element(cur)] = j
                 cur = g.add(cur, g.generator)
-            assert list(codec._table.items()) == list(want.items())
+            assert list(babies.items())[:checked] == list(want.items())
+            assert babies[g.encode_element(g.mul_gen(BABY_STEPS - 1))] == BABY_STEPS - 1
+            assert g.add(stride_neg, g.mul_gen(BABY_STEPS)) == g.identity()
 
     def test_rejects_out_of_domain_messages(self, tiny):
         codec = MessageCodec(tiny, domain_size=50)
@@ -201,21 +209,31 @@ class TestMessageCodec:
                 codec.forward(bad)
 
     def test_rejects_non_embedded_elements(self, tiny):
-        codec = MessageCodec(tiny, domain_size=64, baby_size=8)
+        codec = MessageCodec(tiny, domain_size=64)
         with pytest.raises(DomainError):
             codec.inverse(tiny.mul_gen(64))
         with pytest.raises(DomainError):
             codec.inverse(tiny.blind_generator)
+        # found on the second giant step, past the domain's end
+        with pytest.raises(DomainError):
+            MessageCodec(tiny, domain_size=BABY_STEPS + 1).inverse(tiny.mul_gen(BABY_STEPS + 1))
 
     def test_claim_codec_is_the_answer_codec(self):
-        # one 2^16 domain, so one baby table per context, not two
+        # one 2^16 domain, so one codec per context; the table is the group's
         for ctx in (tiny_context(), production_context()):
             assert ctx.claim_codec.domain_size == CLAIM_DOMAIN
             assert ctx.claim_codec is ctx.answer_codec
 
-    def test_table_bound_enforced(self, tiny):
-        with pytest.raises(ValueError):
-            MessageCodec(tiny, domain_size=1 << 22, baby_size=(1 << 20) + 1)
+    def test_every_codec_reads_one_table(self, prod, monkeypatch):
+        # a cached and a fresh context over one group: all six codec reads
+        # return the group's table object
+        read = []
+        monkeypatch.setattr(primitives, "dlog_table", lambda g: read.append(dlog_table(g)) or read[-1])
+        for ctx in (production_context(), CryptoContext(prod)):
+            for codec in (ctx.answer_codec, ctx.claim_codec, ctx.address_codec):
+                assert codec.inverse(codec.forward(7)) == 7
+        assert len(read) == 6
+        assert all(table is dlog_table(prod) for table in read)
 
 
 # ── encryption ───────────────────────────────────────────────────────────────
