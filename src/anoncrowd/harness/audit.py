@@ -4,27 +4,29 @@ verify_log holds no agent secrets. From the log alone it rebuilds the
 crypto context, replays every screening verdict and re-verifies every
 attestation. It reads the header's fees and policy, each round's task
 parameters and each transaction with encoding.from_json, the inverse of
-the runner's to_json, so a missing or mistyped field is named. It
-re-executes the contract: every logged transaction, in log order, goes
-through the same `ledger.TaskContract` check and move the simulated chain
-ran (the one Deploy, sender, phase, deadlines, gas, fee, value,
-beneficiary, escrow, the task it names and the refunds a close owes), and
-each task must end closed with no escrow and no refund owed. A log with no
-Deploy is one problem, and nothing is replayed; a transaction's problem
-names the round of the task the replay applied it to. The replayed
-contract is the audit's one record of the chain: each round reads its
-transactions off its replayed task, and the summary's chain figures must
-equal ledger.chain_summary of the replay, the function the runner wrote
-them with. A quorate round's payments must be the multiset of `paym_calc`
-amounts owed to its served responses, given which carry a verified
-correctness attestation: addresses are encrypted, so no payment names its
-response. Each task opens with its round event's figures, so a bad figure
-is a refusal of that round's CreateTask, not of every later transaction,
-and the round must have opened at the block its CreateTask was submitted
-in. It also checks the chain's numbering (transactions 0..n-1 in log
-order, each included after it was submitted) and that the hash chain over
-the lines is intact and ends in one signoff by the registration
-authority's key from the header.
+the runner's to_json, so a missing or mistyped field is named. One rule
+numbers the rounds: round r opens task r. The round events number the
+rounds 0..n-1 once each in log order, each naming its own task, and so do
+the screening events; a log off the rule is not replayed, and an
+arbitration must name a round there is. The audit re-executes the
+contract: every logged transaction, in log order, goes through the same
+`ledger.TaskContract` check and move the simulated chain ran (the one
+Deploy, sender, phase, deadlines, gas, fee, value, beneficiary, escrow,
+the task it names and the refunds a close owes), and each task must end
+closed with no escrow and no refund owed. A log with no Deploy is one
+problem, and nothing is replayed. The replayed contract is the audit's one
+record of the chain: a transaction's problem names the round of the task
+it was applied to, round r replays task r's transactions, and the
+summary's chain figures must equal ledger.chain_summary of the replay,
+the function the runner wrote them with. A quorate round's payments must
+be the multiset of `paym_calc` amounts owed to its served responses, given
+which carry a verified correctness attestation: addresses are encrypted,
+so no payment names its response. Task r opens with round event r's
+figures (a bad one is a refusal of that CreateTask alone) at the block
+its CreateTask was submitted in. It also checks the chain's numbering
+(transactions 0..n-1 in log order, each included after it was submitted)
+and that the hash chain over the lines is intact and ends in one signoff
+by the registration authority's key from the header.
 
 Two trust anchors come from the header: the authority's public key (for
 the signoff) and the attestation setup seed. A deployment would publish a
@@ -144,7 +146,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         stats["lines"] += 1
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # a JSONDecodeError, a too-long integer or too-deep nesting
             return AuditReport(False, [f"line {lineno}: not valid json"], stats)
         if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
             return AuditReport(False, [f"line {lineno}: not a log event"], stats)
@@ -195,36 +197,23 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         except (ValueError, EncodingError):
             problems.append("signoff signature is malformed")
 
-    # pass 2: group events
-    metas: dict[int, dict] = {}
-    params_of: dict[int, ChainTaskParams] = {}  # task_seq -> its round's task parameters
-    screenings: dict[int, dict] = {}
-    arbitrations: dict[int, list[dict]] = {}
-    txs: list[LedgerRecord] = []
-    summaries: list[dict] = []
+    # pass 2: one list per event kind, in log order; an event that does not parse joins none
+    kinds: dict[str, list] = {"round": [], "screening": [], "arbitration": [], "tx": [], "summary": []}
+    task_params: list[ChainTaskParams] = []  # the figures each round event's task opens with
     for event in events[1:]:
         kind = event["type"]
-        bad = mistyped_field(event, _FIELDS.get(kind, {}))
-        if bad:
-            problems.append(f"{kind} event field {bad!r} is missing or mistyped")
-        elif kind == "round":
-            try:
-                params_of[event["task_seq"]], metas[event["round"]] = from_json(ChainTaskParams, event), event
-            except ValueError as exc:
-                problems.append(f"{kind} event {exc}")
-        elif kind == "screening":
-            screenings[event["round"]] = event
-        elif kind == "arbitration":
-            arbitrations.setdefault(event["round"], []).append(event)
-        elif kind == "tx":
-            try:
-                txs.append(from_json(LedgerRecord, event))
-            except ValueError as exc:
-                problems.append(f"transaction event does not parse: {exc}")
-        elif kind == "summary":
-            summaries.append(event)
-        else:
+        if kind not in kinds:
             problems.append(f"unknown event type {kind!r}")
+            continue
+        try:
+            if bad := mistyped_field(event, _FIELDS.get(kind, {})):
+                raise ValueError(f"field {bad!r} is missing or mistyped")
+            if kind == "round":
+                task_params.append(from_json(ChainTaskParams, event))
+            kinds[kind].append(from_json(LedgerRecord, event) if kind == "tx" else event)
+        except ValueError as exc:
+            problems.append(f"{kind} event {exc}")
+    round_events, screenings, arbitrations, txs, summaries = kinds.values()
     stats["txs"] = len(txs)
     # the ledger numbers its transactions 0..n-1 in log order; only the first
     # break is named, since one dropped or added transaction shifts every later index
@@ -233,11 +222,20 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
             problems.append(f"transaction {pos} in log order carries index {t.index}")
             break
 
-    if len(metas) != header["rounds"] or sorted(metas) != list(range(len(metas))):
-        problems.append("round metadata does not cover rounds 0..n-1")
-    for r in screenings:
-        if r not in metas:
-            problems.append(f"screening event for unknown round {r}")
+    # the numbering rule: round r opens task r, so the round events number the rounds and
+    # their tasks 0..n-1 once each in log order, and the screening events number the rounds
+    # the same way; an event off it matches no task, so the replay stops here
+    n = header["rounds"]
+    labels = {
+        "round events number rounds": [m["round"] for m in round_events],
+        "round events number tasks": [m["task_seq"] for m in round_events],
+        "screening events number rounds": [s["round"] for s in screenings],
+    }
+    off = [(what, got) for what, got in labels.items() if len(got) != n or got != list(range(n))]
+    misnumbered = [f"{what} {got}, not 0..{n - 1} in log order" for what, got in off]
+    if misnumbered:
+        return AuditReport(False, problems + misnumbered, stats)
+    problems += [f"arbitration event for unknown round {a['round']}" for a in arbitrations if not 0 <= a["round"] < n]
 
     # with no contract every transaction would be refused, so the replay stops here
     if not any(t.method == DEPLOY for t in txs):
@@ -246,17 +244,16 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
     # pass 3: re-execute the contract over every transaction in log order; each task
     # opens with its round's logged figures, and the replay follows the log past a
     # refusal, so one bad transaction or task figure is one problem
-    round_of = {meta["task_seq"]: r for r, meta in metas.items()}
     contract = TaskContract(fee)
 
     def tx_problem(rec: LedgerRecord, why: str) -> None:
         # the round of the task the contract applied rec to, whatever task its label names
-        applied = contract.tasks and contract.tasks[-1].records[-1] is rec
-        r = round_of.get(len(contract.tasks) - 1) if applied else None
-        problems.append(("" if r is None else f"round {r}: ") + f"tx {rec.index} ({rec.method}): {why}")
+        r = len(contract.tasks) - 1
+        named = 0 <= r < n and contract.tasks[r].records[-1] is rec
+        problems.append((f"round {r}: " if named else "") + f"tx {rec.index} ({rec.method}): {why}")
 
     for rec in txs:
-        params = params_of.get(rec.task_seq)
+        params = task_params[rec.task_seq] if 0 <= rec.task_seq < n else None
         refusal = contract.check(rec, params)
         contract.move(rec, params)
         if rec.inclusion_block <= rec.submitted_block:
@@ -266,15 +263,13 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
 
     # pass 4: replay each round off the transactions its replayed task holds
     tags_seen: set[bytes] = set()
-    tasks = dict(enumerate(contract.tasks))
-    for r in sorted(metas):
-        meta = metas[r]
+    for r, (meta, screening) in enumerate(zip(round_events, screenings)):
         prefix = f"round {r}: "
         stats["rounds"] += 1
-        task = tasks.get(meta["task_seq"])
-        if task is None:
+        if r >= len(contract.tasks):
             problems.append(prefix + "task was never opened")
             continue
+        task = contract.tasks[r]
         opened = task.records[0].submitted_block  # its CreateTask's
         if meta["opened_block"] != opened:
             problems.append(prefix + f"opened at block {meta['opened_block']}, not at its CreateTask's {opened}")
@@ -284,10 +279,6 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
         elif task.escrow_wei or task.owed:
             problems.append(prefix + f"task closed holding {task.escrow_wei} wei, {len(task.owed)} refunds owed")
 
-        screening = screenings.get(r)
-        if screening is None:
-            problems.append(prefix + "no screening event")
-            continue
         included = task.included_responses()
         try:
             tree_root = bytes.fromhex(meta["tree_root"])
@@ -363,7 +354,7 @@ def verify_log(lines: Iterable[str]) -> AuditReport:
                 valued.add(post.response_ref)
                 stats["proofs_verified"] += 1
 
-        upheld_refs = {a["ref"] for a in arbitrations.get(r, []) if a["upheld"]}
+        upheld_refs = {a["ref"] for a in arbitrations if a["round"] == r and a["upheld"]}
         confiscations = task.sent(CONFISCATE)
         for p in accepted:
             if p.ref not in covered and p.ref not in upheld_refs:

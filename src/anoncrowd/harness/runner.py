@@ -24,7 +24,7 @@ the CLI exits 1 on any.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..actors import (
     QualityPost,
@@ -55,7 +55,6 @@ from ..ledger import (
     WORKER_PAYMENT,
     ChainTaskParams,
     FeeParams,
-    GasSchedule,
     Ledger,
     TaskState,
     chain_summary,
@@ -72,11 +71,10 @@ from ..relations import (
 from .attacks import ADVERSARY, ATTACKS, Attack
 from .audit import CHAIN_SEED, LOG_VERSION, canonical_line, chain_digest
 from .fixtures import load_fixture
-from .scenario import ScenarioConfig
+from .scenario import SUBMITS_PER_BLOCK, ScenarioConfig
 
 REQUESTER = "requester"
 _ADDRESS_SPACE = 1 << 20  # payout addresses drawn small so decryption is quick
-_SUBMITS_PER_BLOCK = 7  # the cast's pace: one block passes after every 7th response
 
 
 @dataclass
@@ -165,13 +163,9 @@ class _Run:
     def __init__(self, config: ScenarioConfig, seed: int, attack: str | None):
         if attack is not None and attack not in ATTACKS:
             raise ConfigError(f"unknown attack {attack!r} (one of {', '.join(ATTACKS)})")
-        config.validate()
-        # the cast's last response, and an outsider's two blocks after it, go in before the window closes
-        if config.response_window < config.worker_count // _SUBMITS_PER_BLOCK + 2:
-            raise ConfigError(
-                f"a response window of {config.response_window} blocks is too short for {config.worker_count}"
-                f" workers submitting {_SUBMITS_PER_BLOCK} per block"
-            )
+        self.hook = ATTACKS[attack]() if attack is not None else Attack()
+        self.rounds = self.hook.rounds(config)
+        replace(config, rounds=self.rounds).validate()  # an attack may play more rounds than the scenario
         answers = load_fixture(config.fixture)
         if len(answers) < config.worker_count:
             raise ConfigError(
@@ -190,18 +184,7 @@ class _Run:
         self.seed = seed
         self.attack = attack
         self.answers = answers
-        self.hook = ATTACKS[attack]() if attack is not None else Attack()
-        self.rounds = rounds = self.hook.rounds(config)
         self.fee = FeeParams(config.base_fee_gwei, config.tip_gwei, config.eth_usd)
-        # the funding must cover every fee and deposit before the first transaction: each round may keep its
-        # whole escrow (an upheld protest confiscates what is left), and each party sends one response a round
-        gas, fee, n = GasSchedule(), self.fee.fee_wei, config.worker_count
-        per_round = config.escrow_wei + fee(gas.create_task) + fee(gas.submit_auth_calc)
-        need = fee(gas.deploy) + rounds * (per_round + n * (fee(gas.submit_quality) + fee(gas.worker_payment)))
-        if config.requester_funding_wei < need:
-            raise ConfigError(f"requester funding cannot cover the {need} wei that {rounds} round(s) may cost")
-        if config.worker_funding_wei < rounds * fee(gas.submit_response):
-            raise ConfigError(f"worker funding cannot cover {rounds} response fee(s) of {fee(gas.submit_response)} wei")
 
         self.ctx = context_for(config.backend)
         master = random.Random(seed)
@@ -286,7 +269,7 @@ class _Run:
             rnd.ref_to_worker[rec.index] = w
             rnd.ref_to_answer[rec.index] = self.answers[i]
             rnd.kept_bundles[i] = bundle
-            if pos % _SUBMITS_PER_BLOCK == _SUBMITS_PER_BLOCK - 1:
+            if pos % SUBMITS_PER_BLOCK == SUBMITS_PER_BLOCK - 1:
                 ledger.tick(1)
         self.hook.after_collect(self, rnd)
 

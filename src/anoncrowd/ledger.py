@@ -21,7 +21,8 @@ Everything cryptographic happens in the layers above, which hand payloads
 down as opaque bytes; the log's JSON form of a record is encoding.to_json's.
 
 All money is integer wei (1 Gwei = 10^9 wei). Escrow conservation is exact:
-deposit == payments + refunds + confiscation + remainder, always.
+deposit == payments + refunds + confiscation + remainder, always, and each
+wei a paying method takes out goes to the beneficiary it must name.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ RULES: dict[str, tuple[str, tuple[str | None, ...], str | None, str | None]] = {
     # goes to the wronged party, and the task is closed against further requester moves
     CONFISCATE: (CONTRACT, (COLLECTING, PROCESSING), FINALIZED, None),
 }
-PAYING = (WORKER_PAYMENT, REFUND, CONFISCATE)  # the methods that move escrow out, to a beneficiary
+# the methods that move escrow out, each to a beneficiary, and the TaskState total each books into
+PAYING = {WORKER_PAYMENT: "paid_out_wei", REFUND: "refunded_wei", CONFISCATE: "confiscated_wei"}
 
 
 @dataclass(frozen=True)
@@ -290,6 +292,8 @@ class TaskContract:
             return ValueError, f"moves {-rec.value_wei} wei out of escrow"
         if rec.beneficiary and method not in PAYING:
             return ValueError, f"pays no one, yet names {rec.beneficiary} its beneficiary"
+        if not rec.beneficiary and method in PAYING:
+            return ValueError, "names no beneficiary to pay"
         if task is not None and -rec.value_wei > task.escrow_wei:
             return FundsError, f"escrow of {task.escrow_wei} wei cannot cover it"
         if method == CONFISCATE and -rec.value_wei != task.escrow_wei:
@@ -316,12 +320,9 @@ class TaskContract:
         amount = -rec.value_wei
         task.escrow_wei -= amount
         task.phase = RULES[method][2] or task.phase
-        if method == WORKER_PAYMENT:
-            task.paid_out_wei += amount
-        elif method == CONFISCATE:
-            task.confiscated_wei += amount
-        elif method == REFUND:
-            task.refunded_wei += amount
+        if method in PAYING:
+            setattr(task, PAYING[method], getattr(task, PAYING[method]) + amount)
+        if method == REFUND:
             del task.owed[:1]
         elif method in (FINALIZE, VOID_TASK):  # a void reimburses its included responders' fees first
             landed = task.included_responses() if method == VOID_TASK else ()
@@ -404,7 +405,7 @@ class Ledger:
         contract.move(rec, params)
         rec.inclusion_block += self.latency_model.latency(self.fee.tip_gwei)
         self.records.append(rec)
-        if beneficiary:
+        if method in PAYING:
             self.fund(beneficiary, -value_wei)
         if method != REFUND and contract.tasks:
             for owed_to, amount in list(contract.tasks[-1].owed):  # each Refund pays the queue's head

@@ -157,6 +157,10 @@ REPLAY_BREAKERS = {
 }
 
 
+# what a scenario mutant sets a value to: edge numbers, overflows, fractions and junk
+MUTANT_VALUES = ["0", "-1", "nan", "inf", "1e400", "1/3", "3/2", "zz"]
+
+
 # values of every JSON type, to swap in for a field of another type
 JUNK = st.one_of(
     st.none(),
@@ -310,7 +314,16 @@ class TestScenarios:
         with pytest.raises(ConfigError):
             parse_scenario("[task]\nmin_workers = 1\n", "bad")
 
-    @pytest.mark.parametrize("section, key", [("task", "min_workers"), ("workers", "count"), ("workers", "fixture")])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("task", "min_workers"),
+            ("task", "escrow_eth"),
+            ("policy", "domain_size"),
+            ("workers", "count"),
+            ("workers", "fixture"),
+        ],
+    )
     def test_missing_required_key_is_a_config_error(self, section, key):
         text = resources.files("anoncrowd").joinpath("data/scenarios/image_annotation.ini").read_text()
         cp = configparser.ConfigParser()
@@ -349,6 +362,35 @@ class TestScenarios:
             load_scenario(str(path))
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_scenario_mutants_are_refused_or_play_to_a_passing_log(self):
+        # seeded mutants of image_annotation on tiny31, each setting one or two values:
+        # every one is refused up front, or plays to the end with no failure and a
+        # log the audit passes; none stops halfway through a run
+        cp = configparser.ConfigParser()
+        cp.read_string(resources.files("anoncrowd").joinpath("data/scenarios/image_annotation.ini").read_text())
+        cp["network"]["backend"] = "tiny31"
+        slots = [(section, key) for section in cp.sections() for key in cp[section]]
+        rng = random.Random(15)
+        mutants = [[("policy", "pay_incorrect_eth", "3/2")]]  # its escrow ran dry at the first incorrect answer
+        for _ in range(99):
+            mutants.append([(*rng.choice(slots), rng.choice(MUTANT_VALUES)) for _ in range(rng.randint(1, 2))])
+        played = 0
+        for edits in mutants:
+            mutant = configparser.ConfigParser()
+            mutant.read_dict(cp)
+            for section, key, value in edits:
+                mutant[section][key] = value
+            text = io.StringIO()
+            mutant.write(text)
+            try:
+                result = run(parse_scenario(text.getvalue(), "mutant"), seed=1)
+            except ConfigError:
+                continue
+            played += 1
+            assert result.failures == [], edits
+            assert verify_log(result.log_lines).ok, edits
+        assert played > 0
 
 
 class TestFixtures:
@@ -464,6 +506,15 @@ class TestRunner:
         monkeypatch.setattr(runner, "context_for", lambda name: pytest.fail("crypto set-up ran"))
         with pytest.raises(ConfigError, match=f"^{who} funding cannot cover"):
             run(replace(tiny_image, **short), seed=1)
+
+    def test_escrow_short_of_the_larger_pay_rejected_before_any_crypto(self, tiny_image, monkeypatch):
+        # 39 workers each owed 3/2 ETH for an incorrect answer: a 1 ETH escrow
+        # would run dry at the first such payment, halfway through the round
+        monkeypatch.setattr(runner, "context_for", lambda name: pytest.fail("crypto set-up ran"))
+        policy = replace(tiny_image.policy, pay_incorrect=3 * 10**18 // 2)
+        assert tiny_image.worker_count * policy.pay_correct <= tiny_image.escrow_wei < policy.pay_incorrect
+        with pytest.raises(ConfigError, match="^escrow cannot pay every worker the larger of the two pays$"):
+            run(replace(tiny_image, policy=policy), seed=1)
 
     def test_funding_bound_is_exact(self, tiny_image):
         # the requester deposits the escrow and pays every fee before the
@@ -1021,16 +1072,21 @@ class TestAudit:
             ],
             ("void-task", "VoidTask", {"beneficiary": "worker-003"}, "pays no one, yet names worker-003 its beneficiary"),
             (None, "Deploy", {"task_seq": 0}, "belongs to task -1, not 0"),
+            # the wei it moves out of escrow would reach no account
+            (None, "WorkerPayment", {"beneficiary": ""}, "names no beneficiary to pay"),
+            ("deprivation", "Confiscate", {"beneficiary": ""}, "names no beneficiary to pay"),
         ],
         ids=[
             *(f"{method} beneficiary" for method in ("Deploy", "CreateTask", "SubmitResponse", "SubmitAuthCalc")),
             *(f"{method} beneficiary" for method in ("SubmitQuality", "Finalize", "VoidTask")),
             "Deploy task label",
+            "WorkerPayment without beneficiary",
+            "Confiscate without beneficiary",
         ],
     )
     def test_transaction_field_off_its_method_fails(self, tiny_image, attack, method, edit, why):
-        # a beneficiary on a method that pays no one, or a Deploy labelled as a
-        # task's: the contract refuses that transaction, and nothing else fails
+        # a beneficiary on a method that pays no one, none on one that pays, or a Deploy
+        # labelled as a task's: the contract refuses that transaction, and nothing else fails
         result, ra = signed_run(tiny_image, attack=attack)
         bodies, _ = split_log(result.log_lines)
         tx = next(b for b in bodies if b["type"] == "tx" and b["method"] == method)
@@ -1096,6 +1152,51 @@ class TestAudit:
         summary["gas_by_sender"][create["sender"]] += create["gas"]
         report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
         assert report.problems == [f"tx {len(txs)} (CreateTask): opens task 1, not 0"]
+
+    @pytest.mark.parametrize(
+        "forgery, want",
+        [
+            *[
+                (forgery, [f"round events number {what} [0, 0], not 0..0 in log order" for what in ("rounds", "tasks")])
+                for forgery in ("bogus round first", "duplicated round")
+            ],
+            ("voiding screening first", ["screening events number rounds [0, 0], not 0..0 in log order"]),
+            ("arbitration for round 7", ["arbitration event for unknown round 7"]),
+            ("screenings swapped", ["screening events number rounds [1, 0], not 0..1 in log order"]),
+        ],
+    )
+    def test_event_off_the_round_numbering_fails(self, tiny_image, forgery, want):
+        # round r opens task r: the round events and the screening events each number
+        # the rounds 0..n-1 once in log order, and an arbitration names a round there is
+        result, ra = signed_run(tiny_image, attack="stale-quality" if forgery == "screenings swapped" else None)
+        bodies, _ = split_log(result.log_lines)
+        meta, screening = (next(b for b in bodies if b["type"] == kind) for kind in ("round", "screening"))
+        if forgery == "bogus round first":
+            bogus = {**meta, "tree_root": "11" * 32, "escrow_wei": meta["escrow_wei"] + 1}
+            bodies.insert(bodies.index(meta), bogus)
+        elif forgery == "duplicated round":
+            bodies.insert(bodies.index(meta), dict(meta))
+        elif forgery == "voiding screening first":
+            bodies.insert(bodies.index(screening), {**screening, "accepted": screening["accepted"][1:], "void": True})
+        elif forgery == "arbitration for round 7":
+            arbitration = {"type": "arbitration", "round": 7, "ref": screening["accepted"][0], "upheld": True}
+            bodies.insert(bodies.index(screening) + 1, arbitration)
+        else:
+            at = bodies.index(screening)
+            bodies[at], bodies[at + 1] = bodies[at + 1], bodies[at]
+            assert [bodies[at]["round"], bodies[at + 1]["round"]] == [1, 0]
+        assert verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk)).problems == want
+
+    @pytest.mark.parametrize(
+        "line", ["[" * 100_000, '{"type":"header","rounds":' + "9" * 5_000 + "}"], ids=["deep", "long int"]
+    )
+    def test_line_json_cannot_hold_is_not_valid_json(self, tmp_path, capsys, line):
+        # too deep for the parser's recursion, or an integer past Python's digit limit
+        assert verify_log([line]).problems == ["line 1: not valid json"]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        assert main(["verify-log", str(path)]) == 1
+        assert "problem: line 1: not valid json" in capsys.readouterr().out
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

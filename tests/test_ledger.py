@@ -396,6 +396,20 @@ class TestGating:
         assert len(led.records) == logged
         led.send(method, sender, **kw)  # the same call without the beneficiary goes through
 
+    @pytest.mark.parametrize("method", [WORKER_PAYMENT, CONFISCATE])
+    def test_paying_method_without_a_beneficiary_is_refused(self, method):
+        # the wei it moves out of escrow would reach no account and leave the chain
+        led, params = self.setup_task()
+        led.tick_to(params.response_deadline + 1)
+        led.send(SUBMIT_AUTH_CALC, "req", payload=b"f")
+        sender, wei = (CONTRACT, ETH) if method == CONFISCATE else ("req", ETH // 1000)
+        before = len(led.records), dict(led.balances), led.contract.tasks[-1].escrow_wei
+        with pytest.raises(ValueError, match=f"^{method}: names no beneficiary to pay$"):
+            led.send(method, sender, value_wei=-wei)
+        assert (len(led.records), dict(led.balances), led.contract.tasks[-1].escrow_wei) == before
+        led.send(method, sender, value_wei=-wei, beneficiary="w1")
+        assert total_wei(led, 3 * 100 * ETH)
+
     def test_refused_calls_leave_the_ledger_untouched(self):
         # a twin on the same seed never sees the refused calls; afterwards both
         # log the same records, inclusion blocks (the latency draws) included
