@@ -82,6 +82,11 @@ _JSON_KINDS: dict[type, tuple] = {
 }
 
 
+def _is_json(value, kind) -> bool:
+    """isinstance(value, kind) for a JSON value: true and false are bool alone, never a number."""
+    return isinstance(value, kind) and (type(value) is not bool or kind is bool)
+
+
 @functools.cache
 def _json_layout(cls: type) -> dict[str, tuple]:
     """cls's fields -> (JSON type, writer, reader), in field order."""
@@ -104,7 +109,7 @@ def from_json(cls: type, d: dict):
     for name, (kind, _, read) in _json_layout(cls).items():
         value = d.get(name)
         try:
-            if not isinstance(value, kind):
+            if not _is_json(value, kind):
                 raise ValueError
             values[name] = value if read is None else read(value)
         except (ValueError, ZeroDivisionError):  # also hex or "n/d" text that does not parse
@@ -114,4 +119,4 @@ def from_json(cls: type, d: dict):
 
 def mistyped_field(d: dict, fields: dict) -> str | None:
     """The first of fields (name -> JSON type) that d lacks or holds with another type."""
-    return next((name for name, kind in fields.items() if not isinstance(d.get(name), kind)), None)
+    return next((name for name, kind in fields.items() if not _is_json(d.get(name), kind)), None)

@@ -551,14 +551,7 @@ class CurveGroup(Group):
             return b
         if b.inf:
             return a
-        if a.x == b.x:
-            if (a.y + b.y) % _Q == 0:
-                return self.identity()
-            return _j_to_affine(_j_double((a.x, a.y, 1)))
-        lam = ((b.y - a.y) * pow(b.x - a.x, -1, _Q)) % _Q
-        x3 = (lam * lam - a.x - b.x) % _Q
-        y3 = (lam * (a.x - x3) - a.y) % _Q
-        return CurvePoint(x3, y3)
+        return _j_to_affine(_j_add_affine((a.x, a.y, 1), b.x, b.y))
 
     def neg(self, a: GroupElement) -> CurvePoint:
         assert isinstance(a, CurvePoint)

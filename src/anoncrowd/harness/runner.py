@@ -37,7 +37,7 @@ from ..actors import (
     post_board,
     screen_responses,
 )
-from ..context import ANSWER_DOMAIN, context_for
+from ..context import context_for
 from ..encoding import to_json
 from ..errors import ConfigError
 from ..ledger import (
@@ -54,7 +54,6 @@ from ..ledger import (
     VOID_TASK,
     WORKER_PAYMENT,
     ChainTaskParams,
-    FeeParams,
     Ledger,
     TaskState,
     chain_summary,
@@ -70,8 +69,7 @@ from ..relations import (
 )
 from .attacks import ADVERSARY, ATTACKS, Attack
 from .audit import CHAIN_SEED, LOG_VERSION, canonical_line, chain_digest
-from .fixtures import load_fixture
-from .scenario import SUBMITS_PER_BLOCK, ScenarioConfig
+from .scenario import SUBMITS_PER_BLOCK, WEI_PER_ETH, ScenarioConfig
 
 REQUESTER = "requester"
 _ADDRESS_SPACE = 1 << 20  # payout addresses drawn small so decryption is quick
@@ -84,7 +82,6 @@ class RoundStats:
 
     index: int
     task: TaskState | None = None
-    collect_blocks: int = 0
     process_blocks: int = 0
     included: int = 0
     accepted: int = 0
@@ -166,25 +163,10 @@ class _Run:
         self.hook = ATTACKS[attack]() if attack is not None else Attack()
         self.rounds = self.hook.rounds(config)
         replace(config, rounds=self.rounds).validate()  # an attack may play more rounds than the scenario
-        answers = load_fixture(config.fixture)
-        if len(answers) < config.worker_count:
-            raise ConfigError(
-                f"fixture holds {len(answers)} answers but the scenario has {config.worker_count} workers"
-            )
-        answers = answers[: config.worker_count]
-        for i, a in enumerate(answers):
-            if not 0 <= a < config.policy.domain_size:
-                raise ConfigError(f"fixture row {i}: answer {a} outside the policy domain")
-        # an average's final ciphertexts encrypt the plain sum of the answers
-        if config.policy.kind == AVERAGE and sum(answers) >= ANSWER_DOMAIN:
-            raise ConfigError(
-                f"fixture answers sum to {sum(answers)}, outside the answer codec's domain of {ANSWER_DOMAIN}"
-            )
         self.config = config
         self.seed = seed
         self.attack = attack
-        self.answers = answers
-        self.fee = FeeParams(config.base_fee_gwei, config.tip_gwei, config.eth_usd)
+        self.answers = config.answers()
 
         self.ctx = context_for(config.backend)
         master = random.Random(seed)
@@ -196,7 +178,7 @@ class _Run:
         worker_rngs = [random.Random(master.getrandbits(64)) for _ in range(config.worker_count)]
         self.address_rng = random.Random(master.getrandbits(64))
 
-        self.ledger = Ledger(seed=ledger_seed, profile=config.profile, fee=self.fee)
+        self.ledger = Ledger(seed=ledger_seed, profile=config.profile, fee=config.fee)
         self.ledger.fund(REQUESTER, config.requester_funding_wei)
         self.ledger.fund(ADVERSARY, config.worker_funding_wei)
 
@@ -238,7 +220,6 @@ class _Run:
             processing_deadline=ledger.block + config.response_window + config.processing_window,
             escrow_wei=config.escrow_wei,
         )
-        st.collect_blocks = config.response_window
         create = ledger.send(CREATE_TASK, REQUESTER, value_wei=params.escrow_wei, params=params)
         st.task = ledger.contract.tasks[-1]
         self.round_events.append(
@@ -396,7 +377,7 @@ class _Run:
             "attack": self.attack,
             "backend": g.name,
             "profile": config.profile,
-            **to_json(self.fee),
+            **to_json(ledger.fee),
             "policy": to_json(config.policy),
             "prior": list(config.prior),
             "rounds": self.rounds,
@@ -443,22 +424,22 @@ class _Run:
             proof_counts=proof_counts,
             failures=self.failures,
             simulated_blocks=simulated_blocks,
-            report=_render_report(self, worker_rows, proof_counts, simulated_blocks),
+            report=_render_report(self, worker_rows, proof_counts, simulated_blocks, summary["gas_by_sender"]),
             log_lines=log_lines,
         )
 
 
-def _render_report(run: _Run, worker_rows: list[WorkerRow], proof_counts: dict, simulated_blocks: int) -> str:
+def _render_report(run: _Run, worker_rows: list[WorkerRow], proof_counts: dict, blocks: int, by_sender: dict) -> str:
     config, seed, attack, stats, ledger = run.config, run.seed, run.attack, run.stats, run.ledger
-    failures, fee = run.failures, run.fee
-    eth = lambda wei: f"{wei / 10**18:.6f}"
+    failures, fee = run.failures, ledger.fee
+    eth = lambda wei: f"{wei / WEI_PER_ETH:.6f}"
     lines = []
     lines.append(f"== scenario {config.name} (seed {seed}) ==")
     if config.description:
         lines.append(config.description)
     lines.append(
         f"backend {config.backend}, network {config.profile}"
-        f" (base {config.base_fee_gwei:g} gwei, tip {config.tip_gwei:g} gwei, 1 ETH = {config.eth_usd:.2f} USD)"
+        f" (base {fee.base_fee_gwei:g} gwei, tip {fee.tip_gwei:g} gwei, 1 ETH = {fee.eth_usd:.2f} USD)"
     )
     pol = config.policy
     extra = f" epsilon={pol.epsilon}" if pol.kind == AVERAGE else f" winners={pol.winners}"
@@ -475,7 +456,7 @@ def _render_report(run: _Run, worker_rows: list[WorkerRow], proof_counts: dict, 
         lines.append("")
         lines.append(f"-- round {s.index + 1} (task {task.seq}) --")
         lines.append(
-            f"opened at block {task.records[0].submitted_block}; collecting {s.collect_blocks} blocks,"
+            f"opened at block {task.records[0].submitted_block}; collecting {config.response_window} blocks,"
             f" processing {s.process_blocks} blocks"
         )
         lines.append(
@@ -513,7 +494,6 @@ def _render_report(run: _Run, worker_rows: list[WorkerRow], proof_counts: dict, 
 
     lines.append("")
     lines.append("-- chain totals --")
-    by_sender = chain_summary(ledger.records, ledger.contract.tasks)["gas_by_sender"]
     worker_gas = sum(gas for who, gas in by_sender.items() if who.startswith("worker-"))
     req_gas = by_sender.get(REQUESTER, 0)
     adv_gas = by_sender.get(ADVERSARY, 0)
@@ -525,8 +505,8 @@ def _render_report(run: _Run, worker_rows: list[WorkerRow], proof_counts: dict, 
     if charged:
         mean_latency = sum(r.inclusion_block - r.submitted_block for r in charged) / len(charged)
         lines.append(f"inclusion latency mean {mean_latency:.2f} blocks over {len(charged)} txs")
-    minutes = simulated_blocks * BLOCK_SECONDS / 60
-    lines.append(f"simulated time {simulated_blocks} blocks ({minutes:.1f} min at {BLOCK_SECONDS} s/block)")
+    minutes = blocks * BLOCK_SECONDS / 60
+    lines.append(f"simulated time {blocks} blocks ({minutes:.1f} min at {BLOCK_SECONDS} s/block)")
 
     lines.append("")
     if failures:

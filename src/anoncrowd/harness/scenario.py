@@ -19,7 +19,8 @@ from pathlib import Path
 from ..context import ANSWER_DOMAIN, BACKENDS
 from ..errors import ConfigError
 from ..ledger import PROFILES, FeeParams, GasSchedule
-from ..policy import MAJORITY, TaskPolicy
+from ..policy import AVERAGE, MAJORITY, TaskPolicy
+from .fixtures import load_fixture
 
 WEI_PER_ETH = 10**18
 SUBMITS_PER_BLOCK = 7  # the cast's pace in a run: one block passes after every 7th response
@@ -46,16 +47,19 @@ class ScenarioConfig:
     worker_funding_wei: int
     requester_funding_wei: int
 
+    @property
+    def fee(self) -> FeeParams:
+        return FeeParams(self.base_fee_gwei, self.tip_gwei, self.eth_usd)
+
     def validate(self) -> None:
         """The one feasibility rule, applied on load and by the runner, so a run plays
-        every round to the end: the escrow pays every worker the larger pay, and the
-        funding covers every fee and deposit (the runner adds the fixture's checks)."""
+        every round to the end: the escrow pays every worker the larger pay, the
+        funding covers every fee and deposit, and the fixture serves the cast."""
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown network profile {self.profile!r}")
-        fees = (self.base_fee_gwei, self.tip_gwei, self.eth_usd)
-        if not all(math.isfinite(v) and v >= 0 for v in fees):
+        if not all(math.isfinite(v) and v >= 0 for v in (self.base_fee_gwei, self.tip_gwei, self.eth_usd)):
             raise ConfigError("base_fee_gwei, tip_gwei and eth_usd must be finite and non-negative")
         if self.rounds < 1:
             raise ConfigError("a scenario needs at least one round")
@@ -77,7 +81,7 @@ class ScenarioConfig:
             raise ConfigError("the prior needs at least one of each observation")
         # the funding must cover every fee and deposit before the first transaction: each round may keep its
         # whole escrow (an upheld protest confiscates what is left), and each party sends one response a round
-        gas, fee, n, rounds = GasSchedule(), FeeParams(*fees).fee_wei, self.worker_count, self.rounds
+        gas, fee, n, rounds = GasSchedule(), self.fee.fee_wei, self.worker_count, self.rounds
         try:
             per_round = self.escrow_wei + fee(gas.create_task) + fee(gas.submit_auth_calc)
             need = fee(gas.deploy) + rounds * (per_round + n * (fee(gas.submit_quality) + fee(gas.worker_payment)))
@@ -88,6 +92,23 @@ class ScenarioConfig:
             raise ConfigError(f"requester funding cannot cover the {need} wei that {rounds} round(s) may cost")
         if self.worker_funding_wei < rounds * response_fee:
             raise ConfigError(f"worker funding cannot cover {rounds} response fee(s) of {response_fee} wei")
+        self.answers()
+
+    def answers(self) -> list[int]:
+        """The fixture's answer of each worker, checked against the policy and the answer codec."""
+        answers = load_fixture(self.fixture)
+        if len(answers) < self.worker_count:
+            raise ConfigError(f"fixture holds {len(answers)} answers but the scenario has {self.worker_count} workers")
+        answers = answers[: self.worker_count]
+        for i, a in enumerate(answers):
+            if not 0 <= a < self.policy.domain_size:
+                raise ConfigError(f"fixture row {i}: answer {a} outside the policy domain")
+        # an average's final ciphertexts encrypt the plain sum of the answers
+        if self.policy.kind == AVERAGE and sum(answers) >= ANSWER_DOMAIN:
+            raise ConfigError(
+                f"fixture answers sum to {sum(answers)}, outside the answer codec's domain of {ANSWER_DOMAIN}"
+            )
+        return answers
 
 
 def _wei(text: str) -> int:

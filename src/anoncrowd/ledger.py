@@ -349,10 +349,7 @@ class Ledger:
         return self.balances.get(account, 0)
 
     def tick(self, blocks: int = 1) -> int:
-        if blocks < 0:
-            raise ValueError("time does not run backwards")
-        self.block += blocks
-        return self.block
+        return self.tick_to(self.block + blocks)
 
     def tick_to(self, block: int) -> int:
         if block < self.block:

@@ -131,7 +131,7 @@ def _sized(part: bytes, size: int) -> bytes:
 def _kind(tp) -> tuple[Callable, Callable | None]:
     """(write, read) for a one-part field declared as tp: write(group, value)
     gives its part, read(group, parts, i) takes the value from parts[i].
-    Two write-only kinds serve statements: a tuple of records goes in counted,
+    Two write-only kinds serve statements: a tuple of ciphertexts goes in counted,
     and any other type (a policy) as its digest()."""
     if tp is GroupElement:
         return lambda g, v: g.encode_element(v), lambda g, p, i: g.decode_element(p[i])
@@ -151,7 +151,7 @@ def _kind(tp) -> tuple[Callable, Callable | None]:
             read and (lambda g, p, i: None if p[i] == b"" else read(g, p, i)),
         )
     if get_origin(tp) is tuple:
-        return lambda g, v: enc_u16(len(v)) + b"".join(x.encode(g) for x in v), None
+        return lambda g, v: enc_u16(len(v)) + encode_ciphertexts(g, v), None
     if issubclass(tp, Record):
         return lambda g, v: v.encode(g), lambda g, p, i: tp.decode(g, p[i])
     return lambda g, v: v.digest(), None

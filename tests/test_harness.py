@@ -251,6 +251,13 @@ def recorded_run(cfg, name, seed, attack=None):
 
 
 @pytest.fixture(scope="module")
+def signed_runs(tiny_image, authority_run):
+    """Seed-1 runs, honest and under the attacks that confiscate or void, with their authorities."""
+    runs = {attack: signed_run(tiny_image, attack) for attack in ("deprivation", "void-task")}
+    return {None: authority_run, **runs}
+
+
+@pytest.fixture(scope="module")
 def attack_runs(tiny_image):
     return {attack: run(tiny_image, seed=11, attack=attack) for attack in ATTACKS}
 
@@ -349,6 +356,8 @@ class TestScenarios:
             ("network", "tip_gwei", "1e300"),
             ("network", "eth_usd", "inf"),
             ("policy", "domain_size", "100000"),  # above the answer codec's 2^16
+            ("workers", "count", "40"),  # the fixture holds 39 answers
+            ("workers", "fixture", "gallup"),  # answers of a five-value domain
         ],
     )
     def test_hostile_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
@@ -853,6 +862,26 @@ class TestAudit:
         if kind == "header":
             assert problems == [want]
 
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("round", {"round": False, "task_seq": False}),
+            ("screening", {"round": False}),
+            ("tx", {"index": False}),  # the Deploy
+            ("header", {"rounds": True}),
+            ("header", {"min_workers": True}),
+        ],
+    )
+    def test_boolean_for_a_number_is_mistyped(self, authority_run, kind, edit):
+        # JSON's true and false are no numbers, though Python's bool is an int
+        result, ra = authority_run
+        bodies, _ = split_log(result.log_lines)
+        next(body for body in bodies if body["type"] == kind).update(edit)
+        report = verify_log(resigned(bodies, ra.ctx.group, ra.keypair.sk))
+        name = next(iter(edit))  # the first edited field the reader meets
+        assert not report.ok
+        assert any(f"field {name!r} is missing or mistyped" in p for p in report.problems), report.problems
+
     def test_statement_that_does_not_validate_is_named(self, honest_run):
         lines = honest_run.log_lines
         for kind, mutate in REPLAY_BREAKERS["quorate round with no answers"]:
@@ -1200,13 +1229,16 @@ class TestAudit:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_mutated_logs_give_a_report_not_an_exception(self, honest_run, attack_runs, data):
-        source = data.draw(st.sampled_from([None, "deprivation", "void-task"]))
-        res = honest_run if source is None else attack_runs[source]
+    def test_mutated_logs_give_a_report_not_an_exception(self, signed_runs, data):
+        # a re-signed mutant may PASS; each one gets a report, never an exception
+        res, ra = signed_runs[data.draw(st.sampled_from([None, "deprivation", "void-task"]))]
         bodies, signoff = split_log(res.log_lines)
         for _ in range(data.draw(st.integers(1, 3))):
             mutate_events(data, bodies)
-        lines = chained(bodies, signoff if data.draw(st.booleans()) else None)
+        if data.draw(st.booleans()):
+            lines = resigned(bodies, ra.ctx.group, ra.keypair.sk)
+        else:
+            lines = chained(bodies, signoff if data.draw(st.booleans()) else None)
         report = verify_log(lines)
         assert isinstance(report, AuditReport)
         assert report.render().startswith("log audit: ")

@@ -1,5 +1,6 @@
 """Chain simulation: fees, latency calibration, phases, escrow movement."""
 
+import copy
 import json
 import math
 import random
@@ -9,9 +10,10 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from anoncrowd.encoding import from_json, to_json
-from anoncrowd.errors import DeadlineError, FundsError, PhaseError
+from anoncrowd.errors import DeadlineError, FundsError, PhaseError, ProtocolError
 from anoncrowd.ledger import (
     COLLECTING,
     CONFISCATE,
@@ -29,12 +31,14 @@ from anoncrowd.ledger import (
     VOID,
     VOID_TASK,
     WORKER_PAYMENT,
+    PAYING,
     ChainTaskParams,
     FeeParams,
     GasSchedule,
     LatencyModel,
     Ledger,
     LedgerRecord,
+    TaskContract,
     chain_summary,
 )
 
@@ -668,3 +672,131 @@ def test_fee_wei_consistent_with_usd(gas):
     # the integer-wei fee and the float USD cost describe the same charge
     usd_from_wei = FEE.fee_wei(gas) * 1e-18 * FEE.eth_usd
     assert math.isclose(usd_from_wei, FEE.cost_usd(gas), rel_tol=1e-9, abs_tol=1e-12)
+
+
+# ── a model-based test of the chain ──────────────────────────────────────────
+
+ACCOUNTS = ("req", "w0", "w1", "eve")
+# how long a call waits before it is sent: some blocks, or to just past a deadline of the latest task
+WAITS = st.sampled_from([0, 0, 1, 3, "response_deadline", "processing_deadline"])
+SHARES = st.sampled_from([1, 1 / 3, -1, 0, None])  # of the escrow a payment takes; -1: a wei past it, None: a wei in
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """Random sequences of Ledger.send calls of every method, most of them
+    well-formed enough to be accepted, with the chain's invariants checked
+    after each: a refused call changes nothing, every wei minted stays on the
+    chain, nothing goes negative, each task's escrow is conserved, the records
+    replay through a fresh contract to the same tasks, and a close is followed
+    by exactly the refunds it owes."""
+
+    @initialize(eth=st.integers(1, 3))
+    def deploy(self, eth):
+        self.led = Ledger(seed=3)
+        self.params = {}  # task seq -> the parameters its CreateTask opened it with
+        for who in ACCOUNTS:
+            self.led.fund(who, (4 if who == "req" else eth) * ETH)
+        self.minted = sum(self.led.balances.values())
+        self.send(DEPLOY, "req")
+
+    def task(self):
+        return self.led.contract.tasks[-1] if self.led.contract.tasks else None
+
+    def wait(self, wait):
+        if isinstance(wait, int):
+            self.led.tick(wait)
+        elif self.task():
+            self.led.tick_to(max(self.led.block, getattr(self.task().params, wait) + 1))
+
+    @precondition(lambda self: self.task() is None or self.task().phase in (FINALIZED, VOID))
+    @rule(response=st.integers(1, 12), processing=st.integers(0, 12), escrow=st.sampled_from([0, ETH // 100, ETH]))
+    def create_task(self, response, processing, escrow):
+        block = self.led.block
+        params = ChainTaskParams(block + response, block + response + processing, escrow)
+        if self.send(CREATE_TASK, "req", value_wei=escrow, params=params):
+            self.params[self.task().seq] = params
+
+    @precondition(lambda self: self.task() is not None and self.task().phase == COLLECTING)
+    @rule(who=st.sampled_from(ACCOUNTS[1:]), wait=st.integers(0, 2))
+    def respond(self, who, wait):
+        self.wait(wait)
+        self.send(SUBMIT_RESPONSE, who, payload=b"r")
+
+    @precondition(lambda self: self.task() is not None)
+    @rule(method=st.sampled_from([SUBMIT_AUTH_CALC] * 2 + [SUBMIT_QUALITY, VOID_TASK, FINALIZE]), wait=WAITS)
+    def requester_call(self, method, wait):
+        self.wait(wait)
+        self.send(method, "req", payload=b"q")
+
+    @precondition(lambda self: self.task() is not None)
+    @rule(
+        method=st.sampled_from([WORKER_PAYMENT] * 3 + [REFUND, CONFISCATE]),
+        to=st.sampled_from(ACCOUNTS + ("",)),
+        share=SHARES,
+        wait=WAITS,
+    )
+    def pay(self, method, to, share, wait):
+        self.wait(wait)
+        escrow = self.task().escrow_wei
+        value = 1 if share is None else -(escrow + 1) if share == -1 else -int(escrow * share)
+        self.send(method, "req" if method == WORKER_PAYMENT else CONTRACT, value_wei=value, beneficiary=to)
+
+    @rule(
+        method=st.sampled_from(sorted(RULES)), sender=st.sampled_from(ACCOUNTS + (CONTRACT,)), value=st.integers(-2, 2)
+    )
+    def stray_call(self, method, sender, value):  # any method from anyone, mostly refused
+        self.send(method, sender, value_wei=value, beneficiary="w0" if value < 0 else "")
+
+    def state(self):
+        led = self.led
+        tasks = copy.deepcopy(led.contract.tasks)
+        return tasks, led.contract.requester, dict(led.balances), len(led.records), led.latency_model._rng.getstate()
+
+    def owed_by_close(self, method):
+        """The refunds that closing the latest task by method now owes: a void
+        reimburses its included responses' fees in log order while the escrow
+        lasts; the rest goes back to the requester."""
+        task = self.task()
+        left, owed = task.escrow_wei, []
+        for r in task.sent(SUBMIT_RESPONSE) if method == VOID_TASK else ():
+            if r.inclusion_block <= task.params.response_deadline and left:
+                owed.append((r.sender, min(r.fee_wei, left)))
+                left -= owed[-1][1]
+        return owed + [(self.led.contract.requester, left)] * (left > 0)
+
+    def send(self, method, sender, **kw):
+        led, before = self.led, self.state()
+        closes = method in (FINALIZE, VOID_TASK) and self.task()
+        owed = self.owed_by_close(method) if closes else None
+        try:
+            rec = led.send(method, sender, **kw)
+        except (ProtocolError, PermissionError, ValueError):
+            assert self.state() == before, f"a refused {method} changed the ledger"
+            return False
+        assert method != REFUND, "a refund nothing owed was accepted"
+        if closes:
+            after = led.records[rec.index + 1 :]
+            assert all(r.method == REFUND and r.sender == CONTRACT for r in after)
+            assert [(r.beneficiary, -r.value_wei) for r in after] == owed
+        return True
+
+    @invariant()
+    def wei_is_conserved(self):
+        led = self.led
+        assert total_wei(led, self.minted)
+        assert min(led.balances.values()) >= 0
+        assert all(t.escrow_wei >= 0 and t.escrow_conserved() for t in led.contract.tasks)
+
+    @invariant()
+    def records_replay_to_the_same_tasks(self):
+        replay = TaskContract(self.led.fee)
+        for rec in self.led.records:
+            params = self.params.get(rec.task_seq) if rec.method == CREATE_TASK else None
+            assert replay.check(rec, params) is None, rec.index
+            replay.move(rec, params)
+        assert replay.tasks == self.led.contract.tasks
+        assert replay.requester == self.led.contract.requester
+
+
+TestLedgerMachine = LedgerMachine.TestCase
+TestLedgerMachine.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
