@@ -334,26 +334,23 @@ def serving_post(
     tree: MerkleTree,
 ) -> tuple[tuple[int, int], BlindingPair, CommitmentPair, int] | None:
     """The first board post addressed to (target.ref, claim_key), in posting order, whose
-    quality attestation verifies and which serves: an admissible increment steps
-    target.fresh_pair to the posted pair under the unpadded update blinding (new_pair -
-    fresh_pair - update * H, computed once per post, is increment * G), and the
-    pair rerandomized by the unpadded cover term is a leaf of tree. Returns
-    (increment, blinding the leaf adds to target.fresh_pair, leaf, position) or None."""
+    quality attestation verifies and which serves: pair_step takes target.fresh_pair by an
+    admissible increment under the unpadded update blinding to the posted pair (read from
+    the memo, where the requester's own step sits), and the pair rerandomized by the unpadded
+    cover term is a leaf of tree. Returns (increment, blinding the leaf adds to
+    target.fresh_pair, leaf, position) or None."""
     g = ctx.group
     update_pads, cover_pads = claim_pads(ctx, target.ref, claim_key)
     # a voided task (no final ciphertexts) admits only the void increment;
-    # binding commitments let at most one increment close the equation
+    # binding commitments let at most one increment reach the posted pair
     increments = [quality_increment(v) for v in ((None,) if len(final_cts) == 0 else (True, False))]
     for post in board.get((target.ref, claim_index(target.ref, claim_key)), ()):
         stmt = quality_statement(ctx, task, target, final_cts, post.new_pair)
         if not backend.verify(ctx, stmt, post.qual_proof):
             continue
         update, dummy = post.blinded_update - update_pads, post.blinded_dummy - cover_pads
-        new, old, H = post.new_pair, target.fresh_pair, g.blind_generator
-        step_a = g.lincomb(((-update.alpha, H),), g.sub(new.alpha_com, old.alpha_com))
-        step_b = g.lincomb(((-update.beta, H),), g.sub(new.beta_com, old.beta_com))
         for increment in increments:
-            if step_a == g.mul_gen(increment[0]) and step_b == g.mul_gen(increment[1]):
+            if backend.memo(pair_step, g, target.fresh_pair, increment, update) == post.new_pair:
                 leaf = pair_rerandomize(g, post.new_pair, dummy)
                 position = tree.position_of(leaf.encode(g))
                 if position is not None:
@@ -618,10 +615,9 @@ class RequesterAgent:
     Keeps the set of linkability tags accepted in earlier tasks; a tag
     reappearing there means a worker replayed an outdated quality state."""
 
-    def __init__(self, ctx: CryptoContext, backend: ProofBackend, name: str, rng: random.Random):
+    def __init__(self, ctx: CryptoContext, backend: ProofBackend, rng: random.Random):
         self.ctx = ctx
         self.backend = backend
-        self.name = name
         self.rng = rng
         self.keypair: KeyPair = keygen(ctx.group, rng)
         self.seen_tags: set[bytes] = set()

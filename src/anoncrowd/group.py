@@ -473,9 +473,6 @@ class Group:
     def neg(self, a: GroupElement) -> GroupElement:
         raise NotImplementedError
 
-    def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.add(a, self.neg(b))
-
     def mul(self, k: "Scalar | int", p: GroupElement) -> GroupElement:
         return self.lincomb(((k, p),))
 

@@ -47,7 +47,7 @@ def _rejections(run, reason: str) -> int:
     return sum(1 for s in run.stats for _, why in s.rejections if why == reason)
 
 
-def _outsider_submits(run, rnd, payload: bytes):
+def _outsider_submits(run, payload: bytes):
     """An outsider's response, two blocks after the cast's."""
     run.ledger.tick(2)
     return run.ledger.send(SUBMIT_RESPONSE, ADVERSARY, payload)
@@ -60,7 +60,7 @@ def _outsider_failures(run, reason: str, detection: str, who: str) -> list[str]:
     landed = sum(r.sender == ADVERSARY for t in ledger.contract.tasks for r in t.included_responses())
     return _failures(
         (_rejections(run, reason) != landed, f"expected exactly one {detection} detection per copy that landed in time"),
-        (ledger.balance(ADVERSARY) != run.config.worker_funding_wei - spent, f"the {who} outsider was paid"),
+        (ledger.balance(ADVERSARY) != run.worker_funding - spent, f"the {who} outsider was paid"),
     )
 
 
@@ -69,7 +69,7 @@ class DuplicateResponse(Attack):
 
     def after_collect(self, run, rnd):
         if 0 in rnd.kept_bundles:
-            rec = _outsider_submits(run, rnd, rnd.kept_bundles[0])
+            rec = _outsider_submits(run, rnd.kept_bundles[0])
             rnd.ref_to_answer[rec.index] = run.answers[0]  # byte copy carries the same answer
             rnd.stats.notes.append(f"an outsider resubmits worker-000's response verbatim (tx {rec.index})")
 
@@ -83,7 +83,7 @@ class ForgedProof(Attack):
     def after_collect(self, run, rnd):
         if 1 in rnd.kept_bundles:
             source = rnd.kept_bundles[1]
-            rec = _outsider_submits(run, rnd, source[:-1] + bytes([source[-1] ^ 0x01]))
+            rec = _outsider_submits(run, source[:-1] + bytes([source[-1] ^ 0x01]))
             rnd.stats.notes.append(
                 f"an outsider replays a response with a doctored attestation (tx {rec.index})"
             )

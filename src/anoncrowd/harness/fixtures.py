@@ -40,8 +40,8 @@ def generate_answers(
         truth = 1 if domain == 2 else domain // 2
     if not (0 <= truth < domain):
         raise ConfigError("truth value outside the answer domain")
-    others = [v for v in range(domain) if v != truth]
-    return [truth if rng.random() < accuracy else rng.choice(others) for _ in range(count)]
+    # a wrong answer is uniform over the domain's other values, drawn without listing them
+    return [truth if rng.random() < accuracy else (v := rng.randrange(domain - 1)) + (v >= truth) for _ in range(count)]
 
 
 def render_fixture(answers: list[int], comment: str = "") -> str:

@@ -162,11 +162,12 @@ class _Run:
             raise ConfigError(f"unknown attack {attack!r} (one of {', '.join(ATTACKS)})")
         self.hook = ATTACKS[attack]() if attack is not None else Attack()
         self.rounds = self.hook.rounds(config)
-        replace(config, rounds=self.rounds).validate()  # an attack may play more rounds than the scenario
+        played = replace(config, rounds=self.rounds)  # an attack may play more rounds than the scenario
+        self.answers = played.validate()
+        requester_funding, self.worker_funding = played.funding
         self.config = config
         self.seed = seed
         self.attack = attack
-        self.answers = config.answers()
 
         self.ctx = context_for(config.backend)
         master = random.Random(seed)
@@ -179,15 +180,15 @@ class _Run:
         self.address_rng = random.Random(master.getrandbits(64))
 
         self.ledger = Ledger(seed=ledger_seed, profile=config.profile, fee=config.fee)
-        self.ledger.fund(REQUESTER, config.requester_funding_wei)
-        self.ledger.fund(ADVERSARY, config.worker_funding_wei)
+        self.ledger.fund(REQUESTER, requester_funding)
+        self.ledger.fund(ADVERSARY, self.worker_funding)
 
         self.ra = RegistrationAuthority(self.ctx, backend, ra_rng, prior=config.prior)
-        self.requester = RequesterAgent(self.ctx, backend, REQUESTER, req_rng)
+        self.requester = RequesterAgent(self.ctx, backend, req_rng)
         self.workers: list[WorkerAgent] = []
         for i in range(config.worker_count):
             name = f"worker-{i:03d}"
-            self.ledger.fund(name, config.worker_funding_wei)
+            self.ledger.fund(name, self.worker_funding)
             w = WorkerAgent(self.ctx, backend, name, f"{config.name}/{seed}/{name}".encode(), worker_rngs[i])
             w.enroll(self.ra)
             self.workers.append(w)

@@ -1,10 +1,10 @@
 """Scenario configuration: INI files describing one simulated deployment.
 
-A scenario fixes the network profile, the task policy, the cast size and
-the money. Three ready-made ones ship inside the package (list_bundled);
-any path to an .ini with the same sections works too. All money fields are
-parsed exactly (fractions of ETH become integer wei through Fraction, not
-float), so two loads of the same file can never disagree by a rounding.
+A scenario fixes the network profile, the task policy, the cast and the
+escrow, and so the funding (ScenarioConfig.funding). Three bundled ones
+ship inside the package (list_bundled); any path to an .ini with the same
+sections works too. Money is parsed exactly (fractions of ETH become wei
+through Fraction, not float), so two loads never disagree by a rounding.
 """
 
 from __future__ import annotations
@@ -44,17 +44,25 @@ class ScenarioConfig:
     worker_count: int
     prior: tuple[int, int]
     fixture: str  # bundled fixture name or a path to a csv
-    worker_funding_wei: int
-    requester_funding_wei: int
 
     @property
     def fee(self) -> FeeParams:
         return FeeParams(self.base_fee_gwei, self.tip_gwei, self.eth_usd)
 
-    def validate(self) -> None:
+    @property
+    def funding(self) -> tuple[int, int]:
+        """Wei funded before the first transaction, (requester, each worker): the deploy fee and, per
+        round, the escrow (an upheld protest may confiscate all of it), the requester's fees and one
+        quality post and payment per worker; a worker, or an outsider, sends one response per round."""
+        gas, fee, n, rounds = GasSchedule(), self.fee.fee_wei, self.worker_count, self.rounds
+        per_round = self.escrow_wei + fee(gas.create_task) + fee(gas.submit_auth_calc)
+        requester = fee(gas.deploy) + rounds * (per_round + n * (fee(gas.submit_quality) + fee(gas.worker_payment)))
+        return requester, rounds * fee(gas.submit_response)
+
+    def validate(self) -> list[int]:
         """The one feasibility rule, applied on load and by the runner, so a run plays
-        every round to the end: the escrow pays every worker the larger pay, the
-        funding covers every fee and deposit, and the fixture serves the cast."""
+        every round to the end: the escrow pays every worker the larger pay, every fee
+        has a wei value, and the fixture serves the cast. Returns the answers it checked."""
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.profile not in PROFILES:
@@ -79,20 +87,11 @@ class ScenarioConfig:
             raise ConfigError("escrow cannot pay every worker the larger of the two pays")
         if min(self.prior) < 1:
             raise ConfigError("the prior needs at least one of each observation")
-        # the funding must cover every fee and deposit before the first transaction: each round may keep its
-        # whole escrow (an upheld protest confiscates what is left), and each party sends one response a round
-        gas, fee, n, rounds = GasSchedule(), self.fee.fee_wei, self.worker_count, self.rounds
         try:
-            per_round = self.escrow_wei + fee(gas.create_task) + fee(gas.submit_auth_calc)
-            need = fee(gas.deploy) + rounds * (per_round + n * (fee(gas.submit_quality) + fee(gas.worker_payment)))
-            response_fee = fee(gas.submit_response)
+            self.funding  # every fee the run pays has a wei value
         except OverflowError:
             raise ConfigError("fees are too large: a transaction fee has no wei value") from None
-        if self.requester_funding_wei < need:
-            raise ConfigError(f"requester funding cannot cover the {need} wei that {rounds} round(s) may cost")
-        if self.worker_funding_wei < rounds * response_fee:
-            raise ConfigError(f"worker funding cannot cover {rounds} response fee(s) of {response_fee} wei")
-        self.answers()
+        return self.answers()
 
     def answers(self) -> list[int]:
         """The fixture's answer of each worker, checked against the policy and the answer codec."""
@@ -172,8 +171,6 @@ def parse_scenario(text: str, fallback_name: str) -> ScenarioConfig:
             worker_count=cp.getint("workers", "count"),
             prior=(workers.getint("prior_alpha", fallback=1), workers.getint("prior_beta", fallback=1)),
             fixture=cp.get("workers", "fixture"),
-            worker_funding_wei=_wei(workers.get("funding_eth", "0.05")),
-            requester_funding_wei=_wei(task.get("requester_funding_eth", "10")),
         )
     except (configparser.Error, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad scenario file: {exc}") from exc

@@ -216,7 +216,8 @@ def pair_add(group: Group, a: CommitmentPair, b: CommitmentPair) -> CommitmentPa
 
 
 def pair_step(group: Group, pair: CommitmentPair, increment: tuple, blind: BlindingPair) -> CommitmentPair:
-    """The one quality update step: pair plus a commitment to increment under blind."""
+    """The one quality update step: pair plus a commitment to increment under blind.
+    The requester posts it, auth-qual proves it and actors.serving_post checks it."""
     G, H = group.generator, group.blind_generator
     return CommitmentPair(
         group.lincomb(((increment[0], G), (blind.alpha, H)), pair.alpha_com),

@@ -113,7 +113,7 @@ class Statement:
 
     admits_void = False
 
-    def validate(self, ctx: CryptoContext) -> None:
+    def validate(self) -> None:
         for name, kind in record_layout(type(self)).fields:
             value = getattr(self, name)
             if kind is bytes:
@@ -130,7 +130,7 @@ class Statement:
                 raise MalformedStatementError(f"{name.replace('_', ' ')} {problem}")
 
     def encode(self, ctx: CryptoContext) -> bytes:
-        self.validate(ctx)
+        self.validate()
         return record("stmt/" + relation_id_for(self), *record_parts(ctx.group, self))
 
 
@@ -222,7 +222,7 @@ class AuthQualWitness:
 def check_prove_qual(
     ctx: CryptoContext, stmt: ProveQualStatement, wit: ProveQualWitness, backend: ProofBackend
 ) -> bool:
-    stmt.validate(ctx)
+    stmt.validate()
     g = ctx.group
 
     # credential over the enrolled identifier
@@ -282,7 +282,7 @@ def _decrypt_final(ctx, backend: ProofBackend, sk: Scalar, stmt) -> FinalAnswer 
 def check_auth_calc(
     ctx: CryptoContext, stmt: AuthCalcStatement, wit: AuthCalcWitness, backend: ProofBackend
 ) -> bool:
-    stmt.validate(ctx)
+    stmt.validate()
     if backend.memo(ctx.group.mul_gen, wit.sk) != stmt.requester_pk:
         return False
     answers = _decrypt_answers(ctx, backend, wit.sk, stmt.answer_cts)
@@ -314,7 +314,7 @@ def _verdict(ctx: CryptoContext, backend: ProofBackend, stmt, sk: Scalar) -> tup
 def check_auth_value(
     ctx: CryptoContext, stmt: AuthValueStatement, wit: AuthValueWitness, backend: ProofBackend
 ) -> bool:
-    stmt.validate(ctx)
+    stmt.validate()
     judged, correct = _verdict(ctx, backend, stmt, wit.sk)
     return judged and correct is True
 
@@ -322,7 +322,7 @@ def check_auth_value(
 def check_auth_qual(
     ctx: CryptoContext, stmt: AuthQualStatement, wit: AuthQualWitness, backend: ProofBackend
 ) -> bool:
-    stmt.validate(ctx)
+    stmt.validate()
     judged, correct = _verdict(ctx, backend, stmt, wit.sk)
     return judged and (
         backend.memo(pair_step, ctx.group, stmt.old_pair, quality_increment(correct), wit.update_blind) == stmt.new_pair
@@ -378,7 +378,8 @@ class ProofBackend:
     def memo(self, fn: Callable, *args):
         """fn(*args) for a pure fn (decrypt_message, encrypt_message,
         commit_pair, pair_rerandomize, pair_step, a group's mul_gen), run
-        once per fn and args: later calls read the first result. Entries
+        once per fn and args: later calls read the first result (auth-qual
+        and the serving search read the requester's pair_step). Entries
         are keyed by every argument's value and type, so only a real call on
         those very inputs fills the entry it reads (5.0 does not read what 5
         stored). A call that raises, such as a decryption outside the

@@ -90,7 +90,7 @@ class World:
         self.backend = ProofBackend(b"actor-tests")
         rng = random.Random(seed)
         self.ra = RegistrationAuthority(self.ctx, self.backend, rng, prior=prior)
-        self.requester = RequesterAgent(self.ctx, self.backend, "req", rng)
+        self.requester = RequesterAgent(self.ctx, self.backend, rng)
         self.workers = [
             WorkerAgent(self.ctx, self.backend, f"w{i}", f"secret-{i}".encode(), rng)
             for i in range(n_workers)

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from importlib import resources
@@ -347,7 +348,6 @@ class TestScenarios:
             ("policy", "threshold", "3/0"),
             ("policy", "epsilon", "1/0"),
             ("task", "escrow_eth", "1/0"),
-            ("workers", "funding_eth", "5/0"),
             ("network", "profile", "mainnet"),
             ("workers", "prior_alpha", "0"),
             ("network", "base_fee_gwei", "nan"),
@@ -438,6 +438,24 @@ class TestFixtures:
             assert len(answers) >= cfg.worker_count
             assert all(0 <= a < cfg.policy.domain_size for a in answers)
 
+    @pytest.mark.parametrize("name", ["avg_review", "gallup", "image_annotation"])
+    def test_bundled_fixture_is_generated_from_its_header(self, name):
+        text = resources.files("anoncrowd").joinpath(f"data/fixtures/{name}.csv").read_text()
+        params = dict(field.split("=") for field in text.splitlines()[0].lstrip("# ").split())
+        kind, accuracy = params.pop("kind"), float(params.pop("accuracy"))
+        ints = {key: int(value) for key, value in params.items()}
+        assert parse_fixture(text) == generate_answers(kind, accuracy=accuracy, **ints)
+
+    def test_wrong_answers_are_drawn_without_listing_the_domain(self):
+        tracemalloc.start()
+        try:
+            answers = generate_answers("biased", 10, 10**6, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert all(0 <= v < 10**6 for v in answers)
+
     def test_shuffled_fixture_same_final_answer(self):
         cfg = load_scenario("gallup")
         answers = load_fixture(cfg.fixture)
@@ -502,19 +520,20 @@ class TestRunner:
         with pytest.raises(ConfigError, match="sum to 127872"):
             run(cfg, seed=1)
 
-    @pytest.mark.parametrize(
-        "who, short",
-        [
-            ("requester", {"requester_funding_wei": 0}),
-            ("requester", {"rounds": 2, "escrow_wei": 5 * 10**18}),  # each round may keep its 5 ETH escrow
-            ("worker", {"worker_funding_wei": 0}),
-        ],
-        ids=["requester unfunded", "two rounds of a 5 ETH escrow", "workers unfunded"],
-    )
-    def test_underfunded_scenario_rejected_before_any_crypto(self, tiny_image, monkeypatch, who, short):
-        monkeypatch.setattr(runner, "context_for", lambda name: pytest.fail("crypto set-up ran"))
-        with pytest.raises(ConfigError, match=f"^{who} funding cannot cover"):
-            run(replace(tiny_image, **short), seed=1)
+    @pytest.mark.parametrize("attack", [None, "deprivation"])
+    def test_two_rounds_of_a_5_eth_escrow_play(self, tiny_image, attack):
+        # each round may keep its whole escrow, and the funding the rule derives covers both
+        result = run(replace(tiny_image, rounds=2, escrow_wei=5 * 10**18), seed=1, attack=attack)
+        assert result.failures == []
+        assert verify_log(result.log_lines).ok
+
+    def test_run_reads_the_fixture_once(self, tiny_image, monkeypatch):
+        from anoncrowd.harness import scenario
+
+        reads = []
+        monkeypatch.setattr(scenario, "load_fixture", lambda name: reads.append(name) or load_fixture(name))
+        run(tiny_image, seed=1)
+        assert reads == [tiny_image.fixture]
 
     def test_escrow_short_of_the_larger_pay_rejected_before_any_crypto(self, tiny_image, monkeypatch):
         # 39 workers each owed 3/2 ETH for an incorrect answer: a 1 ETH escrow
@@ -526,13 +545,15 @@ class TestRunner:
             run(replace(tiny_image, policy=policy), seed=1)
 
     def test_funding_bound_is_exact(self, tiny_image):
-        # the requester deposits the escrow and pays every fee before the
-        # finalize refund comes back: exactly that much runs, a wei less is refused
+        # the requester deposits the escrow and pays every fee before the finalize
+        # refund comes back, and each worker pays one response fee: exactly what is funded
         _, ledger = recorded_run(tiny_image, "Ledger", seed=1)
-        need = tiny_image.escrow_wei + sum(r.fee_wei for r in ledger.records if r.sender == runner.REQUESTER)
-        assert run(replace(tiny_image, requester_funding_wei=need), seed=1).failures == []
-        with pytest.raises(ConfigError, match=f"cannot cover the {need} wei"):
-            run(replace(tiny_image, requester_funding_wei=need - 1), seed=1)
+        fees = {}
+        for r in ledger.records:
+            fees.setdefault(r.sender, []).append(r.fee_wei)
+        requester, worker = tiny_image.funding
+        assert requester == tiny_image.escrow_wei + sum(fees[runner.REQUESTER])
+        assert all(fees[f"worker-{i:03d}"] == [worker] for i in range(tiny_image.worker_count))
 
     def test_out_of_domain_fixture_rejected(self, tiny_image, tmp_path):
         path = tmp_path / "wide.csv"

@@ -1,5 +1,6 @@
 """Static guards: no module of the package imports a name it never uses,
-and no module keeps a private helper it never calls.
+no module keeps a private helper it never calls, and no public definition
+goes unnamed outside tests.
 
 Merging two code paths into one tends to leave the imports and the helpers
 of the deleted path behind. These scans use only the standard library `ast`
@@ -9,7 +10,10 @@ do not count. A private function, class or method (one underscore, not a
 dunder) counts as used when its name appears as a name or an attribute
 elsewhere in its own module; a caller only in tests does not count.
 `__init__.py` files are skipped by the import scan, because they import
-names to re-export them.
+names to re-export them. A public function, class or method counts as used
+when its name appears as a name, an attribute or a whole string constant
+(an `__all__` entry, a metric's target) anywhere in `src/` or `perfbench/`;
+the few kept for tests alone are listed in TEST_ONLY with their reason.
 """
 
 import ast
@@ -17,10 +21,16 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "anoncrowd"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "anoncrowd"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# public definitions only tests call -> why each stays
+TEST_ONLY = {
+    "primitives.pair_add": "the tests' oracle for a quality step, independent of pair_step",
+}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -56,12 +66,40 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Private module-level functions and classes, and private methods of
-    module-level classes -> the line each is defined on."""
+def definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions and classes, and methods of module-level
+    classes -> the line each is defined on."""
     nodes = [n for n in tree.body if isinstance(n, _DEFS)]
     nodes += [m for c in nodes if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, _DEFS)]
-    return {n.name: n.lineno for n in nodes if n.name.startswith("_") and not n.name.endswith("__")}
+    return {n.name: n.lineno for n in nodes}
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    return {name: line for name, line in definitions(tree).items() if name.startswith("_") and not name.endswith("__")}
+
+
+def referenced_names(paths) -> set[str]:
+    """Every name, attribute and whole string constant in the files at paths."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+    return out
+
+
+def public_definitions() -> dict[str, int]:
+    """'module.name' of each public function, class and method in the package -> its line."""
+    out = {}
+    for path in SOURCES:
+        module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        out.update({f"{module}.{name}": line for name, line in definitions(tree).items() if not name.startswith("_")})
+    return out
 
 
 def test_the_scan_sees_modules():
@@ -82,3 +120,9 @@ def test_no_unreferenced_private_helpers(path):
     used = used_names(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     unused = [f"{name} (line {line})" for name, line in private_definitions(tree).items() if name not in used]
     assert unused == [], f"{path.name} defines private helpers it never references: {', '.join(unused)}"
+
+
+def test_every_public_definition_is_named_outside_tests():
+    referenced = referenced_names([*SOURCES, *sorted((ROOT / "perfbench").rglob("*.py"))])
+    unnamed = {q: line for q, line in public_definitions().items() if q.rsplit(".", 1)[1] not in referenced}
+    assert unnamed.keys() == TEST_ONLY.keys(), f"named only in tests, or no longer so: {unnamed}"

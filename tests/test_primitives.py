@@ -87,7 +87,7 @@ class TestCommitments:
         r = tiny.scalar(991)
         for x in range(101):
             com = commit(tiny, x, r)
-            stripped = tiny.sub(com, tiny.mul_blind(r))
+            stripped = tiny.add(com, tiny.neg(tiny.mul_blind(r)))
             assert brute_dlog(tiny, stripped, 101) == x
             for claimed in range(101):
                 assert (commit(tiny, claimed, r) == com) == (claimed == x)
@@ -255,7 +255,7 @@ class TestEncryption:
         ct = encrypt(tiny, keys.pk, msg_elem, r)
         assert ct.c1 == tiny.mul_gen(r)
         mask = tiny.mul(keys.sk, ct.c1)
-        assert tiny.sub(ct.c2, mask) == msg_elem
+        assert tiny.add(ct.c2, tiny.neg(mask)) == msg_elem
         assert decrypt_element(tiny, keys.sk, ct) == msg_elem
 
     def test_wrong_key_does_not_recover(self, prod, rng):

@@ -313,11 +313,11 @@ class TestAuthCalc:
         monkeypatch.setattr(relations, "record_layout", lambda cls: layout._replace(fields=kinds))
         keys = keygen(tctx.group, rng)
         stmt = build_auth_calc(tctx, rng, mk_policy(domain=2), [0, 1], keys)
-        stmt.validate(tctx)
+        stmt.validate()
         with pytest.raises(MalformedStatementError, match="answer cts is empty"):
-            replace(stmt, answer_cts=()).validate(tctx)
+            replace(stmt, answer_cts=()).validate()
         with pytest.raises(MalformedStatementError, match="final cts has the wrong length"):
-            replace(stmt, final_cts=()).validate(tctx)
+            replace(stmt, final_cts=()).validate()
 
 
 # ── single-answer correctness relation ───────────────────────────────────────
