@@ -335,10 +335,10 @@ def serving_post(
 ) -> tuple[tuple[int, int], BlindingPair, CommitmentPair, int] | None:
     """The first board post addressed to (target.ref, claim_key), in posting order, whose
     quality attestation verifies and which serves: pair_step takes target.fresh_pair by an
-    admissible increment under the unpadded update blinding to the posted pair (read from
-    the memo, where the requester's own step sits), and the pair rerandomized by the unpadded
-    cover term is a leaf of tree. Returns (increment, blinding the leaf adds to
-    target.fresh_pair, leaf, position) or None."""
+    admissible increment (first the verdict its value proof claims) under the unpadded
+    update blinding to the posted pair, and the pair rerandomized by the unpadded cover term
+    is a leaf of tree. The memo holds the requester's step and leaf, so an honest post serves
+    with no group operation. Returns (increment, blinding the leaf adds, leaf, position) or None."""
     g = ctx.group
     update_pads, cover_pads = claim_pads(ctx, target.ref, claim_key)
     # a voided task (no final ciphertexts) admits only the void increment;
@@ -349,9 +349,9 @@ def serving_post(
         if not backend.verify(ctx, stmt, post.qual_proof):
             continue
         update, dummy = post.blinded_update - update_pads, post.blinded_dummy - cover_pads
-        for increment in increments:
+        for increment in increments if post.value_proof is not None else increments[::-1]:
             if backend.memo(pair_step, g, target.fresh_pair, increment, update) == post.new_pair:
-                leaf = pair_rerandomize(g, post.new_pair, dummy)
+                leaf = backend.memo(pair_rerandomize, g, post.new_pair, dummy)
                 position = tree.position_of(leaf.encode(g))
                 if position is not None:
                     return increment, update + dummy, leaf, position
@@ -710,4 +710,4 @@ class RequesterAgent:
             blinded = update
             covered = dummy
         post = QualityPost(parsed.ref, idx, blinded, covered, new_pair, qual_proof, value_proof)
-        return post.encode(g), pair_rerandomize(g, new_pair, dummy).encode(g)
+        return post.encode(g), self.backend.memo(pair_rerandomize, g, new_pair, dummy).encode(g)

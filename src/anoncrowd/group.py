@@ -14,30 +14,31 @@ Two interchangeable instantiations of one interface:
 
 Scalars are immutable and carry their modulus, so values from the two
 backends cannot be mixed silently. Group elements are opaque value objects;
-all arithmetic goes through the owning group instance, and every scalar
-multiplication is one ``Group.lincomb(terms, start)``: start + sum of k * P,
-on the curve in Jacobian coordinates with one normalization. A point that
-``Group.fixed_base`` returns carries its own signed radix-256 table, built
-on its first multiplication, and lincomb takes that table: the generator,
-the blinding generator and keygen's public keys are such points, which is
-what makes pure-Python commitments fast enough for the acceptance
-workloads. Decoded points carry none, and a decoded point's y waits for
-its first use: decoding checks x against the curve with a Jacobi symbol,
-so a point that is only encoded again (the audit's statements) never pays
-for a square root. Every other base goes through the
-GLV endomorphism: the scalar splits into two halves of at most 127 bits,
-each recoded in width-5 NAF over a per-call row of the base's first 15
-multiples and that row's image under the endomorphism, and the halves of
-all such bases share one chain of doublings. Those rows and the codec's
-baby table come from ``Group.multiples``, which the curve normalizes to
-affine in chunks, with one batch inversion per chunk.
+all arithmetic goes through the owning group instance. Each backend's
+``lincomb(terms, start)``, start + sum of k * P, is its one scalar
+multiplication: a product of powers in the tiny group, one Jacobian sum with
+one normalization on the curve. ``Group``'s mul, mul_gen, mul_blind, dual_mul
+and neg call it (the curve's neg negates y). A point that
+``Group.fixed_base`` returns carries its own signed radix-256 table, built on
+its first multiplication, and lincomb takes that table: the generator, the
+blinding generator and keygen's public keys are such points, which is what
+makes pure-Python commitments fast enough for the acceptance workloads.
+Decoded points carry none, and a decoded point's y waits for its first use:
+decoding checks x against the curve with a Jacobi symbol, so a point that is
+only encoded again (the audit's statements) never pays for a square root.
+Every other base goes through the GLV endomorphism: the scalar splits into
+two halves of at most 127 bits, each recoded in width-5 NAF over a per-call
+row of the base's first 15 multiples and that row's image under the
+endomorphism, and the halves of all such bases share one chain of doublings.
+Those rows and the codec's baby table come from ``Group.multiples``, which
+the curve normalizes to affine in chunks, with one batch inversion per chunk.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterator
-from functools import cache, reduce
+from functools import cache
 
 from .errors import EncodingError
 
@@ -221,7 +222,7 @@ _J_INF = (0, 1, 0)
 
 def _j_double(p: tuple[int, int, int]) -> tuple[int, int, int]:
     X1, Y1, Z1 = p
-    if Z1 == 0 or Y1 == 0:
+    if Z1 == 0:  # no point has y = 0 in a group of odd order
         return _J_INF
     A = (X1 * X1) % _Q
     B = (Y1 * Y1) % _Q
@@ -262,9 +263,12 @@ def _j_add_affine(p: tuple[int, int, int], ax: int, ay: int) -> tuple[int, int, 
 
 
 def _j_to_affine(p: tuple[int, int, int]) -> CurvePoint:
-    if p[2] == 0:
+    X, Y, Z = p
+    if Z == 0:
         return CurvePoint(0, 0, inf=True)
-    return _affine([p])[0]
+    zi = pow(Z, -1, _Q)
+    zi2 = (zi * zi) % _Q
+    return CurvePoint((X * zi2) % _Q, (Y * zi2 * zi) % _Q)
 
 
 def _inverses(values: list[int]) -> list[int]:
@@ -442,9 +446,6 @@ class Group:
             raise EncodingError("scalar encoding exceeds group order")
         return Scalar(v, self.order)
 
-    def _as_int(self, k: "Scalar | int") -> int:
-        return self.scalar(k).value
-
     # fixed bases: each backend sets _gen, and _blind is hashed from it
 
     _blind: GroupElement | None = None
@@ -461,8 +462,8 @@ class Group:
             self._blind = self.fixed_base(h)
         return self._blind
 
-    # element operations, provided by the backends; a backend provides mul
-    # or lincomb, and each default is written with the other
+    # element operations: a backend provides identity, add and lincomb, its
+    # one multiplication, which the neg, mul and dual_mul defaults call
 
     def identity(self) -> GroupElement:
         raise NotImplementedError
@@ -471,7 +472,7 @@ class Group:
         raise NotImplementedError
 
     def neg(self, a: GroupElement) -> GroupElement:
-        raise NotImplementedError
+        return self.lincomb(((-1, a),))
 
     def mul(self, k: "Scalar | int", p: GroupElement) -> GroupElement:
         return self.lincomb(((k, p),))
@@ -484,7 +485,7 @@ class Group:
 
     def lincomb(self, terms, start: GroupElement | None = None) -> GroupElement:
         """start (default the identity) + sum of k * P over (k, P) in terms."""
-        return reduce(self.add, (self.mul(k, p) for k, p in terms), self.identity() if start is None else start)
+        raise NotImplementedError
 
     def dual_mul(self, k_gen: "Scalar | int", k_blind: "Scalar | int") -> GroupElement:
         """k_gen * G + k_blind * H; the commitment hot path."""
@@ -522,12 +523,9 @@ class Group:
 
 
 class CurveGroup(Group):
-    """Production backend over the 254-bit curve. lincomb is its one
-    multiplication entry point, and mul is Group's one-term call. Points that
-    fixed_base made, such as the generator and the blind generator, add
-    through their own signed radix-256 tables (see _FixedBaseTable), other
-    bases share one GLV chain with wNAF, and start is added last. Prefer
-    module-level production_group() so the generators' tables are built once."""
+    """Production backend over the 254-bit curve; lincomb, its one
+    multiplication, says how it multiplies. Prefer module-level
+    production_group() so the generators' tables are built once."""
 
     name = "curve254"
     order = _ORDER
@@ -565,7 +563,7 @@ class CurveGroup(Group):
         halves, tabled = [], []
         for k, p in terms:
             assert isinstance(p, CurvePoint)
-            kv = self._as_int(k)
+            kv = self.scalar(k).value
             if kv and p.table is not None:  # never infinity, see fixed_base
                 tabled.append((kv, p.table))
             elif kv and not p.inf:
@@ -674,13 +672,13 @@ class TinyGroup(Group):
         assert isinstance(a, FieldUnit) and isinstance(b, FieldUnit)
         return FieldUnit((a.v * b.v) % _T_P)
 
-    def neg(self, a: GroupElement) -> FieldUnit:
-        assert isinstance(a, FieldUnit)
-        return FieldUnit(pow(a.v, -1, _T_P))
-
-    def mul(self, k: "Scalar | int", p: GroupElement) -> FieldUnit:
-        assert isinstance(p, FieldUnit)
-        return FieldUnit(pow(p.v, self._as_int(k), _T_P))
+    def lincomb(self, terms, start: GroupElement | None = None) -> FieldUnit:
+        """start (default 1) times the product of P^k over (k, P) in terms."""
+        acc = 1 if start is None else start.v
+        for k, p in terms:
+            assert isinstance(p, FieldUnit)
+            acc = (acc * pow(p.v, self.scalar(k).value, _T_P)) % _T_P
+        return FieldUnit(acc)
 
     def encode_element(self, p: GroupElement) -> bytes:
         assert isinstance(p, FieldUnit)

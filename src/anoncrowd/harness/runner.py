@@ -58,7 +58,7 @@ from ..ledger import (
     TaskState,
     chain_summary,
 )
-from ..policy import AVERAGE, FinalAnswer, ans_calc, is_correct, paym_calc
+from ..policy import AVERAGE, FinalAnswer, QualityState, ans_calc, is_correct, paym_calc, quality_mean
 from ..primitives import sign
 from ..relations import (
     AUTH_CALC_ID,
@@ -482,7 +482,7 @@ def _render_report(run: _Run, worker_rows: list[WorkerRow], proof_counts: dict, 
     lines.append("")
     lines.append("-- workers --")
     for row in worker_rows:
-        mean = row.alpha / (row.alpha + row.beta)
+        mean = float(quality_mean(QualityState(row.alpha, row.beta)))
         lines.append(
             f"{row.name} quality {row.alpha}/{row.beta} (mean {mean:.3f})"
             f" paid {eth(row.paid_wei)} ETH, {row.status}"
@@ -495,7 +495,7 @@ def _render_report(run: _Run, worker_rows: list[WorkerRow], proof_counts: dict, 
 
     lines.append("")
     lines.append("-- chain totals --")
-    worker_gas = sum(gas for who, gas in by_sender.items() if who.startswith("worker-"))
+    worker_gas = sum(by_sender.get(w.name, 0) for w in run.workers)
     req_gas = by_sender.get(REQUESTER, 0)
     adv_gas = by_sender.get(ADVERSARY, 0)
     lines.append(f"requester gas {req_gas} (USD {fee.cost_usd(req_gas):.2f})")

@@ -379,11 +379,11 @@ class ProofBackend:
         """fn(*args) for a pure fn (decrypt_message, encrypt_message,
         commit_pair, pair_rerandomize, pair_step, a group's mul_gen), run
         once per fn and args: later calls read the first result (auth-qual
-        and the serving search read the requester's pair_step). Entries
-        are keyed by every argument's value and type, so only a real call on
-        those very inputs fills the entry it reads (5.0 does not read what 5
-        stored). A call that raises, such as a decryption outside the
-        codec's domain, raises each time."""
+        and the serving search read the requester's pair_step, the search
+        its covered leaf too). Entries are keyed by every argument's value
+        and type, so only a real call on those very inputs fills the entry
+        it reads (5.0 does not read what 5 stored). A call that raises, such
+        as a decryption outside the codec's domain, raises each time."""
         key = (fn, *args, *map(type, args))
         result = self._results.get(key, _UNSET)  # one lookup, so a hit hashes its key once
         if result is _UNSET:

@@ -57,6 +57,7 @@ from anoncrowd.primitives import (
     BlindingPair,
     commit_pair,
     encrypt,
+    pair_add,
     pair_rerandomize,
     pair_step,
     random_blinding_pair,
@@ -621,8 +622,11 @@ class TestProtests:
 
 
 def pair_step_search(ctx, backend, task, target, claim_key, board, final_cts, tree):
-    """serving_post as it searched before it checked one difference per
-    post: a full pair_step for every admissible increment tried."""
+    """The serving search written from its definition, for serving_post to
+    match, with no memo, no pair_step and no verdict read off the value
+    proof: a post serves when the old pair plus a commitment to an admissible
+    increment under the unpadded update blinding is the posted pair, and that
+    pair rerandomized by the unpadded cover term is a leaf of tree."""
     g = ctx.group
     update_pads, cover_pads = claim_pads(ctx, target.ref, claim_key)
     increments = [quality_increment(v) for v in ((None,) if len(final_cts) == 0 else (True, False))]
@@ -632,7 +636,7 @@ def pair_step_search(ctx, backend, task, target, claim_key, board, final_cts, tr
             continue
         update, dummy = post.blinded_update - update_pads, post.blinded_dummy - cover_pads
         for increment in increments:
-            if pair_step(g, target.fresh_pair, increment, update) == post.new_pair:
+            if pair_add(g, target.fresh_pair, commit_pair(g, *increment, update)) == post.new_pair:
                 leaf = pair_rerandomize(g, post.new_pair, dummy)
                 position = tree.position_of(leaf.encode(g))
                 if position is not None:
@@ -693,8 +697,7 @@ class TestServingDifferenceCheck:
 
     def test_settlement_repeats_no_fixed_base_work(self, monkeypatch):
         # the checker reads the requester's pair_step from the memo, and
-        # serving_post multiplies the blind generator twice for the step
-        # check and twice for the leaf
+        # serving_post reads both the step and the covered leaf from it
         ctx = production_context()
         world = World(ctx=ctx)
         task = world.announce()
@@ -720,7 +723,30 @@ class TestServingDifferenceCheck:
         assert sum(bases.values()) == 0
         args = (ctx, world.backend, task, p, p.claim_key, board, outcome.final_cts, world.ra.tree)
         assert serving_post(*args) is not None
-        assert 0 < bases[ctx.group.blind_generator] <= 4, bases
+        assert sum(bases.values()) == 0, bases
+
+    @pytest.mark.parametrize("backend", sorted(CONTEXTS))
+    def test_an_honest_post_serves_from_the_memo_alone(self, backend, monkeypatch):
+        # the requester's step and leaf sit in the memo, so neither the worker's
+        # nor the authority's search for a correct (worker 0), an incorrect
+        # (worker 2) or a voided (min_workers 4) post adds an entry or multiplies
+        ctx = CONTEXTS[backend]()
+        g = ctx.group
+        for min_workers in (1, 4):
+            world = World(ctx=ctx)
+            task = world.announce()
+            outcome = world.requester.evaluate(task, world.respond(task, [1, 1, 0]), min_workers)
+            world.settle(task, outcome)
+            board = post_board(ctx, outcome.quality_posts)
+            entries = len(world.backend._results)
+            with monkeypatch.context() as m:
+                m.setattr(type(g), "lincomb", lambda *args: pytest.fail("serving multiplied"))
+                for i in (0, 2):
+                    p = world.workers[i]._pending
+                    for target in (p, outcome.accepted[i]):
+                        args = (task, target, p.claim_key, board, outcome.final_cts, world.ra.tree)
+                        assert serving_post(ctx, world.backend, *args) is not None, (min_workers, i)
+                        assert len(world.backend._results) == entries, (min_workers, i)
 
 
 class TestMemoSoundness:

@@ -19,6 +19,7 @@ from anoncrowd.group import (
     _LAMBDA,
     _ORDER,
     _Q,
+    _T_P,
     CurveGroup,
     CurvePoint,
     FieldUnit,
@@ -389,7 +390,8 @@ def oracle_lincomb(g, terms, start=None):
     on the curve, plain exponentiation in the tiny group."""
     acc = g.identity() if start is None else start
     for k, p in terms:
-        acc = g.add(acc, oracle_mul(k, p) if isinstance(g, CurveGroup) else g.mul(k, p))
+        term = oracle_mul(k, p) if isinstance(g, CurveGroup) else FieldUnit(pow(p.v, g.scalar(k).value, _T_P))
+        acc = g.add(acc, term)
     return acc
 
 
@@ -421,11 +423,11 @@ def lincomb_cases(g):
 
 
 class TestLincomb:
-    def test_agrees_with_folding_mul_and_add_and_with_the_oracle(self, any_group):
+    def test_agrees_with_the_oracle(self, any_group):
         g = any_group
         for i, (terms, start) in enumerate(lincomb_cases(g)):
             got, want = g.lincomb(terms, start), oracle_lincomb(g, terms, start)
-            assert got == Group.lincomb(g, terms, start) == want, i
+            assert got == want, i
             if isinstance(got, CurvePoint):
                 assert coordinates(got) == coordinates(want), i
 

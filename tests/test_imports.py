@@ -14,6 +14,10 @@ names to re-export them. A public function, class or method counts as used
 when its name appears as a name, an attribute or a whole string constant
 (an `__all__` entry, a metric's target) anywhere in `src/` or `perfbench/`;
 the few kept for tests alone are listed in TEST_ONLY with their reason.
+No module but `group.py` and `primitives.py` names a group multiplication
+(MULTIPLICATIONS), as a name or an attribute, so the protocol layers do no
+group arithmetic of their own; the uses kept are listed in MULTIPLYING with
+their reason, and each must be the function a `memo` call runs.
 """
 
 import ast
@@ -30,6 +34,14 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # public definitions only tests call -> why each stays
 TEST_ONLY = {
     "primitives.pair_add": "the tests' oracle for a quality step, independent of pair_step",
+}
+
+MULTIPLICATIONS = {"lincomb", "mul", "mul_gen", "mul_blind", "dual_mul", "multiples", "neg"}
+ARITHMETIC = {"group.py", "primitives.py"}
+# (module, multiplication) named outside ARITHMETIC -> why
+MULTIPLYING = {
+    ("relations.py", "mul_gen"): "the requester-key check memo(ctx.group.mul_gen, sk): the requester "
+    "checkers compare sk * G with the statement's key, through the memo so each key is multiplied once",
 }
 
 
@@ -102,6 +114,20 @@ def public_definitions() -> dict[str, int]:
     return out
 
 
+def named_multiplications(tree: ast.Module):
+    """(name, line, whether it is the function a memo call runs) of each
+    group multiplication the module names."""
+    memo_fns = {
+        id(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "memo" and node.args
+    }
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in MULTIPLICATIONS:
+            yield name, node.lineno, id(node) in memo_fns
+
+
 def test_the_scan_sees_modules():
     assert len(MODULES) >= 10
 
@@ -126,3 +152,18 @@ def test_every_public_definition_is_named_outside_tests():
     referenced = referenced_names([*SOURCES, *sorted((ROOT / "perfbench").rglob("*.py"))])
     unnamed = {q: line for q, line in public_definitions().items() if q.rsplit(".", 1)[1] not in referenced}
     assert unnamed.keys() == TEST_ONLY.keys(), f"named only in tests, or no longer so: {unnamed}"
+
+
+def test_only_group_and_primitives_multiply():
+    named, kept = [], set()
+    for path in SOURCES:
+        module = path.relative_to(PACKAGE).as_posix()
+        if module in ARITHMETIC:
+            continue
+        for name, line, memo_fn in named_multiplications(ast.parse(path.read_text(), filename=str(path))):
+            if memo_fn and (module, name) in MULTIPLYING:
+                kept.add((module, name))
+            else:
+                named.append(f"{module}: {name} (line {line})")
+    assert named == [], f"group multiplication outside {sorted(ARITHMETIC)}: {', '.join(named)}"
+    assert kept == MULTIPLYING.keys(), f"MULTIPLYING entries no longer used: {MULTIPLYING.keys() - kept}"
