@@ -81,6 +81,7 @@ from .relations import (
     AuthQualWitness,
     AuthValueStatement,
     AuthValueWitness,
+    Memo,
     Proof,
     ProofBackend,
     ProveQualStatement,
@@ -326,6 +327,7 @@ def screen_responses(
 def serving_post(
     ctx: CryptoContext,
     backend: ProofBackend,
+    memo: Memo,
     task: TaskPublic,
     target: ParsedResponse | _PendingResponse,
     claim_key: int,
@@ -337,8 +339,7 @@ def serving_post(
     quality attestation verifies and which serves: pair_step takes target.fresh_pair by an
     admissible increment (first the verdict its value proof claims) under the unpadded
     update blinding to the posted pair, and the pair rerandomized by the unpadded cover term
-    is a leaf of tree. The memo holds the requester's step and leaf, so an honest post serves
-    with no group operation. Returns (increment, blinding the leaf adds, leaf, position) or None."""
+    is a leaf of tree. Returns (increment, blinding the leaf adds, leaf, position) or None."""
     g = ctx.group
     update_pads, cover_pads = claim_pads(ctx, target.ref, claim_key)
     # a voided task (no final ciphertexts) admits only the void increment;
@@ -350,8 +351,8 @@ def serving_post(
             continue
         update, dummy = post.blinded_update - update_pads, post.blinded_dummy - cover_pads
         for increment in increments if post.value_proof is not None else increments[::-1]:
-            if backend.memo(pair_step, g, target.fresh_pair, increment, update) == post.new_pair:
-                leaf = backend.memo(pair_rerandomize, g, post.new_pair, dummy)
+            if memo(pair_step, g, target.fresh_pair, increment, update) == post.new_pair:
+                leaf = memo(pair_rerandomize, g, post.new_pair, dummy)
                 position = tree.position_of(leaf.encode(g))
                 if position is not None:
                     return increment, update + dummy, leaf, position
@@ -392,6 +393,7 @@ class RegistrationAuthority:
         self,
         ctx: CryptoContext,
         backend: ProofBackend,
+        memo: Memo,
         rng: random.Random,
         prior: tuple[int, int] = (1, 1),
     ):
@@ -399,6 +401,7 @@ class RegistrationAuthority:
             raise ValueError("the starting state needs at least one of each observation")
         self.ctx = ctx
         self.backend = backend
+        self.memo = memo
         self.rng = rng
         self.prior = prior
         self.keypair: KeyPair = keygen(ctx.group, rng)
@@ -418,7 +421,7 @@ class RegistrationAuthority:
         alpha, beta = self.prior
         # a starting pair blinding plus a cover term, as an adopted leaf has
         opening = random_blinding_pair(g, self.rng) + random_blinding_pair(g, self.rng)
-        pair = self.backend.memo(commit_pair, g, alpha, beta, opening)
+        pair = self.memo(commit_pair, g, alpha, beta, opening)
         position = self.tree.append(pair.encode(g))
         cert = sign(g, self.keypair.sk, ident_message(self.ctx, ident))
         return Credential(cert, alpha, beta, opening, pair, position)
@@ -447,7 +450,7 @@ class RegistrationAuthority:
             return False
         if bound_ct != target.claim_ct:
             return False  # claim key does not match the on-chain response
-        return serving_post(ctx, self.backend, task, target, protest.claim_key, board, final_cts, self.tree) is None
+        return serving_post(ctx, self.backend, self.memo, task, target, protest.claim_key, board, final_cts, self.tree) is None
 
 
 # ── worker ───────────────────────────────────────────────────────────────────
@@ -467,9 +470,10 @@ class _PendingResponse:
 class WorkerAgent:
     """One enrolled worker: quality state, response building, claim logic."""
 
-    def __init__(self, ctx: CryptoContext, backend: ProofBackend, name: str, secret: bytes, rng: random.Random):
+    def __init__(self, ctx: CryptoContext, backend: ProofBackend, memo: Memo, name: str, secret: bytes, rng: random.Random):
         self.ctx = ctx
         self.backend = backend
+        self.memo = memo
         self.name = name
         self.rng = rng
         self.ident: Scalar = derive_ident(ctx, secret)
@@ -519,8 +523,8 @@ class WorkerAgent:
         pending = _PendingResponse(
             ref=None,
             rerand=rerand,
-            fresh_pair=self.backend.memo(pair_rerandomize, g, self.cred.pair, rerand),
-            answer_ct=self.backend.memo(encrypt_message, g, task.requester_pk, ctx.answer_codec, answer, answer_rand),
+            fresh_pair=self.memo(pair_rerandomize, g, self.cred.pair, rerand),
+            answer_ct=self.memo(encrypt_message, g, task.requester_pk, ctx.answer_codec, answer, answer_rand),
             address=address,
             claim_key=rng.randrange(ctx.claim_codec.domain_size),
             claim_rand=g.random_scalar(rng),
@@ -531,7 +535,7 @@ class WorkerAgent:
             pending.fresh_pair,
             self.current_tag(),
             pending.answer_ct,
-            self.backend.memo(encrypt_message, g, task.requester_pk, ctx.address_codec, address, address_rand),
+            self.memo(encrypt_message, g, task.requester_pk, ctx.address_codec, address, address_rand),
         )
         witness = ProveQualWitness(
             ident=self.ident,
@@ -547,7 +551,7 @@ class WorkerAgent:
             address_rand=address_rand,
             path=ra.tree.prove_membership(self.cred.position),
         )
-        proof = self.backend.prove(ctx, stmt, witness)
+        proof = self.backend.prove(ctx, stmt, witness, self.memo)
         claim_ct = encrypt_message(
             g, task.requester_pk, ctx.claim_codec, pending.claim_key, pending.claim_rand
         )
@@ -574,7 +578,7 @@ class WorkerAgent:
         p = self._pending
         if p is None or p.ref is None:
             raise ProtocolError("no submitted response on record")
-        served = serving_post(self.ctx, self.backend, task, p, p.claim_key, board, final_cts, ra.tree)
+        served = serving_post(self.ctx, self.backend, self.memo, task, p, p.claim_key, board, final_cts, ra.tree)
         if served is None:
             return Protest(p.ref, p.claim_key, p.claim_rand, payout_account(p.address))
         (da, db), blinding, leaf, position = served
@@ -615,9 +619,10 @@ class RequesterAgent:
     Keeps the set of linkability tags accepted in earlier tasks; a tag
     reappearing there means a worker replayed an outdated quality state."""
 
-    def __init__(self, ctx: CryptoContext, backend: ProofBackend, rng: random.Random):
+    def __init__(self, ctx: CryptoContext, backend: ProofBackend, memo: Memo, rng: random.Random):
         self.ctx = ctx
         self.backend = backend
+        self.memo = memo
         self.rng = rng
         self.keypair: KeyPair = keygen(ctx.group, rng)
         self.seen_tags: set[bytes] = set()
@@ -644,14 +649,14 @@ class RequesterAgent:
         answers: list[int | None] = [None] * len(accepted)
         final, final_cts, final_bundle = None, (), None
         if not void:
-            answers = [self.backend.memo(decrypt_message, g, sk, ctx.answer_codec, p.answer_ct) for p in accepted]
+            answers = [self.memo(decrypt_message, g, sk, ctx.answer_codec, p.answer_ct) for p in accepted]
             final = ans_calc(answers, task.policy)
             final_cts = tuple(
                 encrypt_message(g, self.keypair.pk, ctx.answer_codec, v, g.random_scalar(self.rng))
                 for v in final.values
             )
             calc_stmt = calc_statement(ctx, task, accepted, final_cts)
-            calc_proof = self.backend.prove(ctx, calc_stmt, AuthCalcWitness(sk))
+            calc_proof = self.backend.prove(ctx, calc_stmt, AuthCalcWitness(sk), self.memo)
             final_bundle = encode_final_bundle(ctx, final_cts, calc_proof)
 
         posts, leaves, payments = [], [], []
@@ -689,13 +694,13 @@ class RequesterAgent:
         sk = self.keypair.sk
         update = random_blinding_pair(g, self.rng)
         dummy = random_blinding_pair(g, self.rng)
-        new_pair = self.backend.memo(pair_step, g, parsed.fresh_pair, quality_increment(correct), update)
+        new_pair = self.memo(pair_step, g, parsed.fresh_pair, quality_increment(correct), update)
         stmt = quality_statement(ctx, task, parsed, final_cts, new_pair)
-        qual_proof = self.backend.prove(ctx, stmt, AuthQualWitness(sk, update))
+        qual_proof = self.backend.prove(ctx, stmt, AuthQualWitness(sk, update), self.memo)
         value_proof = None
         if correct:
             value_stmt = value_statement(ctx, task, parsed, final_cts)
-            value_proof = self.backend.prove(ctx, value_stmt, AuthValueWitness(sk))
+            value_proof = self.backend.prove(ctx, value_stmt, AuthValueWitness(sk), self.memo)
 
         try:
             key = decrypt_message(g, sk, ctx.claim_codec, parsed.claim_ct)
@@ -710,4 +715,4 @@ class RequesterAgent:
             blinded = update
             covered = dummy
         post = QualityPost(parsed.ref, idx, blinded, covered, new_pair, qual_proof, value_proof)
-        return post.encode(g), self.backend.memo(pair_rerandomize, g, new_pair, dummy).encode(g)
+        return post.encode(g), self.memo(pair_rerandomize, g, new_pair, dummy).encode(g)

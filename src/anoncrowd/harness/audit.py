@@ -32,7 +32,8 @@ Two trust anchors come from the header: the authority's public key (for
 the signoff) and the attestation setup seed. A deployment would publish a
 verification key instead of a seed; the simulated backend needs the seed
 itself to recompute attestations, so the log carries it. Nothing else in
-the audit depends on that shortcut.
+the audit depends on that shortcut, but through it whoever signs the log
+can mint any attestation (README Limitations).
 """
 
 from __future__ import annotations

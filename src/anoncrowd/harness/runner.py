@@ -65,6 +65,7 @@ from ..relations import (
     AUTH_QUAL_ID,
     AUTH_VALUE_ID,
     PROVE_QUAL_ID,
+    Memo,
     ProofBackend,
 )
 from .attacks import ADVERSARY, ATTACKS, Attack
@@ -173,6 +174,7 @@ class _Run:
         master = random.Random(seed)
         self.backend_seed = master.getrandbits(256).to_bytes(32, "little")
         backend = ProofBackend(self.backend_seed)
+        self.memo = Memo()
         ledger_seed = master.getrandbits(64)
         ra_rng = random.Random(master.getrandbits(64))
         req_rng = random.Random(master.getrandbits(64))
@@ -183,13 +185,13 @@ class _Run:
         self.ledger.fund(REQUESTER, requester_funding)
         self.ledger.fund(ADVERSARY, self.worker_funding)
 
-        self.ra = RegistrationAuthority(self.ctx, backend, ra_rng, prior=config.prior)
-        self.requester = RequesterAgent(self.ctx, backend, req_rng)
+        self.ra = RegistrationAuthority(self.ctx, backend, self.memo, ra_rng, prior=config.prior)
+        self.requester = RequesterAgent(self.ctx, backend, self.memo, req_rng)
         self.workers: list[WorkerAgent] = []
         for i in range(config.worker_count):
             name = f"worker-{i:03d}"
             self.ledger.fund(name, self.worker_funding)
-            w = WorkerAgent(self.ctx, backend, name, f"{config.name}/{seed}/{name}".encode(), worker_rngs[i])
+            w = WorkerAgent(self.ctx, backend, self.memo, name, f"{config.name}/{seed}/{name}".encode(), worker_rngs[i])
             w.enroll(self.ra)
             self.workers.append(w)
 
@@ -358,6 +360,7 @@ class _Run:
                     self.failures.append(prefix + f"payment for response {parsed.ref} off the policy")
                     break
         ledger.tick(2)
+        self.memo.clear()  # the round's entries, and enrollment's in round 0
 
     def _result(self) -> RunResult:
         """Writes the signed log and the report."""

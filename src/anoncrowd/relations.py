@@ -21,12 +21,7 @@ statement from the logged fields it covers:
 
 Statements are structurally validated before use; a malformed statement
 raises MalformedStatementError, which is deliberately distinct from a
-well-formed but unsatisfied relation (a False result). Each checker takes
-the run's ProofBackend too, and reads its memo for the crypto calls the
-parties already made: check_prove_qual's commit_pair, pair_rerandomize and
-encryptions, the requester checkers' decryptions, key check and pair_step.
-Only a real call under the witness's own values fills an entry, so a
-witness never supplies a plaintext, a ciphertext or a commitment.
+well-formed but unsatisfied relation (a False result). Checkers read a Memo.
 
 The proof backend is an attestation oracle standing in for a succinct
 proving system: prove() runs the relation checker and, only on success,
@@ -35,10 +30,7 @@ statement record, encoded once; verify() rebuilds that proof and compares.
 Proofs depend on the statement alone, never on the witness, which is the
 unlinkability property the protocol leans on. Soundness holds within one
 simulation run (the setup secret could mint attestations), matching the
-trust model of a simulated prover rather than re-implementing one. The
-backend's memo() runs each pure call at most once per backend, and so per
-run: what the authority, a worker or the requester computed is shared
-with the checkers that repeat it.
+trust model of a simulated prover rather than re-implementing one.
 """
 
 from __future__ import annotations
@@ -220,7 +212,7 @@ class AuthQualWitness:
 
 
 def check_prove_qual(
-    ctx: CryptoContext, stmt: ProveQualStatement, wit: ProveQualWitness, backend: ProofBackend
+    ctx: CryptoContext, stmt: ProveQualStatement, wit: ProveQualWitness, memo: Memo
 ) -> bool:
     stmt.validate()
     g = ctx.group
@@ -235,7 +227,7 @@ def check_prove_qual(
         return False
     if not clears_threshold(QualityState(wit.alpha, wit.beta), stmt.policy):
         return False
-    if backend.memo(commit_pair, g, wit.alpha, wit.beta, wit.leaf_blind) != wit.stored_pair:
+    if memo(commit_pair, g, wit.alpha, wit.beta, wit.leaf_blind) != wit.stored_pair:
         return False
 
     # tag binds the stored pair to the identifier
@@ -245,8 +237,8 @@ def check_prove_qual(
     # ciphertexts encrypt the claimed plaintexts under the requester key
     pk = stmt.requester_pk
     try:
-        answer_ct = backend.memo(encrypt_message, g, pk, ctx.answer_codec, wit.answer, wit.answer_rand)
-        address_ct = backend.memo(encrypt_message, g, pk, ctx.address_codec, wit.address, wit.address_rand)
+        answer_ct = memo(encrypt_message, g, pk, ctx.answer_codec, wit.answer, wit.answer_rand)
+        address_ct = memo(encrypt_message, g, pk, ctx.address_codec, wit.address, wit.address_rand)
     except DomainError:
         return False
     if wit.answer >= stmt.policy.domain_size:
@@ -259,73 +251,73 @@ def check_prove_qual(
         return False
 
     # the submitted pair re-randomizes the stored one
-    return stmt.fresh_pair == backend.memo(pair_rerandomize, g, wit.stored_pair, wit.rerand)
+    return stmt.fresh_pair == memo(pair_rerandomize, g, wit.stored_pair, wit.rerand)
 
 
-def _decrypt_answers(ctx, backend: ProofBackend, sk: Scalar, cts) -> list[int] | None:
+def _decrypt_answers(ctx, memo: Memo, sk: Scalar, cts) -> list[int] | None:
     out = []
     for ct in cts:
         try:
-            out.append(backend.memo(decrypt_message, ctx.group, sk, ctx.answer_codec, ct))
+            out.append(memo(decrypt_message, ctx.group, sk, ctx.answer_codec, ct))
         except DomainError:
             return None
     return out
 
 
-def _decrypt_final(ctx, backend: ProofBackend, sk: Scalar, stmt) -> FinalAnswer | None:
-    values = _decrypt_answers(ctx, backend, sk, stmt.final_cts)
+def _decrypt_final(ctx, memo: Memo, sk: Scalar, stmt) -> FinalAnswer | None:
+    values = _decrypt_answers(ctx, memo, sk, stmt.final_cts)
     if values is None or stmt.policy.kind == AVERAGE and values[1] < 1:
         return None  # an average over no answers is no answer
     return FinalAnswer(stmt.policy.kind, tuple(values))
 
 
 def check_auth_calc(
-    ctx: CryptoContext, stmt: AuthCalcStatement, wit: AuthCalcWitness, backend: ProofBackend
+    ctx: CryptoContext, stmt: AuthCalcStatement, wit: AuthCalcWitness, memo: Memo
 ) -> bool:
     stmt.validate()
-    if backend.memo(ctx.group.mul_gen, wit.sk) != stmt.requester_pk:
+    if memo(ctx.group.mul_gen, wit.sk) != stmt.requester_pk:
         return False
-    answers = _decrypt_answers(ctx, backend, wit.sk, stmt.answer_cts)
+    answers = _decrypt_answers(ctx, memo, wit.sk, stmt.answer_cts)
     if answers is None:
         return False
     try:
         recounted = ans_calc(answers, stmt.policy)
     except ValueError:
         return False
-    posted = _decrypt_final(ctx, backend, wit.sk, stmt)
+    posted = _decrypt_final(ctx, memo, wit.sk, stmt)
     return posted is not None and posted == recounted
 
 
-def _verdict(ctx: CryptoContext, backend: ProofBackend, stmt, sk: Scalar) -> tuple[bool, bool | None]:
+def _verdict(ctx: CryptoContext, memo: Memo, stmt, sk: Scalar) -> tuple[bool, bool | None]:
     """The requester's (judged, correct) on stmt.worker_ct: not judged when
     sk is not the requester key or a ciphertext does not decrypt to a domain
     value; correct is None on a voided task (no final ciphertexts)."""
-    if backend.memo(ctx.group.mul_gen, sk) != stmt.requester_pk:
+    if memo(ctx.group.mul_gen, sk) != stmt.requester_pk:
         return False, None
     if len(stmt.final_cts) == 0:
         return True, None
-    final = _decrypt_final(ctx, backend, sk, stmt)
-    answer = None if final is None else _decrypt_answers(ctx, backend, sk, [stmt.worker_ct])
+    final = _decrypt_final(ctx, memo, sk, stmt)
+    answer = None if final is None else _decrypt_answers(ctx, memo, sk, [stmt.worker_ct])
     if answer is None or answer[0] >= stmt.policy.domain_size:
         return False, None
     return True, is_correct(answer[0], final, stmt.policy)
 
 
 def check_auth_value(
-    ctx: CryptoContext, stmt: AuthValueStatement, wit: AuthValueWitness, backend: ProofBackend
+    ctx: CryptoContext, stmt: AuthValueStatement, wit: AuthValueWitness, memo: Memo
 ) -> bool:
     stmt.validate()
-    judged, correct = _verdict(ctx, backend, stmt, wit.sk)
+    judged, correct = _verdict(ctx, memo, stmt, wit.sk)
     return judged and correct is True
 
 
 def check_auth_qual(
-    ctx: CryptoContext, stmt: AuthQualStatement, wit: AuthQualWitness, backend: ProofBackend
+    ctx: CryptoContext, stmt: AuthQualStatement, wit: AuthQualWitness, memo: Memo
 ) -> bool:
     stmt.validate()
-    judged, correct = _verdict(ctx, backend, stmt, wit.sk)
+    judged, correct = _verdict(ctx, memo, stmt, wit.sk)
     return judged and (
-        backend.memo(pair_step, ctx.group, stmt.old_pair, quality_increment(correct), wit.update_blind) == stmt.new_pair
+        memo(pair_step, ctx.group, stmt.old_pair, quality_increment(correct), wit.update_blind) == stmt.new_pair
     )
 
 
@@ -358,14 +350,29 @@ class Proof(Record):
     attestation: bytes
 
 
+class Memo(dict):
+    """One round's pure crypto calls, shared by every party and checker. memo(fn, *args) runs fn(*args)
+    once per fn and args, and later calls read the result: a checker or the serving search repeats no
+    call a party made, and an honest post serves with no group operation. An entry is keyed by every
+    argument's value and type, so only a real call on those very inputs fills it (5.0 does not read
+    what 5 stored) and no witness supplies a plaintext, a ciphertext or a commitment. A call that
+    raises raises each time. The runner makes a run's one Memo and clears it as each round closes."""
+
+    def __call__(self, fn: Callable, *args):
+        key = (fn, *args, *map(type, args))
+        result = self.get(key, _UNSET)  # one lookup, so a hit hashes its key once
+        if result is _UNSET:
+            result = self[key] = fn(*args)
+        return result
+
+
 class ProofBackend:
     """Attestation oracle over the four relations, keyed by a setup seed.
 
     One instance plays the role of the proving system for a whole
     simulation: all parties hold it, honest parties only obtain proofs via
     prove(), and an adversary without the instance cannot do better than
-    guessing a 256-bit attestation. It also holds the run's memo of pure
-    crypto calls (see memo), so the memo lives and dies with one simulation.
+    guessing a 256-bit attestation.
     """
 
     def __init__(self, setup_seed: bytes):
@@ -373,22 +380,6 @@ class ProofBackend:
             rid: hash_bytes(_DST_SETUP + setup_seed + rid.encode("ascii"))
             for rid, _ in _RELATIONS.values()
         }
-        self._results: dict[tuple, object] = {}
-
-    def memo(self, fn: Callable, *args):
-        """fn(*args) for a pure fn (decrypt_message, encrypt_message,
-        commit_pair, pair_rerandomize, pair_step, a group's mul_gen), run
-        once per fn and args: later calls read the first result (auth-qual
-        and the serving search read the requester's pair_step, the search
-        its covered leaf too). Entries are keyed by every argument's value
-        and type, so only a real call on those very inputs fills the entry
-        it reads (5.0 does not read what 5 stored). A call that raises, such
-        as a decryption outside the codec's domain, raises each time."""
-        key = (fn, *args, *map(type, args))
-        result = self._results.get(key, _UNSET)  # one lookup, so a hit hashes its key once
-        if result is _UNSET:
-            result = self._results[key] = fn(*args)
-        return result
 
     def _proof(self, ctx: CryptoContext, stmt) -> Proof:
         """The proof of stmt: its relation id, then the digest and the keyed attestation of its record."""
@@ -396,10 +387,10 @@ class ProofBackend:
         encoded = stmt.encode(ctx)
         return Proof(rid, hash_bytes(encoded), hash_bytes(_DST_ATTEST + self._secrets[rid] + encoded))
 
-    def prove(self, ctx: CryptoContext, stmt, witness) -> Proof:
+    def prove(self, ctx: CryptoContext, stmt, witness, memo: Memo) -> Proof:
         rid = relation_id_for(stmt)
         _, checker = _RELATIONS[type(stmt)]
-        if not checker(ctx, stmt, witness, self):
+        if not checker(ctx, stmt, witness, memo):
             raise RelationUnsatisfiedError(f"witness does not satisfy {rid}")
         return self._proof(ctx, stmt)
 

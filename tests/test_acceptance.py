@@ -45,6 +45,7 @@ from anoncrowd.relations import (
     AuthCalcWitness,
     AuthQualStatement,
     AuthQualWitness,
+    Memo,
     ProofBackend,
     ProveQualStatement,
     ProveQualWitness,
@@ -272,7 +273,7 @@ def test_relation_checkers_vs_plaintext_oracles():
     ctx = tiny_context()
     g = ctx.group
     rng = random.Random(0x0A1C)
-    backend = ProofBackend(b"oracle-checks")
+    backend = Memo()
     disagreements = []
 
     # final-answer checker, exhaustive: every binary 5-vote pattern x claim
@@ -428,8 +429,8 @@ def test_reposted_pairs_unlinkable_and_proofs_witness_blind():
     stmt, wit = _response(tctx, trng, _pol(), ra, req, tree, roster[0], answer=1, address=9)
     other = replace(wit, path=tree.prove_membership(twin))
     assert other.path != wit.path
-    backend = ProofBackend(b"acceptance")
-    assert backend.prove(tctx, stmt, wit).encode(tctx.group) == backend.prove(tctx, stmt, other).encode(tctx.group)
+    backend, memo = ProofBackend(b"acceptance"), Memo()
+    assert backend.prove(tctx, stmt, wit, memo).encode(tctx.group) == backend.prove(tctx, stmt, other, memo).encode(tctx.group)
 
 
 def test_free_riders_detected_and_unpaid():

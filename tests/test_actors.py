@@ -66,6 +66,7 @@ from anoncrowd.primitives import (
 from anoncrowd.relations import (
     AuthCalcStatement,
     AuthQualWitness,
+    Memo,
     ProofBackend,
     ProveQualWitness,
     check_auth_qual,
@@ -84,16 +85,17 @@ def mk_policy(domain=2, threshold=Fraction(3, 4), winners=1, pay=(100, 10)):
 
 
 class World:
-    """A small cast sharing one backend and one registry."""
+    """A small cast sharing one backend, one memo and one registry."""
 
     def __init__(self, n_workers=3, prior=(4, 1), seed=7, ctx=None):
         self.ctx = ctx or tiny_context()
         self.backend = ProofBackend(b"actor-tests")
+        self.memo = Memo()
         rng = random.Random(seed)
-        self.ra = RegistrationAuthority(self.ctx, self.backend, rng, prior=prior)
-        self.requester = RequesterAgent(self.ctx, self.backend, rng)
+        self.ra = RegistrationAuthority(self.ctx, self.backend, self.memo, rng, prior=prior)
+        self.requester = RequesterAgent(self.ctx, self.backend, self.memo, rng)
         self.workers = [
-            WorkerAgent(self.ctx, self.backend, f"w{i}", f"secret-{i}".encode(), rng)
+            WorkerAgent(self.ctx, self.backend, self.memo, f"w{i}", f"secret-{i}".encode(), rng)
             for i in range(n_workers)
         ]
         for w in self.workers:
@@ -299,7 +301,7 @@ class TestResponses:
                 path=world.ra.tree.prove_membership(w.cred.position),
             )
             stmt = response_statement(ctx, task, honest.fresh_pair, honest.tag, shared_ct, address_ct)
-            proof = world.backend.prove(ctx, stmt, wit)
+            proof = world.backend.prove(ctx, stmt, wit, world.memo)
             return replace(honest, answer_ct=shared_ct, address_ct=address_ct, proof=proof).encode(g)
 
         w0, w1 = world.workers
@@ -588,7 +590,8 @@ class TestProtests:
         upheld = world.ra.arbitrate(protest, task, accepted, post_board(ctx, posts), outcome.final_cts)
         assert adopted != upheld
         tree = world.rebuilt_registry(leaves)
-        args = (ctx, world.backend, task, target, p.claim_key, post_board(ctx, posts), outcome.final_cts, tree)
+        board = post_board(ctx, posts)
+        args = (ctx, world.backend, world.memo, task, target, p.claim_key, board, outcome.final_cts, tree)
         assert (serving_post(*args) is None) == upheld
         assert adopted == (case in ("honest", "garbled-then-honest", "undecodable-then-honest"))
 
@@ -666,10 +669,10 @@ class TestServingDifferenceCheck:
             for i, increment in want.items():
                 w = world.workers[i]
                 p, before = w._pending, w.cred
-                args = (ctx, world.backend, task, p, p.claim_key, board, outcome.final_cts, tree)
-                served = serving_post(*args)
+                args = (task, p, p.claim_key, board, outcome.final_cts, tree)
+                served = serving_post(ctx, world.backend, world.memo, *args)
                 assert served is not None and served[0] == increment
-                assert served == pair_step_search(*args)
+                assert served == pair_step_search(ctx, world.backend, *args)
 
                 # the update pad off by one, and the inadmissible increment
                 # (1, 1) behind a minted attestation with its leaf accumulated
@@ -681,10 +684,9 @@ class TestServingDifferenceCheck:
                 minted = replace(own, new_pair=new_pair, qual_proof=world.backend._proof(ctx, stmt))
                 tree.append(pair_rerandomize(g, new_pair, own.blinded_dummy - cover_pads).encode(g))
                 for bad in (off, minted):
-                    args = (ctx, world.backend, task, p, p.claim_key, post_board(ctx, [bad.encode(g)]),
-                            outcome.final_cts, tree)
-                    assert serving_post(*args) is None
-                    assert pair_step_search(*args) is None
+                    args = (task, p, p.claim_key, post_board(ctx, [bad.encode(g)]), outcome.final_cts, tree)
+                    assert serving_post(ctx, world.backend, world.memo, *args) is None
+                    assert pair_step_search(ctx, world.backend, *args) is None
 
                 # the worker, searching the authority's registry, adopts what
                 # the search over the rebuilt one found
@@ -719,9 +721,9 @@ class TestServingDifferenceCheck:
             return real(table, k, acc)
 
         monkeypatch.setattr(_FixedBaseTable, "accumulate", counted)
-        assert check_auth_qual(ctx, stmt, witness, world.backend)
+        assert check_auth_qual(ctx, stmt, witness, world.memo)
         assert sum(bases.values()) == 0
-        args = (ctx, world.backend, task, p, p.claim_key, board, outcome.final_cts, world.ra.tree)
+        args = (ctx, world.backend, world.memo, task, p, p.claim_key, board, outcome.final_cts, world.ra.tree)
         assert serving_post(*args) is not None
         assert sum(bases.values()) == 0, bases
 
@@ -738,15 +740,15 @@ class TestServingDifferenceCheck:
             outcome = world.requester.evaluate(task, world.respond(task, [1, 1, 0]), min_workers)
             world.settle(task, outcome)
             board = post_board(ctx, outcome.quality_posts)
-            entries = len(world.backend._results)
+            entries = len(world.memo)
             with monkeypatch.context() as m:
                 m.setattr(type(g), "lincomb", lambda *args: pytest.fail("serving multiplied"))
                 for i in (0, 2):
                     p = world.workers[i]._pending
                     for target in (p, outcome.accepted[i]):
                         args = (task, target, p.claim_key, board, outcome.final_cts, world.ra.tree)
-                        assert serving_post(ctx, world.backend, *args) is not None, (min_workers, i)
-                        assert len(world.backend._results) == entries, (min_workers, i)
+                        assert serving_post(ctx, world.backend, world.memo, *args) is not None, (min_workers, i)
+                        assert len(world.memo) == entries, (min_workers, i)
 
 
 class TestMemoSoundness:
@@ -757,12 +759,12 @@ class TestMemoSoundness:
 
     def test_witnesses_off_the_honest_ones_are_refused(self, monkeypatch):
         world = World()
-        g, backend = world.ctx.group, world.backend
+        g, backend, memo = world.ctx.group, world.backend, world.memo
         proved = []
         real_prove = backend.prove
 
-        def recording(ctx, stmt, wit):
-            proof = real_prove(ctx, stmt, wit)
+        def recording(ctx, stmt, wit, memo):
+            proof = real_prove(ctx, stmt, wit, memo)
             proved.append((stmt, wit, proof))
             return proof
 
@@ -772,7 +774,7 @@ class TestMemoSoundness:
         response = next(entry for entry in proved if isinstance(entry[1], ProveQualWitness))
         post = next(entry for entry in proved if isinstance(entry[1], AuthQualWitness))
         for stmt, wit, proof in (response, post):
-            assert real_prove(world.ctx, stmt, wit) == proof
+            assert real_prove(world.ctx, stmt, wit, memo) == proof
 
         def swapped(blind):
             return BlindingPair(blind.beta, blind.alpha)
@@ -786,11 +788,11 @@ class TestMemoSoundness:
         # worker 0 was correct: a pair stepped by (0, 1), even one the memo
         # holds, is not the step the checker takes
         assert quality_increment(True) == (1, 0)
-        wrong = backend.memo(pair_step, g, stmt.old_pair, (0, 1), wit.update_blind)
+        wrong = memo(pair_step, g, stmt.old_pair, (0, 1), wit.update_blind)
         bad.append((replace(stmt, new_pair=wrong), wit))
         for stmt, wit in bad:
             with pytest.raises(RelationUnsatisfiedError):
-                real_prove(world.ctx, stmt, wit)
+                real_prove(world.ctx, stmt, wit, memo)
 
 
 class TestWorkerBookkeeping:

@@ -37,7 +37,7 @@ from anoncrowd.harness.fixtures import (
     parse_fixture,
     render_fixture,
 )
-from anoncrowd.harness.attacks import ATTACKS
+from anoncrowd.harness.attacks import ATTACKS, Attack
 from anoncrowd.harness import runner
 from anoncrowd.harness.runner import run
 from anoncrowd.harness.scenario import list_bundled, load_scenario, parse_scenario
@@ -614,6 +614,23 @@ class TestRunner:
             assert len(calls) == sum(3 * r.accepted + final_cts for r in result.rounds) > 0
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_the_memo_is_empty_after_every_round(self):
+        # the runner clears the round's memo as the round closes, so no entry
+        # outlives its round and the log is written from an empty memo
+        config = replace(load_scenario("gallup"), backend="tiny31", rounds=3)
+        sizes = []
+
+        class Recorder(Attack):
+            def after_round(self, run, rnd):
+                sizes.append(len(run.memo))
+
+        played = runner._Run(config, 1, None)
+        played.hook = Recorder()
+        result = played.play()
+        assert result.failures == []
+        assert sizes == [0, 0, 0]
+        assert result.log_lines == run(config, 1).log_lines
 
     def test_report_carries_the_metrics_sections(self, honest_run):
         report = honest_run.report

@@ -17,7 +17,8 @@ the few kept for tests alone are listed in TEST_ONLY with their reason.
 No module but `group.py` and `primitives.py` names a group multiplication
 (MULTIPLICATIONS), as a name or an attribute, so the protocol layers do no
 group arithmetic of their own; the uses kept are listed in MULTIPLYING with
-their reason, and each must be the function a `memo` call runs.
+their reason, and each must be the function a `memo` call runs. Only the
+runner constructs a `relations.Memo`, so the memo's lifetime has one owner.
 """
 
 import ast
@@ -114,14 +115,19 @@ def public_definitions() -> dict[str, int]:
     return out
 
 
+def calls_named(tree: ast.Module, name: str) -> list[ast.Call]:
+    """Each call whose function is name, bare or as an attribute."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
 def named_multiplications(tree: ast.Module):
     """(name, line, whether it is the function a memo call runs) of each
     group multiplication the module names."""
-    memo_fns = {
-        id(node.args[0])
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "memo" and node.args
-    }
+    memo_fns = {id(node.args[0]) for node in calls_named(tree, "memo") if node.args}
     for node in ast.walk(tree):
         name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
         if name in MULTIPLICATIONS:
@@ -167,3 +173,12 @@ def test_only_group_and_primitives_multiply():
                 named.append(f"{module}: {name} (line {line})")
     assert named == [], f"group multiplication outside {sorted(ARITHMETIC)}: {', '.join(named)}"
     assert kept == MULTIPLYING.keys(), f"MULTIPLYING entries no longer used: {MULTIPLYING.keys() - kept}"
+
+
+def test_only_the_runner_constructs_a_memo():
+    owners = {
+        path.relative_to(PACKAGE).as_posix()
+        for path in SOURCES
+        if calls_named(ast.parse(path.read_text(), filename=str(path)), "Memo")
+    }
+    assert owners == {"harness/runner.py"}

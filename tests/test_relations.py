@@ -39,6 +39,7 @@ from anoncrowd.relations import (
     AuthQualWitness,
     AuthValueStatement,
     AuthValueWitness,
+    Memo,
     Proof,
     ProofBackend,
     ProveQualStatement,
@@ -146,8 +147,8 @@ def tctx():
 
 @pytest.fixture()
 def backend():
-    """A fresh proof backend, whose decryption memo lives for one test."""
-    return ProofBackend(b"relation-tests")
+    """A fresh memo for the checkers, which lives for one test."""
+    return Memo()
 
 
 # ── membership relation ──────────────────────────────────────────────────────
@@ -455,7 +456,7 @@ class TestProofBackend:
         world = build_world(tctx)
         backend = ProofBackend(b"seed-A")
         stmt, wit = build_response(world, world.workers[0], answer=1, address=10)
-        proof = backend.prove(tctx, stmt, wit)
+        proof = backend.prove(tctx, stmt, wit, Memo())
         assert backend.verify(tctx, stmt, proof)
         assert Proof.decode(tctx.group, proof.encode(tctx.group)) == proof
 
@@ -465,7 +466,7 @@ class TestProofBackend:
         stmt, wit = build_response(world, world.workers[0], answer=1, address=10)
         broken = replace(wit, answer=2)
         with pytest.raises(RelationUnsatisfiedError):
-            backend.prove(tctx, stmt, broken)
+            backend.prove(tctx, stmt, broken, Memo())
 
     def test_witness_independence(self, tctx):
         # one statement, two satisfying witnesses: the same stored pair
@@ -476,15 +477,15 @@ class TestProofBackend:
         stmt, wit = build_response(world, world.workers[0], answer=1, address=10)
         other = replace(wit, path=world.tree.prove_membership(twin))
         assert other.path != wit.path
-        p1 = backend.prove(tctx, stmt, wit)
-        p2 = backend.prove(tctx, stmt, other)
+        p1 = backend.prove(tctx, stmt, wit, Memo())
+        p2 = backend.prove(tctx, stmt, other, Memo())
         assert p1.encode(tctx.group) == p2.encode(tctx.group)
 
     def test_statement_tamper_breaks_verification(self, tctx):
         world = build_world(tctx)
         backend = ProofBackend(b"seed-A")
         stmt, wit = build_response(world, world.workers[0], answer=1, address=10)
-        proof = backend.prove(tctx, stmt, wit)
+        proof = backend.prove(tctx, stmt, wit, Memo())
         tampered = replace(stmt, quality_tag=bytes(32))
         assert not backend.verify(tctx, tampered, proof)
 
@@ -492,7 +493,7 @@ class TestProofBackend:
         world = build_world(tctx)
         backend = ProofBackend(b"seed-A")
         stmt, wit = build_response(world, world.workers[0], answer=1, address=10)
-        real = backend.prove(tctx, stmt, wit)
+        real = backend.prove(tctx, stmt, wit, Memo())
         rng = random.Random(99)
         for _ in range(1000):
             forged = Proof(real.relation_id, real.statement_digest, rng.randbytes(32))
@@ -514,7 +515,7 @@ class TestProofBackend:
             return real_encode(self, ctx)
 
         monkeypatch.setattr(Statement, "encode", counting_encode)
-        proof = backend.prove(tctx, stmt, wit)
+        proof = backend.prove(tctx, stmt, wit, Memo())
         assert encodes == ["ProveQualStatement"]
         encodes.clear()
         assert backend.verify(tctx, stmt, proof)
@@ -523,8 +524,14 @@ class TestProofBackend:
     def test_distinct_setups_do_not_cross_verify(self, tctx):
         world = build_world(tctx)
         stmt, wit = build_response(world, world.workers[0], answer=1, address=10)
-        proof = ProofBackend(b"seed-A").prove(tctx, stmt, wit)
+        proof = ProofBackend(b"seed-A").prove(tctx, stmt, wit, Memo())
         assert not ProofBackend(b"seed-B").verify(tctx, stmt, proof)
+
+    def test_an_instance_holds_its_secrets_alone(self):
+        # the oracle keeps no memo: the crypto calls live in the round's Memo
+        backend = ProofBackend(b"seed-A")
+        assert vars(backend).keys() == {"_secrets"}
+        assert not hasattr(backend, "memo")
 
     def test_wrong_key_refused_after_the_right_key_is_memoized(self, tctx, rng):
         # the decryption memo is keyed by the secret key's value: with the
@@ -532,7 +539,7 @@ class TestProofBackend:
         # what decrypting under that key gives, and prove still refuses it
         keys = keygen(tctx.group, rng)
         outsider = keygen(tctx.group, rng)
-        backend = ProofBackend(b"seed-A")
+        backend, memo = ProofBackend(b"seed-A"), Memo()
         g, pol = tctx.group, mk_policy(domain=2)
         value_stmt = build_auth_value(tctx, rng, pol, [1, 1, 0], 0, keys)
         old = commit_pair(g, 4, 1, random_blinding_pair(g, rng))
@@ -546,14 +553,14 @@ class TestProofBackend:
             old,
             pair_add(g, old, commit_pair(g, 1, 0, blind)),
         )
-        backend.prove(tctx, value_stmt, AuthValueWitness(keys.sk))
-        backend.prove(tctx, qual_stmt, AuthQualWitness(keys.sk, blind))
+        backend.prove(tctx, value_stmt, AuthValueWitness(keys.sk), memo)
+        backend.prove(tctx, qual_stmt, AuthQualWitness(keys.sk, blind), memo)
         for stmt, wit in (
             (value_stmt, AuthValueWitness(outsider.sk)),
             (qual_stmt, AuthQualWitness(outsider.sk, blind)),
         ):
             with pytest.raises(RelationUnsatisfiedError):
-                backend.prove(tctx, stmt, wit)
+                backend.prove(tctx, stmt, wit, memo)
 
         def plaintext(decrypt, sk):
             try:
@@ -561,7 +568,7 @@ class TestProofBackend:
             except DomainError:
                 return "outside the domain"
 
-        memoized = partial(backend.memo, decrypt_message)
+        memoized = partial(memo, decrypt_message)
         assert plaintext(memoized, keys.sk) == 1
         assert plaintext(memoized, outsider.sk) == plaintext(decrypt_message, outsider.sk) != 1
 
@@ -572,8 +579,8 @@ class TestProofBackend:
         # re-encrypted for real, does not match, and prove refuses it
         world = build_world(tctx)
         stmt, wit = build_response(world, world.workers[0], answer=1, address=77)
-        backend = ProofBackend(b"seed-A")
-        backend.prove(tctx, stmt, wit)
+        backend, memo = ProofBackend(b"seed-A"), Memo()
+        backend.prove(tctx, stmt, wit, memo)
         other = tctx.group.random_scalar(world.rng)
         for bad in (
             replace(wit, answer_rand=other),
@@ -584,15 +591,15 @@ class TestProofBackend:
             replace(wit, answer_rand=wit.address_rand, address_rand=wit.answer_rand),
         ):
             with pytest.raises(RelationUnsatisfiedError):
-                backend.prove(tctx, stmt, bad)
-        assert backend.prove(tctx, stmt, wit) == ProofBackend(b"seed-A").prove(tctx, stmt, wit)
+                backend.prove(tctx, stmt, bad, memo)
+        assert backend.prove(tctx, stmt, wit, memo) == ProofBackend(b"seed-A").prove(tctx, stmt, wit, Memo())
 
     def test_relation_id_confusion_rejected(self, tctx, rng):
         keys = keygen(tctx.group, rng)
         backend = ProofBackend(b"seed-A")
         pol = mk_policy(domain=2)
         calc_stmt = build_auth_calc(tctx, rng, pol, [1, 1, 0], keys)
-        calc_proof = backend.prove(tctx, calc_stmt, AuthCalcWitness(keys.sk))
+        calc_proof = backend.prove(tctx, calc_stmt, AuthCalcWitness(keys.sk), Memo())
         value_stmt = build_auth_value(tctx, rng, pol, [1, 1, 0], 0, keys)
         mislabel = Proof(calc_proof.relation_id, calc_proof.statement_digest, calc_proof.attestation)
         assert not backend.verify(tctx, value_stmt, mislabel)
